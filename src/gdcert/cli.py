@@ -16,10 +16,12 @@ import json
 import sys
 
 from gdcert.harness import (
+    FORMATS,
     ConfigError,
     RunConfig,
     registry_listing,
     run_experiment,
+    validate_config,
 )
 
 
@@ -50,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--x0", default="default",
                      help="comma-separated start coordinates, or 'default'")
     run.add_argument("--out", required=True)
-    run.add_argument("--format", default="json", choices=("json", "csv"),
+    run.add_argument("--format", default="json", choices=FORMATS,
                      dest="fmt")
     run.add_argument("--seed", type=int, default=0)
 
@@ -88,13 +90,14 @@ def _config_from_dict(raw: dict) -> RunConfig:
         if key not in raw:
             raise ConfigError(f"configuration is missing {key!r}")
     theorems = raw.get("theorems", [])
+    x0 = raw.get("x0", "default")
     return RunConfig(
         problem=raw["problem"],
         method=raw["method"],
-        steps=int(raw["steps"]),
+        steps=raw["steps"],
         feasible_set=raw.get("set", "unconstrained"),
         schedule=raw.get("schedule"),
-        x0=raw.get("x0", "default"),
+        x0=_parse_x0(x0) if isinstance(x0, str) else x0,
         certify=bool(raw.get("certify", False)) or bool(theorems),
         theorems=list(theorems),
         out=raw.get("out"),
@@ -150,6 +153,8 @@ def main(argv=None) -> int:
             if not isinstance(raw, list):
                 raise ConfigError("suite config must be a JSON list of run configs")
             configs = [_config_from_dict(entry) for entry in raw]
+            for config in configs:  # reject the suite before writing any file
+                validate_config(config)
             worst = 0
             for config in configs:
                 result = run_experiment(config)

@@ -3,6 +3,7 @@ driver, and machine-readable trace/report serialization."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -68,6 +69,8 @@ class RunConfig:
 
 SETS = ("unconstrained", "ball", "box", "simplex")
 
+FORMATS = ("json", "csv")
+
 METHODS = ("gd", "sc-gd", "smooth-gd", "frank-wolfe", "wellcond-gd",
            "mirror-euclidean", "mirror-negentropy", "agm2", "agm1",
            "agm2-negentropy", "sc-agm", "restart-agm")
@@ -130,6 +133,23 @@ def default_x0(set_id: str, dim: int) -> np.ndarray:
     return ones
 
 
+def _is_float(x) -> bool:
+    return type(x) is float or type(x) is np.float64
+
+
+def _is_int(x) -> bool:
+    return type(x) is int or isinstance(x, np.integer)
+
+
+def _finite_coordinates(x0) -> bool:
+    if not isinstance(x0, (list, tuple, np.ndarray)):
+        return False
+    try:
+        return all((_is_float(v) or _is_int(v)) and math.isfinite(v) for v in x0)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def validate_config(config: RunConfig) -> None:
     if config.problem not in PROBLEMS and config.problem not in ADVERSARIES:
         raise ConfigError(f"unknown problem id {config.problem!r}")
@@ -137,8 +157,17 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError(f"unknown method id {config.method!r}")
     if config.feasible_set not in SETS:
         raise ConfigError(f"unknown set id {config.feasible_set!r}")
+    if not _is_int(config.steps):
+        raise ConfigError(f"steps must be an integer, got {config.steps!r}")
     if config.steps < 1:
         raise ConfigError("steps must be >= 1")
+    if isinstance(config.x0, str):
+        if config.x0 != "default":
+            raise ConfigError(f"x0 must be 'default' or a list of numbers, got {config.x0!r}")
+    elif not _finite_coordinates(config.x0):
+        raise ConfigError(f"x0 must be a list of finite numbers, got {config.x0!r}")
+    if config.fmt not in FORMATS:
+        raise ConfigError(f"unknown output format {config.fmt!r}; use one of {FORMATS}")
     allowed = SCHEDULES.get(config.method)
     if config.schedule is not None:
         if allowed is None or config.schedule not in allowed:
@@ -370,9 +399,45 @@ def _json_scalar(x) -> str:
     return format(f, ".17g")
 
 
+@functools.lru_cache(maxsize=32)
+def _float_template(n: int) -> str:
+    return ",".join(["%.17g"] * n)
+
+
+def _column_format(values: list) -> str:
+    """``%.17g`` or ``%d`` when the column can skip ``json_dumps``; ``%s``
+    otherwise. Non-finite floats need ``_json_scalar`` to be quoted."""
+    if all(map(_is_float, values)) and all(map(math.isfinite, values)):
+        return "%.17g"
+    if all(map(_is_int, values)):
+        return "%d"
+    return "%s"
+
+
+def _records_json(rows: list) -> str | None:
+    """A list of dicts sharing one key sequence, formatted with one row
+    template; None when the key sequences differ."""
+    keys = list(rows[0])
+    if any(list(row) != keys for row in rows):
+        return None
+    formats = [_column_format([row[k] for row in rows]) for k in keys]
+    template = "{" + ",".join(json.dumps(str(k)).replace("%", "%%") + ":" + f
+                              for k, f in zip(keys, formats)) + "}"
+    cols = [(k, f != "%s") for k, f in zip(keys, formats)]
+    return "[" + ",".join(
+        template % tuple([row[k] if d else json_dumps(row[k]) for k, d in cols])
+        for row in rows) + "]"
+
+
 def json_dumps(obj) -> str:
     """Deterministic JSON: numbers carry 17 significant digits so every
-    double round-trips exactly."""
+    double round-trips exactly; NaN and infinities become the strings
+    ``"nan"``, ``"inf"`` and ``"-inf"``.
+
+    Finite 1-D float64 arrays and lists of same-keyed dicts (trace and
+    report rows) are formatted through templates; the output is the same
+    as formatting each element on its own.
+    """
     if obj is None:
         return "null"
     if isinstance(obj, str):
@@ -380,8 +445,14 @@ def json_dumps(obj) -> str:
     if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
         return _json_scalar(obj)
     if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim == 1 and np.isfinite(obj).all():
+            return "[" + _float_template(obj.size) % tuple(obj.tolist()) + "]"
         return json_dumps(obj.tolist())
     if isinstance(obj, (list, tuple)):
+        if obj and all(isinstance(v, dict) for v in obj):
+            text = _records_json(obj)
+            if text is not None:
+                return text
         return "[" + ",".join(json_dumps(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = (json.dumps(str(k)) + ":" + json_dumps(v) for k, v in obj.items())
@@ -399,8 +470,14 @@ def _csv_scalar(x) -> str:
     return repr(float(x))  # shortest round-trip representation
 
 
+def _csv_vector(v: np.ndarray) -> str:
+    """The cells of a float vector; the same text as ``_csv_scalar`` on each."""
+    return ",".join(map(repr, v.tolist()))
+
+
 def trace_to_dict(trace: Trace) -> dict:
-    """One top-level object with ``meta`` and ``steps``."""
+    """One top-level object with ``meta`` and ``steps``, for ``json_dumps``.
+    Iterates stay numpy arrays."""
     norm_kind = Norm.L1 if trace.meta.get("map") == "negentropy" else Norm.EUCLIDEAN
     consts = {}
     for k, v in trace.constants.items():
@@ -413,25 +490,25 @@ def trace_to_dict(trace: Trace) -> dict:
             gap = s.f - s.f_ref
         elif f_star is not None:
             gap = s.f - f_star
-        row = {"t": s.t, "x": s.x.tolist(), "f": s.f, "gap": gap,
+        row = {"t": s.t, "x": s.x, "f": s.f, "gap": gap,
                "grad_norm": float(np.linalg.norm(s.grad)),
                "grad_dual_norm": dual_norm(norm_kind, s.grad),
                "eta": s.eta}
         if s.y is not None:
-            row["y"] = s.y.tolist()
+            row["y"] = s.y
             row["f_y"] = s.f_y
         if s.z is not None:
-            row["z"] = s.z.tolist()
+            row["z"] = s.z
         if s.phi is not None:
             row["phi"] = s.phi
             row["step_ok"] = s.step_ok
         steps.append(row)
-    final = {"x": trace.final_x.tolist(), "f": trace.final_f}
+    final = {"x": trace.final_x, "f": trace.final_f}
     if trace.final_y is not None:
-        final["y"] = trace.final_y.tolist()
+        final["y"] = trace.final_y
         final["f_y"] = trace.final_f_y
     if trace.final_z is not None:
-        final["z"] = trace.final_z.tolist()
+        final["z"] = trace.final_z
     meta = {k: v for k, v in trace.meta.items() if k != "constants"}
     meta["constants"] = consts
     meta["final"] = final
@@ -452,12 +529,13 @@ def trace_to_csv(trace: Trace) -> str:
     for s in trace.steps:
         gap = s.f - s.f_ref if s.f_ref is not None else (
             s.f - f_star if f_star is not None else None)
-        row = [s.t] + list(s.x)
+        row = [_csv_scalar(s.t), _csv_vector(s.x)]
         if has_yz:
-            row += list(s.y) + list(s.z) + [s.f_y]
-        row += [s.f, gap, float(np.linalg.norm(s.grad)),
-                dual_norm(norm_kind, s.grad), s.eta, s.phi, s.step_ok]
-        lines.append(",".join(_csv_scalar(v) for v in row))
+            row += [_csv_vector(s.y), _csv_vector(s.z), _csv_scalar(s.f_y)]
+        row += [_csv_scalar(v) for v in (
+            s.f, gap, float(np.linalg.norm(s.grad)), dual_norm(norm_kind, s.grad),
+            s.eta, s.phi, s.step_ok)]
+        lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 

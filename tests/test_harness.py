@@ -232,6 +232,43 @@ class TestCli:
         data = json.loads((tmp_path / "out.json").read_text())
         assert data["steps"][0]["x"] == [0.3, 0.7]
 
+    def test_non_finite_x0_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        code = main(["run", "--problem", "p2", "--method", "smooth-gd",
+                     "--steps", "5", "--x0", "1,nan", "--out", str(out)])
+        assert code == 2
+        assert "x0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [
+        {"steps": "ten"},
+        {"steps": 1.5},
+        {"x0": ["a", 1]},
+        {"x0": [0.5, float("inf")]},
+        {"x0": "0.3,abc"},
+        {"format": "yaml"},
+        {"format": "JSON"},
+    ], ids=["steps-text", "steps-fraction", "x0-text-coordinate",
+            "x0-infinite", "x0-text-unparsable", "format-yaml", "format-upper"])
+    def test_suite_bad_entry_exit_two_writes_nothing(self, tmp_path, capsys, bad):
+        good = {"problem": "p2", "method": "smooth-gd", "steps": 5,
+                "out": str(tmp_path / "first.json")}
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps([good, {**good, "out": str(tmp_path / "bad.json"),
+                                          **bad}]))
+        assert main(["suite", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_suite_x0_string_is_parsed(self, tmp_path):
+        out = tmp_path / "out.json"
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps([{"problem": "p2", "method": "smooth-gd",
+                                    "steps": 5, "x0": "0.3,0.7",
+                                    "out": str(out)}]))
+        assert main(["suite", "--config", str(cfg)]) == 0
+        assert json.loads(out.read_text())["steps"][0]["x"] == [0.3, 0.7]
+
     def test_csv_format_flag(self, tmp_path):
         code = main(["run", "--problem", "p2", "--method", "smooth-gd",
                      "--steps", "5", "--format", "csv",
