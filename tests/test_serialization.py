@@ -45,12 +45,38 @@ GOLDEN_RUNS = {
                       theorems=["agm-sc"]),
     # certification off: no phi / step_ok keys and no report file
     "uncertified-gd-p1": dict(problem="p1", method="gd", steps=30),
+    # the end checks no run above reaches
+    "sc-gd-p1": dict(problem="p1", method="sc-gd", steps=30,
+                     theorems=["sc-regret", "sc-average"]),
+    # the "projected" report constant and the projected-smoothness check
+    "smooth-gd-p2-ball": dict(problem="p2", method="smooth-gd", steps=30,
+                              feasible_set="ball", theorems=["smooth-projected"]),
+    "frank-wolfe-p2-simplex": dict(problem="p2", method="frank-wolfe", steps=30,
+                                   feasible_set="simplex", x0=[0.5, 0.5],
+                                   theorems=["frank-wolfe"]),
+    "frank-wolfe-log-p2-box": dict(problem="p2", method="frank-wolfe", steps=30,
+                                   feasible_set="box", schedule="fw-1t",
+                                   theorems=["frank-wolfe-log"]),
+    "wellcond-gd-p3": dict(problem="p3", method="wellcond-gd", steps=30,
+                           theorems=["well-conditioned",
+                                     "well-conditioned-distance"]),
+    # the grid prox costs milliseconds per step: keep T small
+    "agm2-negentropy-lse3": dict(problem="lse3", method="agm2-negentropy",
+                                 steps=15, feasible_set="simplex",
+                                 x0=[0.6, 0.3, 0.1], theorems=["agm-mirror"]),
 }
 
 # SHA-256 of (trace, report) per run and format; None: no report is written.
-# Computed with the per-element serializers the fast paths replaced, and
-# never regenerated: a changed hash is a changed file format.
+# Computed with the per-element serializers the fast paths replaced (and the
+# runs from "sc-gd-p1" on with the per-theorem if-chains the theorem table
+# replaced), and never regenerated: a changed hash is a changed file format.
 GOLDEN = {
+    ("agm2-negentropy-lse3", "json"): (
+        "057257fc5d15cb6d2ca8ce063302801e9ea9dc73ea7b5b70f6675917c3d7e286",
+        "3406bf08bbae517f6be0f6972b472ec98ead994cc5e3ee14c1a320c9231c08e7"),
+    ("agm2-negentropy-lse3", "csv"): (
+        "5cee7b1780eb0a463df798984e8909e47964fb8aeb91810f8d97a56db6065184",
+        "c252dbe14163211ca0cee297b9216c03b639dbad2b89efffd07d29cf67e68fa7"),
     ("agm2-p2", "json"): (
         "abb56126d5c5e11e9da6ee08a2aa2dab3f3fd2263b5532863025e0838ed087fb",
         "ec372132684cd2eea925cfd5c17f71fca3424a57c7461177162caa0c0cfa9365"),
@@ -63,6 +89,18 @@ GOLDEN = {
     ("failed-potential-p3", "csv"): (
         "b301d6fffc13740013d1a00ccdd137fa4c16a345b1a37daeba3f560e7a27b310",
         "d9a79d0d0f705b140d6b3d8ebec7335ad3c0ca666f2ec9e337367765c2ccfc4e"),
+    ("frank-wolfe-log-p2-box", "json"): (
+        "881314bfa429fcadf7c8968b847ce0a9ace0aaba712b37e593b0471fe08b7efa",
+        "305b8a0e927a27dd701a3b988077eff0b461491fb41baa4f6671fd7769fec98c"),
+    ("frank-wolfe-log-p2-box", "csv"): (
+        "eb2f08a727d86885549c32f90a09b9617da271fab3dfd9711a737cb3271afe13",
+        "862023871c2e4cf5fcaa76e0cfd7d265c5760012ced876c12b0aa0577e1f6175"),
+    ("frank-wolfe-p2-simplex", "json"): (
+        "7ddf1ff9f59c7b924fc98d42ed6a25395d7a913479f455086fb195c0e53e677a",
+        "966bb8d56b82d8fd1d887e7613ed0c8ffa1239246c7d07e2686f26f57154c0f8"),
+    ("frank-wolfe-p2-simplex", "csv"): (
+        "9bb97740203db2f708d476db0ea17f114c4283ebd9037306210c89e9d46117bc",
+        "418c2915c2fd21a9fcee9a1b41c67a52a6107ebd6e05a34c69dc6db1594d2059"),
     ("gd-experts-ball", "json"): (
         "c7ebb1e1a4d0496c51f579977406e9d4974805f4d78f5d7ef92b6ab528e7f51f",
         "7998f9ed479907fcafe5830d5f5981ac3fcead9906bd967d55e5b118b148d9c4"),
@@ -81,18 +119,36 @@ GOLDEN = {
     ("sc-agm-p3", "csv"): (
         "325e6c9ff92643ba33adaeee807bc56925699c833263c40931c9a972d4179eec",
         "db349b30f12cced7439c9363671b993d3242869e634060f68d929b8612f85fee"),
+    ("sc-gd-p1", "json"): (
+        "f5cb5ef8cbdc3ac16acb81d46b313f87612b596f232f6ae972b6081030e4ccc3",
+        "9c0c1a8a1928bb31b3aa333a118e01a2ee3732cf84625e3ba6e3784bca0c5f6a"),
+    ("sc-gd-p1", "csv"): (
+        "e9e855e023e46277db541009ccf5ba71fc5a92698c2fe010ced1195a3480ad67",
+        "8e296f552626b54082e0887296bab851628729edb429b4e18672b1bd6e93b32f"),
     ("smooth-gd-p2", "json"): (
         "f50c3b34a5e6c5409928df5acac88a36afa05553deead325967638c55cead9be",
         "67c075039e39d3b5b875ec742a420e83c212faaa05af04c4c84acd6b84ef1a94"),
     ("smooth-gd-p2", "csv"): (
         "e3ec24c1779e38a94f3df67d01c7dccf1abd47efbaec81947c52c84c5020f277",
         "d1192756e7c27912c9ee2840199f39e73fab3e56692da1aabc99070061905661"),
+    ("smooth-gd-p2-ball", "json"): (
+        "c41c551064e0b482cc39a3d645da1a0bbb22bcbb31ad67ccc0f32c0e9f01eaae",
+        "6c18254b17e2897195f15f9909c8b7df1a2a256b6b1403c7410ac6d727333aa0"),
+    ("smooth-gd-p2-ball", "csv"): (
+        "24c1f2a23cf6b46e468c603fc7442448e06d11d3911324ade09c3160afbc7b2d",
+        "b31dea6c3082a6aefa9b90edf920b7a1bf9215097ccad2c71c1148eedd797ec2"),
     ("uncertified-gd-p1", "json"): (
         "e64dc38bc5b4ca578801b725191b512e6a1f2f8fbe2b9e2b096f0b1025d98917",
         None),
     ("uncertified-gd-p1", "csv"): (
         "d37aa04b6e2c2b56a9c5ac70de8ecb389369c93b95ce10fed326499da400bd14",
         None),
+    ("wellcond-gd-p3", "json"): (
+        "a70d116df4a5724dbe77c1b1683db4995686585ed7296e9ca3871afdb20a78cb",
+        "df8b982386222ddd802bfed82c4b597ae11d0fdd7e9e8089050772e59bd574f6"),
+    ("wellcond-gd-p3", "csv"): (
+        "78e42ad69999f0b2e3f8c897adb8b99146ac792b0f9f84eaa9d5c10eaf337649",
+        "c6c246c8639d2b09411148fbe0bb38c58d27e1fe4e01bb7f1655ca98b19766e6"),
 }
 
 
