@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -52,11 +53,6 @@ class PotentialKind(str, enum.Enum):
     FAILED = "failed"                      # t(t+1)(f - f*) + 2 beta ||x - x*||^2
 
 
-# kinds whose per-step check is amortized: (f_t(x_t) - f_t(x*)) + dPhi <= B_t
-AMORTIZED_KINDS = {PotentialKind.DISTANCE, PotentialKind.SC_DISTANCE,
-                   PotentialKind.BREGMAN}
-
-
 @dataclass
 class PotentialSpec:
     """Which potential to evaluate, with which constants and reference."""
@@ -76,89 +72,102 @@ def _growth(gamma: float, t: int) -> float:
     return float(np.exp(t * np.log1p(gamma)))
 
 
+def _dist2(spec: PotentialSpec, point) -> float:
+    d = as_vector(point) - spec.x_star
+    return float(np.dot(d, d))
+
+
+def _bregman(spec: PotentialSpec, point) -> float:
+    return spec.constants["map"].bregman(spec.x_star, point)
+
+
+def _value_distance_allowance(c: dict, step: StepRecord, t: int) -> float:
+    if c.get("projected"):
+        return 0.0
+    g = as_vector(step.grad)
+    return -(t / (2.0 * c["beta"])) * float(np.dot(g, g))
+
+
+def _bregman_allowance(c: dict, step: StepRecord, t: int) -> float:
+    gd = dual_norm(c["map"].norm, step.grad)
+    return 0.5 * c["eta"] * gd * gd / c["alpha_h"]
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """One potential kind: Phi_t from the constants, t, the value gap and the
+    distance term, and the allowance B_t on its step-t change. Phi_t is
+    a_t * gap plus a non-negative distance term, so a_t * gap is Phi_t at
+    distance 0."""
+
+    phi: Callable                     # (c, t, gap, dist) -> Phi_t
+    needs: tuple                      # constants Phi_t reads
+    # (c, step, t) -> B_t; monotone potentials may not increase at all
+    allowance: Callable = lambda c, step, t: 0.0
+    bound_needs: tuple = ()           # constants B_t reads beyond those
+    distance: Callable | None = None  # (spec, point) -> distance term
+    # distance-only potentials are charged the round's loss: the check is
+    # (f_t(x_t) - f_t(x*)) + dPhi <= B_t
+    amortized: bool = False
+    coupled: bool = False             # reads f(y) and z, not f(x) and x
+
+
+POTENTIALS = {
+    PotentialKind.DISTANCE: _Shape(
+        lambda c, t, gap, d: d / (2.0 * c["eta"]), ("eta",),
+        lambda c, step, t: 0.5 * c["eta"] * c["G"] ** 2, ("G",),
+        distance=_dist2, amortized=True),
+    PotentialKind.SC_DISTANCE: _Shape(
+        lambda c, t, gap, d: 0.5 * t * c["alpha"] * d, ("alpha",),
+        lambda c, step, t: 0.5 * step.eta * c["G"] ** 2, ("G",),
+        distance=_dist2, amortized=True),
+    PotentialKind.VALUE: _Shape(
+        lambda c, t, gap, d: t * gap, (),
+        lambda c, step, t: c["beta"] * c["D"] ** 2 / (2.0 * (t + 1.0)), ("beta", "D")),
+    PotentialKind.VALUE_SCALED: _Shape(
+        lambda c, t, gap, d: t * (t + 1.0) * gap, (),
+        lambda c, step, t: 2.0 * c["beta"] * c["D"] ** 2 * (t + 1.0) / (t + 2.0),
+        ("beta", "D")),
+    PotentialKind.VALUE_DISTANCE: _Shape(
+        lambda c, t, gap, d: t * gap + 0.5 * c["beta"] * d, ("beta",),
+        _value_distance_allowance, distance=_dist2),
+    PotentialKind.EXP_VALUE: _Shape(
+        lambda c, t, gap, d: _growth(c["gamma"], t) * gap, ("gamma",)),
+    PotentialKind.BREGMAN: _Shape(
+        lambda c, t, gap, d: d / c["eta"], ("eta", "map"),
+        _bregman_allowance, ("alpha_h",), distance=_bregman, amortized=True),
+    PotentialKind.AGM: _Shape(
+        lambda c, t, gap, d: t * (t + 1.0) * gap + 2.0 * c["beta"] * d, ("beta",),
+        distance=_dist2, coupled=True),
+    PotentialKind.AGM_BREGMAN: _Shape(
+        lambda c, t, gap, d: t * (t + 1.0) * gap + 4.0 * c["beta"] / c["alpha_h"] * d,
+        ("beta", "alpha_h", "map"), distance=_bregman, coupled=True),
+    PotentialKind.AGM_SC: _Shape(
+        lambda c, t, gap, d: _growth(c["gamma"], t) * (gap + 0.5 * c["alpha"] * d),
+        ("gamma", "alpha"), distance=_dist2, coupled=True),
+    # the broken argument's distance coefficient: a = 4 beta
+    PotentialKind.FAILED: _Shape(
+        lambda c, t, gap, d: t * (t + 1.0) * gap + 2.0 * c["beta"] * d, ("beta",),
+        distance=_dist2),
+}
+
+
 def potential(spec: PotentialSpec, state, t: int) -> float:
     """Evaluate Phi_t on a state carrying x (and y/z/f_y when needed).
 
     Non-negative whenever the reference value is the true optimum.
     """
-    k = spec.kind
-    c = spec.constants
-    xs = spec.x_star
-
-    def dist2(p):
-        d = as_vector(p) - xs
-        return float(np.dot(d, d))
-
-    def gap(value):
+    shape = POTENTIALS[spec.kind]
+    spec.require(*shape.needs)
+    point, value = (state.z, state.f_y) if shape.coupled else (state.x, state.f)
+    gap = None
+    if not shape.amortized:
         if value is None or spec.f_star is None:
-            raise ValueError(f"potential {k.value!r} needs an objective value and f*")
-        return value - spec.f_star
-
-    if k is PotentialKind.DISTANCE:
-        spec.require("eta")
-        return dist2(state.x) / (2.0 * c["eta"])
-    if k is PotentialKind.SC_DISTANCE:
-        spec.require("alpha")
-        return 0.5 * t * c["alpha"] * dist2(state.x)
-    if k is PotentialKind.VALUE:
-        return t * gap(state.f)
-    if k is PotentialKind.VALUE_SCALED:
-        return t * (t + 1.0) * gap(state.f)
-    if k is PotentialKind.VALUE_DISTANCE:
-        spec.require("beta")
-        return t * gap(state.f) + 0.5 * c["beta"] * dist2(state.x)
-    if k is PotentialKind.EXP_VALUE:
-        spec.require("gamma")
-        return _growth(c["gamma"], t) * gap(state.f)
-    if k is PotentialKind.BREGMAN:
-        spec.require("eta", "map")
-        return c["map"].bregman(xs, state.x) / c["eta"]
-    if k is PotentialKind.AGM:
-        spec.require("beta")
-        return t * (t + 1.0) * gap(state.f_y) + 2.0 * c["beta"] * dist2(state.z)
-    if k is PotentialKind.AGM_BREGMAN:
-        spec.require("beta", "alpha_h", "map")
-        return (t * (t + 1.0) * gap(state.f_y)
-                + 4.0 * c["beta"] / c["alpha_h"] * c["map"].bregman(xs, state.z))
-    if k is PotentialKind.AGM_SC:
-        spec.require("gamma", "alpha")
-        return _growth(c["gamma"], t) * (gap(state.f_y) + 0.5 * c["alpha"] * dist2(state.z))
-    if k is PotentialKind.FAILED:
-        spec.require("beta")
-        # the broken argument's distance coefficient: a = 4 beta
-        return t * (t + 1.0) * gap(state.f) + 2.0 * c["beta"] * dist2(state.x)
-    raise ValueError(f"unknown potential kind {k!r}")
-
-
-def step_allowance(spec: PotentialSpec, state: StepRecord, t: int) -> float:
-    """The certified upper bound B_t on the step-t potential change (for
-    amortized kinds, on the amortized cost)."""
-    k = spec.kind
-    c = spec.constants
-    if k is PotentialKind.DISTANCE:
-        spec.require("eta", "G")
-        return 0.5 * c["eta"] * c["G"] ** 2
-    if k is PotentialKind.SC_DISTANCE:
-        spec.require("G")
-        return 0.5 * state.eta * c["G"] ** 2
-    if k is PotentialKind.VALUE:
-        spec.require("beta", "D")
-        return c["beta"] * c["D"] ** 2 / (2.0 * (t + 1.0))
-    if k is PotentialKind.VALUE_SCALED:
-        spec.require("beta", "D")
-        return 2.0 * c["beta"] * c["D"] ** 2 * (t + 1.0) / (t + 2.0)
-    if k is PotentialKind.VALUE_DISTANCE:
-        if c.get("projected"):
-            return 0.0
-        spec.require("beta")
-        g = as_vector(state.grad)
-        return -(t / (2.0 * c["beta"])) * float(np.dot(g, g))
-    if k is PotentialKind.BREGMAN:
-        spec.require("eta", "alpha_h", "map")
-        gd = dual_norm(c["map"].norm, state.grad)
-        return 0.5 * c["eta"] * gd * gd / c["alpha_h"]
-    # EXP_VALUE, AGM, AGM_BREGMAN, AGM_SC, FAILED: monotone potentials
-    return 0.0
+            raise ValueError(
+                f"potential {spec.kind.value!r} needs an objective value and f*")
+        gap = value - spec.f_star
+    dist = shape.distance(spec, point) if shape.distance else None
+    return shape.phi(spec.constants, t, gap, dist)
 
 
 @dataclass
@@ -260,104 +269,33 @@ class CertReport:
         }
 
 
+def _step_check(spec: PotentialSpec, state: StepRecord, t: int,
+                phi_t: float, phi_next: float, tol: float) -> StepCheck:
+    """The step-t bound from the potential values on both sides of the step."""
+    shape = POTENTIALS[spec.kind]
+    dphi = phi_next - phi_t
+    allowed = shape.allowance(spec.constants, state, t)
+    slack = tol * (1.0 + abs(phi_t))
+    amortized = None
+    if shape.amortized:
+        f_ref = state.f_ref if state.f_ref is not None else spec.f_star
+        if f_ref is None:
+            raise ValueError("amortized check needs the comparator's round value")
+        amortized = (state.f - f_ref) + dphi
+    ok = (dphi if amortized is None else amortized) <= allowed + slack
+    return StepCheck(t=t, phi=phi_t, dphi=dphi, allowed=allowed, ok=ok,
+                     slack=slack, amortized=amortized)
+
+
 def certify_step(spec: PotentialSpec, state_t, state_next, t: int,
                  tol: float = DEFAULT_TOL) -> StepCheck:
     """Check one per-step bound between consecutive states.
 
     Failures are recorded, never raised.
     """
-    phi_t = potential(spec, state_t, t)
-    phi_next = potential(spec, state_next, t + 1)
-    dphi = phi_next - phi_t
-    allowed = step_allowance(spec, state_t, t)
-    slack = tol * (1.0 + abs(phi_t))
-    if spec.kind in AMORTIZED_KINDS:
-        f_ref = state_t.f_ref if state_t.f_ref is not None else spec.f_star
-        if f_ref is None:
-            raise ValueError("amortized check needs the comparator's round value")
-        amortized = (state_t.f - f_ref) + dphi
-        ok = amortized <= allowed + slack
-        return StepCheck(t=t, phi=phi_t, dphi=dphi, allowed=allowed, ok=ok,
-                         slack=slack, amortized=amortized)
-    ok = dphi <= allowed + slack
-    return StepCheck(t=t, phi=phi_t, dphi=dphi, allowed=allowed, ok=ok, slack=slack)
-
-
-@dataclass
-class _TheoremSpec:
-    theorem_id: str
-    claim: str
-    kind: PotentialKind | None
-    expected_fail: bool = False
-    needs_problem: bool = False
-
-
-THEOREMS = {
-    "gd-regret": _TheoremSpec(
-        "gd-regret",
-        "average regret of gradient descent with eta = D/(G sqrt(T)) is below D G / sqrt(T)",
-        PotentialKind.DISTANCE),
-    "sc-regret": _TheoremSpec(
-        "sc-regret",
-        "average regret under strong convexity is below G^2 log(T) / (2 T alpha)",
-        PotentialKind.SC_DISTANCE),
-    "sc-average": _TheoremSpec(
-        "sc-average",
-        "the 2t/(T(T+1))-weighted average satisfies f - f* <= G^2 / (alpha (T+1))",
-        None, needs_problem=True),
-    "smooth-value-log": _TheoremSpec(
-        "smooth-value-log",
-        "smooth descent gap is below beta D^2 (1 + ln T) / (2T)",
-        PotentialKind.VALUE),
-    "smooth-value-scaled": _TheoremSpec(
-        "smooth-value-scaled",
-        "smooth descent gap is below 2 beta D^2 / (T+1)",
-        PotentialKind.VALUE_SCALED),
-    "smooth-value-distance": _TheoremSpec(
-        "smooth-value-distance",
-        "smooth descent gap is below beta ||x0 - x*||^2 / (2T)",
-        PotentialKind.VALUE_DISTANCE),
-    "smooth-projected": _TheoremSpec(
-        "smooth-projected",
-        "projected smooth descent gap is below (beta/2) ||x0 - x*||^2 / T",
-        PotentialKind.VALUE_DISTANCE, needs_problem=True),
-    "frank-wolfe-log": _TheoremSpec(
-        "frank-wolfe-log",
-        "Frank-Wolfe gap with the 1/(t+1) schedule is below beta D^2 (1 + ln T) / (2T)",
-        PotentialKind.VALUE),
-    "frank-wolfe": _TheoremSpec(
-        "frank-wolfe",
-        "Frank-Wolfe gap with the 2/(t+2) schedule is below 2 beta D^2 / (T+1)",
-        PotentialKind.VALUE_SCALED),
-    "well-conditioned": _TheoremSpec(
-        "well-conditioned",
-        "gap contracts like exp(-T/kappa) times the initial gap",
-        PotentialKind.EXP_VALUE),
-    "well-conditioned-distance": _TheoremSpec(
-        "well-conditioned-distance",
-        "squared distance contracts like kappa exp(-T/kappa)",
-        None),
-    "mirror-regret": _TheoremSpec(
-        "mirror-regret",
-        "mirror descent regret is below D_h(x*||x0)/eta + eta sum ||grad||_*^2 / (2 alpha_h)",
-        PotentialKind.BREGMAN),
-    "agm-smooth": _TheoremSpec(
-        "agm-smooth",
-        "accelerated gap f(y_t) - f* is below 2 beta ||z0 - x*||^2 / (t(t+1)) at every t",
-        PotentialKind.AGM),
-    "agm-mirror": _TheoremSpec(
-        "agm-mirror",
-        "general-norm accelerated gap is below (4 beta/alpha_h) D_h(x*||z0)/(t(t+1)) at every t",
-        PotentialKind.AGM_BREGMAN),
-    "agm-sc": _TheoremSpec(
-        "agm-sc",
-        "strongly convex accelerated gap is below (1+gamma)^{-t} (alpha+beta)/2 ||x0-x*||^2",
-        PotentialKind.AGM_SC, needs_problem=True),
-    "failed-potential": _TheoremSpec(
-        "failed-potential",
-        "the uncoupled t(t+1) potential with a = 4 beta must increase at some step",
-        PotentialKind.FAILED, expected_fail=True),
-}
+    phi_t, phi_next = potential(spec, state_t, t), potential(spec, state_next, t + 1)
+    spec.require(*POTENTIALS[spec.kind].bound_needs)
+    return _step_check(spec, state_t, t, phi_t, phi_next, tol)
 
 
 def _state_views(trace: Trace):
@@ -368,7 +306,272 @@ def _state_views(trace: Trace):
     return list(trace.steps) + [final]
 
 
-def _gather_constants(trace: Trace, spec: _TheoremSpec) -> tuple[dict, list]:
+def _bound_check(label, lhs, rhs, tol, note="") -> EndCheck:
+    return EndCheck(label, float(lhs), float(rhs),
+                    ok=bool(lhs <= rhs + tol * (1.0 + abs(rhs))), note=note)
+
+
+# --- gap envelopes: (trace, constants) -> the bound on f - f* at iteration t
+
+def _sq_dist(point, c: dict) -> float:
+    return float(np.sum((point - as_vector(c["x_star"])) ** 2))
+
+
+def _log_envelope(trace: Trace, c: dict):
+    return lambda t: c["beta"] * c["D"] ** 2 * (1.0 + np.log(t)) / (2.0 * t)
+
+
+def _scaled_envelope(trace: Trace, c: dict):
+    return lambda t: 2.0 * c["beta"] * c["D"] ** 2 / (t + 1.0)
+
+
+def _distance_envelope(trace: Trace, c: dict):
+    r2 = _sq_dist(trace.steps[0].x, c)
+    return lambda t: c["beta"] * r2 / (2.0 * t)
+
+
+def _exp_envelope(trace: Trace, c: dict):
+    gap0 = trace.steps[0].f - c["f_star"]
+    return lambda t: float(np.exp(-t / c["kappa"]) * gap0)
+
+
+def _agm_envelope(trace: Trace, c: dict):
+    z0 = trace.steps[0].z if trace.steps[0].z is not None else trace.steps[0].x
+    r2 = _sq_dist(z0, c)
+    return lambda t: 2.0 * c["beta"] * r2 / (t * (t + 1.0))
+
+
+def _agm_mirror_envelope(trace: Trace, c: dict):
+    div = c.get("bregman_x_star_z0")
+    if div is None:
+        mp = get_map(trace.meta.get("map", "euclidean"))
+        div = mp.bregman(as_vector(c["x_star"]), trace.steps[0].z)
+    coef = 4.0 * c["beta"] / c["alpha_h"]
+    return lambda t: coef * div / (t * (t + 1.0))
+
+
+def _agm_sc_envelope(trace: Trace, c: dict):
+    scale = 0.5 * (c["alpha"] + c["beta"]) * _sq_dist(trace.steps[0].x, c)
+    return lambda t: scale / _growth(c["gamma"], t)
+
+
+# --- end-to-end checks: (trace, constants, tol, **context) -> [EndCheck]
+
+def _final_gap(trace, c, tol, envelope, **_):
+    rhs = envelope(trace, c)(trace.T)
+    return [_bound_check("final-gap", trace.final_f - c["f_star"], rhs, tol)]
+
+
+def _anytime_gap(trace, c, tol, envelope, **_):
+    """The largest margin of f(y_t) - f* over the envelope, over t >= 1."""
+    bound = envelope(trace, c)
+    views = _state_views(trace)
+    worst, arg = -np.inf, 1
+    for t in range(1, trace.T + 1):
+        if views[t].f_y is None:
+            raise ValueError("the anytime bound needs f(y_t) at every t")
+        margin = views[t].f_y - (c["f_star"] + bound(t))
+        if margin > worst:
+            worst, arg = margin, t
+    return [_bound_check("anytime-gap", worst, 0.0, tol,
+                         note=f"worst margin at t = {arg}")]
+
+
+def _gd_regret(trace, c, tol, **_):
+    rhs = c["D"] * c["G"] / np.sqrt(trace.T)
+    return [_bound_check("average-regret", trace.average_regret(), rhs, tol)]
+
+
+def _sc_regret(trace, c, tol, **_):
+    T = trace.T
+    rhs = c["G"] ** 2 * np.log(T) / (2.0 * T * c["alpha"]) if T > 1 else 0.0
+    chk = _bound_check("average-regret", trace.average_regret(), rhs, tol)
+    if T == 1:
+        chk.vacuous = True
+        chk.note = "log T vanishes at T = 1"
+    return [chk]
+
+
+def _sc_average(trace, c, tol, problem, **_):
+    if problem is None:
+        raise ValueError("weighted-average check needs the objective")
+    if c.get("G") is None:
+        c["G"] = max(float(np.linalg.norm(s.grad)) for s in trace.steps)
+    lhs = problem.value(weighted_average(trace)) - c["f_star"]
+    rhs = c["G"] ** 2 / (c["alpha"] * (trace.T + 1.0))
+    return [_bound_check("weighted-average-gap", lhs, rhs, tol)]
+
+
+def _projected(trace, c, tol, envelope, problem, feasible, **_):
+    out = _final_gap(trace, c, tol, envelope)
+    if problem is not None and feasible is not None:
+        worst = max(projected_smoothness_gap(feasible, problem, s.x,
+                                             c["x_star"], c["beta"])
+                    for s in trace.steps)
+        out.append(_bound_check("projected-smoothness-gap", worst, 0.0, tol,
+                                note="gap of the projected-step inequality at y = x*"))
+    return out
+
+
+def _final_distance(trace, c, tol, **_):
+    lhs = _sq_dist(trace.final_x, c)
+    rhs = c["kappa"] * np.exp(-trace.T / c["kappa"]) * _sq_dist(trace.steps[0].x, c)
+    return [_bound_check("final-distance", lhs, rhs, tol)]
+
+
+def _mirror_regret(trace, c, tol, **_):
+    mp = c["map"]
+    div = mp.bregman(c["x_star"], trace.steps[0].x)
+    eta, ah = c["eta"], c["alpha_h"]
+    dual_sq = sum(dual_norm(mp.norm, s.grad) ** 2 for s in trace.steps)
+    rhs = div / eta + eta * dual_sq / (2.0 * ah)
+    out = [_bound_check("regret", trace.regret(), rhs, tol)]
+    if c.get("G_dual") is not None:
+        rhs_g = div / eta + eta * trace.T * c["G_dual"] ** 2 / (2.0 * ah)
+        out.append(_bound_check("regret-gradient-bound", trace.regret(), rhs_g,
+                                tol, note="same envelope with the uniform G"))
+    return out
+
+
+def _agm_sc(trace, c, tol, envelope, phis, problem, **_):
+    if c.get("gamma") is None:
+        # condition number 1: a single exact step, nothing to telescope
+        return [_bound_check("single-step-gap", trace.final_f - c["f_star"],
+                             0.0, tol, note="condition number 1 reaches the "
+                                            "minimizer in one step")]
+    out = _anytime_gap(trace, c, tol, envelope)
+    if phis[0] is None:
+        raise ValueError("the initial potential is undefined")
+    out.append(_bound_check("initial-potential", phis[0], envelope(trace, c)(0), tol,
+                            note="Phi_0 within (alpha+beta)/2 ||x0-x*||^2"))
+    if problem is not None:
+        from gdcert.accel import sc_agm_recursion_residual
+
+        views = _state_views(trace)
+        worst_res = max(
+            sc_agm_recursion_residual(problem, views[t].x, views[t].z,
+                                      views[t + 1].z, c["alpha"], c["kappa"])
+            for t in range(trace.T))
+        out.append(_bound_check("z-recursion-residual", worst_res, 0.0,
+                                1e-9, note="implied aggressive-sequence recursion"))
+    return out
+
+
+@dataclass(frozen=True)
+class _Theorem:
+    """One guarantee: its claim, the potential that proves it, the runs it
+    applies to, its end-to-end checks and its gap envelope."""
+
+    theorem_id: str
+    claim: str
+    kind: PotentialKind | None
+    methods: tuple
+    sets: str                           # "any", "unconstrained" or "bounded"
+    end: Callable
+    envelope: Callable | None = None
+    schedules: tuple | None = None      # None: any schedule of the method
+    expected_fail: bool = False
+    constants: dict = field(default_factory=dict)  # set by the argument itself
+
+    def mismatch(self, method: str, set_id: str, schedule: str | None) -> str | None:
+        """Why a run of ``method`` on ``set_id`` with ``schedule`` cannot
+        carry this certificate; None when it can."""
+        if method not in self.methods:
+            return f"is not certifiable on method {method!r}"
+        if self.sets == "unconstrained" and set_id != "unconstrained":
+            return "needs an unconstrained run"
+        if self.sets == "bounded" and set_id == "unconstrained":
+            return "needs a constrained run"
+        if self.schedules is not None and schedule not in self.schedules:
+            return f"needs one of schedules {sorted(self.schedules)}"
+        return None
+
+
+THEOREMS = {th.theorem_id: th for th in [
+    _Theorem(
+        "gd-regret",
+        "average regret of gradient descent with eta = D/(G sqrt(T)) is below D G / sqrt(T)",
+        PotentialKind.DISTANCE, ("gd",), "any", _gd_regret),
+    _Theorem(
+        "sc-regret",
+        "average regret under strong convexity is below G^2 log(T) / (2 T alpha)",
+        PotentialKind.SC_DISTANCE, ("sc-gd",), "any", _sc_regret),
+    _Theorem(
+        "sc-average",
+        "the 2t/(T(T+1))-weighted average satisfies f - f* <= G^2 / (alpha (T+1))",
+        None, ("sc-gd",), "unconstrained", _sc_average),
+    _Theorem(
+        "smooth-value-log",
+        "smooth descent gap is below beta D^2 (1 + ln T) / (2T)",
+        PotentialKind.VALUE, ("smooth-gd",), "unconstrained", _final_gap, _log_envelope),
+    _Theorem(
+        "smooth-value-scaled",
+        "smooth descent gap is below 2 beta D^2 / (T+1)",
+        PotentialKind.VALUE_SCALED, ("smooth-gd",), "unconstrained", _final_gap,
+        _scaled_envelope),
+    _Theorem(
+        "smooth-value-distance",
+        "smooth descent gap is below beta ||x0 - x*||^2 / (2T)",
+        PotentialKind.VALUE_DISTANCE, ("smooth-gd",), "unconstrained", _final_gap,
+        _distance_envelope),
+    # the projected-step argument certifies plain monotonicity; the
+    # unconstrained bound's gradient term is unavailable at a constrained
+    # optimum
+    _Theorem(
+        "smooth-projected",
+        "projected smooth descent gap is below (beta/2) ||x0 - x*||^2 / T",
+        PotentialKind.VALUE_DISTANCE, ("smooth-gd",), "bounded", _projected,
+        _distance_envelope, constants={"projected": True}),
+    _Theorem(
+        "frank-wolfe-log",
+        "Frank-Wolfe gap with the 1/(t+1) schedule is below beta D^2 (1 + ln T) / (2T)",
+        PotentialKind.VALUE, ("frank-wolfe",), "bounded", _final_gap, _log_envelope,
+        schedules=("fw-1t",)),
+    _Theorem(
+        "frank-wolfe",
+        "Frank-Wolfe gap with the 2/(t+2) schedule is below 2 beta D^2 / (T+1)",
+        PotentialKind.VALUE_SCALED, ("frank-wolfe",), "bounded", _final_gap,
+        _scaled_envelope, schedules=("fw-2t",)),
+    _Theorem(
+        "well-conditioned",
+        "gap contracts like exp(-T/kappa) times the initial gap",
+        PotentialKind.EXP_VALUE, ("wellcond-gd",), "unconstrained", _final_gap,
+        _exp_envelope),
+    _Theorem(
+        "well-conditioned-distance",
+        "squared distance contracts like kappa exp(-T/kappa)",
+        None, ("wellcond-gd",), "unconstrained", _final_distance),
+    _Theorem(
+        "mirror-regret",
+        "mirror descent regret is below D_h(x*||x0)/eta + eta sum ||grad||_*^2 / (2 alpha_h)",
+        PotentialKind.BREGMAN, ("mirror-euclidean", "mirror-negentropy"), "any",
+        _mirror_regret),
+    _Theorem(
+        "agm-smooth",
+        "accelerated gap f(y_t) - f* is below 2 beta ||z0 - x*||^2 / (t(t+1)) at every t",
+        PotentialKind.AGM, ("agm2",), "any", _anytime_gap, _agm_envelope,
+        schedules=("agm-smooth", "agm-smooth-full")),
+    _Theorem(
+        "agm-mirror",
+        "general-norm accelerated gap is below (4 beta/alpha_h) D_h(x*||z0)/(t(t+1)) at every t",
+        PotentialKind.AGM_BREGMAN, ("agm2-negentropy",), "bounded", _anytime_gap,
+        _agm_mirror_envelope),
+    _Theorem(
+        "agm-sc",
+        "strongly convex accelerated gap is below (1+gamma)^{-t} (alpha+beta)/2 ||x0-x*||^2",
+        PotentialKind.AGM_SC, ("sc-agm",), "unconstrained", _agm_sc, _agm_sc_envelope),
+    _Theorem(
+        "failed-potential",
+        "the uncoupled t(t+1) potential with a = 4 beta must increase at some step",
+        PotentialKind.FAILED, ("smooth-gd",), "any",
+        lambda trace, c, tol, **_: [EndCheck(
+            "expected-violation", 0.0, 0.0, ok=True, vacuous=True,
+            note="pass/fail decided by the per-step record")],
+        expected_fail=True),
+]}
+
+
+def _gather_constants(trace: Trace, spec: _Theorem) -> tuple[dict, list]:
     """Merge trace constants with certifier-derived fallbacks; returns the
     constants plus any honesty flags the fallbacks introduce."""
     c = dict(trace.constants)
@@ -397,18 +600,6 @@ def _gather_constants(trace: Trace, spec: _TheoremSpec) -> tuple[dict, list]:
     return c, flags
 
 
-def _value_coefficient(kind: PotentialKind, consts: dict, T: int) -> float | None:
-    """a_T: the weight the potential puts on the final value gap."""
-    if kind in (PotentialKind.VALUE, PotentialKind.VALUE_DISTANCE):
-        return float(T)
-    if kind in (PotentialKind.VALUE_SCALED, PotentialKind.AGM,
-                PotentialKind.AGM_BREGMAN, PotentialKind.FAILED):
-        return T * (T + 1.0)
-    if kind in (PotentialKind.EXP_VALUE, PotentialKind.AGM_SC):
-        return _growth(consts["gamma"], T)
-    return None
-
-
 def certify_trace(theorem_id: str, trace: Trace, problem: Problem | None = None,
                   feasible: FeasibleSet | None = None,
                   tol: float = DEFAULT_TOL) -> CertReport:
@@ -425,11 +616,7 @@ def certify_trace(theorem_id: str, trace: Trace, problem: Problem | None = None,
         tol = max(tol, LONG_RUN_TOL)
 
     consts, flags = _gather_constants(trace, spec)
-    if theorem_id == "smooth-projected":
-        # the projected-step argument certifies plain monotonicity; the
-        # unconstrained bound's gradient term is unavailable at a
-        # constrained optimum
-        consts["projected"] = True
+    consts.update(spec.constants)
     report = CertReport(theorem=theorem_id, claim=spec.claim,
                         potential_kind=spec.kind.value if spec.kind else None,
                         constants={k: v for k, v in consts.items() if k != "map"},
@@ -441,10 +628,12 @@ def certify_trace(theorem_id: str, trace: Trace, problem: Problem | None = None,
         return report
 
     try:
+        phis = None
         if spec.kind is not None and "single-step-optimal" not in trace.flags:
+            shape = POTENTIALS[spec.kind]
             pspec = PotentialSpec(kind=spec.kind, constants=consts,
-                                  x_star=consts["x_star"],
-                                  f_star=consts.get("f_star"))
+                                  x_star=consts["x_star"], f_star=consts.get("f_star"))
+            pspec.require(*shape.needs, *shape.bound_needs)
             views = _state_views(trace)
             phis = []
             for t, v in enumerate(views):
@@ -457,7 +646,7 @@ def certify_trace(theorem_id: str, trace: Trace, problem: Problem | None = None,
             for t in range(trace.T):
                 if phis[t] is None or phis[t + 1] is None:
                     continue
-                check = certify_step(pspec, views[t], views[t + 1], t, tol=tol)
+                check = _step_check(pspec, views[t], t, phis[t], phis[t + 1], tol)
                 report.step_checks.append(check)
                 trace.steps[t].phi = phis[t]
                 trace.steps[t].step_ok = check.ok
@@ -467,189 +656,22 @@ def certify_trace(theorem_id: str, trace: Trace, problem: Problem | None = None,
                 report.telescoping_residual = abs((known[-1] - known[0]) - total)
                 report.telescoping_ok = report.telescoping_residual <= tol * (
                     1.0 + abs(known[0]) + abs(known[-1]))
-            # monotone-potential consistency: Phi_T still dominates the
-            # final weighted gap when the reference is the true optimum
-            a_T = _value_coefficient(spec.kind, consts, trace.T)
-            if (a_T is not None and phis[-1] is not None
+            # monotone-potential consistency: Phi_T still dominates its value
+            # term a_T (f_T - f*) when the reference is the true optimum
+            if (not shape.amortized and phis[-1] is not None
                     and consts.get("f_star") is not None
                     and "comparator-reference" not in flags):
-                fin = views[-1]
-                gap = (fin.f_y if spec.kind.value.startswith("agm") else fin.f)
+                gap = views[-1].f_y if shape.coupled else views[-1].f
                 if gap is not None:
-                    gap -= consts["f_star"]
+                    value_term = shape.phi(consts, trace.T, gap - consts["f_star"], 0.0)
                     report.consistency_ok = bool(
-                        phis[-1] >= a_T * gap - tol * (1.0 + abs(phis[-1])))
-        report.end_checks.extend(
-            _end_checks(theorem_id, trace, consts, problem, feasible, tol))
+                        phis[-1] >= value_term - tol * (1.0 + abs(phis[-1])))
+        report.end_checks.extend(spec.end(
+            trace, consts, tol, envelope=spec.envelope, phis=phis,
+            problem=problem, feasible=feasible))
     except (ValueError, KeyError) as exc:
         report.error = f"not certifiable: {exc}"
     return report
-
-
-def _bound_check(label, lhs, rhs, tol, note="") -> EndCheck:
-    return EndCheck(label, float(lhs), float(rhs),
-                    ok=bool(lhs <= rhs + tol * (1.0 + abs(rhs))), note=note)
-
-
-def _anytime_margin(trace: Trace, bound_fn) -> tuple[float, int]:
-    """max over t >= 1 of gap(y_t) - bound(t), and its argmax."""
-    views = _state_views(trace)
-    worst, arg = -np.inf, 1
-    for t in range(1, trace.T + 1):
-        gap = views[t].f_y
-        if gap is None:
-            continue
-        margin = gap - bound_fn(t)
-        if margin > worst:
-            worst, arg = margin, t
-    return worst, arg
-
-
-def _end_checks(theorem_id: str, trace: Trace, c: dict,
-                problem: Problem | None, feasible: FeasibleSet | None,
-                tol: float) -> list[EndCheck]:
-    T = trace.T
-    out: list[EndCheck] = []
-
-    def gap_final() -> float:
-        return trace.final_f - c["f_star"]
-
-    if theorem_id == "gd-regret":
-        rhs = c["D"] * c["G"] / np.sqrt(T)
-        out.append(_bound_check("average-regret", trace.average_regret(), rhs, tol))
-    elif theorem_id == "sc-regret":
-        rhs = c["G"] ** 2 * np.log(T) / (2.0 * T * c["alpha"]) if T > 1 else 0.0
-        chk = _bound_check("average-regret", trace.average_regret(), rhs, tol)
-        if T == 1:
-            chk.vacuous = True
-            chk.note = "log T vanishes at T = 1"
-        out.append(chk)
-    elif theorem_id == "sc-average":
-        if problem is None:
-            raise ValueError("weighted-average check needs the objective")
-        if c.get("G") is None:
-            c["G"] = max(float(np.linalg.norm(s.grad)) for s in trace.steps)
-        xbar = weighted_average(trace)
-        lhs = problem.value(xbar) - c["f_star"]
-        rhs = c["G"] ** 2 / (c["alpha"] * (T + 1.0))
-        out.append(_bound_check("weighted-average-gap", lhs, rhs, tol))
-    elif theorem_id == "smooth-value-log":
-        rhs = c["beta"] * c["D"] ** 2 * (1.0 + np.log(T)) / (2.0 * T)
-        out.append(_bound_check("final-gap", gap_final(), rhs, tol))
-    elif theorem_id == "smooth-value-scaled":
-        rhs = 2.0 * c["beta"] * c["D"] ** 2 / (T + 1.0)
-        out.append(_bound_check("final-gap", gap_final(), rhs, tol))
-    elif theorem_id == "smooth-value-distance":
-        x0 = trace.steps[0].x
-        rhs = c["beta"] * float(np.sum((x0 - c["x_star"]) ** 2)) / (2.0 * T)
-        out.append(_bound_check("final-gap", gap_final(), rhs, tol))
-    elif theorem_id == "smooth-projected":
-        x0 = trace.steps[0].x
-        rhs = 0.5 * c["beta"] * float(np.sum((x0 - c["x_star"]) ** 2)) / T
-        out.append(_bound_check("final-gap", gap_final(), rhs, tol))
-        if problem is not None and feasible is not None:
-            worst = max(projected_smoothness_gap(feasible, problem, s.x,
-                                                 c["x_star"], c["beta"])
-                        for s in trace.steps)
-            out.append(_bound_check("projected-smoothness-gap", worst, 0.0, tol,
-                                    note="gap of the projected-step inequality at y = x*"))
-    elif theorem_id == "frank-wolfe-log":
-        rhs = c["beta"] * c["D"] ** 2 * (1.0 + np.log(T)) / (2.0 * T)
-        out.append(_bound_check("final-gap", gap_final(), rhs, tol))
-    elif theorem_id == "frank-wolfe":
-        rhs = 2.0 * c["beta"] * c["D"] ** 2 / (T + 1.0)
-        out.append(_bound_check("final-gap", gap_final(), rhs, tol))
-    elif theorem_id == "well-conditioned":
-        gap0 = trace.steps[0].f - c["f_star"]
-        rhs = np.exp(-T / c["kappa"]) * gap0
-        out.append(_bound_check("final-gap", gap_final(), rhs, tol))
-    elif theorem_id == "well-conditioned-distance":
-        x0 = trace.steps[0].x
-        lhs = float(np.sum((trace.final_x - c["x_star"]) ** 2))
-        rhs = c["kappa"] * np.exp(-T / c["kappa"]) * float(
-            np.sum((x0 - c["x_star"]) ** 2))
-        out.append(_bound_check("final-distance", lhs, rhs, tol))
-    elif theorem_id == "mirror-regret":
-        mp = c["map"] if "map" in c else get_map(trace.meta.get("map", "euclidean"))
-        div = mp.bregman(c["x_star"], trace.steps[0].x)
-        eta, ah = c["eta"], c["alpha_h"]
-        dual_sq = sum(dual_norm(mp.norm, s.grad) ** 2 for s in trace.steps)
-        rhs = div / eta + eta * dual_sq / (2.0 * ah)
-        out.append(_bound_check("regret", trace.regret(), rhs, tol))
-        if c.get("G_dual") is not None:
-            rhs_g = div / eta + eta * T * c["G_dual"] ** 2 / (2.0 * ah)
-            out.append(_bound_check("regret-gradient-bound", trace.regret(), rhs_g,
-                                    tol, note="same envelope with the uniform G"))
-    elif theorem_id == "agm-smooth":
-        z0 = trace.steps[0].z
-        r2 = float(np.sum((z0 - c["x_star"]) ** 2))
-        worst, arg = _anytime_margin(
-            trace, lambda t: c["f_star"] + 2.0 * c["beta"] * r2 / (t * (t + 1.0)))
-        out.append(_bound_check("anytime-gap", worst, 0.0, tol,
-                                note=f"worst margin at t = {arg}"))
-    elif theorem_id == "agm-mirror":
-        mp = c["map"]
-        div = c.get("bregman_x_star_z0")
-        if div is None:
-            div = mp.bregman(c["x_star"], trace.steps[0].z)
-        coef = 4.0 * c["beta"] / c["alpha_h"]
-        worst, arg = _anytime_margin(
-            trace, lambda t: c["f_star"] + coef * div / (t * (t + 1.0)))
-        out.append(_bound_check("anytime-gap", worst, 0.0, tol,
-                                note=f"worst margin at t = {arg}"))
-    elif theorem_id == "agm-sc":
-        if c.get("gamma") is None:
-            # condition number 1: a single exact step, nothing to telescope
-            chk = _bound_check("single-step-gap", trace.final_f - c["f_star"],
-                               0.0, tol, note="condition number 1 reaches the "
-                                              "minimizer in one step")
-            return [chk]
-        x0 = trace.steps[0].x
-        r2 = float(np.sum((x0 - c["x_star"]) ** 2))
-        scale = 0.5 * (c["alpha"] + c["beta"]) * r2
-        worst, arg = _anytime_margin(
-            trace, lambda t: c["f_star"] + scale / _growth(c["gamma"], t))
-        out.append(_bound_check("anytime-gap", worst, 0.0, tol,
-                                note=f"worst margin at t = {arg}"))
-        views = _state_views(trace)
-        phi0 = potential(PotentialSpec(PotentialKind.AGM_SC, c, c["x_star"],
-                                       c["f_star"]), views[0], 0)
-        out.append(_bound_check("initial-potential", phi0, scale, tol,
-                                note="Phi_0 within (alpha+beta)/2 ||x0-x*||^2"))
-        if problem is not None:
-            from gdcert.accel import sc_agm_recursion_residual
-
-            worst_res = max(
-                sc_agm_recursion_residual(problem, views[t].x, views[t].z,
-                                          views[t + 1].z, c["alpha"], c["kappa"])
-                for t in range(T))
-            out.append(_bound_check("z-recursion-residual", worst_res, 0.0,
-                                    1e-9, note="implied aggressive-sequence recursion"))
-    elif theorem_id == "failed-potential":
-        out.append(EndCheck("expected-violation", 0.0, 0.0, ok=True, vacuous=True,
-                            note="pass/fail decided by the per-step record"))
-    else:
-        raise KeyError(f"unknown theorem id {theorem_id!r}")
-    return out
-
-
-def certify_run(theorem_id: str, trace: Trace, problem: Problem | None = None,
-                feasible: FeasibleSet | None = None,
-                tol: float = DEFAULT_TOL) -> list:
-    """End-to-end verification only: the theorem's measured left-hand side
-    against its bound, skipping the per-step replay."""
-    if theorem_id not in THEOREMS:
-        raise KeyError(f"unknown theorem id {theorem_id!r}")
-    spec = THEOREMS[theorem_id]
-    consts, _flags = _gather_constants(trace, spec)
-    if trace.T == 0:
-        return [EndCheck("no-steps", 0.0, 0.0, True, vacuous=True,
-                         note="empty trace: nothing to certify")]
-    try:
-        return _end_checks(theorem_id, trace, consts, problem, feasible, tol)
-    except (ValueError, KeyError) as exc:
-        return [EndCheck("not-certifiable", 0.0, 0.0, False,
-                         note=f"missing constants: {exc}")]
 
 
 def rate_comparison(traces: list, theorem_ids: list) -> dict:
@@ -667,12 +689,10 @@ def rate_comparison(traces: list, theorem_ids: list) -> dict:
             val = v.f_y if v.f_y is not None else v.f
             gaps.append(None if val is None else val - f_star)
         series.append(gaps)
-    env_fns = []
     for tid in theorem_ids:
         if tid not in THEOREMS:
             raise KeyError(f"unknown theorem id {tid!r}")
         columns.append(f"envelope:{tid}")
-        env_fns.append(tid)
 
     horizon = max((len(s) for s in series), default=0)
     rows = []
@@ -680,33 +700,18 @@ def rate_comparison(traces: list, theorem_ids: list) -> dict:
         row = [t]
         for s in series:
             row.append(s[t] if t < len(s) else None)
-        for tid, tr in zip(env_fns, traces[:1] * len(env_fns)):
-            row.append(_envelope_value(tid, tr, t) if traces else None)
+        row.extend(_envelope_value(tid, traces[0], t) for tid in theorem_ids)
         rows.append(row)
     return {"columns": columns, "rows": rows}
 
 
 def _envelope_value(theorem_id: str, trace: Trace, t: int) -> float | None:
-    """Theoretical gap envelope at iteration t for the trace's constants."""
-    if t < 1:
+    """Theoretical gap envelope at iteration t for the trace's constants;
+    None for theorems that bound no gap."""
+    envelope = THEOREMS[theorem_id].envelope
+    if t < 1 or envelope is None:
         return None
-    c = trace.constants
     try:
-        if theorem_id == "smooth-value-scaled":
-            return 2.0 * c["beta"] * c["D"] ** 2 / (t + 1.0)
-        if theorem_id == "smooth-value-log":
-            return c["beta"] * c["D"] ** 2 * (1.0 + np.log(t)) / (2.0 * t)
-        if theorem_id == "well-conditioned":
-            gap0 = trace.steps[0].f - c["f_star"]
-            return float(np.exp(-t / c["kappa"]) * gap0)
-        if theorem_id == "agm-smooth":
-            z0 = trace.steps[0].z if trace.steps[0].z is not None else trace.steps[0].x
-            r2 = float(np.sum((z0 - as_vector(c["x_star"])) ** 2))
-            return 2.0 * c["beta"] * r2 / (t * (t + 1.0))
-        if theorem_id == "agm-sc":
-            x0 = trace.steps[0].x
-            r2 = float(np.sum((x0 - as_vector(c["x_star"])) ** 2))
-            return 0.5 * (c["alpha"] + c["beta"]) * r2 / _growth(c["gamma"], t)
+        return envelope(trace, trace.constants)(t)
     except KeyError:
         return None
-    return None

@@ -84,28 +84,24 @@ SCHEDULES = {
     "mirror-negentropy": ("md-tuned",),
 }
 
-# Which method (and set/schedule shape) each certifiable claim applies to.
-# Anything not listed here is rejected at configuration time.
-COMPAT = {
-    "gd-regret": {"methods": {"gd"}, "sets": "any", "schedules": None},
-    "sc-regret": {"methods": {"sc-gd"}, "sets": "any", "schedules": None},
-    "sc-average": {"methods": {"sc-gd"}, "sets": "unconstrained", "schedules": None},
-    "smooth-value-log": {"methods": {"smooth-gd"}, "sets": "unconstrained", "schedules": None},
-    "smooth-value-scaled": {"methods": {"smooth-gd"}, "sets": "unconstrained", "schedules": None},
-    "smooth-value-distance": {"methods": {"smooth-gd"}, "sets": "unconstrained", "schedules": None},
-    "smooth-projected": {"methods": {"smooth-gd"}, "sets": "bounded", "schedules": None},
-    "frank-wolfe-log": {"methods": {"frank-wolfe"}, "sets": "bounded", "schedules": {"fw-1t"}},
-    "frank-wolfe": {"methods": {"frank-wolfe"}, "sets": "bounded", "schedules": {"fw-2t"}},
-    "well-conditioned": {"methods": {"wellcond-gd"}, "sets": "unconstrained", "schedules": None},
-    "well-conditioned-distance": {"methods": {"wellcond-gd"}, "sets": "unconstrained", "schedules": None},
-    "mirror-regret": {"methods": {"mirror-euclidean", "mirror-negentropy"},
-                      "sets": "any", "schedules": None},
-    "agm-smooth": {"methods": {"agm2"}, "sets": "any",
-                   "schedules": {"agm-smooth", "agm-smooth-full"}},
-    "agm-mirror": {"methods": {"agm2-negentropy"}, "sets": "bounded", "schedules": None},
-    "agm-sc": {"methods": {"sc-agm"}, "sets": "unconstrained", "schedules": None},
-    "failed-potential": {"methods": {"smooth-gd"}, "sets": "any", "schedules": None},
+# The sets a method runs on, where that is not every set.
+METHOD_SETS = {
+    "frank-wolfe": ("ball", "box", "simplex"),
+    "wellcond-gd": ("unconstrained",),
+    "mirror-negentropy": ("unconstrained", "simplex"),
+    "agm1": ("unconstrained",),
+    "agm2-negentropy": ("simplex",),
+    "sc-agm": ("unconstrained",),
+    "restart-agm": ("unconstrained",),
 }
+
+# methods that play the problem as an online adversary against a comparator
+ONLINE_METHODS = ("gd", "sc-gd", "mirror-euclidean", "mirror-negentropy")
+
+# methods that start at x0 unprojected, with the mirror map whose domain x0
+# must lie in
+START_MAPS = {"frank-wolfe": "euclidean", "mirror-euclidean": "euclidean",
+              "mirror-negentropy": "negentropy", "agm2-negentropy": "negentropy"}
 
 
 def make_set(set_id: str, dim: int) -> FeasibleSet:
@@ -176,20 +172,60 @@ def validate_config(config: RunConfig) -> None:
     for tid in config.theorems:
         if tid not in THEOREMS:
             raise ConfigError(f"unknown theorem id {tid!r}")
-        rule = COMPAT[tid]
-        if config.method not in rule["methods"]:
-            raise ConfigError(
-                f"theorem {tid!r} is not certifiable on method {config.method!r}")
-        if rule["sets"] == "unconstrained" and config.feasible_set != "unconstrained":
-            raise ConfigError(f"theorem {tid!r} needs an unconstrained run")
-        if rule["sets"] == "bounded" and config.feasible_set == "unconstrained":
-            raise ConfigError(f"theorem {tid!r} needs a constrained run")
-        sched = config.schedule or (allowed[0] if allowed else None)
-        if rule["schedules"] is not None and sched not in rule["schedules"]:
-            raise ConfigError(
-                f"theorem {tid!r} needs one of schedules {sorted(rule['schedules'])}")
+        why = THEOREMS[tid].mismatch(config.method, config.feasible_set,
+                                     _schedule(config))
+        if why:
+            raise ConfigError(f"theorem {tid!r} {why}")
     if config.theorems and not config.certify:
         raise ConfigError("theorem list given without --certify")
+    _prepare(config)
+
+
+def _schedule(config: RunConfig) -> str | None:
+    """The configured schedule, or the method's default one."""
+    return config.schedule or SCHEDULES.get(config.method, (None,))[0]
+
+
+def _prepare(config: RunConfig) -> tuple:
+    """The run's adversary, feasible set and start point. Raises ConfigError
+    for a run its method cannot start: a set it does not run on, a constant
+    the objective does not declare, no comparator, or an x0 it cannot take."""
+    method = config.method
+    adversary = get_adversary(config.problem)
+    feasible = make_set(config.feasible_set, adversary.dim)
+    if isinstance(config.x0, str):
+        x0 = default_x0(config.feasible_set, adversary.dim)
+    else:
+        x0 = as_vector([float(v) for v in config.x0])
+        if x0.shape[0] != adversary.dim:
+            raise ConfigError(
+                f"x0 has dimension {x0.shape[0]}, problem needs {adversary.dim}")
+    sets = METHOD_SETS.get(method, SETS)
+    if config.feasible_set not in sets:
+        raise ConfigError(f"method {method!r} runs on the sets {list(sets)} only")
+    if method not in ONLINE_METHODS:
+        if not isinstance(adversary, FixedAdversary):
+            raise ConfigError(
+                f"method {method!r} needs a fixed objective, not an online adversary")
+        if method in ("wellcond-gd", "sc-agm", "restart-agm") and not adversary.problem.kappa:
+            raise ConfigError(f"method {method!r} needs both curvature constants")
+    if method == "sc-gd" and not adversary.strongly_convex_alpha:
+        raise ConfigError(f"problem {config.problem!r} declares no strong convexity")
+    D = feasible.diameter
+    if method in ONLINE_METHODS and D is None:
+        try:
+            D = float(np.linalg.norm(x0 - adversary.comparator_over(feasible, config.steps)))
+        except ValueError as exc:
+            raise ConfigError(f"problem {config.problem!r} has no comparator "
+                              f"on an unconstrained run: {exc}") from exc
+    if method == "gd" and D == 0.0:
+        raise ConfigError("gd steps by D/(G sqrt T): the set must have a positive "
+                          "diameter, or x0 must differ from the comparator")
+    if method in START_MAPS and not (feasible.member(x0) and
+                                     mirror.get_map(START_MAPS[method]).interior(x0)):
+        raise ConfigError(f"method {method!r} needs x0 in the {config.feasible_set} "
+                          f"set and in the {START_MAPS[method]} map's domain")
+    return adversary, feasible, x0
 
 
 def _grad_bound_or_estimate(adversary: OnlineAdversary, x0, kind: Norm,
@@ -204,18 +240,10 @@ def _grad_bound_or_estimate(adversary: OnlineAdversary, x0, kind: Norm,
 
 def _dispatch(config: RunConfig):
     """Run the configured method; returns (trace, problem_or_None, feasible)."""
-    adversary = get_adversary(config.problem)
+    adversary, feasible, x0 = _prepare(config)
     problem = adversary.problem if isinstance(adversary, FixedAdversary) else None
-    dim = adversary.dim
-    feasible = make_set(config.feasible_set, dim)
-    if isinstance(config.x0, str):
-        x0 = default_x0(config.feasible_set, dim)
-    else:
-        x0 = as_vector([float(v) for v in config.x0])
-        if x0.shape[0] != dim:
-            raise ConfigError(f"x0 has dimension {x0.shape[0]}, problem needs {dim}")
     T = config.steps
-    sched_id = config.schedule or (SCHEDULES.get(config.method, (None,))[0])
+    sched_id = _schedule(config)
     method = config.method
 
     if method in ("gd", "sc-gd"):
@@ -235,9 +263,6 @@ def _dispatch(config: RunConfig):
                                           comparator=comparator)
         else:
             alpha = adversary.strongly_convex_alpha
-            if not alpha:
-                raise ConfigError(
-                    f"problem {config.problem!r} declares no strong convexity")
             shift = 0 if sched_id == "inv-alpha-t" else 1
             trace = descent.run_strongly_convex_gd(
                 adversary, feasible, x0, alpha, T, shift=shift, comparator=comparator)
@@ -268,47 +293,28 @@ def _dispatch(config: RunConfig):
             trace.constants["f_star"] = problem.optimal_value_over(feasible)
         return trace, problem, feasible
 
-    if problem is None:
-        raise ConfigError(
-            f"method {method!r} needs a fixed objective, not an online adversary")
-
     if method == "smooth-gd":
         fs = None if config.feasible_set == "unconstrained" else feasible
         return smooth.run_smooth_gd(problem, x0, T, feasible=fs), problem, feasible
     if method == "frank-wolfe":
-        if feasible.diameter is None:
-            raise ConfigError("Frank-Wolfe needs a bounded set")
         return (smooth.run_frank_wolfe(problem, feasible, x0, T, schedule=sched_id),
                 problem, feasible)
     if method == "wellcond-gd":
-        if config.feasible_set != "unconstrained":
-            raise ConfigError("well-conditioned descent runs unconstrained")
         return smooth.run_well_conditioned(problem, x0, T), problem, feasible
     if method == "agm2":
         fs = None if config.feasible_set == "unconstrained" else feasible
         return (accel.run_agm2(problem, x0, T, schedule=sched_id, feasible=fs),
                 problem, feasible)
     if method == "agm1":
-        if config.feasible_set != "unconstrained":
-            raise ConfigError("the momentum-form method runs unconstrained")
         return accel.run_agm1(problem, x0, T), problem, feasible
     if method == "agm2-negentropy":
-        if config.feasible_set != "simplex":
-            raise ConfigError("the entropy-map accelerated method needs the simplex")
         mp = mirror.get_map("negentropy")
         return (accel.run_general_norm_agm(problem, mp, feasible, x0, T),
                 problem, feasible)
     if method == "sc-agm":
-        if config.feasible_set != "unconstrained":
-            raise ConfigError("the strongly convex accelerated method runs unconstrained")
         return accel.run_sc_agm(problem, x0, T), problem, feasible
     if method == "restart-agm":
-        if config.feasible_set != "unconstrained":
-            raise ConfigError("the restart reduction runs unconstrained")
-        kappa = problem.kappa
-        if not kappa:
-            raise ConfigError("the restart reduction needs both curvature constants")
-        epoch = int(np.ceil(4.0 * np.sqrt(kappa)))
+        epoch = int(np.ceil(4.0 * np.sqrt(problem.kappa)))
         max_epochs = max(1, T // epoch)
         trace = accel.restart_accelerated(problem, x0, 1e-6, max_epochs=max_epochs)
         return trace, problem, feasible
@@ -369,21 +375,9 @@ def run_experiment(config: RunConfig) -> RunResult:
 
 
 def _default_theorems(config: RunConfig) -> list:
-    sched = config.schedule or (SCHEDULES.get(config.method, (None,))[0])
-    out = []
-    for tid, rule in COMPAT.items():
-        if config.method not in rule["methods"]:
-            continue
-        if rule["sets"] == "unconstrained" and config.feasible_set != "unconstrained":
-            continue
-        if rule["sets"] == "bounded" and config.feasible_set == "unconstrained":
-            continue
-        if rule["schedules"] is not None and sched not in rule["schedules"]:
-            continue
-        if THEOREMS[tid].expected_fail:
-            continue  # the diagnostic is opt-in
-        out.append(tid)
-    return out
+    # the expected-fail diagnostic is opt-in
+    return [tid for tid, th in THEOREMS.items() if not th.expected_fail
+            and th.mismatch(config.method, config.feasible_set, _schedule(config)) is None]
 
 
 # --- serialization ---------------------------------------------------------

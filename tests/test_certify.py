@@ -183,15 +183,6 @@ class TestRateComparison:
 
 
 class TestCertifyRun:
-    def test_end_checks_only(self):
-        p2 = get_problem("p2")
-        trace = run_smooth_gd(p2, [1.0, 1.0], 50)
-        from gdcert.certify import certify_run
-
-        checks = certify_run("smooth-value-scaled", trace)
-        assert [c.label for c in checks] == ["final-gap"]
-        assert checks[0].ok
-
     def test_condition_one_special_case(self):
         p1 = get_problem("p1")
         trace = run_sc_agm(p1, [1.0], 30)
