@@ -311,7 +311,7 @@ def _bound_check(label, lhs, rhs, tol, note="") -> EndCheck:
                     ok=bool(lhs <= rhs + tol * (1.0 + abs(rhs))), note=note)
 
 
-# --- gap envelopes: (trace, constants) -> the bound on f - f* at iteration t
+# --- gap envelopes: (trace, constants) -> (t -> bound on f - f* at iteration t)
 
 def _sq_dist(point, c: dict) -> float:
     return float(np.sum((point - as_vector(c["x_star"])) ** 2))
@@ -440,7 +440,7 @@ def _agm_sc(trace, c, tol, envelope, phis, problem, **_):
                              0.0, tol, note="condition number 1 reaches the "
                                             "minimizer in one step")]
     out = _anytime_gap(trace, c, tol, envelope)
-    if phis[0] is None:
+    if phis is None or phis[0] is None:
         raise ValueError("the initial potential is undefined")
     out.append(_bound_check("initial-potential", phis[0], envelope(trace, c)(0), tol,
                             note="Phi_0 within (alpha+beta)/2 ||x0-x*||^2"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gdcert.certify
 from gdcert.certify import (
     PotentialKind,
     PotentialSpec,
@@ -13,7 +14,8 @@ from gdcert.certify import (
 )
 from gdcert.core import Unconstrained
 from gdcert.descent import Constant, run_online_gd
-from gdcert.problems import FixedAdversary, get_problem
+from gdcert.harness import RunConfig, make_set, run_experiment
+from gdcert.problems import PROBLEMS, FixedAdversary, get_problem
 from gdcert.smooth import run_smooth_gd, run_well_conditioned
 from gdcert.accel import run_agm2, run_sc_agm
 from gdcert.trace import StepRecord, Trace
@@ -130,6 +132,49 @@ class TestCertifyTrace:
         p1 = get_problem("p1")
         trace = run_agm2(p1, [1.0], 20)
         assert _envelope_value("agm-smooth", trace, 10) == pytest.approx(2.0 / 110.0)
+
+
+# one run per potential kind, with a theorem certified on that kind
+ONE_RUN_PER_KIND = {
+    "gd-regret": dict(problem="p1", method="gd"),
+    "sc-regret": dict(problem="p1", method="sc-gd"),
+    "smooth-value-log": dict(problem="p2", method="smooth-gd"),
+    "smooth-value-scaled": dict(problem="p2", method="smooth-gd"),
+    "smooth-value-distance": dict(problem="p2", method="smooth-gd"),
+    "well-conditioned": dict(problem="p3", method="wellcond-gd"),
+    "mirror-regret": dict(problem="experts-alt", method="mirror-negentropy",
+                          feasible_set="simplex"),
+    "agm-smooth": dict(problem="p3", method="agm2"),
+    "agm-mirror": dict(problem="lse3", method="agm2-negentropy",
+                       feasible_set="simplex", x0=[0.6, 0.3, 0.1]),
+    "agm-sc": dict(problem="p3", method="sc-agm"),
+    "failed-potential": dict(problem="p3", method="smooth-gd"),
+}
+
+
+def test_one_run_per_kind_covers_every_kind():
+    assert {THEOREMS[tid].kind for tid in ONE_RUN_PER_KIND} == set(PotentialKind)
+
+
+@pytest.mark.parametrize("theorem_id", sorted(ONE_RUN_PER_KIND))
+def test_potential_evaluated_once_per_point(theorem_id, monkeypatch):
+    T = 12
+    cfg = RunConfig(steps=T, **ONE_RUN_PER_KIND[theorem_id])
+    trace = run_experiment(cfg).trace
+    problem = get_problem(cfg.problem) if cfg.problem in PROBLEMS else None
+    feasible = make_set(cfg.feasible_set, trace.final_x.shape[0])
+    calls = []
+    evaluate = gdcert.certify.potential
+
+    def counted(*args):
+        calls.append(args[2])
+        return evaluate(*args)
+
+    monkeypatch.setattr(gdcert.certify, "potential", counted)
+    report = certify_trace(theorem_id, trace, problem=problem, feasible=feasible)
+    assert report.error is None
+    assert len(report.step_checks) == T
+    assert sorted(calls) == list(range(T + 1))
 
 
 class TestFailedPotentialSemantics:

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -7,6 +8,8 @@ from gdcert.cli import main
 from gdcert.core import Unconstrained
 from gdcert.descent import Constant, run_online_gd
 from gdcert.harness import (
+    METHODS,
+    SETS,
     ConfigError,
     RunConfig,
     RunResult,
@@ -21,7 +24,7 @@ from gdcert.harness import (
     trace_to_dict,
     validate_config,
 )
-from gdcert.problems import FixedAdversary, get_problem
+from gdcert.problems import ADVERSARIES, PROBLEMS, FixedAdversary, get_problem
 
 
 class TestConfigValidation:
@@ -72,6 +75,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_experiment(RunConfig(problem="p2", method="smooth-gd", steps=5,
                                      x0=[1.0, 2.0, 3.0]))
+
+    def test_every_combination_runs_or_is_rejected(self):
+        # anything else escaping (a ValueError from a runner, a NaN step
+        # size) is a combination the boundary let through
+        for problem, method, set_id in itertools.product(
+                sorted(PROBLEMS) + sorted(ADVERSARIES), METHODS, SETS):
+            config = RunConfig(problem=problem, method=method, steps=20,
+                               feasible_set=set_id, certify=True)
+            try:
+                result = run_experiment(config)
+            except ConfigError:
+                continue
+            for rep in result.reports:
+                assert all(np.isfinite(s.phi) for s in rep.step_checks), config
 
 
 class TestDefaults:
@@ -240,6 +257,32 @@ class TestCli:
         assert "x0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--problem", "p1", "--method", "mirror-negentropy", "--set", "ball"],
+        ["--problem", "experts-alt", "--method", "gd"],
+        ["--problem", "lse3", "--method", "mirror-euclidean"],
+        ["--problem", "lse3", "--method", "wellcond-gd"],
+        ["--problem", "lse3", "--method", "sc-agm"],
+        ["--problem", "p1", "--method", "gd", "--set", "simplex"],
+        ["--problem", "p2", "--method", "frank-wolfe", "--set", "simplex",
+         "--x0", "0.7,0.7"],
+        ["--problem", "p2", "--method", "mirror-negentropy", "--set", "simplex",
+         "--x0", "0,1"],
+        ["--problem", "p2", "--method", "mirror-euclidean", "--set", "ball",
+         "--x0", "3,3"],
+        ["--problem", "lse3", "--method", "agm2-negentropy", "--set", "simplex",
+         "--x0", "0.5,0.5,0.5"],
+    ], ids=["negentropy-ball", "experts-unconstrained", "lse3-unconstrained",
+            "lse3-wellcond", "lse3-sc-agm", "one-point-simplex",
+            "fw-x0-outside", "negentropy-x0-on-face", "mirror-x0-outside",
+            "agm-negentropy-x0-off-simplex"])
+    def test_unstartable_run_exit_two(self, tmp_path, capsys, args):
+        out = tmp_path / "out.json"
+        code = main(["run", *args, "--steps", "10", "--certify", "--out", str(out)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("bad", [
         {"steps": "ten"},
         {"steps": 1.5},
@@ -248,8 +291,11 @@ class TestCli:
         {"x0": "0.3,abc"},
         {"format": "yaml"},
         {"format": "JSON"},
+        {"problem": "lse3", "method": "wellcond-gd"},
+        {"method": "frank-wolfe", "set": "simplex", "x0": [0.7, 0.7]},
     ], ids=["steps-text", "steps-fraction", "x0-text-coordinate",
-            "x0-infinite", "x0-text-unparsable", "format-yaml", "format-upper"])
+            "x0-infinite", "x0-text-unparsable", "format-yaml", "format-upper",
+            "no-curvature-constants", "fw-x0-outside"])
     def test_suite_bad_entry_exit_two_writes_nothing(self, tmp_path, capsys, bad):
         good = {"problem": "p2", "method": "smooth-gd", "steps": 5,
                 "out": str(tmp_path / "first.json")}
