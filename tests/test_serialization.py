@@ -64,12 +64,28 @@ GOLDEN_RUNS = {
     "agm2-negentropy-lse3": dict(problem="lse3", method="agm2-negentropy",
                                  steps=15, feasible_set="simplex",
                                  x0=[0.6, 0.3, 0.1], theorems=["agm-mirror"]),
+    # runners the entries above miss: momentum form, restart epochs, the
+    # weight-recurrence schedule, the projected coupling, the Euclidean map
+    "agm1-p3": dict(problem="p3", method="agm1", steps=40),
+    # two 40-step epochs on kappa = 100
+    "restart-agm-p3": dict(problem="p3", method="restart-agm", steps=80),
+    "agm2-lambda-p2": dict(problem="p2", method="agm2", steps=40,
+                           schedule="agm-lambda"),
+    "agm2-p2-simplex": dict(problem="p2", method="agm2", steps=30,
+                            feasible_set="simplex", x0=[0.5, 0.5],
+                            theorems=["agm-smooth"]),
+    "mirror-euclidean-experts-ball": dict(problem="experts-alt",
+                                          method="mirror-euclidean", steps=40,
+                                          feasible_set="ball",
+                                          theorems=["mirror-regret"]),
 }
 
 # SHA-256 of (trace, report) per run and format; None: no report is written.
 # Computed with the per-element serializers the fast paths replaced (and the
 # runs from "sc-gd-p1" on with the per-theorem if-chains the theorem table
-# replaced), and never regenerated: a changed hash is a changed file format.
+# replaced, and the runs from "agm1-p3" on with the per-method step loops the
+# shared driver replaced), and never regenerated: a changed hash is a changed
+# file format.
 GOLDEN = {
     ("agm2-negentropy-lse3", "json"): (
         "057257fc5d15cb6d2ca8ce063302801e9ea9dc73ea7b5b70f6675917c3d7e286",
@@ -149,6 +165,36 @@ GOLDEN = {
     ("wellcond-gd-p3", "csv"): (
         "78e42ad69999f0b2e3f8c897adb8b99146ac792b0f9f84eaa9d5c10eaf337649",
         "c6c246c8639d2b09411148fbe0bb38c58d27e1fe4e01bb7f1655ca98b19766e6"),
+    ("agm1-p3", "json"): (
+        "cd3e2b2de873c5ead48cb6ed2cca513034f32005e82b35347c543acfc14d5341",
+        None),
+    ("agm1-p3", "csv"): (
+        "04862a30e5c597d9ced3fd3ba352922553d1288753933c7361eda322f13a0031",
+        None),
+    ("agm2-lambda-p2", "json"): (
+        "80847ed6da15aea00085c43f2ab34969a336485d79fecf5fde04a8e15a63b8ef",
+        None),
+    ("agm2-lambda-p2", "csv"): (
+        "552ad8b0fe897b0cb1bd1f8cf3b17553750937c9f1d4e056c4e3876776110c6a",
+        None),
+    ("agm2-p2-simplex", "json"): (
+        "e5eec2ed41e0e2a857d00cef08115c5e6264986c58e4e101d972719a622b2327",
+        "e34ebd554e252bffe3a098ee3fd3b0ff96e61a28e08a51c9cb41cc70d0c9aa57"),
+    ("agm2-p2-simplex", "csv"): (
+        "efc134d320847b0074293376e68628536186452b5f880aa8617508fbee55ebd7",
+        "d4262dc7dbcc84a1dae05546c19eb8c483ac94f2c3e2a364ba5351dacdeb38f8"),
+    ("mirror-euclidean-experts-ball", "json"): (
+        "feba062359dee7a941ed1dc0f5f728a5027ed874324f59c0d4feb27f0d5f2acd",
+        "0e0c2e40dec313d57e6f2dc6c0537cc51222343dfd3f548359a7e90e9d3e3a13"),
+    ("mirror-euclidean-experts-ball", "csv"): (
+        "37db14b3e3d8375d9e913e6f7e4bce05ce84022c56aab074534bee52f84dcdc4",
+        "a219e2efd5b8d98383472d5c9caee6ff4fab7352e0fd084a6848e1d30f013df7"),
+    ("restart-agm-p3", "json"): (
+        "c28c7c9df7c31cf40b2945ea76ba163f024bae30f65649f02e9860f656c6514c",
+        None),
+    ("restart-agm-p3", "csv"): (
+        "2c5957814f481daa17c14adcfa664fe5e2e94bd1a121778feff2019927e54e07",
+        None),
 }
 
 
