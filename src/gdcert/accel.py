@@ -17,8 +17,8 @@ from gdcert.core import (
 )
 from gdcert.mirror import MirrorMap, EuclideanMap, NegEntropyMap, mirror_step
 from gdcert.problems import Problem
-from gdcert.smooth import projected_smooth_step, smooth_gd_step
-from gdcert.trace import StepRecord, Trace
+from gdcert.smooth import _attach_reference, projected_smooth_step, smooth_gd_step
+from gdcert.trace import Trace, drive
 
 
 @dataclass
@@ -94,11 +94,10 @@ class AgmSchedule:
         return float(self._lam[t])
 
 
-def agm2_step(problem: Problem, state: AccelState, beta: float,
+def agm2_step(state: AccelState, g: Vector, beta: float,
               schedule: AgmSchedule) -> AccelState:
-    """One unconstrained coupled step: cautious y-update from x, aggressive
-    z-update from z, then mix with tau_{t+1}."""
-    g = problem.gradient(state.x)
+    """One unconstrained coupled step with the gradient g at x: cautious
+    y-update from x, aggressive z-update from z, then mix with tau_{t+1}."""
     t = state.t
     y_next = state.x - g / beta
     z_next = state.z - schedule.eta(t, beta) * g
@@ -107,12 +106,10 @@ def agm2_step(problem: Problem, state: AccelState, beta: float,
     return AccelState(x=x_next, y=y_next, z=z_next, t=t + 1)
 
 
-def constrained_agm_step(feasible: FeasibleSet, problem: Problem,
-                         state: AccelState, beta: float,
-                         eta_t: float) -> AccelState:
-    """Constrained coupled step: both sequence updates are projected; the mix
-    stays feasible by convexity."""
-    g = problem.gradient(state.x)
+def constrained_agm_step(feasible: FeasibleSet, state: AccelState, g: Vector,
+                         beta: float, eta_t: float) -> AccelState:
+    """Constrained coupled step with the gradient g at x: both sequence
+    updates are projected; the mix stays feasible by convexity."""
     t = state.t
     y_next = feasible.project(state.x - g / beta)
     z_next = feasible.project(state.z - eta_t * g)
@@ -125,8 +122,6 @@ def run_agm2(problem: Problem, x0, T: int, schedule: str = "agm-smooth",
              feasible: FeasibleSet | None = None,
              reference: Vector | None = None) -> Trace:
     """Run the two-sequence method, projected when a bounded set is given."""
-    if T < 1:
-        raise ValueError("need at least one step")
     beta = problem.smoothness_beta
     if beta is None:
         raise ValueError("problem declares no smoothness constant")
@@ -134,60 +129,42 @@ def run_agm2(problem: Problem, x0, T: int, schedule: str = "agm-smooth",
     constrained = feasible is not None and not isinstance(feasible, Unconstrained)
     if feasible is None:
         feasible = Unconstrained(problem.dim)
-    state = AccelState.start(feasible.project(as_vector(x0)))
     if constrained and sched.kind == "agm-lambda":
         raise ValueError("the weight-recurrence schedule is unconstrained-only")
-
-    steps = []
-    for t in range(T):
-        eta = sched.eta(t, beta)
-        steps.append(StepRecord(
-            t=t, x=state.x, f=problem.value(state.x),
-            grad=problem.gradient(state.x), eta=eta,
-            y=state.y, z=state.z, f_y=problem.value(state.y)))
-        if constrained:
-            state = constrained_agm_step(feasible, problem, state, beta, eta)
-        else:
-            state = agm2_step(problem, state, beta, sched)
-        if not np.all(np.isfinite(state.x)):
-            raise FloatingPointError(f"iterate diverged at step {t}")
-    trace = Trace(steps=steps, final_x=state.x, final_y=state.y,
-                  final_z=state.z, final_f=problem.value(state.x),
-                  final_f_y=problem.value(state.y))
+    if constrained:
+        def step(t, state, g, eta):
+            return constrained_agm_step(feasible, state, g, beta, eta)
+    else:
+        def step(t, state, g, eta):
+            return agm2_step(state, g, beta, sched)
+    trace = _run_coupled(problem, feasible.project(as_vector(x0)), T, step,
+                         lambda t: sched.eta(t, beta))
     trace.meta["method"] = "agm2"
     trace.meta["schedule"] = schedule
     trace.meta["constrained"] = constrained
     trace.constants["beta"] = beta
-    _attach_accel_reference(trace, problem, feasible, reference)
+    _attach_reference(trace, problem, feasible, reference)
     return trace
 
 
-def _attach_accel_reference(trace: Trace, problem: Problem,
-                            feasible: FeasibleSet,
-                            reference: Vector | None) -> None:
-    """Record the reference point the guarantees are measured against; when
-    no minimizer exists over the run's set, fall back to the simplex one and
-    flag the certificate (the bounds hold for any fixed comparator)."""
-    if reference is None:
-        try:
-            reference = problem.minimizer_over(feasible)
-        except ValueError:
-            reference = problem.minimizer_over(Simplex(problem.dim))
-            trace.add_flag("comparator-reference")
-    reference = as_vector(reference)
-    trace.constants["x_star"] = reference
-    trace.constants["f_star"] = problem.value(reference)
+def _run_coupled(problem: Problem, x0, T: int, step, eta) -> Trace:
+    """Drive a coupled method from x = y = z = x0 and keep its final points."""
+    steps, state = drive(problem, AccelState.start(x0), T, step, eta)
+    return Trace(steps=steps, final_x=state.x, final_y=state.y,
+                 final_z=state.z, final_f=problem.value(state.x),
+                 final_f_y=problem.value(state.y))
 
 
-def agm1_step(problem: Problem, x, y_prev, lam_t: float, lam_next: float,
+def agm1_step(x, g: Vector, y_prev, lam_t: float, lam_next: float,
               beta: float) -> tuple[Vector, Vector]:
-    """Momentum form of the accelerated step: cautious update plus an
-    extrapolation whose coefficient comes from the weight recurrence."""
+    """Momentum form of the accelerated step with the gradient g at x:
+    cautious update plus an extrapolation whose coefficient comes from the
+    weight recurrence."""
     if lam_next <= 0:
         raise ValueError("next momentum weight must be positive")
     x = as_vector(x)
     y_prev = as_vector(y_prev)
-    y_next = x - problem.gradient(x) / beta
+    y_next = x - g / beta
     c = (1.0 - lam_t) / lam_next
     x_next = (1.0 - c) * y_next + c * y_prev
     return x_next, y_next
@@ -203,26 +180,17 @@ def agm1_to_agm2_state(x, y, lam: float) -> Vector:
 def run_agm1(problem: Problem, x0, T: int) -> Trace:
     """Momentum-form accelerated descent; the aggressive-sequence point is
     reconstructed per step so traces align with the coupled form."""
-    if T < 1:
-        raise ValueError("need at least one step")
     beta = problem.smoothness_beta
     if beta is None:
         raise ValueError("problem declares no smoothness constant")
     lam = lambda_schedule(T + 1)
-    x = as_vector(x0).copy()
-    y = x.copy()
-    steps = []
-    for t in range(T):
-        lam_t, lam_next = float(lam[t]), float(lam[t + 1])
-        z = agm1_to_agm2_state(x, y, lam_t) if t > 0 else x.copy()
-        steps.append(StepRecord(t=t, x=x, f=problem.value(x),
-                                grad=problem.gradient(x),
-                                eta=lam_t / beta, y=y, z=z,
-                                f_y=problem.value(y)))
-        x, y = agm1_step(problem, x, y, lam_t, lam_next, beta)
-    z = agm1_to_agm2_state(x, y, float(lam[T]))
-    trace = Trace(steps=steps, final_x=x, final_y=y, final_z=z,
-                  final_f=problem.value(x), final_f_y=problem.value(y))
+
+    def step(t, state, g, eta):
+        lam_next = float(lam[t + 1])
+        x, y = agm1_step(state.x, g, state.y, float(lam[t]), lam_next, beta)
+        return AccelState(x=x, y=y, z=agm1_to_agm2_state(x, y, lam_next), t=t + 1)
+
+    trace = _run_coupled(problem, x0, T, step, lambda t: float(lam[t]) / beta)
     trace.meta["method"] = "agm1"
     trace.constants["beta"] = beta
     return trace
@@ -268,12 +236,12 @@ def _l1_prox_on_simplex(x, g, beta: float, rounds: int = 14,
 
 
 def general_norm_agm_step(mirror_map: MirrorMap, feasible: FeasibleSet,
-                          problem: Problem, state: AccelState,
+                          state: AccelState, g: Vector,
                           beta: float) -> AccelState:
-    """Coupled step under a mirror map: the cautious update is the smooth
-    step in the map's norm (solved on the set), the aggressive update is a
-    mirror step, and the mix uses tau_{t+1} = 2/(t+3)."""
-    g = problem.gradient(state.x)
+    """Coupled step under a mirror map with the gradient g at x: the
+    cautious update is the smooth step in the map's norm (solved on the set),
+    the aggressive update is a mirror step, and the mix uses
+    tau_{t+1} = 2/(t+3)."""
     t = state.t
     eta = (t + 1.0) * mirror_map.alpha_h / (2.0 * beta)
     if isinstance(mirror_map, EuclideanMap):
@@ -291,25 +259,17 @@ def general_norm_agm_step(mirror_map: MirrorMap, feasible: FeasibleSet,
 
 def run_general_norm_agm(problem: Problem, mirror_map: MirrorMap,
                          feasible: FeasibleSet, x0, T: int) -> Trace:
-    if T < 1:
-        raise ValueError("need at least one step")
     beta = problem.smoothness_beta
     if beta is None:
         raise ValueError("problem declares no smoothness constant")
-    state = AccelState.start(as_vector(x0))
-    if not (feasible.member(state.x) and mirror_map.interior(state.x)):
+    x0 = as_vector(x0)
+    if not (feasible.member(x0) and mirror_map.interior(x0)):
         raise ValueError("starting point must be an interior member")
-    steps = []
-    for t in range(T):
-        eta = (t + 1.0) * mirror_map.alpha_h / (2.0 * beta)
-        steps.append(StepRecord(
-            t=t, x=state.x, f=problem.value(state.x),
-            grad=problem.gradient(state.x), eta=eta,
-            y=state.y, z=state.z, f_y=problem.value(state.y)))
-        state = general_norm_agm_step(mirror_map, feasible, problem, state, beta)
-    trace = Trace(steps=steps, final_x=state.x, final_y=state.y,
-                  final_z=state.z, final_f=problem.value(state.x),
-                  final_f_y=problem.value(state.y))
+    trace = _run_coupled(
+        problem, x0, T,
+        lambda t, state, g, eta: general_norm_agm_step(mirror_map, feasible,
+                                                       state, g, beta),
+        lambda t: (t + 1.0) * mirror_map.alpha_h / (2.0 * beta))
     trace.meta["method"] = f"agm2-{mirror_map.map_id}"
     trace.meta["map"] = mirror_map.map_id
     trace.constants["beta"] = beta
@@ -317,14 +277,14 @@ def run_general_norm_agm(problem: Problem, mirror_map: MirrorMap,
     x_star = problem.minimizer_over(feasible)
     trace.constants["x_star"] = x_star
     trace.constants["f_star"] = problem.value(x_star)
-    trace.constants["bregman_x_star_z0"] = mirror_map.bregman(x_star, as_vector(x0))
+    trace.constants["bregman_x_star_z0"] = mirror_map.bregman(x_star, x0)
     return trace
 
 
-def sc_agm_step(problem: Problem, x, y_prev, kappa: float,
+def sc_agm_step(x, g: Vector, y_prev, kappa: float,
                 beta: float) -> tuple[Vector, Vector]:
-    """Accelerated step for well-conditioned objectives: cautious update plus
-    fixed momentum (sqrt(kappa)-1)/(sqrt(kappa)+1)."""
+    """Accelerated step for well-conditioned objectives with the gradient g
+    at x: cautious update plus fixed momentum (sqrt(kappa)-1)/(sqrt(kappa)+1)."""
     if kappa < 1:
         raise ValueError("condition number must be at least 1")
     if kappa == 1:
@@ -332,7 +292,7 @@ def sc_agm_step(problem: Problem, x, y_prev, kappa: float,
     x = as_vector(x)
     y_prev = as_vector(y_prev)
     m = (np.sqrt(kappa) - 1.0) / (np.sqrt(kappa) + 1.0)
-    y_next = x - problem.gradient(x) / beta
+    y_next = x - g / beta
     x_next = (1.0 + m) * y_next - m * y_prev
     return x_next, y_next
 
@@ -371,36 +331,24 @@ def run_sc_agm(problem: Problem, x0, T: int) -> Trace:
     f_star = problem.value(x_star)
 
     if kappa == 1.0:
-        x0 = as_vector(x0)
-        g = problem.gradient(x0)
-        y1 = smooth_gd_step(x0, g, beta)
-        steps = [StepRecord(t=0, x=x0, f=problem.value(x0), grad=g,
-                            eta=1.0 / beta, y=x0.copy(), z=x0.copy(),
-                            f_y=problem.value(x0))]
-        trace = Trace(steps=steps, final_x=y1, final_y=y1, final_z=y1,
-                      final_f=problem.value(y1), final_f_y=problem.value(y1))
-        trace.meta["method"] = "sc-agm"
-        trace.constants.update({"alpha": alpha, "beta": beta, "kappa": kappa,
-                                "x_star": x_star, "f_star": f_star})
-        trace.add_flag("single-step-optimal")
-        return trace
+        T = 1
 
-    x = as_vector(x0).copy()
-    y = x.copy()
-    steps = []
-    for t in range(T):
-        z = sc_agm_z(x, y, kappa) if t > 0 else x.copy()
-        steps.append(StepRecord(t=t, x=x, f=problem.value(x),
-                                grad=problem.gradient(x), eta=1.0 / beta,
-                                y=y, z=z, f_y=problem.value(y)))
-        x, y = sc_agm_step(problem, x, y, kappa, beta)
-    z = sc_agm_z(x, y, kappa)
-    trace = Trace(steps=steps, final_x=x, final_y=y, final_z=z,
-                  final_f=problem.value(x), final_f_y=problem.value(y))
+        def step(t, state, g, eta):
+            y = smooth_gd_step(state.x, g, beta)
+            return AccelState(x=y, y=y, z=y, t=1)
+    else:
+        def step(t, state, g, eta):
+            x, y = sc_agm_step(state.x, g, state.y, kappa, beta)
+            return AccelState(x=x, y=y, z=sc_agm_z(x, y, kappa), t=t + 1)
+
+    trace = _run_coupled(problem, x0, T, step, lambda t: 1.0 / beta)
     trace.meta["method"] = "sc-agm"
-    gamma = 1.0 / (np.sqrt(kappa) - 1.0)
-    trace.constants.update({"alpha": alpha, "beta": beta, "kappa": kappa,
-                            "gamma": gamma, "x_star": x_star, "f_star": f_star})
+    trace.constants.update({"alpha": alpha, "beta": beta, "kappa": kappa})
+    if kappa == 1.0:
+        trace.add_flag("single-step-optimal")
+    else:
+        trace.constants["gamma"] = 1.0 / (np.sqrt(kappa) - 1.0)
+    trace.constants.update({"x_star": x_star, "f_star": f_star})
     return trace
 
 
@@ -419,23 +367,17 @@ def restart_accelerated(problem: Problem, x0, epsilon: float,
     epoch_len = int(np.ceil(4.0 * np.sqrt(kappa)))
 
     x = as_vector(x0).copy()
-    steps: list[StepRecord] = []
+    steps = []
     epochs = []
     sched = AgmSchedule("agm-smooth")
-    t_global = 0
     for _ in range(max_epochs):
         if problem.value(x) - f_star <= epsilon:
             break
         start_dist = float(np.linalg.norm(x - x_star))
-        state = AccelState.start(x)
-        for _ in range(epoch_len):
-            steps.append(StepRecord(
-                t=t_global, x=state.x, f=problem.value(state.x),
-                grad=problem.gradient(state.x),
-                eta=sched.eta(state.t, beta),
-                y=state.y, z=state.z, f_y=problem.value(state.y)))
-            state = agm2_step(problem, state, beta, sched)
-            t_global += 1
+        epoch, state = drive(problem, AccelState.start(x), epoch_len,
+                             lambda t, state, g, eta: agm2_step(state, g, beta, sched),
+                             lambda t: sched.eta(t, beta), t0=len(steps))
+        steps += epoch
         x = state.y.copy()
         epochs.append({"steps": epoch_len,
                        "start_distance": start_dist,

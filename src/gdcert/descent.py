@@ -9,7 +9,7 @@ import numpy as np
 
 from gdcert.core import FeasibleSet, Vector, as_vector, check_same_dim
 from gdcert.problems import OnlineAdversary
-from gdcert.trace import StepRecord, Trace
+from gdcert.trace import Trace, drive
 
 
 class StepSchedule:
@@ -91,24 +91,13 @@ def run_online_gd(adversary: OnlineAdversary, feasible: FeasibleSet, x0,
     Records the played point, round loss, gradient, and the round loss at the
     comparator (the best fixed point in hindsight unless one is supplied).
     """
-    if T < 1:
-        raise ValueError("need at least one round")
     x = feasible.project(as_vector(x0))
     if comparator is None:
         comparator = adversary.comparator_over(feasible, T)
     comparator = as_vector(comparator)
-
-    steps = []
-    for t in range(T):
-        loss = adversary.next_loss(t, x)
-        g = loss.gradient(x)
-        eta = schedule.eta(t)
-        steps.append(StepRecord(t=t, x=x, f=loss.value(x), grad=g, eta=eta,
-                                f_ref=loss.value(comparator)))
-        raw = x - eta * g
-        if not np.all(np.isfinite(raw)):
-            raise FloatingPointError(f"iterate diverged at step {t}")
-        x = feasible.project(raw)
+    steps, x = drive(adversary, x, T,
+                     lambda t, x, g, eta: feasible.project(x - eta * g),
+                     schedule.eta, comparator=comparator)
     trace = Trace(steps=steps, final_x=x)
     trace.constants["x_star"] = comparator
     trace.meta["method"] = "gd"

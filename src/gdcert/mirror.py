@@ -15,7 +15,7 @@ from gdcert.core import (
     check_same_dim,
 )
 from gdcert.problems import OnlineAdversary
-from gdcert.trace import StepRecord, Trace
+from gdcert.trace import Trace, drive
 
 
 class MirrorMap:
@@ -177,22 +177,15 @@ def run_mirror_descent(adversary: OnlineAdversary, mirror_map: MirrorMap,
                        comparator: Vector | None = None) -> Trace:
     """T rounds of mirror descent; gradients are recorded so the certifier
     can evaluate their dual norms against the regret guarantee."""
-    if T < 1:
-        raise ValueError("need at least one round")
     x = as_vector(x0)
     if not (feasible.member(x) and mirror_map.interior(x)):
         raise ValueError("starting point must be an interior member")
     if comparator is None:
         comparator = adversary.comparator_over(feasible, T)
     comparator = as_vector(comparator)
-
-    steps = []
-    for t in range(T):
-        loss = adversary.next_loss(t, x)
-        g = loss.gradient(x)
-        steps.append(StepRecord(t=t, x=x, f=loss.value(x), grad=g, eta=eta,
-                                f_ref=loss.value(comparator)))
-        x = mirror_step(mirror_map, feasible, x, g, eta)
+    steps, x = drive(adversary, x, T,
+                     lambda t, x, g, eta: mirror_step(mirror_map, feasible, x, g, eta),
+                     lambda t: eta, comparator=comparator)
     trace = Trace(steps=steps, final_x=x)
     trace.meta["method"] = f"mirror-{mirror_map.map_id}"
     trace.constants["eta"] = eta

@@ -15,7 +15,7 @@ from gdcert.core import (
     check_same_dim,
 )
 from gdcert.problems import Problem
-from gdcert.trace import StepRecord, Trace
+from gdcert.trace import Trace, drive
 
 
 def smooth_gd_step(x, g, beta: float) -> Vector:
@@ -99,27 +99,24 @@ def run_smooth_gd(problem: Problem, x0, T: int,
     by default it is the problem's minimizer over the (possibly whole-space)
     feasible set.
     """
-    if T < 1:
-        raise ValueError("need at least one step")
     beta = problem.smoothness_beta
     if beta is None:
         raise ValueError("problem declares no smoothness constant")
     if feasible is None:
         feasible = Unconstrained(problem.dim)
-    x = feasible.project(as_vector(x0))
-    steps = []
-    for t in range(T):
-        g = problem.gradient(x)
-        steps.append(StepRecord(t=t, x=x, f=problem.value(x), grad=g,
-                                eta=1.0 / beta))
-        raw = x - g / beta
-        if not np.all(np.isfinite(raw)):
-            raise FloatingPointError(f"iterate diverged at step {t}")
-        x = feasible.project(raw)
+    steps, x = drive(problem, feasible.project(as_vector(x0)), T,
+                     lambda t, x, g, eta: feasible.project(x - g / beta),
+                     lambda t: 1.0 / beta)
     trace = Trace(steps=steps, final_x=x, final_f=problem.value(x))
     trace.meta["method"] = "smooth-gd"
     trace.constants["beta"] = beta
-    _attach_reference(trace, problem, feasible, x0, reference)
+    _attach_reference(trace, problem, feasible, reference)
+    D = problem.sublevel_diameter(as_vector(x0))
+    if D is None:
+        x_star = trace.constants["x_star"]
+        D = max(float(np.linalg.norm(x - x_star)) for x in trace.xs())
+        trace.add_flag("trajectory-estimated-D")
+    trace.constants["D"] = D
     return trace
 
 
@@ -128,7 +125,6 @@ def run_frank_wolfe(problem: Problem, feasible: FeasibleSet, x0, T: int,
     """Conditional gradient descent with one of the named step schedules."""
     if schedule not in FW_SCHEDULES:
         raise KeyError(f"unknown Frank-Wolfe schedule {schedule!r}")
-    eta_fn = FW_SCHEDULES[schedule]
     beta = problem.smoothness_beta
     if beta is None:
         raise ValueError("problem declares no smoothness constant")
@@ -137,18 +133,15 @@ def run_frank_wolfe(problem: Problem, feasible: FeasibleSet, x0, T: int,
     x = as_vector(x0)
     if not feasible.member(x):
         raise ValueError("starting point must be feasible")
-    steps = []
-    for t in range(T):
-        g = problem.gradient(x)
-        eta = eta_fn(t)
-        steps.append(StepRecord(t=t, x=x, f=problem.value(x), grad=g, eta=eta))
-        x = frank_wolfe_step(feasible, x, g, eta)
+    steps, x = drive(problem, x, T,
+                     lambda t, x, g, eta: frank_wolfe_step(feasible, x, g, eta),
+                     FW_SCHEDULES[schedule])
     trace = Trace(steps=steps, final_x=x, final_f=problem.value(x))
     trace.meta["method"] = "frank-wolfe"
     trace.meta["schedule"] = schedule
     trace.constants["beta"] = beta
     trace.constants["D"] = feasible.diameter
-    _attach_reference(trace, problem, feasible, x0, None, diameter_from_set=True)
+    _attach_reference(trace, problem, feasible)
     return trace
 
 
@@ -177,26 +170,20 @@ def run_well_conditioned(problem: Problem, x0, T: int) -> Trace:
 
 
 def _attach_reference(trace: Trace, problem: Problem, feasible: FeasibleSet,
-                      x0, reference: Vector | None,
-                      diameter_from_set: bool = False) -> None:
-    """Record x*, f*, and a sublevel diameter D on the trace, flagging any
-    constant that had to be estimated from the trajectory."""
+                      reference: Vector | None = None) -> None:
+    """Record the reference point x* the guarantees are measured against and
+    f* there; when no minimizer exists over the run's set, fall back to the
+    simplex one and flag the certificate (the bounds hold for any fixed
+    comparator)."""
     if reference is None:
         try:
             reference = problem.minimizer_over(feasible)
         except ValueError:
-            # no minimizer over this set: fall back to the simplex comparator
             reference = problem.minimizer_over(Simplex(problem.dim))
             trace.add_flag("comparator-reference")
     reference = as_vector(reference)
     trace.constants["x_star"] = reference
     trace.constants["f_star"] = problem.value(reference)
-    if not diameter_from_set:
-        D = problem.sublevel_diameter(as_vector(x0))
-        if D is None:
-            D = max(float(np.linalg.norm(x - reference)) for x in trace.xs())
-            trace.add_flag("trajectory-estimated-D")
-        trace.constants["D"] = D
 
 
 def general_norm_smooth_step(kind: Norm, x, g, beta: float) -> Vector:

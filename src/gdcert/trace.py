@@ -1,12 +1,15 @@
-"""Shared run-record format consumed by the certifier and the CLI."""
+"""Shared run-record format consumed by the certifier and the CLI, and the
+one step loop every method runs to produce it."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from gdcert.core import Vector
+from gdcert.problems import OnlineAdversary
 
 
 @dataclass
@@ -96,3 +99,52 @@ class Trace:
     def add_flag(self, flag: str) -> None:
         if flag not in self.flags:
             self.flags.append(flag)
+
+
+def drive(objective, state, T: int, step, eta, comparator: Vector | None = None,
+          t0: int = 0) -> tuple[list[StepRecord], object]:
+    """Run T steps from ``state``; returns the records and the final state.
+
+    Each step t takes the round loss (``objective`` itself for a fixed
+    objective, ``objective.next_loss(t, x)`` for an online adversary),
+    evaluates its gradient g once at the played point x, records it, and
+    passes that same g to ``step(t, state, g, eta(t))`` for the next state.
+    ``state`` is the played point, or for coupled methods an object whose
+    ``x``, ``y`` and ``z`` are recorded with the value at ``y``. A
+    ``comparator`` adds the round loss there as ``f_ref``. Records are
+    numbered from ``t0``; ``step`` and ``eta`` see the local t.
+
+    Overflow, division by zero and invalid operations raise inside the loop,
+    and a non-finite gradient, step size or next point is rejected: either
+    ends the run with ``FloatingPointError("iterate diverged at step t")``.
+    """
+    if T < 1:
+        raise ValueError("need at least one step")
+    online = isinstance(objective, OnlineAdversary)
+    coupled = not isinstance(state, np.ndarray)
+    x = state.x if coupled else state
+    # finite entries times zeros sum to exactly 0, an inf or nan entry to nan:
+    # one BLAS call per check whatever the dimension
+    zero = np.zeros_like(x)
+    steps = []
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for t in range(T):
+                loss = objective.next_loss(t, x) if online else objective
+                g = loss.gradient(x)
+                eta_t = eta(t)
+                if not math.isfinite(g @ zero + eta_t):
+                    raise FloatingPointError
+                f_ref = None if comparator is None else loss.value(comparator)
+                if coupled:
+                    steps.append(StepRecord(t0 + t, x, loss.value(x), g, eta_t, f_ref,
+                                            state.y, state.z, loss.value(state.y)))
+                else:
+                    steps.append(StepRecord(t0 + t, x, loss.value(x), g, eta_t, f_ref))
+                state = step(t, state, g, eta_t)
+                x = state.x if coupled else state
+                if not math.isfinite(x @ zero):
+                    raise FloatingPointError
+    except FloatingPointError:
+        raise FloatingPointError(f"iterate diverged at step {t0 + t}") from None
+    return steps, state

@@ -56,7 +56,8 @@ class TestLambdaSchedule:
 class TestAgm2Step:
     def test_worked_first_step(self, p1):
         # grad = 1: y1 = 0, z1 = 1 - 0.5 = 0.5, tau1 = 2/3, x1 = 1/3
-        state = agm2_step(p1, AccelState.start([1.0]), 1.0, AgmSchedule("agm-smooth"))
+        s0 = AccelState.start([1.0])
+        state = agm2_step(s0, p1.gradient(s0.x), 1.0, AgmSchedule("agm-smooth"))
         assert state.y[0] == pytest.approx(0.0)
         assert state.z[0] == pytest.approx(0.5)
         assert state.x[0] == pytest.approx(1.0 / 3.0)
@@ -66,14 +67,15 @@ class TestAgm2Step:
         p = make_diag_quadratic([1.0, 4.0], [0.5, 0.5])
         s0 = AccelState(x=np.array([0.5, 0.5]), y=np.array([0.1, 0.1]),
                         z=np.array([0.9, 0.9]), t=3)
-        s1 = agm2_step(p, s0, 4.0, AgmSchedule("agm-smooth"))
+        s1 = agm2_step(s0, p.gradient(s0.x), 4.0, AgmSchedule("agm-smooth"))
         np.testing.assert_allclose(s1.y, s0.x)
         np.testing.assert_allclose(s1.z, s0.z)
 
     def test_weight_recurrence_first_step(self, p1):
         # lambda_0 = 0 so eta_0 = 0: z does not move and x1 = z1 = x0
         sched = AgmSchedule("agm-lambda", T=5)
-        state = agm2_step(p1, AccelState.start([1.0]), 1.0, sched)
+        s0 = AccelState.start([1.0])
+        state = agm2_step(s0, p1.gradient(s0.x), 1.0, sched)
         assert state.y[0] == pytest.approx(0.0)
         assert state.z[0] == pytest.approx(1.0)
         assert state.x[0] == pytest.approx(1.0)
@@ -86,12 +88,14 @@ class TestAgm2Step:
 class TestAgm1:
     def test_worked_first_step(self, p1):
         lam = lambda_schedule(2)
-        x1, y1 = agm1_step(p1, [1.0], [1.0], float(lam[0]), float(lam[1]), 1.0)
+        x1, y1 = agm1_step([1.0], p1.gradient([1.0]), [1.0], float(lam[0]),
+                           float(lam[1]), 1.0)
         assert y1[0] == pytest.approx(0.0)
         assert x1[0] == pytest.approx(1.0)
 
     def test_momentum_vanishes_at_lambda_one(self, p2):
-        x1, y1 = agm1_step(p2, [1.0, 1.0], [0.3, 0.3], 1.0, 2.0, 4.0)
+        x1, y1 = agm1_step([1.0, 1.0], p2.gradient([1.0, 1.0]), [0.3, 0.3],
+                           1.0, 2.0, 4.0)
         np.testing.assert_allclose(x1, y1)
 
     def test_state_reconstruction(self):
@@ -123,8 +127,9 @@ class TestConstrainedAgm:
         s0 = AccelState(x=np.array([1.0, 1.0]), y=np.array([0.8, 0.2]),
                         z=np.array([0.3, 0.3]), t=2)
         sched = AgmSchedule("agm-smooth")
-        plain = agm2_step(p2, s0, 4.0, sched)
-        proj = constrained_agm_step(Unconstrained(2), p2, s0, 4.0,
+        g = p2.gradient(s0.x)
+        plain = agm2_step(s0, g, 4.0, sched)
+        proj = constrained_agm_step(Unconstrained(2), s0, g, 4.0,
                                     sched.eta(2, 4.0))
         np.testing.assert_allclose(proj.x, plain.x)
         np.testing.assert_allclose(proj.y, plain.y)
@@ -141,7 +146,7 @@ class TestConstrainedAgm:
         p = make_diag_quadratic([1.0, 1.0], [0.5, 0.5])
         s0 = AccelState(x=np.array([0.5, 0.5]), y=np.array([0.4, 0.6]),
                         z=np.array([0.3, 0.7]), t=0)
-        s1 = constrained_agm_step(Simplex(2), p, s0, 1.0, 0.5)
+        s1 = constrained_agm_step(Simplex(2), s0, p.gradient(s0.x), 1.0, 0.5)
         np.testing.assert_allclose(s1.y, [0.5, 0.5])
 
     @pytest.mark.parametrize("set_kind", ["ball", "simplex"])
@@ -176,8 +181,9 @@ class TestPotential:
 class TestGeneralNormAgm:
     def test_euclidean_reduces_to_plain(self, p2):
         s0 = AccelState.start(np.array([0.5, 0.5]))
-        plain = agm2_step(p2, s0, 4.0, AgmSchedule("agm-smooth"))
-        gen = general_norm_agm_step(EuclideanMap(), Unconstrained(2), p2, s0, 4.0)
+        g = p2.gradient(s0.x)
+        plain = agm2_step(s0, g, 4.0, AgmSchedule("agm-smooth"))
+        gen = general_norm_agm_step(EuclideanMap(), Unconstrained(2), s0, g, 4.0)
         np.testing.assert_allclose(gen.x, plain.x, atol=1e-14)
         np.testing.assert_allclose(gen.y, plain.y, atol=1e-14)
         np.testing.assert_allclose(gen.z, plain.z, atol=1e-14)
@@ -193,26 +199,29 @@ class TestGeneralNormAgm:
     def test_zero_gradient_keeps_cautious_point(self):
         p = make_diag_quadratic([1.0, 1.0, 1.0], [1 / 3] * 3)
         s0 = AccelState.start(np.array([1 / 3] * 3))
-        s1 = general_norm_agm_step(NegEntropyMap(), Simplex(3), p, s0, 1.0)
+        s1 = general_norm_agm_step(NegEntropyMap(), Simplex(3), s0,
+                                   p.gradient(s0.x), 1.0)
         np.testing.assert_allclose(s1.y, s0.x, atol=1e-9)
         np.testing.assert_allclose(s1.z, s0.z, atol=1e-12)
 
     def test_unsupported_pair_rejected(self, p2):
         s0 = AccelState.start(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
-            general_norm_agm_step(NegEntropyMap(), Ball(np.zeros(2), 1.0), p2, s0, 4.0)
+            general_norm_agm_step(NegEntropyMap(), Ball(np.zeros(2), 1.0), s0,
+                                  p2.gradient(s0.x), 4.0)
 
 
 class TestStronglyConvexAgm:
     def test_worked_first_step(self, p2):
         # kappa = 4, momentum 1/3: y1 = (0.75, 0), x1 = (2/3, -1/3)
-        x1, y1 = sc_agm_step(p2, [1.0, 1.0], [1.0, 1.0], 4.0, 4.0)
+        x1, y1 = sc_agm_step([1.0, 1.0], p2.gradient([1.0, 1.0]), [1.0, 1.0],
+                             4.0, 4.0)
         np.testing.assert_allclose(y1, [0.75, 0.0])
         np.testing.assert_allclose(x1, [2.0 / 3.0, -1.0 / 3.0])
 
     def test_momentum_vanishes_near_condition_one(self, p1):
         kappa = 1.0 + 1e-12
-        x1, y1 = sc_agm_step(p1, [1.0], [0.3], kappa, 1.0)
+        x1, y1 = sc_agm_step([1.0], p1.gradient([1.0]), [0.3], kappa, 1.0)
         assert abs(x1[0] - y1[0]) <= 1e-9
 
     def test_zero_gradient_pure_momentum(self):
@@ -220,13 +229,13 @@ class TestStronglyConvexAgm:
         x = np.array([0.5, 0.5])
         y_prev = np.array([0.2, 0.2])
         m = (2.0 - 1.0) / (2.0 + 1.0)
-        x1, y1 = sc_agm_step(p, x, y_prev, 4.0, 4.0)
+        x1, y1 = sc_agm_step(x, p.gradient(x), y_prev, 4.0, 4.0)
         np.testing.assert_allclose(y1, x)
         np.testing.assert_allclose(x1, x + m * (x - y_prev))
 
     def test_rejects_bad_kappa(self, p2):
         with pytest.raises(ValueError):
-            sc_agm_step(p2, [1.0, 1.0], [1.0, 1.0], 0.5, 4.0)
+            sc_agm_step([1.0, 1.0], p2.gradient([1.0, 1.0]), [1.0, 1.0], 0.5, 4.0)
 
     def test_z_from_state(self, p2):
         x = np.array([2.0 / 3.0, -1.0 / 3.0])
