@@ -187,9 +187,11 @@ def _schedule(config: RunConfig) -> str | None:
 
 
 def _prepare(config: RunConfig) -> tuple:
-    """The run's adversary, feasible set and start point. Raises ConfigError
-    for a run its method cannot start: a set it does not run on, a constant
-    the objective does not declare, no comparator, or an x0 it cannot take."""
+    """The run's adversary, feasible set, start point, and for the online
+    methods the gradient bound G with its flags. Raises ConfigError for a run
+    its method cannot start: a set it does not run on, a constant the
+    objective does not declare, no comparator, an x0 it cannot take, or a
+    step size D/G or 1/G with G estimated as 0."""
     method = config.method
     adversary = get_adversary(config.problem)
     feasible = make_set(config.feasible_set, adversary.dim)
@@ -225,7 +227,17 @@ def _prepare(config: RunConfig) -> tuple:
                                      mirror.get_map(START_MAPS[method]).interior(x0)):
         raise ConfigError(f"method {method!r} needs x0 in the {config.feasible_set} "
                           f"set and in the {START_MAPS[method]} map's domain")
-    return adversary, feasible, x0
+    G, flags = None, []
+    if method in ONLINE_METHODS:
+        kind = Norm.EUCLIDEAN
+        if method in START_MAPS:  # mirror descent: the map's dual norm
+            kind = mirror.get_map(START_MAPS[method]).norm
+        G = _grad_bound_or_estimate(adversary, x0, kind, flags)
+        if G == 0.0 and method != "sc-gd":
+            raise ConfigError(f"method {method!r} divides its step size by G: the "
+                              "problem declares no gradient bound, and the "
+                              "gradient at x0 is 0")
+    return adversary, feasible, x0, G, flags
 
 
 def _grad_bound_or_estimate(adversary: OnlineAdversary, x0, kind: Norm,
@@ -240,20 +252,18 @@ def _grad_bound_or_estimate(adversary: OnlineAdversary, x0, kind: Norm,
 
 def _dispatch(config: RunConfig):
     """Run the configured method; returns (trace, problem_or_None, feasible)."""
-    adversary, feasible, x0 = _prepare(config)
+    adversary, feasible, x0, G, flags = _prepare(config)
     problem = adversary.problem if isinstance(adversary, FixedAdversary) else None
     T = config.steps
     sched_id = _schedule(config)
     method = config.method
 
     if method in ("gd", "sc-gd"):
-        flags: list = []
         comparator = adversary.comparator_over(feasible, T)
         if feasible.diameter is not None:
             D = feasible.diameter
         else:
             D = float(np.linalg.norm(as_vector(x0) - comparator))
-        G = _grad_bound_or_estimate(adversary, x0, Norm.EUCLIDEAN, flags)
         if method == "gd":
             if sched_id == "dg-sqrt-t":
                 schedule = descent.AnytimeScaled(D, G)
@@ -266,6 +276,9 @@ def _dispatch(config: RunConfig):
             shift = 0 if sched_id == "inv-alpha-t" else 1
             trace = descent.run_strongly_convex_gd(
                 adversary, feasible, x0, alpha, T, shift=shift, comparator=comparator)
+            if flags:
+                # the schedule never reads G: bound it by the run's gradients
+                G = max(float(np.linalg.norm(s.grad)) for s in trace.steps)
         trace.constants["D"] = D
         trace.constants["G"] = G
         for f in flags:
@@ -276,17 +289,11 @@ def _dispatch(config: RunConfig):
 
     if method in ("mirror-euclidean", "mirror-negentropy"):
         mp = mirror.get_map(method.split("-", 1)[1])
-        flags = []
         comparator = adversary.comparator_over(feasible, T)
-        G_dual = adversary.grad_bound(mp.norm)
-        if G_dual is None:
-            g = adversary.next_loss(0, x0).gradient(x0)
-            G_dual = dual_norm(mp.norm, g)
-            flags.append("trajectory-estimated-G")
-        eta = mirror.tuned_eta(mp, comparator, x0, G_dual, T)
+        eta = mirror.tuned_eta(mp, comparator, x0, G, T)
         trace = mirror.run_mirror_descent(adversary, mp, feasible, x0, eta, T,
                                           comparator=comparator)
-        trace.constants["G_dual"] = float(G_dual)
+        trace.constants["G_dual"] = G
         for f in flags:
             trace.add_flag(f)
         if problem is not None:

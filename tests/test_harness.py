@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from gdcert import accel, descent, mirror, problems, smooth
 from gdcert.cli import main
 from gdcert.core import Unconstrained
 from gdcert.descent import Constant, run_online_gd
@@ -24,6 +25,7 @@ from gdcert.harness import (
     trace_to_dict,
     validate_config,
 )
+from gdcert.mirror import EuclideanMap, run_mirror_descent
 from gdcert.problems import ADVERSARIES, PROBLEMS, FixedAdversary, get_problem
 
 
@@ -217,6 +219,9 @@ class TestRunResult:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError):
                 run_online_gd(adv, Unconstrained(1), [1.0], Constant(1e300), 10)
+            with pytest.raises(FloatingPointError):
+                run_mirror_descent(adv, EuclideanMap(), Unconstrained(1), [1.0],
+                                   1e300, 10)
 
 
 class TestCli:
@@ -240,6 +245,20 @@ class TestCli:
                      "--out", str(tmp_path / "out.json")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_sc_gd_estimated_g_bounds_every_gradient(self, tmp_path):
+        # p2 declares no G; at x0 the gradient norm is 4.12 but the run's
+        # gradients reach 12, so G must come from the whole trajectory
+        out = tmp_path / "out.json"
+        code = main(["run", "--problem", "p2", "--method", "sc-gd", "--steps", "20",
+                     "--certify", "--out", str(out)])
+        assert code == 0
+        trace = json.loads(out.read_text())
+        G = trace["meta"]["constants"]["G"]
+        assert G == max(s["grad_norm"] for s in trace["steps"]) == 12.0
+        assert "trajectory-estimated-G" in trace["meta"]["flags"]
+        report = json.loads((tmp_path / "out.report.json").read_text())
+        assert all(c["step_failures"] == 0 for c in report["certificates"])
 
     def test_x0_parsing(self, tmp_path):
         code = main(["run", "--problem", "p2", "--method", "smooth-gd",
@@ -272,10 +291,16 @@ class TestCli:
          "--x0", "3,3"],
         ["--problem", "lse3", "--method", "agm2-negentropy", "--set", "simplex",
          "--x0", "0.5,0.5,0.5"],
+        # no declared gradient bound and a zero gradient at x0: G = 0
+        ["--problem", "p2", "--method", "mirror-euclidean", "--x0", "0,0"],
+        ["--problem", "p2", "--method", "mirror-euclidean", "--set", "ball",
+         "--x0", "0,0"],
+        ["--problem", "p2", "--method", "gd", "--set", "ball", "--x0", "0,0"],
     ], ids=["negentropy-ball", "experts-unconstrained", "lse3-unconstrained",
             "lse3-wellcond", "lse3-sc-agm", "one-point-simplex",
             "fw-x0-outside", "negentropy-x0-on-face", "mirror-x0-outside",
-            "agm-negentropy-x0-off-simplex"])
+            "agm-negentropy-x0-off-simplex", "mirror-zero-G",
+            "mirror-ball-zero-G", "gd-ball-zero-G"])
     def test_unstartable_run_exit_two(self, tmp_path, capsys, args):
         out = tmp_path / "out.json"
         code = main(["run", *args, "--steps", "10", "--certify", "--out", str(out)])
@@ -351,3 +376,70 @@ class TestCli:
         cfg.write_text(json.dumps([{"problem": "p1", "method": "gd",
                                     "steps": 5, "stride": 2}]))
         assert main(["suite", "--config", str(cfg)]) == 2
+
+
+# one startable run per method, 40 steps unless given
+GRADIENT_COUNT_RUNS = {
+    "gd": dict(problem="p1"),
+    "sc-gd": dict(problem="p2"),
+    "smooth-gd": dict(problem="p2", feasible_set="ball"),
+    "frank-wolfe": dict(problem="p2", feasible_set="simplex", x0=[0.5, 0.5]),
+    "wellcond-gd": dict(problem="p3"),
+    "mirror-euclidean": dict(problem="p2", feasible_set="ball"),
+    "mirror-negentropy": dict(problem="experts-alt", feasible_set="simplex"),
+    "agm2": dict(problem="p2", feasible_set="simplex", x0=[0.5, 0.5]),
+    "agm1": dict(problem="p3"),
+    # the grid prox costs milliseconds per step
+    "agm2-negentropy": dict(problem="lse3", feasible_set="simplex", steps=5),
+    "sc-agm": dict(problem="p3"),
+    # two 40-step epochs
+    "restart-agm": dict(problem="p3", steps=80),
+}
+
+ORACLES = (problems.DiagQuadratic, problems.LogSumExp, problems.LinearLoss)
+SOLVES = ([(cls, "minimizer_over") for cls in ORACLES]
+          + [(problems.FixedAdversary, "comparator_over"),
+             (problems.ExpertsAdversary, "comparator_over")])
+RUNNERS = [(mod, name) for mod in (descent, smooth, mirror, accel)
+           for name in vars(mod) if name.startswith("run_")]
+RUNNERS.append((accel, "restart_accelerated"))
+
+
+class TestOneGradientPerStep:
+    def test_every_method_has_a_run(self):
+        assert sorted(GRADIENT_COUNT_RUNS) == sorted(METHODS)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_gradient_per_recorded_step(self, method, monkeypatch):
+        """Gradient calls made inside the runner, minimizer and comparator
+        solves excluded, equal the number of recorded steps."""
+        depth = {"run": 0, "solve": 0}
+        calls = []
+
+        def scoped(fn, key):
+            def wrapper(*args, **kwargs):
+                depth[key] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[key] -= 1
+            return wrapper
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                if depth["run"] and not depth["solve"]:
+                    calls.append(1)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for owner, name in RUNNERS:
+            monkeypatch.setattr(owner, name, scoped(getattr(owner, name), "run"))
+        for owner, name in SOLVES:
+            monkeypatch.setattr(owner, name, scoped(vars(owner)[name], "solve"))
+        for cls in ORACLES:
+            monkeypatch.setattr(cls, "gradient", counted(vars(cls)["gradient"]))
+
+        cfg = {"steps": 40, **GRADIENT_COUNT_RUNS[method]}
+        trace = run_experiment(RunConfig(method=method, **cfg)).trace
+        assert trace.T == cfg["steps"]
+        assert len(calls) == trace.T
