@@ -258,42 +258,37 @@ def _dispatch(config: RunConfig):
     sched_id = _schedule(config)
     method = config.method
 
-    if method in ("gd", "sc-gd"):
+    if method in ONLINE_METHODS:
         comparator = adversary.comparator_over(feasible, T)
-        if feasible.diameter is not None:
-            D = feasible.diameter
+        if method in START_MAPS:  # mirror descent
+            mp = mirror.get_map(START_MAPS[method])
+            eta = mirror.tuned_eta(mp, comparator, x0, G, T)
+            trace = mirror.run_mirror_descent(adversary, mp, feasible, x0, eta, T,
+                                              comparator=comparator)
+            trace.constants["G_dual"] = G
         else:
-            D = float(np.linalg.norm(as_vector(x0) - comparator))
-        if method == "gd":
-            if sched_id == "dg-sqrt-t":
-                schedule = descent.AnytimeScaled(D, G)
+            if feasible.diameter is not None:
+                D = feasible.diameter
             else:
-                schedule = descent.HorizonScaled(D, G, T)
-            trace = descent.run_online_gd(adversary, feasible, x0, schedule, T,
-                                          comparator=comparator)
-        else:
-            alpha = adversary.strongly_convex_alpha
-            shift = 0 if sched_id == "inv-alpha-t" else 1
-            trace = descent.run_strongly_convex_gd(
-                adversary, feasible, x0, alpha, T, shift=shift, comparator=comparator)
-            if flags:
-                # the schedule never reads G: bound it by the run's gradients
-                G = max(float(np.linalg.norm(s.grad)) for s in trace.steps)
-        trace.constants["D"] = D
-        trace.constants["G"] = G
-        for f in flags:
-            trace.add_flag(f)
-        if problem is not None:
-            trace.constants["f_star"] = problem.optimal_value_over(feasible)
-        return trace, problem, feasible
-
-    if method in ("mirror-euclidean", "mirror-negentropy"):
-        mp = mirror.get_map(method.split("-", 1)[1])
-        comparator = adversary.comparator_over(feasible, T)
-        eta = mirror.tuned_eta(mp, comparator, x0, G, T)
-        trace = mirror.run_mirror_descent(adversary, mp, feasible, x0, eta, T,
-                                          comparator=comparator)
-        trace.constants["G_dual"] = G
+                D = float(np.linalg.norm(as_vector(x0) - comparator))
+            if method == "gd":
+                if sched_id == "dg-sqrt-t":
+                    schedule = descent.AnytimeScaled(D, G)
+                else:
+                    schedule = descent.HorizonScaled(D, G, T)
+                trace = descent.run_online_gd(adversary, feasible, x0, schedule, T,
+                                              comparator=comparator)
+            else:
+                alpha = adversary.strongly_convex_alpha
+                shift = 0 if sched_id == "inv-alpha-t" else 1
+                trace = descent.run_strongly_convex_gd(
+                    adversary, feasible, x0, alpha, T, shift=shift,
+                    comparator=comparator)
+                if flags:
+                    # the schedule never reads G: bound it by the run's gradients
+                    G = max(float(np.linalg.norm(s.grad)) for s in trace.steps)
+            trace.constants["D"] = D
+            trace.constants["G"] = G
         for f in flags:
             trace.add_flag(f)
         if problem is not None:

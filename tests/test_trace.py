@@ -50,8 +50,3 @@ def test_non_finite_step_size_is_rejected():
         drive(get_problem("p1"), np.array([1.0]), 10,
               lambda t, x, g, eta: x - eta * g, lambda t: float("inf"))
 
-
-def test_needs_a_step():
-    with pytest.raises(ValueError):
-        drive(get_problem("p1"), np.array([1.0]), 0,
-              lambda t, x, g, eta: x, lambda t: 1.0)
