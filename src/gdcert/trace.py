@@ -133,7 +133,7 @@ def drive(objective, state, T: int, step, eta, comparator: Vector | None = None,
                 loss = objective.next_loss(t, x) if online else objective
                 g = loss.gradient(x)
                 eta_t = eta(t)
-                if not math.isfinite(g @ zero + eta_t):
+                if not math.isfinite(g.dot(zero) + eta_t):
                     raise FloatingPointError
                 f_ref = None if comparator is None else loss.value(comparator)
                 if coupled:
@@ -143,7 +143,7 @@ def drive(objective, state, T: int, step, eta, comparator: Vector | None = None,
                     steps.append(StepRecord(t0 + t, x, loss.value(x), g, eta_t, f_ref))
                 state = step(t, state, g, eta_t)
                 x = state.x if coupled else state
-                if not math.isfinite(x @ zero):
+                if not math.isfinite(x.dot(zero)):
                     raise FloatingPointError
     except FloatingPointError:
         raise FloatingPointError(f"iterate diverged at step {t0 + t}") from None
