@@ -83,8 +83,8 @@ GOLDEN_RUNS = {
 # SHA-256 of (trace, report) per run and format; None: no report is written.
 # Computed with the per-element serializers the fast paths replaced (and the
 # runs from "sc-gd-p1" on with the per-theorem if-chains the theorem table
-# replaced, and the runs from "agm1-p3" on with the per-method step loops the
-# shared driver replaced), and never regenerated: a changed hash is a changed
+# replaced, and the runs from "agm1-p3" on with the per-method step loops that
+# trace.drive replaced), and never regenerated: a changed hash is a changed
 # file format.
 GOLDEN = {
     ("agm2-negentropy-lse3", "json"): (
