@@ -306,14 +306,15 @@ def sc_agm_z(x, y, kappa: float) -> Vector:
     return np.sqrt(kappa) * (x - y) + x
 
 
-def sc_agm_recursion_residual(problem: Problem, x, z, z_next,
-                              alpha: float, kappa: float) -> float:
+def sc_agm_recursion_residual(grad, x, z, z_next, alpha: float, kappa: float):
     """Deviation from the implied z-recursion
-    z+ = (1 - 1/sqrt(kappa)) z + x/sqrt(kappa) - grad/(alpha sqrt(kappa))."""
+    z+ = (1 - 1/sqrt(kappa)) z + x/sqrt(kappa) - grad/(alpha sqrt(kappa)),
+    with grad the gradient the step took at x. Each argument is one vector,
+    or one row per step: then one residual per row."""
     rk = np.sqrt(kappa)
-    predicted = (1.0 - 1.0 / rk) * as_vector(z) + as_vector(x) / rk \
-        - problem.gradient(x) / (alpha * rk)
-    return float(np.max(np.abs(as_vector(z_next) - predicted)))
+    predicted = (1.0 - 1.0 / rk) * np.asarray(z) + np.asarray(x) / rk \
+        - np.asarray(grad) / (alpha * rk)
+    return np.max(np.abs(np.asarray(z_next) - predicted), axis=-1)
 
 
 def run_sc_agm(problem: Problem, x0, T: int) -> Trace:

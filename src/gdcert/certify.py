@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -25,12 +27,14 @@ from gdcert.descent import weighted_average
 from gdcert.mirror import get_map
 from gdcert.problems import Problem
 from gdcert.smooth import projected_smoothness_gap
-from gdcert.trace import StepRecord, Trace
+from gdcert.trace import Trace
 
 DEFAULT_TOL = 1e-9
 # beyond this horizon, accumulated round-off needs a looser slack
 LONG_RUN_STEPS = 10 ** 5
 LONG_RUN_TOL = 1e-8
+# rows per block of step checks: only one block's Python lists exist at a time
+_CHUNK = 4096
 
 
 class PotentialKind(str, enum.Enum):
@@ -68,28 +72,108 @@ class PotentialSpec:
                 raise ValueError(f"potential {self.kind.value!r} needs constant {n!r}")
 
 
-def _growth(gamma: float, t: int) -> float:
-    return float(np.exp(t * np.log1p(gamma)))
+class _Columns:
+    """A trace as arrays with one row per point t = 0..T: the T step records,
+    then the state after the last step, which has no gradient (a zero row),
+    step size or comparator value (nan).
+
+    Each column is built on first use and kept for one certification only,
+    so no (T+1, d) copy outlives it. A value the trace does not record reads
+    as nan; ``has`` gives the rows that hold one.
+    """
+
+    def __init__(self, trace: Trace, t0: int = 0):
+        self.trace = trace
+        self.t = np.arange(t0, t0 + trace.T + 1)
+        self._present = {}
+
+    def has(self, name: str) -> np.ndarray:
+        getattr(self, name)
+        return self._present[name]
+
+    def _values(self, name: str, final) -> np.ndarray:
+        vals = list(map(attrgetter(name), self.trace.steps))
+        vals.append(final)
+        self._present[name] = np.array([v is not None for v in vals])
+        return np.array(vals, dtype=float)
+
+    @staticmethod
+    def _stack(points: list, name: str) -> np.ndarray:
+        rows = np.array(points, dtype=float)  # ValueError on a ragged list
+        if rows.ndim != 2:
+            raise ValueError(f"the trace does not record {name} at every point")
+        return rows
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return self._stack(self.trace.xs(), "x")
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        return self._stack(self.trace.zs(), "z")
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        grads = [s.grad for s in self.trace.steps]
+        grads.append(np.zeros_like(self.trace.final_x))
+        return self._stack(grads, "a gradient")
+
+    @cached_property
+    def grad_sq(self) -> np.ndarray:
+        return np.vecdot(self.grad, self.grad)
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        return self._values("f", self.trace.final_f)
+
+    @cached_property
+    def f_y(self) -> np.ndarray:
+        return self._values("f_y", self.trace.final_f_y)
+
+    @cached_property
+    def f_ref(self) -> np.ndarray:
+        return self._values("f_ref", None)
+
+    @cached_property
+    def eta(self) -> np.ndarray:
+        return self._values("eta", None)
+
+    def max_grad_norm(self) -> float:
+        """The largest Euclidean gradient norm over the T steps."""
+        return float(np.max(np.sqrt(self.grad_sq[:-1])))
+
+    def dual_grad_norms(self, mirror_map) -> np.ndarray:
+        """The map's dual norm of each step's gradient, t = 0..T-1."""
+        return dual_norm(mirror_map.norm, self.grad[:-1])
+
+    def regret(self) -> float:
+        """Total round loss relative to the comparator over the T steps."""
+        if not self.has("f_ref")[:-1].all():
+            raise ValueError("trace has no comparator values")
+        return sum((self.f[:-1] - self.f_ref[:-1]).tolist())
 
 
-def _dist2(spec: PotentialSpec, point) -> float:
-    d = as_vector(point) - spec.x_star
-    return float(np.dot(d, d))
+def _growth(gamma: float, t):
+    return np.exp(t * np.log1p(gamma))
 
 
-def _bregman(spec: PotentialSpec, point) -> float:
+def _dist2(spec: PotentialSpec, point):
+    d = point - spec.x_star
+    return np.vecdot(d, d)
+
+
+def _bregman(spec: PotentialSpec, point):
     return spec.constants["map"].bregman(spec.x_star, point)
 
 
-def _value_distance_allowance(c: dict, step: StepRecord, t: int) -> float:
+def _value_distance_allowance(c: dict, cols: _Columns, t):
     if c.get("projected"):
         return 0.0
-    g = as_vector(step.grad)
-    return -(t / (2.0 * c["beta"])) * float(np.dot(g, g))
+    return -(t / (2.0 * c["beta"])) * cols.grad_sq
 
 
-def _bregman_allowance(c: dict, step: StepRecord, t: int) -> float:
-    gd = dual_norm(c["map"].norm, step.grad)
+def _bregman_allowance(c: dict, cols: _Columns, t):
+    gd = dual_norm(c["map"].norm, cols.grad)
     return 0.5 * c["eta"] * gd * gd / c["alpha_h"]
 
 
@@ -98,14 +182,15 @@ class _Shape:
     """One potential kind: Phi_t from the constants, t, the value gap and the
     distance term, and the allowance B_t on its step-t change. Phi_t is
     a_t * gap plus a non-negative distance term, so a_t * gap is Phi_t at
-    distance 0."""
+    distance 0. Every callable works elementwise, on one point or on a
+    column of them."""
 
     phi: Callable                     # (c, t, gap, dist) -> Phi_t
     needs: tuple                      # constants Phi_t reads
-    # (c, step, t) -> B_t; monotone potentials may not increase at all
-    allowance: Callable = lambda c, step, t: 0.0
+    # (c, cols, t) -> B_t at every row; monotone potentials may not increase
+    allowance: Callable = lambda c, cols, t: 0.0
     bound_needs: tuple = ()           # constants B_t reads beyond those
-    distance: Callable | None = None  # (spec, point) -> distance term
+    distance: Callable | None = None  # (spec, point or rows) -> distance term
     # distance-only potentials are charged the round's loss: the check is
     # (f_t(x_t) - f_t(x*)) + dPhi <= B_t
     amortized: bool = False
@@ -115,18 +200,18 @@ class _Shape:
 POTENTIALS = {
     PotentialKind.DISTANCE: _Shape(
         lambda c, t, gap, d: d / (2.0 * c["eta"]), ("eta",),
-        lambda c, step, t: 0.5 * c["eta"] * c["G"] ** 2, ("G",),
+        lambda c, cols, t: 0.5 * c["eta"] * c["G"] ** 2, ("G",),
         distance=_dist2, amortized=True),
     PotentialKind.SC_DISTANCE: _Shape(
         lambda c, t, gap, d: 0.5 * t * c["alpha"] * d, ("alpha",),
-        lambda c, step, t: 0.5 * step.eta * c["G"] ** 2, ("G",),
+        lambda c, cols, t: 0.5 * cols.eta * c["G"] ** 2, ("G",),
         distance=_dist2, amortized=True),
     PotentialKind.VALUE: _Shape(
         lambda c, t, gap, d: t * gap, (),
-        lambda c, step, t: c["beta"] * c["D"] ** 2 / (2.0 * (t + 1.0)), ("beta", "D")),
+        lambda c, cols, t: c["beta"] * c["D"] ** 2 / (2.0 * (t + 1.0)), ("beta", "D")),
     PotentialKind.VALUE_SCALED: _Shape(
         lambda c, t, gap, d: t * (t + 1.0) * gap, (),
-        lambda c, step, t: 2.0 * c["beta"] * c["D"] ** 2 * (t + 1.0) / (t + 2.0),
+        lambda c, cols, t: 2.0 * c["beta"] * c["D"] ** 2 * (t + 1.0) / (t + 2.0),
         ("beta", "D")),
     PotentialKind.VALUE_DISTANCE: _Shape(
         lambda c, t, gap, d: t * gap + 0.5 * c["beta"] * d, ("beta",),
@@ -152,8 +237,10 @@ POTENTIALS = {
 }
 
 
-def potential(spec: PotentialSpec, state, t: int) -> float:
-    """Evaluate Phi_t on a state carrying x (and y/z/f_y when needed).
+def potential(spec: PotentialSpec, state, t):
+    """Evaluate Phi_t on a state carrying x (and z/f_y when coupled): one
+    record at one t, or a trace's columns at every t = 0..T, one value per
+    row.
 
     Non-negative whenever the reference value is the true optimum.
     """
@@ -170,7 +257,7 @@ def potential(spec: PotentialSpec, state, t: int) -> float:
     return shape.phi(spec.constants, t, gap, dist)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepCheck:
     t: int
     phi: float
@@ -269,22 +356,45 @@ class CertReport:
         }
 
 
-def _step_check(spec: PotentialSpec, state: StepRecord, t: int,
-                phi_t: float, phi_next: float, tol: float) -> StepCheck:
-    """The step-t bound from the potential values on both sides of the step."""
+def _defined(spec: PotentialSpec, cols: _Columns) -> np.ndarray:
+    """The rows where Phi_t is defined: a value is recorded there, unless
+    the potential reads none, and the point lies in the mirror map's
+    domain."""
     shape = POTENTIALS[spec.kind]
-    dphi = phi_next - phi_t
-    allowed = shape.allowance(spec.constants, state, t)
-    slack = tol * (1.0 + abs(phi_t))
-    amortized = None
+    rows = np.ones(cols.t.shape, dtype=bool)
+    if not shape.amortized:
+        rows &= cols.has("f_y" if shape.coupled else "f")
+    if shape.distance is _bregman:
+        rows &= spec.constants["map"].interior(cols.z if shape.coupled else cols.x)
+    return rows
+
+
+def _step_checks(spec: PotentialSpec, cols: _Columns, phi: np.ndarray,
+                 steps: np.ndarray, tol: float) -> list:
+    """The bounds of the given steps t, each from Phi on both sides of it."""
+    shape = POTENTIALS[spec.kind]
+    dphi = phi[1:] - phi[:-1]
+    allowed = np.broadcast_to(shape.allowance(spec.constants, cols, cols.t),
+                              phi.shape)[:-1]
+    slack = tol * (1.0 + np.abs(phi[:-1]))
+    checked, amortized = dphi, []
     if shape.amortized:
-        f_ref = state.f_ref if state.f_ref is not None else spec.f_star
-        if f_ref is None:
-            raise ValueError("amortized check needs the comparator's round value")
-        amortized = (state.f - f_ref) + dphi
-    ok = (dphi if amortized is None else amortized) <= allowed + slack
-    return StepCheck(t=t, phi=phi_t, dphi=dphi, allowed=allowed, ok=ok,
-                     slack=slack, amortized=amortized)
+        f_ref = cols.f_ref[:-1]
+        missing = ~cols.has("f_ref")[:-1]
+        if missing[steps].any():
+            if spec.f_star is None:
+                raise ValueError("amortized check needs the comparator's round value")
+            f_ref = np.where(missing, spec.f_star, f_ref)
+        checked = (cols.f[:-1] - f_ref) + dphi
+        amortized = [checked]
+    fields = [cols.t[:-1], phi[:-1], dphi, allowed, checked <= allowed + slack, slack,
+              *amortized]
+    if steps.size < dphi.size:
+        fields = [field[steps] for field in fields]
+    checks = []
+    for lo in range(0, steps.size, _CHUNK):
+        checks.extend(map(StepCheck, *(field[lo:lo + _CHUNK].tolist() for field in fields)))
+    return checks
 
 
 def certify_step(spec: PotentialSpec, state_t, state_next, t: int,
@@ -293,17 +403,12 @@ def certify_step(spec: PotentialSpec, state_t, state_next, t: int,
 
     Failures are recorded, never raised.
     """
-    phi_t, phi_next = potential(spec, state_t, t), potential(spec, state_next, t + 1)
     spec.require(*POTENTIALS[spec.kind].bound_needs)
-    return _step_check(spec, state_t, t, phi_t, phi_next, tol)
-
-
-def _state_views(trace: Trace):
-    """Step records followed by a view of the final state."""
-    final = StepRecord(t=trace.T, x=trace.final_x, f=trace.final_f,
-                       grad=np.zeros_like(trace.final_x), eta=None,
-                       y=trace.final_y, z=trace.final_z, f_y=trace.final_f_y)
-    return list(trace.steps) + [final]
+    cols = _Columns(Trace(steps=[state_t], final_x=state_next.x, final_y=state_next.y,
+                          final_z=state_next.z, final_f=state_next.f,
+                          final_f_y=state_next.f_y), t0=t)
+    phi = potential(spec, cols, cols.t)
+    return _step_checks(spec, cols, phi, np.arange(1), tol)[0]
 
 
 def _bound_check(label, lhs, rhs, tol, note="") -> EndCheck:
@@ -362,41 +467,39 @@ def _final_gap(trace, c, tol, envelope, **_):
     return [_bound_check("final-gap", trace.final_f - c["f_star"], rhs, tol)]
 
 
-def _anytime_gap(trace, c, tol, envelope, **_):
-    """The largest margin of f(y_t) - f* over the envelope, over t >= 1."""
-    bound = envelope(trace, c)
-    views = _state_views(trace)
-    worst, arg = -np.inf, 1
-    for t in range(1, trace.T + 1):
-        if views[t].f_y is None:
-            raise ValueError("the anytime bound needs f(y_t) at every t")
-        margin = views[t].f_y - (c["f_star"] + bound(t))
-        if margin > worst:
-            worst, arg = margin, t
-    return [_bound_check("anytime-gap", worst, 0.0, tol,
-                         note=f"worst margin at t = {arg}")]
+def _anytime_gap(trace, c, tol, envelope, cols, **_):
+    """The largest margin of f(y_t) - f* over the envelope, over t >= 1; the
+    first t that attains it. A nan margin never counts as the largest."""
+    if not cols.has("f_y")[1:].all():
+        raise ValueError("the anytime bound needs f(y_t) at every t")
+    t = cols.t[1:]
+    margin = cols.f_y[1:] - (c["f_star"] + envelope(trace, c)(t))
+    margin[np.isnan(margin)] = -np.inf
+    arg = int(np.argmax(margin))
+    return [_bound_check("anytime-gap", margin[arg], 0.0, tol,
+                         note=f"worst margin at t = {t[arg]}")]
 
 
-def _gd_regret(trace, c, tol, **_):
+def _gd_regret(trace, c, tol, cols, **_):
     rhs = c["D"] * c["G"] / np.sqrt(trace.T)
-    return [_bound_check("average-regret", trace.average_regret(), rhs, tol)]
+    return [_bound_check("average-regret", cols.regret() / trace.T, rhs, tol)]
 
 
-def _sc_regret(trace, c, tol, **_):
+def _sc_regret(trace, c, tol, cols, **_):
     T = trace.T
     rhs = c["G"] ** 2 * np.log(T) / (2.0 * T * c["alpha"]) if T > 1 else 0.0
-    chk = _bound_check("average-regret", trace.average_regret(), rhs, tol)
+    chk = _bound_check("average-regret", cols.regret() / T, rhs, tol)
     if T == 1:
         chk.vacuous = True
         chk.note = "log T vanishes at T = 1"
     return [chk]
 
 
-def _sc_average(trace, c, tol, problem, **_):
+def _sc_average(trace, c, tol, cols, problem, **_):
     if problem is None:
         raise ValueError("weighted-average check needs the objective")
     if c.get("G") is None:
-        c["G"] = max(float(np.linalg.norm(s.grad)) for s in trace.steps)
+        c["G"] = cols.max_grad_norm()
     lhs = problem.value(weighted_average(trace)) - c["f_star"]
     rhs = c["G"] ** 2 / (c["alpha"] * (trace.T + 1.0))
     return [_bound_check("weighted-average-gap", lhs, rhs, tol)]
@@ -419,41 +522,41 @@ def _final_distance(trace, c, tol, **_):
     return [_bound_check("final-distance", lhs, rhs, tol)]
 
 
-def _mirror_regret(trace, c, tol, **_):
+def _mirror_regret(trace, c, tol, cols, **_):
     mp = c["map"]
     div = mp.bregman(c["x_star"], trace.steps[0].x)
     eta, ah = c["eta"], c["alpha_h"]
-    dual_sq = sum(dual_norm(mp.norm, s.grad) ** 2 for s in trace.steps)
+    # Python's float ** 2 (libm pow) is kept: numpy squares by x * x, which
+    # can differ in the last bit
+    dual_sq = sum([g ** 2 for g in cols.dual_grad_norms(mp).tolist()])
     rhs = div / eta + eta * dual_sq / (2.0 * ah)
-    out = [_bound_check("regret", trace.regret(), rhs, tol)]
+    regret = cols.regret()
+    out = [_bound_check("regret", regret, rhs, tol)]
     if c.get("G_dual") is not None:
         rhs_g = div / eta + eta * trace.T * c["G_dual"] ** 2 / (2.0 * ah)
-        out.append(_bound_check("regret-gradient-bound", trace.regret(), rhs_g,
+        out.append(_bound_check("regret-gradient-bound", regret, rhs_g,
                                 tol, note="same envelope with the uniform G"))
     return out
 
 
-def _agm_sc(trace, c, tol, envelope, phis, problem, **_):
+def _agm_sc(trace, c, tol, envelope, phi0, cols, **_):
     if c.get("gamma") is None:
         # condition number 1: a single exact step, nothing to telescope
         return [_bound_check("single-step-gap", trace.final_f - c["f_star"],
                              0.0, tol, note="condition number 1 reaches the "
                                             "minimizer in one step")]
-    out = _anytime_gap(trace, c, tol, envelope)
-    if phis is None or phis[0] is None:
+    out = _anytime_gap(trace, c, tol, envelope, cols)
+    if phi0 is None:
         raise ValueError("the initial potential is undefined")
-    out.append(_bound_check("initial-potential", phis[0], envelope(trace, c)(0), tol,
+    out.append(_bound_check("initial-potential", phi0, envelope(trace, c)(0), tol,
                             note="Phi_0 within (alpha+beta)/2 ||x0-x*||^2"))
-    if problem is not None:
-        from gdcert.accel import sc_agm_recursion_residual
+    from gdcert.accel import sc_agm_recursion_residual
 
-        views = _state_views(trace)
-        worst_res = max(
-            sc_agm_recursion_residual(problem, views[t].x, views[t].z,
-                                      views[t + 1].z, c["alpha"], c["kappa"])
-            for t in range(trace.T))
-        out.append(_bound_check("z-recursion-residual", worst_res, 0.0,
-                                1e-9, note="implied aggressive-sequence recursion"))
+    z = cols.z
+    residual = sc_agm_recursion_residual(cols.grad[:-1], cols.x[:-1], z[:-1], z[1:],
+                                         c["alpha"], c["kappa"])
+    out.append(_bound_check("z-recursion-residual", np.max(residual), 0.0,
+                            1e-9, note="implied aggressive-sequence recursion"))
     return out
 
 
@@ -571,7 +674,7 @@ THEOREMS = {th.theorem_id: th for th in [
 ]}
 
 
-def _gather_constants(trace: Trace, spec: _Theorem) -> tuple[dict, list]:
+def _gather_constants(trace: Trace, spec: _Theorem, cols: _Columns) -> tuple[dict, list]:
     """Merge trace constants with certifier-derived fallbacks; returns the
     constants plus any honesty flags the fallbacks introduce."""
     c = dict(trace.constants)
@@ -584,20 +687,58 @@ def _gather_constants(trace: Trace, spec: _Theorem) -> tuple[dict, list]:
         c["map"] = get_map(trace.meta.get("map", "euclidean"))
     if "eta" not in c and trace.steps and trace.steps[0].eta is not None:
         c["eta"] = trace.steps[0].eta
-        if any(s.eta != c["eta"] for s in trace.steps) and kind is PotentialKind.DISTANCE:
+        if kind is PotentialKind.DISTANCE and np.any(cols.eta[:-1] != c["eta"]):
             flags.append("varying-eta")
     if c.get("G") is None and kind in (PotentialKind.DISTANCE, PotentialKind.SC_DISTANCE):
-        c["G"] = max(float(np.linalg.norm(s.grad)) for s in trace.steps)
+        c["G"] = cols.max_grad_norm()
         flags.append("trajectory-estimated-G")
     if c.get("G_dual") is None and kind is PotentialKind.BREGMAN:
-        norm = c["map"].norm
-        c["G_dual"] = max(dual_norm(norm, s.grad) for s in trace.steps)
+        c["G_dual"] = float(np.max(cols.dual_grad_norms(c["map"])))
     needs_D = kind in (PotentialKind.DISTANCE, PotentialKind.VALUE,
                        PotentialKind.VALUE_SCALED)
     if needs_D and c.get("D") is None and "x_star" in c:
-        c["D"] = max(float(np.linalg.norm(x - c["x_star"])) for x in trace.xs())
+        d = cols.x - c["x_star"]
+        c["D"] = float(np.max(np.sqrt(np.vecdot(d, d))))
         flags.append("trajectory-estimated-D")
     return c, flags
+
+
+def _replay(report: CertReport, spec: PotentialSpec, cols: _Columns,
+            tol: float) -> float | None:
+    """Phi_t at every t, the step checks, the telescoping residual and the
+    consistency check, into ``report``; each checked step's phi and step_ok
+    are written back to its record. Returns Phi_0, or None where undefined."""
+    shape = POTENTIALS[spec.kind]
+    spec.require(*shape.needs, *shape.bound_needs)
+    try:
+        phi = potential(spec, cols, cols.t)
+        defined = _defined(spec, cols)
+    except ValueError:
+        # no f* for a value potential, or no point of the kind it reads:
+        # Phi_t is undefined at every t
+        return None
+    steps = np.flatnonzero(defined[:-1] & defined[1:])
+    if steps.size:
+        report.step_checks = _step_checks(spec, cols, phi, steps, tol)
+        records = cols.trace.steps
+        for check in report.step_checks:
+            records[check.t].phi, records[check.t].step_ok = check.phi, check.ok
+    known = np.flatnonzero(defined)
+    if known.size >= 2:
+        first, last = phi[known[0]].item(), phi[known[-1]].item()
+        total = sum([check.dphi for check in report.step_checks])
+        report.telescoping_residual = abs((last - first) - total)
+        report.telescoping_ok = report.telescoping_residual <= tol * (
+            1.0 + abs(first) + abs(last))
+    # monotone-potential consistency: Phi_T still dominates its value term
+    # a_T (f_T - f*) when the reference is the true optimum
+    if (not shape.amortized and defined[-1] and spec.f_star is not None
+            and "comparator-reference" not in report.flags):
+        last = phi[-1].item()
+        gap = (cols.f_y if shape.coupled else cols.f)[-1].item()
+        value_term = shape.phi(spec.constants, cols.t[-1], gap - spec.f_star, 0.0)
+        report.consistency_ok = bool(last >= value_term - tol * (1.0 + abs(last)))
+    return phi[0].item() if defined[0] else None
 
 
 def certify_trace(theorem_id: str, trace: Trace, problem: Problem | None = None,
@@ -607,7 +748,8 @@ def certify_trace(theorem_id: str, trace: Trace, problem: Problem | None = None,
 
     Produces per-step verdicts, the telescoping residual, the
     potential-vs-final-gap consistency check, and the end-to-end inequality
-    at the theorem's stated constants.
+    at the theorem's stated constants. Every check is evaluated over the
+    trace's columns at once; the totals are Python sums, in step order.
     """
     if theorem_id not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
@@ -615,7 +757,8 @@ def certify_trace(theorem_id: str, trace: Trace, problem: Problem | None = None,
     if trace.T > LONG_RUN_STEPS:
         tol = max(tol, LONG_RUN_TOL)
 
-    consts, flags = _gather_constants(trace, spec)
+    cols = _Columns(trace)
+    consts, flags = _gather_constants(trace, spec, cols)
     consts.update(spec.constants)
     report = CertReport(theorem=theorem_id, claim=spec.claim,
                         potential_kind=spec.kind.value if spec.kind else None,
@@ -628,46 +771,15 @@ def certify_trace(theorem_id: str, trace: Trace, problem: Problem | None = None,
         return report
 
     try:
-        phis = None
+        phi0 = None
         if spec.kind is not None and "single-step-optimal" not in trace.flags:
-            shape = POTENTIALS[spec.kind]
             pspec = PotentialSpec(kind=spec.kind, constants=consts,
                                   x_star=consts["x_star"], f_star=consts.get("f_star"))
-            pspec.require(*shape.needs, *shape.bound_needs)
-            views = _state_views(trace)
-            phis = []
-            for t, v in enumerate(views):
-                try:
-                    phis.append(potential(pspec, v, t))
-                except ValueError:
-                    # online traces have no final round value; distance-based
-                    # potentials never hit this branch
-                    phis.append(None)
-            for t in range(trace.T):
-                if phis[t] is None or phis[t + 1] is None:
-                    continue
-                check = _step_check(pspec, views[t], t, phis[t], phis[t + 1], tol)
-                report.step_checks.append(check)
-                trace.steps[t].phi = phis[t]
-                trace.steps[t].step_ok = check.ok
-            known = [p for p in phis if p is not None]
-            if len(known) >= 2:
-                total = sum(c.dphi for c in report.step_checks)
-                report.telescoping_residual = abs((known[-1] - known[0]) - total)
-                report.telescoping_ok = report.telescoping_residual <= tol * (
-                    1.0 + abs(known[0]) + abs(known[-1]))
-            # monotone-potential consistency: Phi_T still dominates its value
-            # term a_T (f_T - f*) when the reference is the true optimum
-            if (not shape.amortized and phis[-1] is not None
-                    and consts.get("f_star") is not None
-                    and "comparator-reference" not in flags):
-                gap = views[-1].f_y if shape.coupled else views[-1].f
-                if gap is not None:
-                    value_term = shape.phi(consts, trace.T, gap - consts["f_star"], 0.0)
-                    report.consistency_ok = bool(
-                        phis[-1] >= value_term - tol * (1.0 + abs(phis[-1])))
+            # the columns overflow and meet inf - inf as Python floats do: quietly
+            with np.errstate(over="ignore", invalid="ignore"):
+                phi0 = _replay(report, pspec, cols, tol)
         report.end_checks.extend(spec.end(
-            trace, consts, tol, envelope=spec.envelope, phis=phis,
+            trace, consts, tol, envelope=spec.envelope, phi0=phi0, cols=cols,
             problem=problem, feasible=feasible))
     except (ValueError, KeyError) as exc:
         report.error = f"not certifiable: {exc}"
@@ -683,12 +795,12 @@ def rate_comparison(traces: list, theorem_ids: list) -> dict:
         label = tr.meta.get("method", "run")
         columns.append(f"gap:{label}")
         f_star = tr.constants.get("f_star", 0.0)
-        views = _state_views(tr)
-        gaps = []
-        for v in views:
-            val = v.f_y if v.f_y is not None else v.f
-            gaps.append(None if val is None else val - f_star)
-        series.append(gaps)
+        cols = _Columns(tr)
+        # the gap at y_t where the run records one, else at x_t
+        at_y = cols.has("f_y")
+        gaps = np.where(at_y, cols.f_y, cols.f) - f_star
+        known = at_y | cols.has("f")
+        series.append([g if k else None for g, k in zip(gaps.tolist(), known.tolist())])
     for tid in theorem_ids:
         if tid not in THEOREMS:
             raise KeyError(f"unknown theorem id {tid!r}")

@@ -153,11 +153,11 @@ def main(argv=None) -> int:
             if not isinstance(raw, list):
                 raise ConfigError("suite config must be a JSON list of run configs")
             configs = [_config_from_dict(entry) for entry in raw]
-            for config in configs:  # reject the suite before writing any file
-                validate_config(config)
+            # reject the suite before writing any file
+            prepared = [validate_config(config) for config in configs]
             worst = 0
-            for config in configs:
-                result = run_experiment(config)
+            for config, prep in zip(configs, prepared):
+                result = run_experiment(config, prep)
                 _print_result(result)
                 worst = max(worst, result.exit_code)
             return worst

@@ -146,7 +146,9 @@ def _finite_coordinates(x0) -> bool:
         return False
 
 
-def validate_config(config: RunConfig) -> None:
+def validate_config(config: RunConfig) -> tuple:
+    """Reject a config its run cannot take (ConfigError); returns what
+    ``_prepare`` makes for the run, so that the run need not make it again."""
     if config.problem not in PROBLEMS and config.problem not in ADVERSARIES:
         raise ConfigError(f"unknown problem id {config.problem!r}")
     if config.method not in METHODS:
@@ -178,7 +180,7 @@ def validate_config(config: RunConfig) -> None:
             raise ConfigError(f"theorem {tid!r} {why}")
     if config.theorems and not config.certify:
         raise ConfigError("theorem list given without --certify")
-    _prepare(config)
+    return _prepare(config)
 
 
 def _schedule(config: RunConfig) -> str | None:
@@ -250,9 +252,10 @@ def _grad_bound_or_estimate(adversary: OnlineAdversary, x0, kind: Norm,
     return float(G)
 
 
-def _dispatch(config: RunConfig):
-    """Run the configured method; returns (trace, problem_or_None, feasible)."""
-    adversary, feasible, x0, G, flags = _prepare(config)
+def _dispatch(config: RunConfig, prepared: tuple):
+    """Run the configured method from what ``_prepare`` made for it; returns
+    (trace, problem_or_None, feasible)."""
+    adversary, feasible, x0, G, flags = prepared
     problem = adversary.problem if isinstance(adversary, FixedAdversary) else None
     T = config.steps
     sched_id = _schedule(config)
@@ -351,15 +354,18 @@ class RunResult:
         }
 
 
-def run_experiment(config: RunConfig) -> RunResult:
+def run_experiment(config: RunConfig, prepared: tuple | None = None) -> RunResult:
     """Validate, run, certify, and (when asked) write trace and report files.
+    ``prepared`` is what ``validate_config(config)`` returned, for a caller
+    that has validated the config already.
 
     Deterministic for a fixed (config, seed): runs use no randomness and the
     serializers are order- and format-stable.
     """
-    validate_config(config)
+    if prepared is None:
+        prepared = validate_config(config)
     try:
-        trace, problem, feasible = _dispatch(config)
+        trace, problem, feasible = _dispatch(config, prepared)
     except FloatingPointError as exc:
         return RunResult(config=config, trace=None, reports=[],
                          error=f"numeric failure: {exc}")

@@ -11,6 +11,7 @@ from gdcert.core import (
     Simplex,
     Unconstrained,
     Vector,
+    as_points,
     as_vector,
     check_same_dim,
 )
@@ -36,7 +37,8 @@ class MirrorMap:
         raise NotImplementedError
 
     def interior(self, x) -> bool:
-        """Whether grad_h is defined at x."""
+        """Whether grad_h is defined at x; for an (n, d) stack of points,
+        one flag per row."""
         return True
 
     def bregman(self, y, x) -> float:
@@ -68,8 +70,10 @@ class EuclideanMap(MirrorMap):
         return as_vector(theta).copy()
 
     def bregman(self, y, x) -> float:
-        d = as_vector(y) - as_vector(x)
-        return 0.5 * float(np.dot(d, d))
+        # x may be an (n, d) stack of points: one divergence per row
+        d = as_vector(y) - as_points(x)
+        div = 0.5 * np.vecdot(d, d)
+        return float(div) if d.ndim == 1 else div
 
 
 class NegEntropyMap(MirrorMap):
@@ -98,21 +102,25 @@ class NegEntropyMap(MirrorMap):
         return np.exp(as_vector(theta) - 1.0)
 
     def interior(self, x) -> bool:
-        return bool(np.all(as_vector(x) > 0))
+        return np.all(as_points(x) > 0, axis=-1)
 
     def bregman(self, y, x) -> float:
         # sum_i y_i ln(y_i / x_i) + sum(x) - sum(y); reduces to KL on the
-        # simplex, and stays finite when y has zero entries
+        # simplex, and stays finite when y has zero entries. x may be an
+        # (n, d) stack of points: one divergence per row, nan on the rows
+        # outside the interior
         y = as_vector(y)
-        x = as_vector(x)
-        check_same_dim(y, x)
-        if not self.interior(x):
+        x = as_points(x)
+        check_same_dim(y, x[0] if x.ndim == 2 else x)
+        inside = self.interior(x)
+        if x.ndim == 1 and not inside:
             raise ValueError("second argument must lie in the entropy interior")
         if np.any(y < 0):
             raise ValueError("first argument outside the entropy domain")
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(y > 0, y * np.log(y / x), 0.0)
-        return float(np.sum(terms) + np.sum(x) - np.sum(y))
+        div = np.sum(terms, axis=-1) + np.sum(x, axis=-1) - np.sum(y)
+        return float(div) if x.ndim == 1 else np.where(inside, div, np.nan)
 
 
 MAPS = {

@@ -247,7 +247,7 @@ class TestStronglyConvexAgm:
         trace = run_sc_agm(p2, [1.0, 1.0], 100)
         zs = trace.zs()
         for t, s in enumerate(trace.steps):
-            res = sc_agm_recursion_residual(p2, s.x, s.z, zs[t + 1], 1.0, 4.0)
+            res = sc_agm_recursion_residual(s.grad, s.x, s.z, zs[t + 1], 1.0, 4.0)
             assert res <= 1e-9
 
     def test_condition_one_single_exact_step(self, p1):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gdcert.certify
 from gdcert.certify import (
@@ -19,6 +21,7 @@ from gdcert.problems import PROBLEMS, FixedAdversary, get_problem
 from gdcert.smooth import run_smooth_gd, run_well_conditioned
 from gdcert.accel import run_agm2, run_sc_agm
 from gdcert.trace import StepRecord, Trace
+from oracles import replay_certificate
 
 
 def view(t, x, f=None, y=None, z=None, f_y=None, grad=None, eta=None, f_ref=None):
@@ -158,6 +161,7 @@ def test_one_run_per_kind_covers_every_kind():
 
 @pytest.mark.parametrize("theorem_id", sorted(ONE_RUN_PER_KIND))
 def test_potential_evaluated_once_per_point(theorem_id, monkeypatch):
+    """One evaluation covers t = 0..T, each t exactly once."""
     T = 12
     cfg = RunConfig(steps=T, **ONE_RUN_PER_KIND[theorem_id])
     trace = run_experiment(cfg).trace
@@ -174,7 +178,8 @@ def test_potential_evaluated_once_per_point(theorem_id, monkeypatch):
     report = certify_trace(theorem_id, trace, problem=problem, feasible=feasible)
     assert report.error is None
     assert len(report.step_checks) == T
-    assert sorted(calls) == list(range(T + 1))
+    assert len(calls) == 1
+    assert calls[0].tolist() == list(range(T + 1))
 
 
 class TestFailedPotentialSemantics:
@@ -241,3 +246,77 @@ def test_every_theorem_has_a_claim():
     for tid, spec in THEOREMS.items():
         assert spec.claim
         assert spec.theorem_id == tid
+
+
+# one run per potential kind on p2, p3, lse3 and experts-alt, plus the
+# online gd and Euclidean-map runs, whose comparator values and divergences
+# take other paths; each gets a start point from the strategy of its set
+COLUMNAR_RUNS = {
+    "gd-regret": dict(problem="p2", method="gd"),
+    "sc-regret": dict(problem="p3", method="sc-gd"),
+    "smooth-value-log": dict(problem="lse3", method="smooth-gd"),
+    "smooth-value-scaled": dict(problem="p2", method="smooth-gd"),
+    "smooth-value-distance": dict(problem="p3", method="smooth-gd"),
+    "well-conditioned": dict(problem="p2", method="wellcond-gd"),
+    "mirror-regret": dict(problem="experts-alt", method="mirror-negentropy",
+                          feasible_set="simplex"),
+    "agm-smooth": dict(problem="p3", method="agm2"),
+    "agm-mirror": dict(problem="lse3", method="agm2-negentropy",
+                       feasible_set="simplex"),
+    "agm-sc": dict(problem="p3", method="sc-agm"),
+    "failed-potential": dict(problem="p3", method="smooth-gd"),
+    "gd-regret/online": dict(problem="experts-alt", method="gd", feasible_set="ball"),
+    "mirror-regret/euclidean": dict(problem="experts-alt", method="mirror-euclidean",
+                                    feasible_set="ball"),
+}
+
+
+def test_columnar_runs_cover_every_kind():
+    assert {THEOREMS[name.split("/")[0]].kind
+            for name in COLUMNAR_RUNS} == set(PotentialKind)
+
+
+def _start(draw, cfg):
+    dim = 3 if cfg["problem"] == "lse3" else 2
+    if cfg.get("feasible_set") == "simplex":
+        w = draw(st.lists(st.floats(0.05, 1.0), min_size=dim, max_size=dim))
+        return [v / sum(w) for v in w]
+    coord = st.floats(0.1, 2.0).flatmap(lambda v: st.sampled_from([v, -v]))
+    x0 = draw(st.lists(coord, min_size=dim, max_size=dim))
+    if cfg.get("feasible_set") == "ball":  # inside the unit ball
+        return [v / (2.0 * np.linalg.norm(x0)) for v in x0]
+    return x0
+
+
+def _bits(value):
+    """Floats by their bit pattern, so that nan equals nan and 0.0 differs
+    from -0.0; everything else as it is."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("name", sorted(COLUMNAR_RUNS))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_columns_match_scalar_replay(name, data):
+    """Every step check, the telescoping residual and every end check of the
+    columnar certifier equal, bit for bit, a point-by-point replay."""
+    cfg = COLUMNAR_RUNS[name]
+    theorem_id = name.split("/")[0]
+    config = RunConfig(steps=30, x0=_start(data.draw, cfg), certify=True,
+                       theorems=[theorem_id], **cfg)
+    result = run_experiment(config)
+    (report,) = result.reports
+    assert report.error is None
+    problem = get_problem(cfg["problem"]) if cfg["problem"] in PROBLEMS else None
+    ref = replay_certificate(theorem_id, report.potential_kind, result.trace,
+                             problem=problem, tol=report.tol)
+    steps = [(c.t, c.phi, c.dphi, c.allowed, c.ok, c.slack, c.amortized)
+             for c in report.step_checks]
+    assert _bits(steps) == _bits(ref["steps"])
+    assert _bits(report.telescoping_residual) == _bits(ref["telescoping_residual"])
+    ends = [(e.label, e.lhs, e.rhs, e.ok, e.note) for e in report.end_checks]
+    assert _bits(ends) == _bits(ref["end_checks"])

@@ -443,3 +443,37 @@ class TestOneGradientPerStep:
         trace = run_experiment(RunConfig(method=method, **cfg)).trace
         assert trace.T == cfg["steps"]
         assert len(calls) == trace.T
+
+
+class TestGradientCallsPerRun:
+    """Every gradient call of a whole run, start checks and certification
+    included: one per step, plus the x0 gradient that fixes G."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for cls in ORACLES:
+            monkeypatch.setattr(cls, "gradient", counted(vars(cls)["gradient"]))
+        return calls
+
+    @pytest.mark.parametrize("cfg, expected", [
+        (dict(problem="p1", method="gd", steps=200), 201),
+        (dict(problem="p3", method="sc-agm", steps=200, certify=True), 200),
+    ])
+    def test_gradient_calls(self, cfg, expected, calls):
+        result = run_experiment(RunConfig(**cfg))
+        assert result.error is None and result.passed
+        assert len(calls) == expected
+
+    def test_suite_checks_and_runs_with_one_start(self, tmp_path, calls):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps([{"problem": "p1", "method": "gd", "steps": 200}]))
+        assert main(["suite", "--config", str(cfg)]) == 0
+        assert len(calls) == 201
