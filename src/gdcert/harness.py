@@ -477,25 +477,30 @@ def _csv_vector(v: np.ndarray) -> str:
     return ",".join(map(repr, v.tolist()))
 
 
+def _grad_norms(trace: Trace) -> tuple[list, list]:
+    """The Euclidean and the map's dual norm of every recorded gradient: the
+    floats ``np.linalg.norm`` and ``dual_norm`` give row by row."""
+    kind = Norm.L1 if trace.meta.get("map") == "negentropy" else Norm.EUCLIDEAN
+    G = np.array([s.grad for s in trace.steps], dtype=float).reshape(
+        trace.T, trace.final_x.shape[0])
+    if not np.isfinite(G).all():
+        raise ValueError("vector has non-finite entries")
+    return np.sqrt(np.vecdot(G, G)).tolist(), dual_norm(kind, G).tolist()
+
+
 def trace_to_dict(trace: Trace) -> dict:
     """One top-level object with ``meta`` and ``steps``, for ``json_dumps``.
     Iterates stay numpy arrays."""
-    norm_kind = Norm.L1 if trace.meta.get("map") == "negentropy" else Norm.EUCLIDEAN
     consts = {}
     for k, v in trace.constants.items():
         consts[k] = v.tolist() if isinstance(v, np.ndarray) else v
     f_star = trace.constants.get("f_star")
     steps = []
-    for s in trace.steps:
-        gap = None
-        if s.f_ref is not None:
-            gap = s.f - s.f_ref
-        elif f_star is not None:
-            gap = s.f - f_star
+    for s, g_norm, g_dual in zip(trace.steps, *_grad_norms(trace)):
+        gap = s.f - s.f_ref if s.f_ref is not None else (
+            s.f - f_star if f_star is not None else None)
         row = {"t": s.t, "x": s.x, "f": s.f, "gap": gap,
-               "grad_norm": float(np.linalg.norm(s.grad)),
-               "grad_dual_norm": dual_norm(norm_kind, s.grad),
-               "eta": s.eta}
+               "grad_norm": g_norm, "grad_dual_norm": g_dual, "eta": s.eta}
         if s.y is not None:
             row["y"] = s.y
             row["f_y"] = s.f_y
@@ -519,7 +524,6 @@ def trace_to_dict(trace: Trace) -> dict:
 
 def trace_to_csv(trace: Trace) -> str:
     """Per-iteration table: header row plus one row per recorded step."""
-    norm_kind = Norm.L1 if trace.meta.get("map") == "negentropy" else Norm.EUCLIDEAN
     dim = trace.final_x.shape[0]
     cols = ["t"] + [f"x{i}" for i in range(dim)]
     has_yz = trace.steps and trace.steps[0].y is not None
@@ -528,15 +532,14 @@ def trace_to_csv(trace: Trace) -> str:
     cols += ["f", "gap", "grad_norm", "grad_dual_norm", "eta", "phi", "step_ok"]
     f_star = trace.constants.get("f_star")
     lines = [",".join(cols)]
-    for s in trace.steps:
+    for s, g_norm, g_dual in zip(trace.steps, *_grad_norms(trace)):
         gap = s.f - s.f_ref if s.f_ref is not None else (
             s.f - f_star if f_star is not None else None)
         row = [_csv_scalar(s.t), _csv_vector(s.x)]
         if has_yz:
             row += [_csv_vector(s.y), _csv_vector(s.z), _csv_scalar(s.f_y)]
         row += [_csv_scalar(v) for v in (
-            s.f, gap, float(np.linalg.norm(s.grad)), dual_norm(norm_kind, s.grad),
-            s.eta, s.phi, s.step_ok)]
+            s.f, gap, g_norm, g_dual, s.eta, s.phi, s.step_ok)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

@@ -145,9 +145,9 @@ def bregman_project(mirror_map: MirrorMap, feasible: FeasibleSet, x_prime) -> Ve
     Supported pairs: the Euclidean map with any set (reduces to Euclidean
     projection) and negative entropy with the simplex (an l1 rescale).
     """
-    x_prime = as_vector(x_prime)
     if isinstance(mirror_map, EuclideanMap):
-        return feasible.project(x_prime)
+        return feasible.project(x_prime)  # which validates x_prime
+    x_prime = as_vector(x_prime)
     if isinstance(mirror_map, NegEntropyMap):
         if isinstance(feasible, Simplex):
             if not mirror_map.interior(x_prime):
@@ -168,14 +168,16 @@ def mirror_step(mirror_map: MirrorMap, feasible: FeasibleSet, x, g,
     x = as_vector(x)
     g = as_vector(g)
     check_same_dim(x, g)
-    if not mirror_map.interior(x):
+    multiplicative = isinstance(mirror_map, NegEntropyMap) and isinstance(feasible, Simplex)
+    # the entropy interior x > 0 is tested on the x validated above
+    if not ((x > 0.0).all() if multiplicative else mirror_map.interior(x)):
         raise ValueError("iterate left the mirror map's interior")
-    if isinstance(mirror_map, NegEntropyMap) and isinstance(feasible, Simplex):
+    if multiplicative:
         # multiplicative update in log space; subtracting the max exponent
         # is absorbed by the rescaling projection and avoids overflow
         logits = np.log(x) - eta * g
-        w = np.exp(logits - np.max(logits))
-        return w / float(np.sum(w))
+        w = np.exp(logits - logits.max())
+        return w / float(w.sum())
     theta = mirror_map.grad_h(x) - eta * g
     return bregman_project(mirror_map, feasible, mirror_map.grad_h_star(theta))
 

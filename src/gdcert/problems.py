@@ -231,16 +231,18 @@ class ExpertsAdversary(OnlineAdversary):
 
     def __init__(self, rows):
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        if rows.size and (np.min(rows) < 0.0 or np.max(rows) > 1.0):
+        # written so that NaN, which fails every comparison, is rejected too
+        if not ((rows >= 0.0).all() and (rows <= 1.0).all()):
             raise ValueError("loss entries must lie in [0, 1]")
         self.rows = rows
         self.dim = rows.shape[1]
+        self._losses = [LinearLoss(r) for r in rows]
 
     def row(self, t: int) -> Vector:
         return self.rows[t % self.rows.shape[0]].copy()
 
     def next_loss(self, t: int, x) -> Problem:
-        return LinearLoss(self.row(t))
+        return self._losses[t % len(self._losses)]
 
     def grad_bound(self, kind: Norm = Norm.EUCLIDEAN) -> float:
         return max(norm_value(kind.dual, r) for r in self.rows)

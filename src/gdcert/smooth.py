@@ -34,7 +34,6 @@ def descent_lemma_gap(problem: Problem, x, beta: float) -> float:
 
     Non-positive for any beta-smooth objective.
     """
-    x = as_vector(x)
     g = problem.gradient(x)
     x_next = smooth_gd_step(x, g, beta)
     bound = problem.value(x) - float(np.dot(g, g)) / (2.0 * beta)
@@ -64,11 +63,6 @@ def projected_smoothness_gap(feasible: FeasibleSet, problem: Problem, x, y,
     return lhs - rhs
 
 
-def lmo(feasible: FeasibleSet, g) -> Vector:
-    """argmin over the set of <g, .>; rejects unbounded sets."""
-    return feasible.lmo(g)
-
-
 def frank_wolfe_step(feasible: FeasibleSet, x, g, eta_t: float) -> Vector:
     """(1 - eta) x + eta * lmo(g); feasible by convexity, no projection.
 
@@ -76,10 +70,9 @@ def frank_wolfe_step(feasible: FeasibleSet, x, g, eta_t: float) -> Vector:
     """
     if not (0.0 <= eta_t <= 1.0):
         raise ValueError("Frank-Wolfe step size must lie in [0, 1]")
-    x = as_vector(x)
-    if not feasible.member(x):
+    if not feasible.member(x):  # which validates x
         raise ValueError("current point must be feasible")
-    return (1.0 - eta_t) * x + eta_t * feasible.lmo(g)
+    return (1.0 - eta_t) * np.asarray(x, dtype=float) + eta_t * feasible.lmo(g)
 
 
 FW_SCHEDULES = {
@@ -104,7 +97,7 @@ def run_smooth_gd(problem: Problem, x0, T: int,
         raise ValueError("problem declares no smoothness constant")
     if feasible is None:
         feasible = Unconstrained(problem.dim)
-    steps, x = drive(problem, feasible.project(as_vector(x0)), T,
+    steps, x = drive(problem, feasible.project(x0), T,
                      lambda t, x, g, eta: feasible.project(x - g / beta),
                      lambda t: 1.0 / beta)
     trace = Trace(steps=steps, final_x=x, final_f=problem.value(x))

@@ -85,9 +85,6 @@ class Trace:
             raise ValueError("trace has no comparator values")
         return float(sum(s.f - s.f_ref for s in self.steps))
 
-    def average_regret(self) -> float:
-        return self.regret() / self.T
-
     @property
     def constants(self) -> dict:
         return self.meta.setdefault("constants", {})

@@ -3,8 +3,8 @@
 Everything here deliberately avoids the code paths it verifies: projections
 are solved by exhaustive support enumeration, minimizers by grid refinement,
 the broken potential's increasing steps by exact rational arithmetic on
-the closed-form iterates, and a certificate by a scalar loop over the
-recorded points.
+the closed-form iterates, a certificate by a scalar loop over the
+recorded points, and vector validation by numpy's own coercion.
 """
 
 from __future__ import annotations
@@ -14,6 +14,17 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+
+def as_vector_reference(x) -> np.ndarray:
+    """``core.as_vector`` as it was before its fast path: coerce with
+    ``np.asarray``, then test every entry with ``np.isfinite``."""
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    if v.ndim != 1:
+        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector has non-finite entries")
+    return v
 
 
 def simplex_project_enumerate(y) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gdcert.core import (
     Ball,
@@ -11,11 +12,10 @@ from gdcert.core import (
     Unconstrained,
     as_vector,
     dual_norm,
-    euclidean_project,
     norm_value,
     pythagorean_gap,
 )
-from oracles import sample_member, simplex_project_enumerate
+from oracles import as_vector_reference, sample_member, simplex_project_enumerate
 
 ALL_NORMS = [Norm.EUCLIDEAN, Norm.L1, Norm.LINF]
 
@@ -76,9 +76,63 @@ class TestNorms:
             norm_value(Norm.L1, [np.inf, 0.0])
 
 
+# both sides of the switch between the list and the ufunc finiteness check
+CHECK_SIZES = [1, 2, 3, 16, 17, 64, 1000]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+finite32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
+
+
+class TestAsVector:
+    """The contract of ``as_vector`` against the reference coercion."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, st.sampled_from([0] + CHECK_SIZES), elements=finite),
+           st.integers(1, 3))
+    def test_valid_vector_returned_as_is(self, v, stride):
+        view = v[::stride]
+        assert as_vector(v) is v
+        assert as_vector(view) is view
+        assert as_vector_reference(view) is view
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(CHECK_SIZES), st.data(),
+           st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_entry_rejected(self, size, data, bad):
+        v = data.draw(hnp.arrays(np.float64, size, elements=finite32))
+        v[data.draw(st.integers(0, size - 1))] = bad
+        for x in (v, v.tolist(), v.astype(np.float32)):
+            with pytest.raises(ValueError, match="non-finite"):
+                as_vector(x)
+
+    @pytest.mark.parametrize("x", [np.zeros((2, 2)), [[1.0, 2.0]], np.ones((1, 1)),
+                                   np.zeros((2, 0, 3)), [[1, 2], [3, 4]]])
+    def test_higher_rank_rejected(self, x):
+        with pytest.raises(ValueError, match="1-D"):
+            as_vector_reference(x)
+        with pytest.raises(ValueError, match="1-D"):
+            as_vector(x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+        st.lists(finite, max_size=40),
+        finite,
+        st.integers(-2**53, 2**53),
+        hnp.arrays(np.float64, st.just(()), elements=finite),
+        hnp.arrays(st.sampled_from([np.int64, np.int32, np.float32, np.dtype(">f8")]),
+                   st.sampled_from([0] + CHECK_SIZES),
+                   elements=st.integers(-1000, 1000)),
+        hnp.arrays(np.float64, st.sampled_from(CHECK_SIZES),
+                   elements=finite).map(lambda a: a.view(np.recarray))))
+    def test_coercion_matches_reference(self, x):
+        expected = as_vector_reference(x)
+        out = as_vector(x)
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.ndim == 1
+        assert out.tobytes() == expected.tobytes()
+
+
 class TestProjection:
     def test_ball_radial(self):
-        out = euclidean_project(Ball(np.zeros(2), 1.0), [2.0, 0.0])
+        out = Ball(np.zeros(2), 1.0).project([2.0, 0.0])
         np.testing.assert_allclose(out, [1.0, 0.0])
 
     def test_ball_center_degenerate(self):
@@ -86,14 +140,14 @@ class TestProjection:
         np.testing.assert_array_equal(ball.project([1.0, -1.0]), [1.0, -1.0])
 
     def test_simplex_symmetry(self):
-        out = euclidean_project(Simplex(2), [0.6, 0.6])
+        out = Simplex(2).project([0.6, 0.6])
         np.testing.assert_allclose(out, [0.5, 0.5])
 
     def test_simplex_vertex(self):
         # cross-checked against the support-enumeration oracle
         expected = simplex_project_enumerate([1.2, -0.2])
         np.testing.assert_allclose(expected, [1.0, 0.0], atol=1e-15)
-        out = euclidean_project(Simplex(2), [1.2, -0.2])
+        out = Simplex(2).project([1.2, -0.2])
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-15)
 
     @pytest.mark.parametrize("dim", [2, 3, 5])

@@ -209,6 +209,8 @@ class TestExpertsAdversary:
             make_experts_adversary([[0.0, 1.5]])
         with pytest.raises(ValueError):
             make_experts_adversary([[-0.1, 0.5]])
+        with pytest.raises(ValueError):
+            make_experts_adversary([[np.nan, 0.5], [0.2, 0.3]])
 
     def test_alternating_best_expert(self):
         adv = make_alternating_experts(2)

@@ -11,14 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gdcert.core import Norm, dual_norm
 from gdcert.harness import (
     RunConfig,
     _csv_scalar,
     _csv_vector,
+    _grad_norms,
     _json_scalar,
     json_dumps,
     run_experiment,
+    trace_to_dict,
 )
+from gdcert.trace import StepRecord, Trace
 
 SMOOTH_VALUE = ["smooth-value-log", "smooth-value-scaled",
                 "smooth-value-distance"]
@@ -299,3 +303,26 @@ def test_records_match_per_element_json(rows):
 @given(float_arrays(any_floats))
 def test_csv_vector_matches_per_element_cells(a):
     assert _csv_vector(a) == ",".join(_csv_scalar(v) for v in a)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 10, 1000])
+@pytest.mark.parametrize("map_id", ["euclidean", "negentropy"])
+def test_grad_norm_columns_match_per_row_norms(dim, map_id):
+    # magnitudes from 1e-8 to 1e8 per row, spread by 10x within a row
+    rng = np.random.default_rng(dim)
+    T = 3_000 if dim < 1000 else 60
+    G = (rng.normal(size=(T, dim)) * 10.0 ** rng.uniform(-8, 8, (T, 1))
+         * 10.0 ** rng.uniform(-1, 1, (T, dim)))
+    trace = Trace(steps=[StepRecord(t, np.zeros(dim), 0.0, G[t]) for t in range(T)],
+                  final_x=np.zeros(dim), meta={"map": map_id})
+    kind = Norm.L1 if map_id == "negentropy" else Norm.EUCLIDEAN
+    norms, dual_norms = _grad_norms(trace)
+    assert norms == [float(np.linalg.norm(g)) for g in G]
+    assert dual_norms == [dual_norm(kind, g) for g in G]
+
+
+def test_non_finite_gradient_not_serialized():
+    trace = Trace(steps=[StepRecord(0, np.zeros(2), 0.0, np.array([np.nan, 1.0]))],
+                  final_x=np.zeros(2))
+    with pytest.raises(ValueError, match="non-finite"):
+        json_dumps(trace_to_dict(trace))

@@ -9,7 +9,6 @@ from gdcert.smooth import (
     descent_lemma_gap,
     frank_wolfe_step,
     general_norm_smooth_step,
-    lmo,
     projected_smooth_step,
     projected_smoothness_gap,
     run_frank_wolfe,
@@ -154,9 +153,9 @@ class TestFrankWolfe:
             run_frank_wolfe(p2, Unconstrained(2), [0.0, 0.0], 10)
 
     def test_lmo_dispatch(self):
-        np.testing.assert_array_equal(lmo(Simplex(3), [3.0, 1.0, 2.0]), [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(Simplex(3).lmo([3.0, 1.0, 2.0]), [0.0, 1.0, 0.0])
         with pytest.raises(ValueError):
-            lmo(Unconstrained(2), [1.0, 0.0])
+            Unconstrained(2).lmo([1.0, 0.0])
 
 
 class TestSmoothRuns:
