@@ -9,7 +9,7 @@ tolerance.
 
 from gdcert.core import Norm, Unconstrained, Ball, Box, Simplex
 from gdcert.problems import get_problem, make_diag_quadratic, make_experts_adversary
-from gdcert.trace import Trace, StepRecord
+from gdcert.trace import Trace
 
 __all__ = [
     "Norm",
@@ -21,5 +21,4 @@ __all__ = [
     "make_diag_quadratic",
     "make_experts_adversary",
     "Trace",
-    "StepRecord",
 ]

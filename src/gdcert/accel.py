@@ -18,7 +18,7 @@ from gdcert.core import (
 from gdcert.mirror import MirrorMap, EuclideanMap, NegEntropyMap, mirror_step
 from gdcert.problems import Problem
 from gdcert.smooth import _attach_reference, projected_smooth_step, smooth_gd_step
-from gdcert.trace import Trace, drive
+from gdcert.trace import Trace, drive, record
 
 
 @dataclass
@@ -148,11 +148,8 @@ def run_agm2(problem: Problem, x0, T: int, schedule: str = "agm-smooth",
 
 
 def _run_coupled(problem: Problem, x0, T: int, step, eta) -> Trace:
-    """Drive a coupled method from x = y = z = x0 and keep its final points."""
-    steps, state = drive(problem, AccelState.start(x0), T, step, eta)
-    return Trace(steps=steps, final_x=state.x, final_y=state.y,
-                 final_z=state.z, final_f=problem.value(state.x),
-                 final_f_y=problem.value(state.y))
+    """Drive a coupled method from x = y = z = x0."""
+    return drive(problem, AccelState.start(x0), T, step, eta)
 
 
 def agm1_step(x, g: Vector, y_prev, lam_t: float, lam_next: float,
@@ -368,22 +365,27 @@ def restart_accelerated(problem: Problem, x0, epsilon: float,
     epoch_len = int(np.ceil(4.0 * np.sqrt(kappa)))
 
     x = as_vector(x0).copy()
-    steps = []
+    # every epoch's step rows in turn; the final row holds the last restart
+    # point and its value only
+    rows = {"x": [], "f": [], "grad": [], "eta": []}
     epochs = []
     sched = AgmSchedule("agm-smooth")
     for _ in range(max_epochs):
         if problem.value(x) - f_star <= epsilon:
             break
         start_dist = float(np.linalg.norm(x - x_star))
-        epoch, state = drive(problem, AccelState.start(x), epoch_len,
-                             lambda t, state, g, eta: agm2_step(state, g, beta, sched),
-                             lambda t: sched.eta(t, beta), t0=len(steps))
-        steps += epoch
+        epoch, state = record(problem, AccelState.start(x), epoch_len,
+                              lambda t, state, g, eta: agm2_step(state, g, beta, sched),
+                              lambda t: sched.eta(t, beta), t0=len(rows["x"]))
+        for name, col in epoch.items():
+            rows.setdefault(name, []).extend(col)
         x = state.y.copy()
         epochs.append({"steps": epoch_len,
                        "start_distance": start_dist,
                        "end_distance": float(np.linalg.norm(x - x_star))})
-    trace = Trace(steps=steps, final_x=x, final_f=problem.value(x))
+    rows["x"].append(x)
+    rows["f"].append(problem.value(x))
+    trace = Trace.from_rows(rows)
     trace.meta["method"] = "restart-agm"
     trace.meta["epochs"] = epochs
     trace.meta["epoch_length"] = epoch_len

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -72,85 +70,24 @@ class PotentialSpec:
                 raise ValueError(f"potential {self.kind.value!r} needs constant {n!r}")
 
 
-class _Columns:
-    """A trace as arrays with one row per point t = 0..T: the T step records,
-    then the state after the last step, which has no gradient (a zero row),
-    step size or comparator value (nan).
+def _at_every_point(trace: Trace, name: str) -> np.ndarray:
+    """The column, which must hold a row for every t = 0..T."""
+    col = getattr(trace, name)
+    if col is None or len(col) != trace.T + 1:
+        raise ValueError(f"the trace does not record {name} at every point")
+    return col
 
-    Each column is built on first use and kept for one certification only,
-    so no (T+1, d) copy outlives it. A value the trace does not record reads
-    as nan; ``has`` gives the rows that hold one.
-    """
 
-    def __init__(self, trace: Trace, t0: int = 0):
-        self.trace = trace
-        self.t = np.arange(t0, t0 + trace.T + 1)
-        self._present = {}
+def _max_grad_norm(trace: Trace) -> float:
+    """The largest Euclidean gradient norm over the T steps."""
+    return float(np.max(np.sqrt(np.vecdot(trace.grad, trace.grad))))
 
-    def has(self, name: str) -> np.ndarray:
-        getattr(self, name)
-        return self._present[name]
 
-    def _values(self, name: str, final) -> np.ndarray:
-        vals = list(map(attrgetter(name), self.trace.steps))
-        vals.append(final)
-        self._present[name] = np.array([v is not None for v in vals])
-        return np.array(vals, dtype=float)
-
-    @staticmethod
-    def _stack(points: list, name: str) -> np.ndarray:
-        rows = np.array(points, dtype=float)  # ValueError on a ragged list
-        if rows.ndim != 2:
-            raise ValueError(f"the trace does not record {name} at every point")
-        return rows
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        return self._stack(self.trace.xs(), "x")
-
-    @cached_property
-    def z(self) -> np.ndarray:
-        return self._stack(self.trace.zs(), "z")
-
-    @cached_property
-    def grad(self) -> np.ndarray:
-        grads = [s.grad for s in self.trace.steps]
-        grads.append(np.zeros_like(self.trace.final_x))
-        return self._stack(grads, "a gradient")
-
-    @cached_property
-    def grad_sq(self) -> np.ndarray:
-        return np.vecdot(self.grad, self.grad)
-
-    @cached_property
-    def f(self) -> np.ndarray:
-        return self._values("f", self.trace.final_f)
-
-    @cached_property
-    def f_y(self) -> np.ndarray:
-        return self._values("f_y", self.trace.final_f_y)
-
-    @cached_property
-    def f_ref(self) -> np.ndarray:
-        return self._values("f_ref", None)
-
-    @cached_property
-    def eta(self) -> np.ndarray:
-        return self._values("eta", None)
-
-    def max_grad_norm(self) -> float:
-        """The largest Euclidean gradient norm over the T steps."""
-        return float(np.max(np.sqrt(self.grad_sq[:-1])))
-
-    def dual_grad_norms(self, mirror_map) -> np.ndarray:
-        """The map's dual norm of each step's gradient, t = 0..T-1."""
-        return dual_norm(mirror_map.norm, self.grad[:-1])
-
-    def regret(self) -> float:
-        """Total round loss relative to the comparator over the T steps."""
-        if not self.has("f_ref")[:-1].all():
-            raise ValueError("trace has no comparator values")
-        return sum((self.f[:-1] - self.f_ref[:-1]).tolist())
+def _regret(trace: Trace) -> float:
+    """Total round loss relative to the comparator over the T steps."""
+    if trace.f_ref is None:
+        raise ValueError("trace has no comparator values")
+    return sum((trace.f[:trace.T] - trace.f_ref).tolist())
 
 
 def _growth(gamma: float, t):
@@ -166,14 +103,14 @@ def _bregman(spec: PotentialSpec, point):
     return spec.constants["map"].bregman(spec.x_star, point)
 
 
-def _value_distance_allowance(c: dict, cols: _Columns, t):
+def _value_distance_allowance(c: dict, trace: Trace, t):
     if c.get("projected"):
         return 0.0
-    return -(t / (2.0 * c["beta"])) * cols.grad_sq
+    return -(t / (2.0 * c["beta"])) * np.vecdot(trace.grad, trace.grad)
 
 
-def _bregman_allowance(c: dict, cols: _Columns, t):
-    gd = dual_norm(c["map"].norm, cols.grad)
+def _bregman_allowance(c: dict, trace: Trace, t):
+    gd = dual_norm(c["map"].norm, trace.grad)
     return 0.5 * c["eta"] * gd * gd / c["alpha_h"]
 
 
@@ -187,8 +124,8 @@ class _Shape:
 
     phi: Callable                     # (c, t, gap, dist) -> Phi_t
     needs: tuple                      # constants Phi_t reads
-    # (c, cols, t) -> B_t at every row; monotone potentials may not increase
-    allowance: Callable = lambda c, cols, t: 0.0
+    # (c, trace, t) -> B_t at every step t; monotone potentials may not increase
+    allowance: Callable = lambda c, trace, t: 0.0
     bound_needs: tuple = ()           # constants B_t reads beyond those
     distance: Callable | None = None  # (spec, point or rows) -> distance term
     # distance-only potentials are charged the round's loss: the check is
@@ -200,18 +137,18 @@ class _Shape:
 POTENTIALS = {
     PotentialKind.DISTANCE: _Shape(
         lambda c, t, gap, d: d / (2.0 * c["eta"]), ("eta",),
-        lambda c, cols, t: 0.5 * c["eta"] * c["G"] ** 2, ("G",),
+        lambda c, trace, t: 0.5 * c["eta"] * c["G"] ** 2, ("G",),
         distance=_dist2, amortized=True),
     PotentialKind.SC_DISTANCE: _Shape(
         lambda c, t, gap, d: 0.5 * t * c["alpha"] * d, ("alpha",),
-        lambda c, cols, t: 0.5 * cols.eta * c["G"] ** 2, ("G",),
+        lambda c, trace, t: 0.5 * trace.eta * c["G"] ** 2, ("G",),
         distance=_dist2, amortized=True),
     PotentialKind.VALUE: _Shape(
         lambda c, t, gap, d: t * gap, (),
-        lambda c, cols, t: c["beta"] * c["D"] ** 2 / (2.0 * (t + 1.0)), ("beta", "D")),
+        lambda c, trace, t: c["beta"] * c["D"] ** 2 / (2.0 * (t + 1.0)), ("beta", "D")),
     PotentialKind.VALUE_SCALED: _Shape(
         lambda c, t, gap, d: t * (t + 1.0) * gap, (),
-        lambda c, cols, t: 2.0 * c["beta"] * c["D"] ** 2 * (t + 1.0) / (t + 2.0),
+        lambda c, trace, t: 2.0 * c["beta"] * c["D"] ** 2 * (t + 1.0) / (t + 2.0),
         ("beta", "D")),
     PotentialKind.VALUE_DISTANCE: _Shape(
         lambda c, t, gap, d: t * gap + 0.5 * c["beta"] * d, ("beta",),
@@ -238,9 +175,9 @@ POTENTIALS = {
 
 
 def potential(spec: PotentialSpec, state, t):
-    """Evaluate Phi_t on a state carrying x (and z/f_y when coupled): one
-    record at one t, or a trace's columns at every t = 0..T, one value per
-    row.
+    """Evaluate Phi_t on a state carrying x and f (z and f_y when coupled):
+    one point at one t, or a trace's columns at every t = 0..T, one value
+    per row.
 
     Non-negative whenever the reference value is the true optimum.
     """
@@ -356,59 +293,40 @@ class CertReport:
         }
 
 
-def _defined(spec: PotentialSpec, cols: _Columns) -> np.ndarray:
-    """The rows where Phi_t is defined: a value is recorded there, unless
-    the potential reads none, and the point lies in the mirror map's
-    domain."""
+def _defined(spec: PotentialSpec, trace: Trace) -> np.ndarray:
+    """The rows where Phi_t is defined: every row, unless the potential
+    reads a divergence, whose point must lie in the mirror map's domain."""
     shape = POTENTIALS[spec.kind]
-    rows = np.ones(cols.t.shape, dtype=bool)
-    if not shape.amortized:
-        rows &= cols.has("f_y" if shape.coupled else "f")
+    rows = np.ones(trace.T + 1, dtype=bool)
     if shape.distance is _bregman:
-        rows &= spec.constants["map"].interior(cols.z if shape.coupled else cols.x)
+        rows &= spec.constants["map"].interior(trace.z if shape.coupled else trace.x)
     return rows
 
 
-def _step_checks(spec: PotentialSpec, cols: _Columns, phi: np.ndarray,
+def _step_checks(spec: PotentialSpec, trace: Trace, phi: np.ndarray,
                  steps: np.ndarray, tol: float) -> list:
     """The bounds of the given steps t, each from Phi on both sides of it."""
     shape = POTENTIALS[spec.kind]
+    t = np.arange(trace.T)
     dphi = phi[1:] - phi[:-1]
-    allowed = np.broadcast_to(shape.allowance(spec.constants, cols, cols.t),
-                              phi.shape)[:-1]
+    allowed = np.broadcast_to(shape.allowance(spec.constants, trace, t), dphi.shape)
     slack = tol * (1.0 + np.abs(phi[:-1]))
     checked, amortized = dphi, []
     if shape.amortized:
-        f_ref = cols.f_ref[:-1]
-        missing = ~cols.has("f_ref")[:-1]
-        if missing[steps].any():
+        f_ref = trace.f_ref
+        if f_ref is None:
             if spec.f_star is None:
                 raise ValueError("amortized check needs the comparator's round value")
-            f_ref = np.where(missing, spec.f_star, f_ref)
-        checked = (cols.f[:-1] - f_ref) + dphi
+            f_ref = spec.f_star
+        checked = (trace.f[:trace.T] - f_ref) + dphi
         amortized = [checked]
-    fields = [cols.t[:-1], phi[:-1], dphi, allowed, checked <= allowed + slack, slack,
-              *amortized]
+    fields = [t, phi[:-1], dphi, allowed, checked <= allowed + slack, slack, *amortized]
     if steps.size < dphi.size:
         fields = [field[steps] for field in fields]
     checks = []
     for lo in range(0, steps.size, _CHUNK):
         checks.extend(map(StepCheck, *(field[lo:lo + _CHUNK].tolist() for field in fields)))
     return checks
-
-
-def certify_step(spec: PotentialSpec, state_t, state_next, t: int,
-                 tol: float = DEFAULT_TOL) -> StepCheck:
-    """Check one per-step bound between consecutive states.
-
-    Failures are recorded, never raised.
-    """
-    spec.require(*POTENTIALS[spec.kind].bound_needs)
-    cols = _Columns(Trace(steps=[state_t], final_x=state_next.x, final_y=state_next.y,
-                          final_z=state_next.z, final_f=state_next.f,
-                          final_f_y=state_next.f_y), t0=t)
-    phi = potential(spec, cols, cols.t)
-    return _step_checks(spec, cols, phi, np.arange(1), tol)[0]
 
 
 def _bound_check(label, lhs, rhs, tol, note="") -> EndCheck:
@@ -431,18 +349,17 @@ def _scaled_envelope(trace: Trace, c: dict):
 
 
 def _distance_envelope(trace: Trace, c: dict):
-    r2 = _sq_dist(trace.steps[0].x, c)
+    r2 = _sq_dist(trace.x[0], c)
     return lambda t: c["beta"] * r2 / (2.0 * t)
 
 
 def _exp_envelope(trace: Trace, c: dict):
-    gap0 = trace.steps[0].f - c["f_star"]
+    gap0 = trace.f[0].item() - c["f_star"]
     return lambda t: float(np.exp(-t / c["kappa"]) * gap0)
 
 
 def _agm_envelope(trace: Trace, c: dict):
-    z0 = trace.steps[0].z if trace.steps[0].z is not None else trace.steps[0].x
-    r2 = _sq_dist(z0, c)
+    r2 = _sq_dist((trace.z if trace.z is not None else trace.x)[0], c)
     return lambda t: 2.0 * c["beta"] * r2 / (t * (t + 1.0))
 
 
@@ -450,13 +367,13 @@ def _agm_mirror_envelope(trace: Trace, c: dict):
     div = c.get("bregman_x_star_z0")
     if div is None:
         mp = get_map(trace.meta.get("map", "euclidean"))
-        div = mp.bregman(as_vector(c["x_star"]), trace.steps[0].z)
+        div = mp.bregman(as_vector(c["x_star"]), trace.z[0])
     coef = 4.0 * c["beta"] / c["alpha_h"]
     return lambda t: coef * div / (t * (t + 1.0))
 
 
 def _agm_sc_envelope(trace: Trace, c: dict):
-    scale = 0.5 * (c["alpha"] + c["beta"]) * _sq_dist(trace.steps[0].x, c)
+    scale = 0.5 * (c["alpha"] + c["beta"]) * _sq_dist(trace.x[0], c)
     return lambda t: scale / _growth(c["gamma"], t)
 
 
@@ -464,42 +381,42 @@ def _agm_sc_envelope(trace: Trace, c: dict):
 
 def _final_gap(trace, c, tol, envelope, **_):
     rhs = envelope(trace, c)(trace.T)
-    return [_bound_check("final-gap", trace.final_f - c["f_star"], rhs, tol)]
+    return [_bound_check("final-gap", trace.final("f") - c["f_star"], rhs, tol)]
 
 
-def _anytime_gap(trace, c, tol, envelope, cols, **_):
+def _anytime_gap(trace, c, tol, envelope, **_):
     """The largest margin of f(y_t) - f* over the envelope, over t >= 1; the
     first t that attains it. A nan margin never counts as the largest."""
-    if not cols.has("f_y")[1:].all():
+    if trace.final("f_y") is None:
         raise ValueError("the anytime bound needs f(y_t) at every t")
-    t = cols.t[1:]
-    margin = cols.f_y[1:] - (c["f_star"] + envelope(trace, c)(t))
+    t = np.arange(1, trace.T + 1)
+    margin = trace.f_y[1:] - (c["f_star"] + envelope(trace, c)(t))
     margin[np.isnan(margin)] = -np.inf
     arg = int(np.argmax(margin))
     return [_bound_check("anytime-gap", margin[arg], 0.0, tol,
                          note=f"worst margin at t = {t[arg]}")]
 
 
-def _gd_regret(trace, c, tol, cols, **_):
+def _gd_regret(trace, c, tol, **_):
     rhs = c["D"] * c["G"] / np.sqrt(trace.T)
-    return [_bound_check("average-regret", cols.regret() / trace.T, rhs, tol)]
+    return [_bound_check("average-regret", _regret(trace) / trace.T, rhs, tol)]
 
 
-def _sc_regret(trace, c, tol, cols, **_):
+def _sc_regret(trace, c, tol, **_):
     T = trace.T
     rhs = c["G"] ** 2 * np.log(T) / (2.0 * T * c["alpha"]) if T > 1 else 0.0
-    chk = _bound_check("average-regret", cols.regret() / T, rhs, tol)
+    chk = _bound_check("average-regret", _regret(trace) / T, rhs, tol)
     if T == 1:
         chk.vacuous = True
         chk.note = "log T vanishes at T = 1"
     return [chk]
 
 
-def _sc_average(trace, c, tol, cols, problem, **_):
+def _sc_average(trace, c, tol, problem, **_):
     if problem is None:
         raise ValueError("weighted-average check needs the objective")
     if c.get("G") is None:
-        c["G"] = cols.max_grad_norm()
+        c["G"] = _max_grad_norm(trace)
     lhs = problem.value(weighted_average(trace)) - c["f_star"]
     rhs = c["G"] ** 2 / (c["alpha"] * (trace.T + 1.0))
     return [_bound_check("weighted-average-gap", lhs, rhs, tol)]
@@ -508,9 +425,9 @@ def _sc_average(trace, c, tol, cols, problem, **_):
 def _projected(trace, c, tol, envelope, problem, feasible, **_):
     out = _final_gap(trace, c, tol, envelope)
     if problem is not None and feasible is not None:
-        worst = max(projected_smoothness_gap(feasible, problem, s.x,
+        worst = max(projected_smoothness_gap(feasible, problem, x,
                                              c["x_star"], c["beta"])
-                    for s in trace.steps)
+                    for x in trace.x[:trace.T])
         out.append(_bound_check("projected-smoothness-gap", worst, 0.0, tol,
                                 note="gap of the projected-step inequality at y = x*"))
     return out
@@ -518,19 +435,19 @@ def _projected(trace, c, tol, envelope, problem, feasible, **_):
 
 def _final_distance(trace, c, tol, **_):
     lhs = _sq_dist(trace.final_x, c)
-    rhs = c["kappa"] * np.exp(-trace.T / c["kappa"]) * _sq_dist(trace.steps[0].x, c)
+    rhs = c["kappa"] * np.exp(-trace.T / c["kappa"]) * _sq_dist(trace.x[0], c)
     return [_bound_check("final-distance", lhs, rhs, tol)]
 
 
-def _mirror_regret(trace, c, tol, cols, **_):
+def _mirror_regret(trace, c, tol, **_):
     mp = c["map"]
-    div = mp.bregman(c["x_star"], trace.steps[0].x)
+    div = mp.bregman(c["x_star"], trace.x[0])
     eta, ah = c["eta"], c["alpha_h"]
     # Python's float ** 2 (libm pow) is kept: numpy squares by x * x, which
     # can differ in the last bit
-    dual_sq = sum([g ** 2 for g in cols.dual_grad_norms(mp).tolist()])
+    dual_sq = sum([g ** 2 for g in dual_norm(mp.norm, trace.grad).tolist()])
     rhs = div / eta + eta * dual_sq / (2.0 * ah)
-    regret = cols.regret()
+    regret = _regret(trace)
     out = [_bound_check("regret", regret, rhs, tol)]
     if c.get("G_dual") is not None:
         rhs_g = div / eta + eta * trace.T * c["G_dual"] ** 2 / (2.0 * ah)
@@ -539,21 +456,21 @@ def _mirror_regret(trace, c, tol, cols, **_):
     return out
 
 
-def _agm_sc(trace, c, tol, envelope, phi0, cols, **_):
+def _agm_sc(trace, c, tol, envelope, phi0, **_):
     if c.get("gamma") is None:
         # condition number 1: a single exact step, nothing to telescope
-        return [_bound_check("single-step-gap", trace.final_f - c["f_star"],
+        return [_bound_check("single-step-gap", trace.final("f") - c["f_star"],
                              0.0, tol, note="condition number 1 reaches the "
                                             "minimizer in one step")]
-    out = _anytime_gap(trace, c, tol, envelope, cols)
+    out = _anytime_gap(trace, c, tol, envelope)
     if phi0 is None:
         raise ValueError("the initial potential is undefined")
     out.append(_bound_check("initial-potential", phi0, envelope(trace, c)(0), tol,
                             note="Phi_0 within (alpha+beta)/2 ||x0-x*||^2"))
     from gdcert.accel import sc_agm_recursion_residual
 
-    z = cols.z
-    residual = sc_agm_recursion_residual(cols.grad[:-1], cols.x[:-1], z[:-1], z[1:],
+    z = _at_every_point(trace, "z")
+    residual = sc_agm_recursion_residual(trace.grad, trace.x[:-1], z[:-1], z[1:],
                                          c["alpha"], c["kappa"])
     out.append(_bound_check("z-recursion-residual", np.max(residual), 0.0,
                             1e-9, note="implied aggressive-sequence recursion"))
@@ -674,7 +591,7 @@ THEOREMS = {th.theorem_id: th for th in [
 ]}
 
 
-def _gather_constants(trace: Trace, spec: _Theorem, cols: _Columns) -> tuple[dict, list]:
+def _gather_constants(trace: Trace, spec: _Theorem) -> tuple[dict, list]:
     """Merge trace constants with certifier-derived fallbacks; returns the
     constants plus any honesty flags the fallbacks introduce."""
     c = dict(trace.constants)
@@ -685,44 +602,49 @@ def _gather_constants(trace: Trace, spec: _Theorem, cols: _Columns) -> tuple[dic
         c["x_star"] = as_vector(c["x_star"])
     if kind is PotentialKind.BREGMAN or kind is PotentialKind.AGM_BREGMAN:
         c["map"] = get_map(trace.meta.get("map", "euclidean"))
-    if "eta" not in c and trace.steps and trace.steps[0].eta is not None:
-        c["eta"] = trace.steps[0].eta
-        if kind is PotentialKind.DISTANCE and np.any(cols.eta[:-1] != c["eta"]):
+    if "eta" not in c and trace.T:
+        c["eta"] = trace.eta[0].item()
+        if kind is PotentialKind.DISTANCE and np.any(trace.eta != c["eta"]):
             flags.append("varying-eta")
     if c.get("G") is None and kind in (PotentialKind.DISTANCE, PotentialKind.SC_DISTANCE):
-        c["G"] = cols.max_grad_norm()
+        c["G"] = _max_grad_norm(trace)
         flags.append("trajectory-estimated-G")
     if c.get("G_dual") is None and kind is PotentialKind.BREGMAN:
-        c["G_dual"] = float(np.max(cols.dual_grad_norms(c["map"])))
+        c["G_dual"] = float(np.max(dual_norm(c["map"].norm, trace.grad)))
     needs_D = kind in (PotentialKind.DISTANCE, PotentialKind.VALUE,
                        PotentialKind.VALUE_SCALED)
     if needs_D and c.get("D") is None and "x_star" in c:
-        d = cols.x - c["x_star"]
+        d = trace.x - c["x_star"]
         c["D"] = float(np.max(np.sqrt(np.vecdot(d, d))))
         flags.append("trajectory-estimated-D")
     return c, flags
 
 
-def _replay(report: CertReport, spec: PotentialSpec, cols: _Columns,
+def _replay(report: CertReport, spec: PotentialSpec, trace: Trace,
             tol: float) -> float | None:
     """Phi_t at every t, the step checks, the telescoping residual and the
     consistency check, into ``report``; each checked step's phi and step_ok
-    are written back to its record. Returns Phi_0, or None where undefined."""
+    are written to the trace's columns. Returns Phi_0, or None where
+    undefined."""
     shape = POTENTIALS[spec.kind]
     spec.require(*shape.needs, *shape.bound_needs)
     try:
-        phi = potential(spec, cols, cols.t)
-        defined = _defined(spec, cols)
+        _at_every_point(trace, "z" if shape.coupled else "x")
+        if not shape.amortized:
+            _at_every_point(trace, "f_y" if shape.coupled else "f")
+        phi = potential(spec, trace, np.arange(trace.T + 1))
+        defined = _defined(spec, trace)
     except ValueError:
-        # no f* for a value potential, or no point of the kind it reads:
-        # Phi_t is undefined at every t
+        # no f* for a value potential, or no point or value of the kind it
+        # reads at every t: Phi_t is undefined at every t
         return None
     steps = np.flatnonzero(defined[:-1] & defined[1:])
     if steps.size:
-        report.step_checks = _step_checks(spec, cols, phi, steps, tol)
-        records = cols.trace.steps
-        for check in report.step_checks:
-            records[check.t].phi, records[check.t].step_ok = check.phi, check.ok
+        report.step_checks = _step_checks(spec, trace, phi, steps, tol)
+        if trace.phi is None:
+            trace.phi, trace.step_ok = np.full(trace.T, np.nan), np.full(trace.T, np.nan)
+        trace.phi[steps] = phi[steps]
+        trace.step_ok[steps] = [check.ok for check in report.step_checks]
     known = np.flatnonzero(defined)
     if known.size >= 2:
         first, last = phi[known[0]].item(), phi[known[-1]].item()
@@ -735,8 +657,8 @@ def _replay(report: CertReport, spec: PotentialSpec, cols: _Columns,
     if (not shape.amortized and defined[-1] and spec.f_star is not None
             and "comparator-reference" not in report.flags):
         last = phi[-1].item()
-        gap = (cols.f_y if shape.coupled else cols.f)[-1].item()
-        value_term = shape.phi(spec.constants, cols.t[-1], gap - spec.f_star, 0.0)
+        gap = (trace.f_y if shape.coupled else trace.f)[-1].item()
+        value_term = shape.phi(spec.constants, trace.T, gap - spec.f_star, 0.0)
         report.consistency_ok = bool(last >= value_term - tol * (1.0 + abs(last)))
     return phi[0].item() if defined[0] else None
 
@@ -757,8 +679,7 @@ def certify_trace(theorem_id: str, trace: Trace, problem: Problem | None = None,
     if trace.T > LONG_RUN_STEPS:
         tol = max(tol, LONG_RUN_TOL)
 
-    cols = _Columns(trace)
-    consts, flags = _gather_constants(trace, spec, cols)
+    consts, flags = _gather_constants(trace, spec)
     consts.update(spec.constants)
     report = CertReport(theorem=theorem_id, claim=spec.claim,
                         potential_kind=spec.kind.value if spec.kind else None,
@@ -777,9 +698,9 @@ def certify_trace(theorem_id: str, trace: Trace, problem: Problem | None = None,
                                   x_star=consts["x_star"], f_star=consts.get("f_star"))
             # the columns overflow and meet inf - inf as Python floats do: quietly
             with np.errstate(over="ignore", invalid="ignore"):
-                phi0 = _replay(report, pspec, cols, tol)
+                phi0 = _replay(report, pspec, trace, tol)
         report.end_checks.extend(spec.end(
-            trace, consts, tol, envelope=spec.envelope, phi0=phi0, cols=cols,
+            trace, consts, tol, envelope=spec.envelope, phi0=phi0,
             problem=problem, feasible=feasible))
     except (ValueError, KeyError) as exc:
         report.error = f"not certifiable: {exc}"
@@ -795,12 +716,10 @@ def rate_comparison(traces: list, theorem_ids: list) -> dict:
         label = tr.meta.get("method", "run")
         columns.append(f"gap:{label}")
         f_star = tr.constants.get("f_star", 0.0)
-        cols = _Columns(tr)
-        # the gap at y_t where the run records one, else at x_t
-        at_y = cols.has("f_y")
-        gaps = np.where(at_y, cols.f_y, cols.f) - f_star
-        known = at_y | cols.has("f")
-        series.append([g if k else None for g, k in zip(gaps.tolist(), known.tolist())])
+        # the gap at y_t where the run records one, else at x_t, else none
+        at_y = tr.f_y if tr.f_y is not None else tr.f[:0]
+        gaps = (np.concatenate([at_y, tr.f[len(at_y):]]) - f_star).tolist()
+        series.append(gaps + [None] * (tr.T + 1 - len(gaps)))
     for tid in theorem_ids:
         if tid not in THEOREMS:
             raise KeyError(f"unknown theorem id {tid!r}")

@@ -95,10 +95,9 @@ def run_online_gd(adversary: OnlineAdversary, feasible: FeasibleSet, x0,
     if comparator is None:
         comparator = adversary.comparator_over(feasible, T)
     comparator = as_vector(comparator)
-    steps, x = drive(adversary, x, T,
-                     lambda t, x, g, eta: feasible.project(x - eta * g),
-                     schedule.eta, comparator=comparator)
-    trace = Trace(steps=steps, final_x=x)
+    trace = drive(adversary, x, T,
+                  lambda t, x, g, eta: feasible.project(x - eta * g),
+                  schedule.eta, comparator=comparator)
     trace.constants["x_star"] = comparator
     trace.meta["method"] = "gd"
     return trace
@@ -129,11 +128,10 @@ def weighted_average(trace: Trace, T: int | None = None) -> Vector:
         T = trace.T
     if T < 1:
         raise ValueError("need at least one iterate to average")
-    xs = trace.xs()
-    if len(xs) < T + 1:
+    if trace.T < T:
         raise ValueError("trace is shorter than the requested horizon")
     weights = np.array([2.0 * t / (T * (T + 1.0)) for t in range(1, T + 1)])
-    out = np.zeros_like(xs[0])
-    for w, x in zip(weights, xs[1:T + 1]):
+    out = np.zeros_like(trace.x[0])
+    for w, x in zip(weights, trace.x[1:T + 1]):
         out += w * x
     return out

@@ -124,8 +124,6 @@ def default_x0(set_id: str, dim: int) -> np.ndarray:
         return ones / dim
     if set_id == "ball":
         return ones / float(np.linalg.norm(ones))
-    if set_id == "box":
-        return ones
     return ones
 
 
@@ -190,10 +188,11 @@ def _schedule(config: RunConfig) -> str | None:
 
 def _prepare(config: RunConfig) -> tuple:
     """The run's adversary, feasible set, start point, and for the online
-    methods the gradient bound G with its flags. Raises ConfigError for a run
-    its method cannot start: a set it does not run on, a constant the
-    objective does not declare, no comparator, an x0 it cannot take, or a
-    step size D/G or 1/G with G estimated as 0."""
+    methods the gradient bound G with its flags, the comparator and D, the
+    set's diameter or else the distance from x0 to the comparator. Raises
+    ConfigError for a run its method cannot start: a set it does not run
+    on, a constant the objective does not declare, no comparator, an x0 it
+    cannot take, or a step size D/G or 1/G with G estimated as 0."""
     method = config.method
     adversary = get_adversary(config.problem)
     feasible = make_set(config.feasible_set, adversary.dim)
@@ -215,13 +214,15 @@ def _prepare(config: RunConfig) -> tuple:
             raise ConfigError(f"method {method!r} needs both curvature constants")
     if method == "sc-gd" and not adversary.strongly_convex_alpha:
         raise ConfigError(f"problem {config.problem!r} declares no strong convexity")
-    D = feasible.diameter
-    if method in ONLINE_METHODS and D is None:
+    comparator, D = None, feasible.diameter
+    if method in ONLINE_METHODS:
         try:
-            D = float(np.linalg.norm(x0 - adversary.comparator_over(feasible, config.steps)))
+            comparator = adversary.comparator_over(feasible, config.steps)
         except ValueError as exc:
             raise ConfigError(f"problem {config.problem!r} has no comparator "
                               f"on an unconstrained run: {exc}") from exc
+        if D is None:
+            D = float(np.linalg.norm(x0 - comparator))
     if method == "gd" and D == 0.0:
         raise ConfigError("gd steps by D/(G sqrt T): the set must have a positive "
                           "diameter, or x0 must differ from the comparator")
@@ -239,7 +240,7 @@ def _prepare(config: RunConfig) -> tuple:
             raise ConfigError(f"method {method!r} divides its step size by G: the "
                               "problem declares no gradient bound, and the "
                               "gradient at x0 is 0")
-    return adversary, feasible, x0, G, flags
+    return adversary, feasible, x0, G, flags, comparator, D
 
 
 def _grad_bound_or_estimate(adversary: OnlineAdversary, x0, kind: Norm,
@@ -255,14 +256,13 @@ def _grad_bound_or_estimate(adversary: OnlineAdversary, x0, kind: Norm,
 def _dispatch(config: RunConfig, prepared: tuple):
     """Run the configured method from what ``_prepare`` made for it; returns
     (trace, problem_or_None, feasible)."""
-    adversary, feasible, x0, G, flags = prepared
+    adversary, feasible, x0, G, flags, comparator, D = prepared
     problem = adversary.problem if isinstance(adversary, FixedAdversary) else None
     T = config.steps
     sched_id = _schedule(config)
     method = config.method
 
     if method in ONLINE_METHODS:
-        comparator = adversary.comparator_over(feasible, T)
         if method in START_MAPS:  # mirror descent
             mp = mirror.get_map(START_MAPS[method])
             eta = mirror.tuned_eta(mp, comparator, x0, G, T)
@@ -270,10 +270,6 @@ def _dispatch(config: RunConfig, prepared: tuple):
                                               comparator=comparator)
             trace.constants["G_dual"] = G
         else:
-            if feasible.diameter is not None:
-                D = feasible.diameter
-            else:
-                D = float(np.linalg.norm(as_vector(x0) - comparator))
             if method == "gd":
                 if sched_id == "dg-sqrt-t":
                     schedule = descent.AnytimeScaled(D, G)
@@ -289,7 +285,7 @@ def _dispatch(config: RunConfig, prepared: tuple):
                     comparator=comparator)
                 if flags:
                     # the schedule never reads G: bound it by the run's gradients
-                    G = max(float(np.linalg.norm(s.grad)) for s in trace.steps)
+                    G = float(np.max(np.sqrt(np.vecdot(trace.grad, trace.grad))))
             trace.constants["D"] = D
             trace.constants["G"] = G
         for f in flags:
@@ -481,11 +477,35 @@ def _grad_norms(trace: Trace) -> tuple[list, list]:
     """The Euclidean and the map's dual norm of every recorded gradient: the
     floats ``np.linalg.norm`` and ``dual_norm`` give row by row."""
     kind = Norm.L1 if trace.meta.get("map") == "negentropy" else Norm.EUCLIDEAN
-    G = np.array([s.grad for s in trace.steps], dtype=float).reshape(
-        trace.T, trace.final_x.shape[0])
+    G = trace.grad
     if not np.isfinite(G).all():
         raise ValueError("vector has non-finite entries")
     return np.sqrt(np.vecdot(G, G)).tolist(), dual_norm(kind, G).tolist()
+
+
+def _step_rows(trace: Trace) -> list:
+    """One dict per step t = 0..T-1 with the serialized fields; vectors stay
+    arrays. The gap is taken to the comparator's round value, else to f*."""
+    T = trace.T
+    f = trace.f[:T]
+    f_star = trace.constants.get("f_star")
+    if trace.f_ref is not None:
+        gap = (f - trace.f_ref).tolist()
+    else:
+        gap = [None] * T if f_star is None else (f - f_star).tolist()
+    g_norm, g_dual = _grad_norms(trace)
+    columns = {"t": range(T), "x": trace.x[:T], "f": f.tolist(), "gap": gap,
+               "grad_norm": g_norm, "grad_dual_norm": g_dual, "eta": trace.eta.tolist()}
+    if trace.y is not None:
+        columns.update(y=trace.y[:T], f_y=trace.f_y[:T].tolist())
+    if trace.z is not None:
+        columns["z"] = trace.z[:T]
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    if trace.phi is not None:
+        for row, phi, ok in zip(rows, trace.phi.tolist(), trace.step_ok.tolist()):
+            if ok == ok:  # nan where no certificate checked step t
+                row["phi"], row["step_ok"] = phi, ok == 1.0
+    return rows
 
 
 def trace_to_dict(trace: Trace) -> dict:
@@ -494,52 +514,31 @@ def trace_to_dict(trace: Trace) -> dict:
     consts = {}
     for k, v in trace.constants.items():
         consts[k] = v.tolist() if isinstance(v, np.ndarray) else v
-    f_star = trace.constants.get("f_star")
-    steps = []
-    for s, g_norm, g_dual in zip(trace.steps, *_grad_norms(trace)):
-        gap = s.f - s.f_ref if s.f_ref is not None else (
-            s.f - f_star if f_star is not None else None)
-        row = {"t": s.t, "x": s.x, "f": s.f, "gap": gap,
-               "grad_norm": g_norm, "grad_dual_norm": g_dual, "eta": s.eta}
-        if s.y is not None:
-            row["y"] = s.y
-            row["f_y"] = s.f_y
-        if s.z is not None:
-            row["z"] = s.z
-        if s.phi is not None:
-            row["phi"] = s.phi
-            row["step_ok"] = s.step_ok
-        steps.append(row)
-    final = {"x": trace.final_x, "f": trace.final_f}
-    if trace.final_y is not None:
-        final["y"] = trace.final_y
-        final["f_y"] = trace.final_f_y
-    if trace.final_z is not None:
-        final["z"] = trace.final_z
+    final = {"x": trace.final_x, "f": trace.final("f")}
+    for name in ("y", "f_y", "z"):
+        if trace.final(name) is not None:
+            final[name] = trace.final(name)
     meta = {k: v for k, v in trace.meta.items() if k != "constants"}
     meta["constants"] = consts
     meta["final"] = final
-    return {"meta": meta, "steps": steps}
+    return {"meta": meta, "steps": _step_rows(trace)}
 
 
 def trace_to_csv(trace: Trace) -> str:
     """Per-iteration table: header row plus one row per recorded step."""
     dim = trace.final_x.shape[0]
     cols = ["t"] + [f"x{i}" for i in range(dim)]
-    has_yz = trace.steps and trace.steps[0].y is not None
+    has_yz = trace.y is not None
     if has_yz:
         cols += [f"y{i}" for i in range(dim)] + [f"z{i}" for i in range(dim)] + ["f_y"]
     cols += ["f", "gap", "grad_norm", "grad_dual_norm", "eta", "phi", "step_ok"]
-    f_star = trace.constants.get("f_star")
     lines = [",".join(cols)]
-    for s, g_norm, g_dual in zip(trace.steps, *_grad_norms(trace)):
-        gap = s.f - s.f_ref if s.f_ref is not None else (
-            s.f - f_star if f_star is not None else None)
-        row = [_csv_scalar(s.t), _csv_vector(s.x)]
+    for s in _step_rows(trace):
+        row = [_csv_scalar(s["t"]), _csv_vector(s["x"])]
         if has_yz:
-            row += [_csv_vector(s.y), _csv_vector(s.z), _csv_scalar(s.f_y)]
-        row += [_csv_scalar(v) for v in (
-            s.f, gap, g_norm, g_dual, s.eta, s.phi, s.step_ok)]
+            row += [_csv_vector(s["y"]), _csv_vector(s["z"]), _csv_scalar(s["f_y"])]
+        row += [_csv_scalar(s.get(k)) for k in (
+            "f", "gap", "grad_norm", "grad_dual_norm", "eta", "phi", "step_ok")]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

@@ -135,10 +135,6 @@ def get_map(map_id: str) -> MirrorMap:
     return MAPS[map_id]()
 
 
-def bregman(mirror_map: MirrorMap, y, x) -> float:
-    return mirror_map.bregman(y, x)
-
-
 def bregman_project(mirror_map: MirrorMap, feasible: FeasibleSet, x_prime) -> Vector:
     """argmin over the set of the divergence from x_prime.
 
@@ -193,10 +189,9 @@ def run_mirror_descent(adversary: OnlineAdversary, mirror_map: MirrorMap,
     if comparator is None:
         comparator = adversary.comparator_over(feasible, T)
     comparator = as_vector(comparator)
-    steps, x = drive(adversary, x, T,
-                     lambda t, x, g, eta: mirror_step(mirror_map, feasible, x, g, eta),
-                     lambda t: eta, comparator=comparator)
-    trace = Trace(steps=steps, final_x=x)
+    trace = drive(adversary, x, T,
+                  lambda t, x, g, eta: mirror_step(mirror_map, feasible, x, g, eta),
+                  lambda t: eta, comparator=comparator)
     trace.meta["method"] = f"mirror-{mirror_map.map_id}"
     trace.constants["eta"] = eta
     trace.constants["alpha_h"] = mirror_map.alpha_h

@@ -238,9 +238,6 @@ class ExpertsAdversary(OnlineAdversary):
         self.dim = rows.shape[1]
         self._losses = [LinearLoss(r) for r in rows]
 
-    def row(self, t: int) -> Vector:
-        return self.rows[t % self.rows.shape[0]].copy()
-
     def next_loss(self, t: int, x) -> Problem:
         return self._losses[t % len(self._losses)]
 
@@ -248,10 +245,9 @@ class ExpertsAdversary(OnlineAdversary):
         return max(norm_value(kind.dual, r) for r in self.rows)
 
     def cumulative(self, T: int) -> Vector:
-        total = np.zeros(self.dim)
-        for t in range(T):
-            total += self.row(t)
-        return total
+        """The summed losses of rounds 0..T-1, added in round order."""
+        # + 0.0 as a sum started from zeros has it: a column of -0.0 sums to 0.0
+        return np.cumsum(self.rows[np.arange(T) % len(self.rows)], axis=0)[-1] + 0.0
 
     def comparator_over(self, feasible: FeasibleSet, T: int) -> Vector:
         # rounds are linear, so the best fixed point is a linear minimizer

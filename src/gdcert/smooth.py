@@ -97,17 +97,16 @@ def run_smooth_gd(problem: Problem, x0, T: int,
         raise ValueError("problem declares no smoothness constant")
     if feasible is None:
         feasible = Unconstrained(problem.dim)
-    steps, x = drive(problem, feasible.project(x0), T,
-                     lambda t, x, g, eta: feasible.project(x - g / beta),
-                     lambda t: 1.0 / beta)
-    trace = Trace(steps=steps, final_x=x, final_f=problem.value(x))
+    trace = drive(problem, feasible.project(x0), T,
+                  lambda t, x, g, eta: feasible.project(x - g / beta),
+                  lambda t: 1.0 / beta)
     trace.meta["method"] = "smooth-gd"
     trace.constants["beta"] = beta
     _attach_reference(trace, problem, feasible, reference)
     D = problem.sublevel_diameter(as_vector(x0))
     if D is None:
-        x_star = trace.constants["x_star"]
-        D = max(float(np.linalg.norm(x - x_star)) for x in trace.xs())
+        d = trace.x - trace.constants["x_star"]
+        D = float(np.max(np.sqrt(np.vecdot(d, d))))
         trace.add_flag("trajectory-estimated-D")
     trace.constants["D"] = D
     return trace
@@ -126,10 +125,9 @@ def run_frank_wolfe(problem: Problem, feasible: FeasibleSet, x0, T: int,
     x = as_vector(x0)
     if not feasible.member(x):
         raise ValueError("starting point must be feasible")
-    steps, x = drive(problem, x, T,
-                     lambda t, x, g, eta: frank_wolfe_step(feasible, x, g, eta),
-                     FW_SCHEDULES[schedule])
-    trace = Trace(steps=steps, final_x=x, final_f=problem.value(x))
+    trace = drive(problem, x, T,
+                  lambda t, x, g, eta: frank_wolfe_step(feasible, x, g, eta),
+                  FW_SCHEDULES[schedule])
     trace.meta["method"] = "frank-wolfe"
     trace.meta["schedule"] = schedule
     trace.constants["beta"] = beta

@@ -11,79 +11,63 @@ import numpy as np
 from gdcert.core import Vector
 from gdcert.problems import OnlineAdversary
 
-
-@dataclass
-class StepRecord:
-    """One iteration of any method.
-
-    ``f`` is the round loss at the played point (for fixed objectives, the
-    objective value), ``f_ref`` the same round loss at the comparator, and
-    ``grad`` the gradient the step consumed. Accelerated methods also carry
-    the auxiliary ``y``/``z`` points and the value at ``y``, which is the
-    point their guarantees speak about.
-    """
-
-    t: int
-    x: Vector
-    f: float
-    grad: Vector
-    eta: float | None = None
-    f_ref: float | None = None
-    y: Vector | None = None
-    z: Vector | None = None
-    f_y: float | None = None
-    phi: float | None = None
-    step_ok: bool | None = None
+# the columns holding one vector per row; the others hold one float
+_VECTORS = ("x", "grad", "y", "z")
 
 
 @dataclass
 class Trace:
-    """Iterate history of one run plus the constants the run used.
+    """Iterate history of one run as float64 columns, row t for the point t,
+    plus the constants the run used.
 
-    ``steps`` holds one record per gradient evaluation (t = 0 .. T-1);
-    ``final_x`` (and ``final_y``/``final_z`` for coupled methods) is the state
-    after the last update. ``meta`` echoes the configuration and carries the
-    constants and flags the certifier needs, e.g. ``meta["constants"]["D"]``
-    and ``meta["flags"] = ["trajectory-estimated-D"]``.
+    ``x`` is the played point, ``f`` the round loss there (for fixed
+    objectives, the objective value), ``grad`` the gradient step t consumed,
+    ``eta`` its step size and ``f_ref`` the round loss at the comparator.
+    Coupled methods also record the auxiliary ``y``/``z`` points and the
+    value at ``y``, ``f_y``, which is the point their guarantees speak
+    about. A column's row count says where it is recorded: T + 1 rows when
+    the final state carries it too (``x``; ``f`` and ``f_y`` on a fixed
+    objective; ``y`` and ``z`` of a coupled run), T rows when only the steps
+    do, and None when the method never records it.
+
+    ``phi`` and ``step_ok`` (T rows) are written by the certifier: Phi_t and
+    the verdict of each step it checked, 1 held and 0 violated; nan in both
+    where no certificate checked step t. ``meta`` echoes the configuration
+    and carries the constants and flags the certifier needs, e.g.
+    ``meta["constants"]["D"]`` and ``meta["flags"] = ["trajectory-estimated-D"]``.
     """
 
-    steps: list[StepRecord]
-    final_x: Vector
+    x: np.ndarray
+    f: np.ndarray
+    grad: np.ndarray
+    eta: np.ndarray
+    f_ref: np.ndarray | None = None
+    y: np.ndarray | None = None
+    z: np.ndarray | None = None
+    f_y: np.ndarray | None = None
+    phi: np.ndarray | None = None
+    step_ok: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
-    final_y: Vector | None = None
-    final_z: Vector | None = None
-    final_f: float | None = None
-    final_f_y: float | None = None
+
+    @classmethod
+    def from_rows(cls, rows: dict) -> Trace:
+        """Stack each column's list of rows once into one array."""
+        dim = len(rows["x"][0])
+        return cls(**{name: _stack(col, dim) if name in _VECTORS
+                      else np.array(col, dtype=float) for name, col in rows.items()})
 
     @property
     def T(self) -> int:
-        return len(self.steps)
+        return self.x.shape[0] - 1
 
-    def xs(self) -> list[Vector]:
-        """All iterates x_0 .. x_T including the final point."""
-        return [s.x for s in self.steps] + [self.final_x]
+    @property
+    def final_x(self) -> Vector:
+        return self.x[-1]
 
-    def ys(self) -> list[Vector]:
-        out = [s.y for s in self.steps]
-        out.append(self.final_y)
-        return out
-
-    def zs(self) -> list[Vector]:
-        out = [s.z for s in self.steps]
-        out.append(self.final_z)
-        return out
-
-    def f_values(self) -> np.ndarray:
-        vals = [s.f for s in self.steps]
-        if self.final_f is not None:
-            vals.append(self.final_f)
-        return np.asarray(vals)
-
-    def regret(self) -> float:
-        """Total loss relative to the comparator over the played rounds."""
-        if any(s.f_ref is None for s in self.steps):
-            raise ValueError("trace has no comparator values")
-        return float(sum(s.f - s.f_ref for s in self.steps))
+    def final(self, name: str):
+        """Row T of a column; None where the final state does not carry it."""
+        col = getattr(self, name)
+        return col[self.T] if col is not None and len(col) > self.T else None
 
     @property
     def constants(self) -> dict:
@@ -98,9 +82,18 @@ class Trace:
             self.flags.append(flag)
 
 
-def drive(objective, state, T: int, step, eta, comparator: Vector | None = None,
-          t0: int = 0) -> tuple[list[StepRecord], object]:
-    """Run T steps from ``state``; returns the records and the final state.
+def _stack(rows: list, dim: int) -> np.ndarray:
+    # one concatenation copies the rows faster than np.array on the list:
+    # 0.10 against 0.24 us per row at d = 2
+    if not rows:
+        return np.zeros((0, dim))
+    return np.concatenate(rows, dtype=float).reshape(len(rows), dim)
+
+
+def record(objective, state, T: int, step, eta, comparator: Vector | None = None,
+           t0: int = 0) -> tuple[dict, object]:
+    """Run T steps from ``state``; returns each column's T rows as a list,
+    and the final state.
 
     Each step t takes the round loss (``objective`` itself for a fixed
     objective, ``objective.next_loss(t, x)`` for an online adversary),
@@ -108,8 +101,9 @@ def drive(objective, state, T: int, step, eta, comparator: Vector | None = None,
     passes that same g to ``step(t, state, g, eta(t))`` for the next state.
     ``state`` is the played point, or for coupled methods an object whose
     ``x``, ``y`` and ``z`` are recorded with the value at ``y``. A
-    ``comparator`` adds the round loss there as ``f_ref``. Records are
-    numbered from ``t0``; ``step`` and ``eta`` see the local t.
+    ``comparator`` adds the round loss there as ``f_ref``. ``t0`` is the
+    step number of the first step in the error message; ``step`` and
+    ``eta`` see the local t.
 
     Overflow, division by zero and invalid operations raise inside the loop,
     and a non-finite gradient, step size or next point is rejected: either
@@ -123,7 +117,12 @@ def drive(objective, state, T: int, step, eta, comparator: Vector | None = None,
     # finite entries times zeros sum to exactly 0, an inf or nan entry to nan:
     # one BLAS call per check whatever the dimension
     zero = np.zeros_like(x)
-    steps = []
+    xs, fs, grads, etas = [], [], [], []
+    rows = {"x": xs, "f": fs, "grad": grads, "eta": etas}
+    if comparator is not None:
+        f_refs = rows["f_ref"] = []
+    if coupled:
+        ys, zs, f_ys = rows["y"], rows["z"], rows["f_y"] = [], [], []
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for t in range(T):
@@ -132,16 +131,38 @@ def drive(objective, state, T: int, step, eta, comparator: Vector | None = None,
                 eta_t = eta(t)
                 if not math.isfinite(g.dot(zero) + eta_t):
                     raise FloatingPointError
-                f_ref = None if comparator is None else loss.value(comparator)
+                if comparator is not None:
+                    f_refs.append(loss.value(comparator))
+                xs.append(x)
+                fs.append(loss.value(x))
+                grads.append(g)
+                etas.append(eta_t)
                 if coupled:
-                    steps.append(StepRecord(t0 + t, x, loss.value(x), g, eta_t, f_ref,
-                                            state.y, state.z, loss.value(state.y)))
-                else:
-                    steps.append(StepRecord(t0 + t, x, loss.value(x), g, eta_t, f_ref))
+                    ys.append(state.y)
+                    zs.append(state.z)
+                    f_ys.append(loss.value(state.y))
                 state = step(t, state, g, eta_t)
                 x = state.x if coupled else state
                 if not math.isfinite(x.dot(zero)):
                     raise FloatingPointError
     except FloatingPointError:
         raise FloatingPointError(f"iterate diverged at step {t0 + t}") from None
-    return steps, state
+    return rows, state
+
+
+def drive(objective, state, T: int, step, eta,
+          comparator: Vector | None = None) -> Trace:
+    """``record`` T steps, then add the final state's row: x (and y, z of a
+    coupled state), and on a fixed objective its value there (and at y)."""
+    rows, state = record(objective, state, T, step, eta, comparator)
+    coupled = "y" in rows
+    x = state.x if coupled else state
+    rows["x"].append(x)
+    if coupled:
+        rows["y"].append(state.y)
+        rows["z"].append(state.z)
+    if not isinstance(objective, OnlineAdversary):
+        rows["f"].append(objective.value(x))
+        if coupled:
+            rows["f_y"].append(objective.value(state.y))
+    return Trace.from_rows(rows)

@@ -27,6 +27,16 @@ def as_vector_reference(x) -> np.ndarray:
     return v
 
 
+def cumulative_loop(rows, T: int) -> np.ndarray:
+    """``ExpertsAdversary.cumulative`` as a loop over the rounds: the rows
+    played cyclically, added one round at a time onto zeros."""
+    rows = np.asarray(rows, dtype=float)
+    total = np.zeros(rows.shape[1])
+    for t in range(T):
+        total += rows[t % rows.shape[0]]
+    return total
+
+
 def simplex_project_enumerate(y) -> np.ndarray:
     """Exact simplex projection by enumerating KKT support sets.
 
@@ -199,19 +209,19 @@ def _phi(kind: str, c: dict, t: int, gap, dist) -> float:
     raise KeyError(kind)
 
 
-def _allowance(kind: str, c: dict, map_id: str, step, t: int) -> float:
+def _allowance(kind: str, c: dict, map_id: str, eta: float, grad, t: int) -> float:
     if kind == "distance":
         return 0.5 * c["eta"] * c["G"] ** 2
     if kind == "sc-distance":
-        return 0.5 * step.eta * c["G"] ** 2
+        return 0.5 * eta * c["G"] ** 2
     if kind == "value":
         return c["beta"] * c["D"] ** 2 / (2.0 * (t + 1.0))
     if kind == "value-scaled":
         return 2.0 * c["beta"] * c["D"] ** 2 * (t + 1.0) / (t + 2.0)
     if kind == "value-distance":
-        return 0.0 if c.get("projected") else -(t / (2.0 * c["beta"])) * _sq(step.grad)
+        return 0.0 if c.get("projected") else -(t / (2.0 * c["beta"])) * _sq(grad)
     if kind == "bregman":
-        gd = _dual(map_id, step.grad)
+        gd = _dual(map_id, grad)
         return 0.5 * c["eta"] * gd * gd / c["alpha_h"]
     return 0.0
 
@@ -235,26 +245,29 @@ def replay_certificate(theorem_id: str, kind: str | None, trace, problem=None,
     """One certificate of an unconstrained run or an online run, replayed
     point by point: the step checks as tuples (t, phi, dphi, allowed, ok,
     slack, amortized), the telescoping residual, and the end checks as
-    tuples (label, lhs, rhs, ok, note)."""
-    steps, T = trace.steps, trace.T
+    tuples (label, lhs, rhs, ok, note). Reads the trace's columns row by
+    row, every value as a Python float."""
+    T = trace.T
+    fs, etas, grads = trace.f.tolist(), trace.eta.tolist(), list(trace.grad)
+    f_refs = None if trace.f_ref is None else trace.f_ref.tolist()
     c = dict(trace.meta["constants"])
     c["x_star"] = x_star = np.asarray(c["x_star"], dtype=float)
     map_id = trace.meta.get("map", "euclidean")
-    if "eta" not in c and steps[0].eta is not None:
-        c["eta"] = steps[0].eta
+    if "eta" not in c:
+        c["eta"] = etas[0]
     if c.get("G") is None and kind in ("distance", "sc-distance"):
-        c["G"] = max(math.sqrt(_sq(s.grad)) for s in steps)
+        c["G"] = max(math.sqrt(_sq(g)) for g in grads)
     if c.get("G_dual") is None and kind == "bregman":
-        c["G_dual"] = max(_dual(map_id, s.grad) for s in steps)
-    xs = [s.x for s in steps] + [trace.final_x]
+        c["G_dual"] = max(_dual(map_id, g) for g in grads)
+    xs = list(trace.x)
     if c.get("D") is None and kind in ("distance", "value", "value-scaled"):
         c["D"] = max(math.sqrt(_sq(x - x_star)) for x in xs)
     f_star = c.get("f_star")
 
     coupled = kind in COUPLED
-    points = [s.z for s in steps] + [trace.final_z] if coupled else xs
-    values = ([s.f_y for s in steps] + [trace.final_f_y] if coupled
-              else [s.f for s in steps] + [trace.final_f])
+    points = list(trace.z) if coupled else xs
+    # the final point's value where the run records one
+    values = trace.f_y.tolist() if coupled else fs + [None] * (T + 1 - len(fs))
     phis = []
     for t in range(T + 1):
         if kind is None:
@@ -277,14 +290,13 @@ def replay_certificate(theorem_id: str, kind: str | None, trace, problem=None,
     for t in range(T if phis else 0):
         if phis[t] is None or phis[t + 1] is None:
             continue
-        step = steps[t]
         dphi = phis[t + 1] - phis[t]
-        allowed = _allowance(kind, c, map_id, step, t)
+        allowed = _allowance(kind, c, map_id, etas[t], grads[t], t)
         slack = tol * (1.0 + abs(phis[t]))
         amortized = None
         if kind in AMORTIZED:
-            f_ref = step.f_ref if step.f_ref is not None else f_star
-            amortized = (step.f - f_ref) + dphi
+            f_ref = f_refs[t] if f_refs is not None else f_star
+            amortized = (fs[t] - f_ref) + dphi
         ok = (dphi if amortized is None else amortized) <= allowed + slack
         checks.append((t, phis[t], dphi, allowed, ok, slack, amortized))
     known = [p for p in phis if p is not None]
@@ -292,9 +304,9 @@ def replay_certificate(theorem_id: str, kind: str | None, trace, problem=None,
     if len(known) >= 2:
         residual = abs((known[-1] - known[0]) - sum(chk[2] for chk in checks))
 
-    regret = sum(s.f - s.f_ref for s in steps) if steps[0].f_ref is not None else None
-    r2 = float(np.sum((steps[0].x - x_star) ** 2))
-    final_gap = None if trace.final_f is None else trace.final_f - f_star
+    regret = None if f_refs is None else sum(fs[t] - f_refs[t] for t in range(T))
+    r2 = float(np.sum((xs[0] - x_star) ** 2))
+    final_gap = None if len(fs) == T else fs[T] - f_star
     if theorem_id == "gd-regret":
         end = [_bound("average-regret", regret / T, c["D"] * c["G"] / np.sqrt(T), tol)]
     elif theorem_id == "sc-regret":
@@ -309,23 +321,23 @@ def replay_certificate(theorem_id: str, kind: str | None, trace, problem=None,
     elif theorem_id == "smooth-value-distance":
         end = [_bound("final-gap", final_gap, c["beta"] * r2 / (2.0 * T), tol)]
     elif theorem_id == "well-conditioned":
-        rhs = float(np.exp(-T / c["kappa"]) * (steps[0].f - f_star))
+        rhs = float(np.exp(-T / c["kappa"]) * (fs[0] - f_star))
         end = [_bound("final-gap", final_gap, rhs, tol)]
     elif theorem_id == "mirror-regret":
-        div = _divergence(map_id, x_star, steps[0].x)
+        div = _divergence(map_id, x_star, xs[0])
         eta, ah = c["eta"], c["alpha_h"]
-        dual_sq = sum(_dual(map_id, s.grad) ** 2 for s in steps)
+        dual_sq = sum(_dual(map_id, g) ** 2 for g in grads)
         end = [_bound("regret", regret, div / eta + eta * dual_sq / (2.0 * ah), tol),
                _bound("regret-gradient-bound", regret,
                       div / eta + eta * T * c["G_dual"] ** 2 / (2.0 * ah), tol,
                       "same envelope with the uniform G")]
     elif theorem_id == "agm-smooth":
-        rz = float(np.sum((steps[0].z - x_star) ** 2))
+        rz = float(np.sum((points[0] - x_star) ** 2))
         end = [_anytime(c, values, lambda t: 2.0 * c["beta"] * rz / (t * (t + 1.0)), tol)]
     elif theorem_id == "agm-mirror":
         div = c.get("bregman_x_star_z0")
         if div is None:
-            div = _divergence(map_id, x_star, steps[0].z)
+            div = _divergence(map_id, x_star, points[0])
         coef = 4.0 * c["beta"] / c["alpha_h"]
         end = [_anytime(c, values, lambda t: coef * div / (t * (t + 1.0)), tol)]
     elif theorem_id == "agm-sc":

@@ -115,10 +115,9 @@ class TestAgm1:
         T = 50
         a1 = run_agm1(problem, x0, T)
         a2 = run_agm2(problem, x0, T, schedule="agm-lambda")
-        for s1, s2 in zip(a1.steps, a2.steps):
-            assert np.max(np.abs(s1.x - s2.x)) <= 1e-10
-            assert np.max(np.abs(s1.y - s2.y)) <= 1e-10
-            assert np.max(np.abs(s1.z - s2.z)) <= 1e-10
+        assert np.max(np.abs(a1.x - a2.x)) <= 1e-10
+        assert np.max(np.abs(a1.y - a2.y)) <= 1e-10
+        assert np.max(np.abs(a1.z - a2.z)) <= 1e-10
         assert np.max(np.abs(a1.final_x - a2.final_x)) <= 1e-10
 
 
@@ -139,8 +138,8 @@ class TestConstrainedAgm:
         ball = Ball(np.zeros(2), 0.5)
         x0 = np.array([0.5, 0.0])  # on the boundary
         trace = run_agm2(p2, x0, 100, feasible=ball)
-        for s in trace.steps:
-            assert ball.member(s.x) and ball.member(s.y) and ball.member(s.z)
+        for x, y, z in zip(trace.x, trace.y, trace.z):
+            assert ball.member(x) and ball.member(y) and ball.member(z)
 
     def test_zero_gradient_projects_x(self):
         p = make_diag_quadratic([1.0, 1.0], [0.5, 0.5])
@@ -245,9 +244,10 @@ class TestStronglyConvexAgm:
 
     def test_recursion_residual_along_run(self, p2):
         trace = run_sc_agm(p2, [1.0, 1.0], 100)
-        zs = trace.zs()
-        for t, s in enumerate(trace.steps):
-            res = sc_agm_recursion_residual(s.grad, s.x, s.z, zs[t + 1], 1.0, 4.0)
+        zs = trace.z
+        for t in range(trace.T):
+            res = sc_agm_recursion_residual(trace.grad[t], trace.x[t], zs[t], zs[t + 1],
+                                            1.0, 4.0)
             assert res <= 1e-9
 
     def test_condition_one_single_exact_step(self, p1):
@@ -296,7 +296,7 @@ class TestRestart:
         # sqrt(kappa) vs kappa scaling: count steps to gap <= 1e-6 on P3
         p3 = get_problem("p3")
         trace = run_sc_agm(p3, [1.0, 1.0], 400)
-        views = trace.ys()
+        views = trace.y
         accel_steps = next(t for t in range(1, len(views))
                            if p3.value(views[t]) <= 1e-6)
         x = np.array([1.0, 1.0])

@@ -19,7 +19,6 @@ from gdcert.harness import RunConfig, run_experiment
 from gdcert.mirror import (
     EuclideanMap,
     NegEntropyMap,
-    bregman,
     generalized_pythagorean_gap,
     hedge_closed_form,
     run_mirror_descent,
@@ -142,7 +141,7 @@ def test_criterion_5_frank_wolfe():
         if feasible is None:
             from gdcert.core import Box
             feasible = Box(-np.ones(2), np.ones(2))
-        members = all(feasible.member(x) for x in res.trace.xs())
+        members = all(feasible.member(x) for x in res.trace.x)
         (end,) = rep.end_checks
         ok = ok and rep.passed and members
         details.append(f"{set_id}: {end.lhs:.2e} vs {end.rhs:.2e}")
@@ -183,7 +182,7 @@ def test_criterion_7_mirror_descent():
     md = run_mirror_descent(adv, EuclideanMap(), ball, [0.5, 0.5], eta, T)
     gd = run_online_gd(adv, ball, [0.5, 0.5], Constant(eta), T)
     euclid_gap = max(float(np.max(np.abs(a - b)))
-                     for a, b in zip(md.xs(), gd.xs()))
+                     for a, b in zip(md.x, gd.x))
     ok = ok and euclid_gap <= 1e-12
 
     # cross-equivalence: the entropy-map run is the multiplicative update
@@ -223,11 +222,8 @@ def test_criterion_8_accelerated_smooth():
         problem = get_problem(pid)
         a1 = run_agm1(problem, x0, 50)
         a2 = run_agm2(problem, x0, 50, schedule="agm-lambda")
-        for s1, s2 in zip(a1.steps, a2.steps):
-            worst = max(worst,
-                        float(np.max(np.abs(s1.x - s2.x))),
-                        float(np.max(np.abs(s1.y - s2.y))),
-                        float(np.max(np.abs(s1.z - s2.z))))
+        for col in ("x", "y", "z"):
+            worst = max(worst, float(np.max(np.abs(getattr(a1, col) - getattr(a2, col)))))
     ok = ok and worst <= 1e-10
     criterion(8, "accelerated method: anytime bound, monotone potential, "
                  "constrained variant, formulation equivalence",
@@ -257,7 +253,7 @@ def test_criterion_9_failed_potential_diagnostic():
                   theorems=["failed-potential"], keep=False)
         rep = res.reports[0]
         found = {c.t for c in rep.step_checks if not c.ok}
-        exact = broken_potential_increases(q, beta, res.trace.steps[0].x, T)
+        exact = broken_potential_increases(q, beta, res.trace.x[0], T)
         ok = (ok and rep.expected_fail and rep.error is None
               and rep.constants["beta"] == beta
               and len(rep.step_checks) == T
@@ -295,7 +291,7 @@ def test_criterion_10_strongly_convex_acceleration():
 
     # steps to gap <= 1e-6, accelerated vs plain well-conditioned descent
     trace = run_sc_agm(p3, [1.0, 1.0], 400)
-    ys = trace.ys()
+    ys = trace.y
     accel_steps = next(t for t in range(1, len(ys)) if p3.value(ys[t]) <= 1e-6)
     x = np.array([1.0, 1.0])
     plain_steps = 0
@@ -333,7 +329,7 @@ def test_criterion_11_property_suites():
         first, second = generalized_pythagorean_gap(ent, Simplex(3), a, b_prime)
         ok = ok and first <= 1e-10 and second >= -1e-10
         q = 0.98 * rng.dirichlet(np.ones(3)) + 0.02 / 3
-        div = bregman(ent, a, q)
+        div = ent.bregman(a, q)
         ok = ok and div >= -1e-15
         ok = ok and div >= 0.5 * float(np.sum(np.abs(a - q))) ** 2 - 1e-9
 

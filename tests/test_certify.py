@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from gdcert.certify import (
     PotentialKind,
     PotentialSpec,
     THEOREMS,
-    certify_step,
     certify_trace,
     potential,
     rate_comparison,
@@ -20,17 +21,19 @@ from gdcert.harness import RunConfig, make_set, run_experiment
 from gdcert.problems import PROBLEMS, FixedAdversary, get_problem
 from gdcert.smooth import run_smooth_gd, run_well_conditioned
 from gdcert.accel import run_agm2, run_sc_agm
-from gdcert.trace import StepRecord, Trace
+from gdcert.trace import Trace
 from oracles import replay_certificate
 
 
-def view(t, x, f=None, y=None, z=None, f_y=None, grad=None, eta=None, f_ref=None):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return StepRecord(t=t, x=x, f=f, grad=grad if grad is not None else np.zeros_like(x),
-                      eta=eta, f_ref=f_ref,
-                      y=None if y is None else np.atleast_1d(np.asarray(y, float)),
-                      z=None if z is None else np.atleast_1d(np.asarray(z, float)),
-                      f_y=f_y)
+def view(x, f=None, y=None, z=None, f_y=None):
+    """One point of a run, as ``potential`` reads it."""
+    def vec(v):
+        return None if v is None else np.atleast_1d(np.asarray(v, dtype=float))
+    return SimpleNamespace(x=vec(x), f=f, y=vec(y), z=vec(z), f_y=f_y)
+
+
+def empty_trace():
+    return Trace(x=np.zeros((1, 1)), f=np.zeros(0), grad=np.zeros((0, 1)), eta=np.zeros(0))
 
 
 class TestPotentialValues:
@@ -38,12 +41,12 @@ class TestPotentialValues:
         # ||x - x*||^2 / (2 eta) at x = 1, x* = 0, eta = 0.1
         spec = PotentialSpec(PotentialKind.DISTANCE, {"eta": 0.1},
                              np.array([0.0]), 0.0)
-        assert potential(spec, view(0, 1.0, f=0.5), 0) == pytest.approx(5.0)
+        assert potential(spec, view(1.0, f=0.5), 0) == pytest.approx(5.0)
 
     def test_agm_kind_at_start(self):
         # t = 0 kills the value term; 2 beta ||z0 - x*||^2 = 2
         spec = PotentialSpec(PotentialKind.AGM, {"beta": 1.0}, np.array([0.0]), 0.0)
-        s = view(0, 1.0, f=0.5, y=1.0, z=1.0, f_y=0.5)
+        s = view(1.0, f=0.5, y=1.0, z=1.0, f_y=0.5)
         assert potential(spec, s, 0) == pytest.approx(2.0)
 
     def test_zero_at_reference(self):
@@ -51,16 +54,16 @@ class TestPotentialValues:
                              (PotentialKind.VALUE_DISTANCE, {"beta": 2.0}),
                              (PotentialKind.EXP_VALUE, {"gamma": 0.5})]:
             spec = PotentialSpec(kind, consts, np.array([0.0]), 0.0)
-            assert potential(spec, view(3, 0.0, f=0.0), 3) == pytest.approx(0.0)
+            assert potential(spec, view(0.0, f=0.0), 3) == pytest.approx(0.0)
 
     def test_missing_constants_rejected(self):
         spec = PotentialSpec(PotentialKind.DISTANCE, {}, np.array([0.0]), 0.0)
         with pytest.raises(ValueError):
-            potential(spec, view(0, 1.0, f=0.5), 0)
+            potential(spec, view(1.0, f=0.5), 0)
 
     def test_failed_kind_uses_doubled_distance_weight(self):
         spec = PotentialSpec(PotentialKind.FAILED, {"beta": 4.0}, np.zeros(2), 0.0)
-        s = view(0, [1.0, 1.0], f=2.5)
+        s = view([1.0, 1.0], f=2.5)
         # a = 4 beta so the distance term is 2 beta ||x||^2 = 16
         assert potential(spec, s, 0) == pytest.approx(16.0)
 
@@ -68,11 +71,11 @@ class TestPotentialValues:
 class TestCertifyStep:
     def test_amortized_worked_chain(self):
         # P1, x_t = 1, eta = 0.1: phi 5 -> 4.05, amortized -0.45 <= 0.05
-        spec = PotentialSpec(PotentialKind.DISTANCE, {"eta": 0.1, "G": 1.0},
-                             np.array([0.0]), 0.0)
-        s_t = view(0, 1.0, f=0.5, grad=np.array([1.0]), eta=0.1, f_ref=0.0)
-        s_next = view(1, 0.9, f=0.405)
-        chk = certify_step(spec, s_t, s_next, 0)
+        trace = Trace(x=np.array([[1.0], [0.9]]), f=np.array([0.5]),
+                      grad=np.array([[1.0]]), eta=np.array([0.1]), f_ref=np.array([0.0]))
+        trace.constants.update({"eta": 0.1, "G": 1.0, "D": 1.0, "x_star": np.array([0.0]),
+                                "f_star": 0.0})
+        (chk,) = certify_trace("gd-regret", trace).step_checks
         assert chk.phi == pytest.approx(5.0)
         assert chk.dphi == pytest.approx(-0.95)
         assert chk.amortized == pytest.approx(-0.45)
@@ -80,9 +83,13 @@ class TestCertifyStep:
         assert chk.ok
 
     def test_violation_is_recorded_not_raised(self):
-        spec = PotentialSpec(PotentialKind.EXP_VALUE, {"gamma": 1.0},
-                             np.array([0.0]), 0.0)
-        worse = certify_step(spec, view(0, 1.0, f=1.0), view(1, 1.0, f=1.0), 0)
+        trace = Trace(x=np.array([[1.0], [1.0]]), f=np.array([1.0, 1.0]),
+                      grad=np.array([[0.0]]), eta=np.array([1.0]))
+        trace.constants.update({"gamma": 1.0, "kappa": 2.0, "x_star": np.array([0.0]),
+                                "f_star": 0.0})
+        report = certify_trace("well-conditioned", trace)
+        (worse,) = report.step_checks
+        assert not report.passed
         assert not worse.ok  # (1+gamma)^t growth with a flat gap must fail
 
 
@@ -101,12 +108,11 @@ class TestCertifyTrace:
     def test_potentials_written_back_to_trace(self):
         trace = run_smooth_gd(get_problem("p2"), [1.0, 1.0], 50)
         certify_trace("smooth-value-scaled", trace)
-        assert trace.steps[0].phi is not None
-        assert trace.steps[0].step_ok is True
+        assert not np.isnan(trace.phi[0])
+        assert trace.step_ok[0] == 1.0
 
     def test_empty_trace_is_vacuous(self):
-        trace = Trace(steps=[], final_x=np.zeros(1))
-        report = certify_trace("agm-smooth", trace)
+        report = certify_trace("agm-smooth", empty_trace())
         assert report.end_checks[0].vacuous
         assert report.passed
 
@@ -119,9 +125,8 @@ class TestCertifyTrace:
         assert not report.passed
 
     def test_unknown_theorem_rejected(self):
-        trace = Trace(steps=[], final_x=np.zeros(1))
         with pytest.raises(KeyError):
-            certify_trace("fermat-last", trace)
+            certify_trace("fermat-last", empty_trace())
 
     def test_end_bound_values_frozen(self):
         p2 = get_problem("p2")

@@ -68,18 +68,18 @@ class TestOnlineGd:
     def test_zero_losses_keep_start(self):
         adv = make_experts_adversary([[0.0, 0.0]])
         trace = run_online_gd(adv, Simplex(2), [0.5, 0.5], Constant(0.1), 20)
-        for s in trace.steps:
-            np.testing.assert_allclose(s.x, [0.5, 0.5])
-        assert trace.regret() == pytest.approx(0.0)
+        for x in trace.x:
+            np.testing.assert_allclose(x, [0.5, 0.5])
+        assert float(np.sum(trace.f - trace.f_ref)) == pytest.approx(0.0)
 
     def test_p1_geometric_decay(self):
         # constant eta = 0.1 on f(x) = x^2/2 contracts by 0.9 per step
         adv = FixedAdversary(get_problem("p1"))
         trace = run_online_gd(adv, Unconstrained(1), [1.0], Constant(0.1), 50)
-        for t, s in enumerate(trace.steps):
-            assert s.x[0] == pytest.approx(0.9 ** t, rel=1e-12)
+        for t, x in enumerate(trace.x):
+            assert x[0] == pytest.approx(0.9 ** t, rel=1e-12)
         envelope = sum(0.5 * 0.9 ** (2 * t) for t in range(50))
-        assert trace.regret() <= envelope + 1e-12
+        assert float(np.sum(trace.f - trace.f_ref)) <= envelope + 1e-12
 
     def test_regret_bound_value(self):
         # D = G = 1, T = 100: the certified bound evaluates to DG/sqrt(T) = 0.1
@@ -100,7 +100,7 @@ class TestOnlineGd:
         trace.constants.update({"D": 1.0, "G": 1.0, "f_star": 0.0})
         report = certify_trace("gd-regret", trace)
         assert report.step_failures == 0
-        bound = 0.5 * trace.steps[0].eta  # eta G^2 / 2 with G = 1
+        bound = 0.5 * trace.eta[0]  # eta G^2 / 2 with G = 1
         for chk in report.step_checks:
             assert chk.amortized <= bound + chk.slack
 
@@ -109,9 +109,9 @@ class TestOnlineGd:
         ball = Ball(np.zeros(2), 1.0)
         trace = run_online_gd(adv, ball, [0.5, 0.5], Constant(0.3), 60)
         x_star = trace.constants["x_star"]
-        xs = trace.xs()
-        for t, s in enumerate(trace.steps):
-            pre_projection = s.x - s.eta * s.grad
+        xs = trace.x
+        for t in range(trace.T):
+            pre_projection = xs[t] - trace.eta[t] * trace.grad[t]
             after = np.sum((xs[t + 1] - x_star) ** 2)
             before = np.sum((pre_projection - x_star) ** 2)
             assert after <= before + 1e-12
@@ -127,7 +127,7 @@ class TestStronglyConvexGd:
         # alpha = 1: eta_0 = 1, so x_1 = 1 - 1 * 1 = 0 on P1
         adv = FixedAdversary(get_problem("p1"))
         trace = run_strongly_convex_gd(adv, Unconstrained(1), [1.0], 1.0, 10)
-        np.testing.assert_allclose(trace.xs()[1], [0.0], atol=1e-15)
+        np.testing.assert_allclose(trace.x[1], [0.0], atol=1e-15)
 
     def test_regret_bound_value(self):
         adv = FixedAdversary(get_problem("p1"))
@@ -157,20 +157,20 @@ class TestStronglyConvexGd:
         adv = FixedAdversary(get_problem("p1"))
         trace = run_strongly_convex_gd(adv, Unconstrained(1), [1.0], 1.0, 5, shift=0)
         assert trace.constants["schedule_shift"] == 0
-        assert trace.steps[1].eta == pytest.approx(1.0)
+        assert trace.eta[1] == pytest.approx(1.0)
 
 
 class TestWeightedAverage:
     def test_single_iterate(self):
         adv = FixedAdversary(get_problem("p1"))
         trace = run_online_gd(adv, Unconstrained(1), [1.0], Constant(0.5), 1)
-        np.testing.assert_allclose(weighted_average(trace, 1), trace.xs()[1])
+        np.testing.assert_allclose(weighted_average(trace, 1), trace.x[1])
 
     def test_two_iterate_weights(self):
         # lambda = (1/3, 2/3)
         adv = FixedAdversary(get_problem("p1"))
         trace = run_online_gd(adv, Unconstrained(1), [1.0], Constant(0.25), 2)
-        xs = trace.xs()
+        xs = trace.x
         expected = xs[1] / 3.0 + 2.0 * xs[2] / 3.0
         np.testing.assert_allclose(weighted_average(trace, 2), expected)
 

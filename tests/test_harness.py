@@ -126,8 +126,8 @@ class TestDeterminism:
                                        certify=True))
         text = json_dumps(trace_to_dict(res.trace))
         parsed = json.loads(text)
-        assert parsed["steps"][0]["x"] == list(res.trace.steps[0].x)
-        assert parsed["steps"][7]["f"] == res.trace.steps[7].f
+        assert parsed["steps"][0]["x"] == list(res.trace.x[0])
+        assert parsed["steps"][7]["f"] == res.trace.f[7]
         assert parsed["meta"]["final"]["x"] == list(res.trace.final_x)
 
     def test_seventeen_digit_floats(self):
@@ -150,7 +150,7 @@ class TestEmission:
         header = lines[0].split(",")
         first = lines[1].split(",")
         f_col = header.index("f")
-        assert float(first[f_col]) == res.trace.steps[0].f
+        assert float(first[f_col]) == res.trace.f[0]
 
     def test_emit_files(self, tmp_path):
         out = tmp_path / "run.json"
@@ -188,17 +188,18 @@ class TestTraceContracts:
         res = run_experiment(RunConfig(problem="p1", method="smooth-gd", steps=1,
                                        certify=True))
         assert res.passed
-        assert res.trace.final_f == pytest.approx(0.0)
+        assert res.trace.final("f") == pytest.approx(0.0)
 
     def test_gaps_nonnegative_at_true_optimum(self):
         res = run_experiment(RunConfig(problem="p2", method="smooth-gd", steps=100))
         f_star = res.trace.constants["f_star"]
-        for s in res.trace.steps:
-            assert s.f - f_star >= -1e-10
+        for f in res.trace.f:
+            assert f - f_star >= -1e-10
 
     def test_steps_contiguous_from_zero(self):
         res = run_experiment(RunConfig(problem="p2", method="agm2", steps=20))
-        assert [s.t for s in res.trace.steps] == list(range(20))
+        steps = trace_to_dict(res.trace)["steps"]
+        assert [s["t"] for s in steps] == list(range(20))
 
 
 class TestRunResult:
@@ -477,3 +478,42 @@ class TestGradientCallsPerRun:
         cfg.write_text(json.dumps([{"problem": "p1", "method": "gd", "steps": 200}]))
         assert main(["suite", "--config", str(cfg)]) == 0
         assert len(calls) == 201
+
+
+class TestComparatorSolvesPerRun:
+    """An online run solves for its comparator once: the start checks' D
+    and the run share it."""
+
+    RUNS = [dict(problem="p1", method="gd", steps=50),
+            dict(problem="experts-alt", method="gd", steps=50, feasible_set="ball"),
+            dict(problem="p2", method="sc-gd", steps=50),
+            dict(problem="experts-alt", method="mirror-negentropy", steps=50,
+                 feasible_set="simplex")]
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        solves = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                solves.append(1)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for cls in (problems.FixedAdversary, problems.ExpertsAdversary):
+            monkeypatch.setattr(cls, "comparator_over",
+                                counted(vars(cls)["comparator_over"]))
+        return solves
+
+    @pytest.mark.parametrize("cfg", RUNS)
+    def test_one_solve_per_run(self, cfg, solves):
+        assert run_experiment(RunConfig(certify=True, **cfg)).passed
+        assert len(solves) == 1
+
+    def test_one_solve_per_suite_entry(self, tmp_path, solves):
+        path = tmp_path / "suite.json"
+        # the suite file names the set "set", as the CLI does
+        path.write_text(json.dumps([{("set" if k == "feasible_set" else k): v
+                                     for k, v in cfg.items()} for cfg in self.RUNS]))
+        assert main(["suite", "--config", str(path)]) == 0
+        assert len(solves) == len(self.RUNS)

@@ -7,7 +7,6 @@ from gdcert.descent import Constant, run_online_gd
 from gdcert.mirror import (
     EuclideanMap,
     NegEntropyMap,
-    bregman,
     bregman_project,
     generalized_pythagorean_gap,
     get_map,
@@ -31,31 +30,31 @@ def random_interior_simplex(rng, n):
 class TestBregman:
     def test_zero_at_equal_points(self):
         x = np.array([0.4, 0.6])
-        assert bregman(ENT, x, x) == pytest.approx(0.0, abs=1e-15)
-        assert bregman(EUC, x, x) == 0.0
+        assert ENT.bregman(x, x) == pytest.approx(0.0, abs=1e-15)
+        assert EUC.bregman(x, x) == 0.0
 
     def test_euclidean_is_half_squared_distance(self):
-        assert bregman(EUC, [1.0, 0.0], [0.0, 0.0]) == pytest.approx(0.5)
+        assert EUC.bregman([1.0, 0.0], [0.0, 0.0]) == pytest.approx(0.5)
 
     def test_entropy_is_kl(self):
-        assert bregman(ENT, [1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2.0))
+        assert ENT.bregman([1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2.0))
 
     def test_boundary_second_argument_rejected(self):
         with pytest.raises(ValueError):
-            bregman(ENT, [0.5, 0.5], [1.0, 0.0])
+            ENT.bregman([0.5, 0.5], [1.0, 0.0])
 
     def test_nonnegative_and_strongly_convex(self):
         rng = np.random.default_rng(51)
         for _ in range(1000):
             y = random_interior_simplex(rng, 3)
             x = random_interior_simplex(rng, 3)
-            div = bregman(ENT, y, x)
+            div = ENT.bregman(y, x)
             assert div >= -1e-15
             assert div >= 0.5 * norm_value(Norm.L1, y - x) ** 2 - 1e-9
         for _ in range(1000):
             y = rng.normal(size=3)
             x = rng.normal(size=3)
-            div = bregman(EUC, y, x)
+            div = EUC.bregman(y, x)
             assert div >= 0.0
             assert div >= 0.5 * norm_value(Norm.EUCLIDEAN, y - x) ** 2 - 1e-12
 
@@ -64,7 +63,7 @@ class TestBregman:
         for _ in range(1000):
             p = rng.dirichlet(np.ones(4))
             q = random_interior_simplex(rng, 4)
-            kl = bregman(ENT, p, q)
+            kl = ENT.bregman(p, q)
             assert kl >= 0.5 * norm_value(Norm.L1, p - q) ** 2 - 1e-12
 
     def test_roundtrip_inverse_gradient(self):
@@ -164,8 +163,8 @@ class TestMirrorDescentRuns:
     def test_zero_losses_constant_trace(self):
         adv = make_experts_adversary([[0.0, 0.0]])
         trace = run_mirror_descent(adv, ENT, Simplex(2), [0.5, 0.5], 0.3, 10)
-        for s in trace.steps:
-            np.testing.assert_allclose(s.x, [0.5, 0.5])
+        for x in trace.x:
+            np.testing.assert_allclose(x, [0.5, 0.5])
 
     def test_euclidean_map_equals_projected_gd(self):
         adv = make_alternating_experts(2)
@@ -173,7 +172,7 @@ class TestMirrorDescentRuns:
         eta = 0.17
         md = run_mirror_descent(adv, EUC, ball, [0.5, 0.5], eta, 200)
         gd = run_online_gd(adv, ball, [0.5, 0.5], Constant(eta), 200)
-        for a, b in zip(md.xs(), gd.xs()):
+        for a, b in zip(md.x, gd.x):
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_regret_certificate_on_experts(self):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gdcert.core import Ball, Box, Norm, Simplex, Unconstrained
 from gdcert.problems import (
@@ -13,7 +16,7 @@ from gdcert.problems import (
     make_diag_quadratic,
     make_experts_adversary,
 )
-from oracles import grid_refine_simplex, sample_member
+from oracles import cumulative_loop, grid_refine_simplex, sample_member
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +221,15 @@ class TestExpertsAdversary:
         np.testing.assert_allclose(total, [50.0, 50.0])
         best = adv.comparator_over(Simplex(2), 100)
         assert np.dot(total, best) == pytest.approx(50.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.tuples(st.integers(1, 6), st.integers(1, 5)).flatmap(
+               lambda shape: hnp.arrays(np.float64, shape,
+                                        elements=st.floats(0.0, 1.0) | st.just(-0.0))),
+           T=st.integers(1, 2_999))
+    def test_cumulative_matches_round_loop(self, rows, T):
+        adv = make_experts_adversary(rows)
+        assert adv.cumulative(T).tobytes() == cumulative_loop(rows, T).tobytes()
 
     def test_grad_bounds(self):
         adv = make_alternating_experts(2)

@@ -22,7 +22,7 @@ from gdcert.harness import (
     run_experiment,
     trace_to_dict,
 )
-from gdcert.trace import StepRecord, Trace
+from gdcert.trace import Trace
 
 SMOOTH_VALUE = ["smooth-value-log", "smooth-value-scaled",
                 "smooth-value-distance"]
@@ -313,8 +313,8 @@ def test_grad_norm_columns_match_per_row_norms(dim, map_id):
     T = 3_000 if dim < 1000 else 60
     G = (rng.normal(size=(T, dim)) * 10.0 ** rng.uniform(-8, 8, (T, 1))
          * 10.0 ** rng.uniform(-1, 1, (T, dim)))
-    trace = Trace(steps=[StepRecord(t, np.zeros(dim), 0.0, G[t]) for t in range(T)],
-                  final_x=np.zeros(dim), meta={"map": map_id})
+    trace = Trace(x=np.zeros((T + 1, dim)), f=np.zeros(T), grad=G, eta=np.zeros(T),
+                  meta={"map": map_id})
     kind = Norm.L1 if map_id == "negentropy" else Norm.EUCLIDEAN
     norms, dual_norms = _grad_norms(trace)
     assert norms == [float(np.linalg.norm(g)) for g in G]
@@ -322,7 +322,7 @@ def test_grad_norm_columns_match_per_row_norms(dim, map_id):
 
 
 def test_non_finite_gradient_not_serialized():
-    trace = Trace(steps=[StepRecord(0, np.zeros(2), 0.0, np.array([np.nan, 1.0]))],
-                  final_x=np.zeros(2))
+    trace = Trace(x=np.zeros((2, 2)), f=np.zeros(1), grad=np.array([[np.nan, 1.0]]),
+                  eta=np.zeros(1))
     with pytest.raises(ValueError, match="non-finite"):
         json_dumps(trace_to_dict(trace))

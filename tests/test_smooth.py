@@ -133,7 +133,7 @@ class TestFrankWolfe:
         feasible = Simplex(2) if set_id == "simplex" else Box(-np.ones(2), np.ones(2))
         x0 = [0.5, 0.5] if set_id == "simplex" else [1.0, 1.0]
         trace = run_frank_wolfe(p2, feasible, x0, 300)
-        for x in trace.xs():
+        for x in trace.x:
             assert feasible.member(x)
 
     def test_bound_certified_on_simplex(self, p2):
@@ -161,7 +161,7 @@ class TestFrankWolfe:
 class TestSmoothRuns:
     def test_monotone_descent(self, p2):
         trace = run_smooth_gd(p2, [1.0, 1.0], 200)
-        f = trace.f_values()
+        f = trace.f
         assert np.all(np.diff(f) <= 1e-10 * (1.0 + np.abs(f[:-1])))
 
     def test_three_potential_arguments_certify(self, p2):
@@ -206,7 +206,7 @@ class TestWellConditioned:
 
     def test_p2_bound_at_t8(self, p2):
         trace = run_well_conditioned(p2, [1.0, 1.0], 8)
-        gap = trace.final_f - 0.0
+        gap = trace.final("f") - 0.0
         assert gap <= np.exp(-2.0) * 2.5
         assert trace.constants["gamma"] == pytest.approx(1.0 / 3.0)
 
