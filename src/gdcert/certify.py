@@ -31,8 +31,6 @@ DEFAULT_TOL = 1e-9
 # beyond this horizon, accumulated round-off needs a looser slack
 LONG_RUN_STEPS = 10 ** 5
 LONG_RUN_TOL = 1e-8
-# rows per block of step checks: only one block's Python lists exist at a time
-_CHUNK = 4096
 
 
 class PotentialKind(str, enum.Enum):
@@ -204,13 +202,6 @@ class StepCheck:
     slack: float
     amortized: float | None = None
 
-    def to_dict(self) -> dict:
-        d = {"t": self.t, "phi": self.phi, "dphi": self.dphi,
-             "allowed": self.allowed, "ok": self.ok, "slack": self.slack}
-        if self.amortized is not None:
-            d["amortized"] = self.amortized
-        return d
-
 
 @dataclass
 class EndCheck:
@@ -232,14 +223,15 @@ class EndCheck:
 
 @dataclass
 class CertReport:
-    """Per-step and end-to-end verdicts for one theorem on one trace."""
+    """Per-step and end-to-end verdicts for one theorem on one trace; ``steps``
+    holds the step checks as columns, in ``StepCheck`` field order."""
 
     theorem: str
     claim: str
     potential_kind: str | None
     constants: dict
     flags: list = field(default_factory=list)
-    step_checks: list = field(default_factory=list)
+    steps: dict = field(default_factory=dict)
     end_checks: list = field(default_factory=list)
     telescoping_residual: float | None = None
     telescoping_ok: bool = True
@@ -249,8 +241,13 @@ class CertReport:
     error: str | None = None
 
     @property
+    def step_checks(self) -> list:
+        """One ``StepCheck`` per checked step, built from ``steps``."""
+        return [StepCheck(*row) for row in zip(*(c.tolist() for c in self.steps.values()))]
+
+    @property
     def step_failures(self) -> int:
-        return sum(1 for s in self.step_checks if not s.ok)
+        return int(np.count_nonzero(~self.steps["ok"])) if self.steps else 0
 
     @property
     def passed(self) -> bool:
@@ -266,6 +263,7 @@ class CertReport:
                 and self.consistency_ok is not False)
 
     def to_dict(self) -> dict:
+        """The report's fields; the writers add the step table from ``steps``."""
         consts = {}
         for k, v in self.constants.items():
             if isinstance(v, np.ndarray):
@@ -289,7 +287,6 @@ class CertReport:
             "tol": self.tol,
             "error": self.error,
             "end_checks": [e.to_dict() for e in self.end_checks],
-            "steps": [s.to_dict() for s in self.step_checks],
         }
 
 
@@ -304,14 +301,15 @@ def _defined(spec: PotentialSpec, trace: Trace) -> np.ndarray:
 
 
 def _step_checks(spec: PotentialSpec, trace: Trace, phi: np.ndarray,
-                 steps: np.ndarray, tol: float) -> list:
-    """The bounds of the given steps t, each from Phi on both sides of it."""
+                 steps: np.ndarray, tol: float) -> dict:
+    """The bounds of the given steps t, each from Phi on both sides of it, as
+    the columns of ``CertReport.steps``."""
     shape = POTENTIALS[spec.kind]
     t = np.arange(trace.T)
     dphi = phi[1:] - phi[:-1]
     allowed = np.broadcast_to(shape.allowance(spec.constants, trace, t), dphi.shape)
     slack = tol * (1.0 + np.abs(phi[:-1]))
-    checked, amortized = dphi, []
+    checked, amortized = dphi, {}
     if shape.amortized:
         f_ref = trace.f_ref
         if f_ref is None:
@@ -319,14 +317,12 @@ def _step_checks(spec: PotentialSpec, trace: Trace, phi: np.ndarray,
                 raise ValueError("amortized check needs the comparator's round value")
             f_ref = spec.f_star
         checked = (trace.f[:trace.T] - f_ref) + dphi
-        amortized = [checked]
-    fields = [t, phi[:-1], dphi, allowed, checked <= allowed + slack, slack, *amortized]
+        amortized = {"amortized": checked}
+    columns = dict(t=t, phi=phi[:-1], dphi=dphi, allowed=allowed,
+                   ok=checked <= allowed + slack, slack=slack, **amortized)
     if steps.size < dphi.size:
-        fields = [field[steps] for field in fields]
-    checks = []
-    for lo in range(0, steps.size, _CHUNK):
-        checks.extend(map(StepCheck, *(field[lo:lo + _CHUNK].tolist() for field in fields)))
-    return checks
+        columns = {name: col[steps] for name, col in columns.items()}
+    return columns
 
 
 def _bound_check(label, lhs, rhs, tol, note="") -> EndCheck:
@@ -366,6 +362,8 @@ def _agm_envelope(trace: Trace, c: dict):
 def _agm_mirror_envelope(trace: Trace, c: dict):
     div = c.get("bregman_x_star_z0")
     if div is None:
+        if trace.z is None:  # an uncoupled run has no z0 to measure from
+            return lambda t: None
         mp = get_map(trace.meta.get("map", "euclidean"))
         div = mp.bregman(as_vector(c["x_star"]), trace.z[0])
     coef = 4.0 * c["beta"] / c["alpha_h"]
@@ -602,7 +600,9 @@ def _gather_constants(trace: Trace, spec: _Theorem) -> tuple[dict, list]:
         c["x_star"] = as_vector(c["x_star"])
     if kind is PotentialKind.BREGMAN or kind is PotentialKind.AGM_BREGMAN:
         c["map"] = get_map(trace.meta.get("map", "euclidean"))
-    if "eta" not in c and trace.T:
+    if not trace.T:  # no steps to estimate eta, G or D from
+        return c, flags
+    if "eta" not in c:
         c["eta"] = trace.eta[0].item()
         if kind is PotentialKind.DISTANCE and np.any(trace.eta != c["eta"]):
             flags.append("varying-eta")
@@ -640,15 +640,15 @@ def _replay(report: CertReport, spec: PotentialSpec, trace: Trace,
         return None
     steps = np.flatnonzero(defined[:-1] & defined[1:])
     if steps.size:
-        report.step_checks = _step_checks(spec, trace, phi, steps, tol)
+        report.steps = _step_checks(spec, trace, phi, steps, tol)
         if trace.phi is None:
             trace.phi, trace.step_ok = np.full(trace.T, np.nan), np.full(trace.T, np.nan)
         trace.phi[steps] = phi[steps]
-        trace.step_ok[steps] = [check.ok for check in report.step_checks]
+        trace.step_ok[steps] = report.steps["ok"]
     known = np.flatnonzero(defined)
     if known.size >= 2:
         first, last = phi[known[0]].item(), phi[known[-1]].item()
-        total = sum([check.dphi for check in report.step_checks])
+        total = sum(report.steps["dphi"].tolist()) if report.steps else 0
         report.telescoping_residual = abs((last - first) - total)
         report.telescoping_ok = report.telescoping_residual <= tol * (
             1.0 + abs(first) + abs(last))

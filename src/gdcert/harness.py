@@ -3,7 +3,6 @@ driver, and machine-readable trace/report serialization."""
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -127,10 +126,6 @@ def default_x0(set_id: str, dim: int) -> np.ndarray:
     return ones
 
 
-def _is_float(x) -> bool:
-    return type(x) is float or type(x) is np.float64
-
-
 def _is_int(x) -> bool:
     return type(x) is int or isinstance(x, np.integer)
 
@@ -139,7 +134,8 @@ def _finite_coordinates(x0) -> bool:
     if not isinstance(x0, (list, tuple, np.ndarray)):
         return False
     try:
-        return all((_is_float(v) or _is_int(v)) and math.isfinite(v) for v in x0)
+        return all((type(v) in (float, np.float64) or _is_int(v)) and math.isfinite(v)
+                   for v in x0)
     except OverflowError:  # an integer beyond the float range
         return False
 
@@ -346,7 +342,7 @@ class RunResult:
             "config": self.config.echo(),
             "passed": self.passed,
             "error": self.error,
-            "certificates": [r.to_dict() for r in self.reports],
+            "certificates": _certificates(self.reports),
         }
 
 
@@ -397,34 +393,73 @@ def _json_scalar(x) -> str:
     return format(f, ".17g")
 
 
-@functools.lru_cache(maxsize=32)
-def _float_template(n: int) -> str:
-    return ",".join(["%.17g"] * n)
+# rows per formatted block: one block's Python floats exist at a time, 6 MB
+# for x, y and z at d = 1000
+_BLOCK = 64
 
 
-def _column_format(values: list) -> str:
-    """``%.17g`` or ``%d`` when the column can skip ``json_dumps``; ``%s``
-    otherwise. Non-finite floats need ``_json_scalar`` to be quoted."""
-    if all(map(_is_float, values)) and all(map(math.isfinite, values)):
-        return "%.17g"
-    if all(map(_is_int, values)):
-        return "%d"
-    return "%s"
+@dataclass(frozen=True)
+class _Table:
+    """A step table, which ``json_dumps`` writes as a list of objects and the
+    CSV writers as lines: (key, values) columns in output order, each a
+    float64 column of one value or one vector per row (integers for a count)
+    or None (JSON null, CSV empty). The ``verdict`` column is written true
+    for 1.0 and false for 0.0; a row whose verdict is nan, where no check
+    ran, leaves the verdict and ``phi`` out in JSON and empty in CSV."""
+
+    columns: list
+    verdict: str
 
 
-def _records_json(rows: list) -> str | None:
-    """A list of dicts sharing one key sequence, formatted with one row
-    template; None when the key sequences differ."""
-    keys = list(rows[0])
-    if any(list(row) != keys for row in rows):
-        return None
-    formats = [_column_format([row[k] for row in rows]) for k in keys]
-    template = "{" + ",".join(json.dumps(str(k)).replace("%", "%%") + ":" + f
-                              for k, f in zip(keys, formats)) + "}"
-    cols = [(k, f != "%s") for k, f in zip(keys, formats)]
-    return "[" + ",".join(
-        template % tuple([row[k] if d else json_dumps(row[k]) for k, d in cols])
-        for row in rows) + "]"
+def _table_rows(table: _Table, fmt: str, lead: str = "") -> list:
+    """Each row of ``table`` as a JSON object, or as a CSV line after ``lead``.
+    A column's cell format is %d for a count, %r in CSV, %.17g in JSON when
+    every value is finite, else %s filled with ``_json_scalar`` cells. Rows
+    are formatted ``_BLOCK`` at a time from the ``tolist()`` of the stacked
+    columns: the templates need Python floats (%r on np.float64 prints
+    "np.float64(...)")."""
+    is_json = fmt == "json"
+    cells, data, strings = [], [], []  # (key, width, cell); argument columns
+    for key, values in table.columns:
+        if values is None or key == table.verdict:
+            cells.append((key, 0, "null" if is_json else ""))
+            continue
+        width = math.prod(values.shape[1:])
+        f = "%d" if values.dtype.kind in "iu" else "%.17g" if is_json else "%r"
+        if f == "%.17g" and not np.isfinite(values).all():
+            f = "%s"
+            offset = sum(math.prod(v.shape[1:]) for v in data)
+            strings += range(offset, offset + width)
+        cell = ",".join([f] * width)
+        cells.append((key, width, f"[{cell}]" if is_json and values.ndim == 2 else cell))
+        data.append(values)
+
+    def template(kind: int) -> str:  # 0 no verdict, 1 held, 2 violated
+        parts = []
+        for key, width, cell in cells:
+            if kind == 0 and key in (table.verdict, "phi"):
+                if is_json:  # the key is left out and its arguments print nothing
+                    parts[-1] += "%.0s" * width
+                    continue
+                cell = ",".join(["%.0s"] * width)
+            elif key == table.verdict:
+                cell = "true" if kind == 1 else "false"
+            parts.append(f'"{key}":{cell}' if is_json else cell)
+        return lead + ("{" + ",".join(parts) + "}" if is_json else ",".join(parts))
+
+    n = len(data[0]) if data else 0
+    ok = dict(table.columns).get(table.verdict)
+    kinds = np.zeros(n, int) if ok is None else np.select([np.isnan(ok), ok == 1], [0, 1], 2)
+    templates = [template(kind) for kind in range(3)]
+    rows = []
+    for lo in range(0, n, _BLOCK):
+        block = np.column_stack([values[lo:lo + _BLOCK] for values in data])
+        if strings:
+            block = block.astype(object)
+            block[:, strings] = np.frompyfunc(_json_scalar, 1, 1)(block[:, strings])
+        rows += [templates[k] % tuple(row) for k, row in
+                 zip(kinds[lo:lo + _BLOCK].tolist(), block.tolist())]
+    return rows
 
 
 def json_dumps(obj) -> str:
@@ -432,8 +467,7 @@ def json_dumps(obj) -> str:
     double round-trips exactly; NaN and infinities become the strings
     ``"nan"``, ``"inf"`` and ``"-inf"``.
 
-    Finite 1-D float64 arrays and lists of same-keyed dicts (trace and
-    report rows) are formatted through templates; the output is the same
+    Step tables are formatted through row templates; the output is the same
     as formatting each element on its own.
     """
     if obj is None:
@@ -442,15 +476,11 @@ def json_dumps(obj) -> str:
         return json.dumps(obj)
     if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
         return _json_scalar(obj)
+    if isinstance(obj, _Table):
+        return "[" + ",".join(_table_rows(obj, "json")) + "]"
     if isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and obj.ndim == 1 and np.isfinite(obj).all():
-            return "[" + _float_template(obj.size) % tuple(obj.tolist()) + "]"
         return json_dumps(obj.tolist())
     if isinstance(obj, (list, tuple)):
-        if obj and all(isinstance(v, dict) for v in obj):
-            text = _records_json(obj)
-            if text is not None:
-                return text
         return "[" + ",".join(json_dumps(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = (json.dumps(str(k)) + ":" + json_dumps(v) for k, v in obj.items())
@@ -458,101 +488,70 @@ def json_dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _csv_scalar(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))  # shortest round-trip representation
-
-
-def _csv_vector(v: np.ndarray) -> str:
-    """The cells of a float vector; the same text as ``_csv_scalar`` on each."""
-    return ",".join(map(repr, v.tolist()))
-
-
-def _grad_norms(trace: Trace) -> tuple[list, list]:
+def _grad_norms(trace: Trace) -> tuple:
     """The Euclidean and the map's dual norm of every recorded gradient: the
     floats ``np.linalg.norm`` and ``dual_norm`` give row by row."""
     kind = Norm.L1 if trace.meta.get("map") == "negentropy" else Norm.EUCLIDEAN
     G = trace.grad
     if not np.isfinite(G).all():
         raise ValueError("vector has non-finite entries")
-    return np.sqrt(np.vecdot(G, G)).tolist(), dual_norm(kind, G).tolist()
+    return np.sqrt(np.vecdot(G, G)), dual_norm(kind, G)
 
 
-def _step_rows(trace: Trace) -> list:
-    """One dict per step t = 0..T-1 with the serialized fields; vectors stay
-    arrays. The gap is taken to the comparator's round value, else to f*."""
+def _step_columns(trace: Trace) -> dict:
+    """The trace's step table by key in JSON order, rows t = 0..T-1. The gap is
+    taken to the comparator's round value, else to f*."""
     T = trace.T
     f = trace.f[:T]
-    f_star = trace.constants.get("f_star")
-    if trace.f_ref is not None:
-        gap = (f - trace.f_ref).tolist()
-    else:
-        gap = [None] * T if f_star is None else (f - f_star).tolist()
+    ref = trace.constants.get("f_star") if trace.f_ref is None else trace.f_ref
     g_norm, g_dual = _grad_norms(trace)
-    columns = {"t": range(T), "x": trace.x[:T], "f": f.tolist(), "gap": gap,
-               "grad_norm": g_norm, "grad_dual_norm": g_dual, "eta": trace.eta.tolist()}
+    columns = {"t": np.arange(T), "x": trace.x[:T], "f": f,
+               "gap": None if ref is None else f - ref,
+               "grad_norm": g_norm, "grad_dual_norm": g_dual, "eta": trace.eta}
     if trace.y is not None:
-        columns.update(y=trace.y[:T], f_y=trace.f_y[:T].tolist())
+        columns.update(y=trace.y[:T], f_y=trace.f_y[:T])
     if trace.z is not None:
         columns["z"] = trace.z[:T]
-    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-    if trace.phi is not None:
-        for row, phi, ok in zip(rows, trace.phi.tolist(), trace.step_ok.tolist()):
-            if ok == ok:  # nan where no certificate checked step t
-                row["phi"], row["step_ok"] = phi, ok == 1.0
-    return rows
+    columns.update(phi=trace.phi, step_ok=trace.step_ok)
+    return columns
 
 
 def trace_to_dict(trace: Trace) -> dict:
     """One top-level object with ``meta`` and ``steps``, for ``json_dumps``.
-    Iterates stay numpy arrays."""
-    consts = {}
-    for k, v in trace.constants.items():
-        consts[k] = v.tolist() if isinstance(v, np.ndarray) else v
+    Iterates stay numpy arrays; ``steps`` is the step table."""
     final = {"x": trace.final_x, "f": trace.final("f")}
     for name in ("y", "f_y", "z"):
         if trace.final(name) is not None:
             final[name] = trace.final(name)
     meta = {k: v for k, v in trace.meta.items() if k != "constants"}
-    meta["constants"] = consts
-    meta["final"] = final
-    return {"meta": meta, "steps": _step_rows(trace)}
+    meta.update(constants=trace.constants, final=final)
+    return {"meta": meta, "steps": _Table(list(_step_columns(trace).items()), "step_ok")}
 
 
 def trace_to_csv(trace: Trace) -> str:
     """Per-iteration table: header row plus one row per recorded step."""
-    dim = trace.final_x.shape[0]
-    cols = ["t"] + [f"x{i}" for i in range(dim)]
-    has_yz = trace.y is not None
-    if has_yz:
-        cols += [f"y{i}" for i in range(dim)] + [f"z{i}" for i in range(dim)] + ["f_y"]
-    cols += ["f", "gap", "grad_norm", "grad_dual_norm", "eta", "phi", "step_ok"]
-    lines = [",".join(cols)]
-    for s in _step_rows(trace):
-        row = [_csv_scalar(s["t"]), _csv_vector(s["x"])]
-        if has_yz:
-            row += [_csv_vector(s["y"]), _csv_vector(s["z"]), _csv_scalar(s["f_y"])]
-        row += [_csv_scalar(s.get(k)) for k in (
-            "f", "gap", "grad_norm", "grad_dual_norm", "eta", "phi", "step_ok")]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    columns = _step_columns(trace)
+    keys = ["t", "x"] + (["y", "z", "f_y"] if trace.y is not None else [])
+    keys += ["f", "gap", "grad_norm", "grad_dual_norm", "eta", "phi", "step_ok"]
+    header = [k if columns[k] is None or columns[k].ndim == 1 else
+              ",".join(f"{k}{i}" for i in range(columns[k].shape[1])) for k in keys]
+    table = _Table([(k, columns[k]) for k in keys], "step_ok")
+    return "\n".join([",".join(header), *_table_rows(table, "csv")]) + "\n"
 
 
 def report_to_csv(reports: list) -> str:
-    cols = ["theorem", "t", "phi", "dphi", "allowed", "amortized", "ok", "slack"]
-    lines = [",".join(cols)]
+    keys = ("t", "phi", "dphi", "allowed", "amortized", "ok", "slack")
+    lines = ["theorem," + ",".join(keys)]
     for rep in reports:
-        for s in rep.step_checks:
-            row = [rep.theorem, s.t, s.phi, s.dphi, s.allowed, s.amortized,
-                   s.ok, s.slack]
-            lines.append(",".join(v if isinstance(v, str) else _csv_scalar(v)
-                                  for v in row))
+        table = _Table([(k, rep.steps.get(k)) for k in keys], "ok")
+        lines += _table_rows(table, "csv", rep.theorem + ",")
     return "\n".join(lines) + "\n"
+
+
+def _certificates(reports: list) -> list:
+    """The report JSON's certificates, each with its step table."""
+    return [{**r.to_dict(), "steps": _Table(list(r.steps.items()), "ok")}
+            for r in reports]
 
 
 def emit_trace(trace: Trace, path: str, fmt: str = "json") -> str:
@@ -570,7 +569,7 @@ def emit_report(result_or_reports, path: str, fmt: str = "json") -> str:
         reports = result_or_reports.reports
     else:
         reports = list(result_or_reports)
-        payload = {"certificates": [r.to_dict() for r in reports]} if reports else {}
+        payload = {"certificates": _certificates(reports)} if reports else {}
     text = json_dumps(payload) if fmt == "json" else report_to_csv(reports)
     with open(path, "w") as fh:
         fh.write(text)

@@ -20,7 +20,7 @@ from gdcert.descent import Constant, run_online_gd
 from gdcert.harness import RunConfig, make_set, run_experiment
 from gdcert.problems import PROBLEMS, FixedAdversary, get_problem
 from gdcert.smooth import run_smooth_gd, run_well_conditioned
-from gdcert.accel import run_agm2, run_sc_agm
+from gdcert.accel import restart_accelerated, run_agm2, run_sc_agm
 from gdcert.trace import Trace
 from oracles import replay_certificate
 
@@ -115,6 +115,15 @@ class TestCertifyTrace:
         report = certify_trace("agm-smooth", empty_trace())
         assert report.end_checks[0].vacuous
         assert report.passed
+
+    @pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
+    def test_zero_step_run_is_vacuous(self, theorem_id):
+        # restarting at the optimum ends before the first step
+        trace = restart_accelerated(get_problem("p2"), [0.0, 0.0], 1e-8)
+        assert trace.T == 0
+        report = certify_trace(theorem_id, trace)
+        assert report.error is None
+        assert [e.label for e in report.end_checks] == ["no-steps"]
 
     def test_missing_constants_marked_not_certifiable(self):
         adv = FixedAdversary(get_problem("p1"))
@@ -231,6 +240,12 @@ class TestRateComparison:
         row = table["rows"][40]
         gap_agm, gap_plain = row[1], row[2]
         assert gap_agm < gap_plain
+
+    def test_envelope_without_its_column_is_none(self):
+        # agm-mirror's envelope reads z0, which an uncoupled run does not record
+        trace = run_smooth_gd(get_problem("p2"), [1.0, 1.0], 20)
+        table = rate_comparison([trace], ["agm-mirror"])
+        assert [row[2] for row in table["rows"]] == [None] * 21
 
     def test_unknown_theorem_rejected(self):
         with pytest.raises(KeyError):

@@ -198,7 +198,7 @@ class TestTraceContracts:
 
     def test_steps_contiguous_from_zero(self):
         res = run_experiment(RunConfig(problem="p2", method="agm2", steps=20))
-        steps = trace_to_dict(res.trace)["steps"]
+        steps = json.loads(json_dumps(trace_to_dict(res.trace)))["steps"]
         assert [s["t"] for s in steps] == list(range(20))
 
 

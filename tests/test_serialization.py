@@ -11,15 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gdcert.certify import CertReport
 from gdcert.core import Norm, dual_norm
 from gdcert.harness import (
+    _BLOCK,
     RunConfig,
-    _csv_scalar,
-    _csv_vector,
     _grad_norms,
     _json_scalar,
+    _Table,
+    _table_rows,
+    emit_report,
     json_dumps,
+    report_to_csv,
     run_experiment,
+    trace_to_csv,
     trace_to_dict,
 )
 from gdcert.trace import Trace
@@ -239,6 +244,8 @@ def json_reference(obj) -> str:
     """JSON formatted one element at a time."""
     if obj is None:
         return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, list):
@@ -247,6 +254,18 @@ def json_reference(obj) -> str:
         return "{" + ",".join(json.dumps(k) + ":" + json_reference(v)
                               for k, v in obj.items()) + "}"
     return _json_scalar(obj)
+
+
+def csv_reference(x) -> str:
+    """One CSV cell formatted on its own; floats take their shortest
+    round-trip repr."""
+    if x is None:
+        return ""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
 
 
 @settings(deadline=None, max_examples=60)
@@ -302,7 +321,8 @@ def test_records_match_per_element_json(rows):
 @settings(deadline=None, max_examples=60)
 @given(float_arrays(any_floats))
 def test_csv_vector_matches_per_element_cells(a):
-    assert _csv_vector(a) == ",".join(_csv_scalar(v) for v in a)
+    (row,) = _table_rows(_Table([("x", a[None, :])], "ok"), "csv")
+    assert row == ",".join(csv_reference(v) for v in a)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 10, 1000])
@@ -317,8 +337,8 @@ def test_grad_norm_columns_match_per_row_norms(dim, map_id):
                   meta={"map": map_id})
     kind = Norm.L1 if map_id == "negentropy" else Norm.EUCLIDEAN
     norms, dual_norms = _grad_norms(trace)
-    assert norms == [float(np.linalg.norm(g)) for g in G]
-    assert dual_norms == [dual_norm(kind, g) for g in G]
+    assert norms.tolist() == [float(np.linalg.norm(g)) for g in G]
+    assert dual_norms.tolist() == [dual_norm(kind, g) for g in G]
 
 
 def test_non_finite_gradient_not_serialized():
@@ -326,3 +346,144 @@ def test_non_finite_gradient_not_serialized():
                   eta=np.zeros(1))
     with pytest.raises(ValueError, match="non-finite"):
         json_dumps(trace_to_dict(trace))
+
+
+# --- step tables against per-element references ------------------------------
+
+def _column(rng, draw, shape, specials):
+    """Values over many magnitudes, with some special values (nan, infinities,
+    -0.0, subnormals) at random cells when ``specials``."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    if specials and values.size:
+        cells = rng.integers(0, values.size, draw(st.integers(1, 4)))
+        values.flat[cells] = rng.choice(SPECIAL, cells.size)
+    return values
+
+
+@st.composite
+def step_traces(draw):
+    """Traces whose step tables take every cell format: T and d across the
+    block boundary, with or without y/z, a comparator, f* or neither (a null
+    gap), and certificate columns with unchecked steps, violated steps and
+    non-finite Phi."""
+    T = draw(st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]))
+    d = draw(st.sampled_from([1, 2, 3, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specials = draw(st.booleans())
+
+    def col(*shape):
+        return _column(rng, draw, shape, specials)
+
+    trace = Trace(x=col(T + 1, d), f=col(T + 1), grad=rng.standard_normal((T, d)),
+                  eta=col(T), meta={"map": draw(st.sampled_from(["euclidean",
+                                                                  "negentropy"]))})
+    gap = draw(st.sampled_from(["f_ref", "f_star", "none"]))
+    if gap == "f_ref":
+        trace.f_ref = col(T)
+    elif gap == "f_star":
+        trace.constants["f_star"] = draw(st.sampled_from([0.0, -0.0, 1.5, -2.25e-300]))
+    if draw(st.booleans()):
+        trace.y, trace.z, trace.f_y = col(T + 1, d), col(T + 1, d), col(T + 1)
+    if draw(st.booleans()):
+        trace.phi = col(T)
+        trace.step_ok = rng.choice([0.0, 1.0, np.nan] if draw(st.booleans())
+                                   else [0.0, 1.0], T)
+        trace.phi[np.isnan(trace.step_ok)] = np.nan
+    return trace
+
+
+def trace_rows(trace: Trace) -> list:
+    """The trace's step rows as dicts of Python values, one step at a time."""
+    norms, dual_norms = (v.tolist() for v in _grad_norms(trace))
+    f_star = trace.constants.get("f_star")
+    rows = []
+    for t in range(trace.T):
+        f = trace.f[t].item()
+        gap = None if f_star is None else f - f_star
+        if trace.f_ref is not None:
+            gap = f - trace.f_ref[t].item()
+        row = {"t": t, "x": trace.x[t].tolist(), "f": f, "gap": gap,
+               "grad_norm": norms[t], "grad_dual_norm": dual_norms[t],
+               "eta": trace.eta[t].item()}
+        if trace.y is not None:
+            row.update(y=trace.y[t].tolist(), f_y=trace.f_y[t].item())
+        if trace.z is not None:
+            row["z"] = trace.z[t].tolist()
+        if trace.phi is not None and not math.isnan(trace.step_ok[t]):
+            row.update(phi=trace.phi[t].item(), step_ok=trace.step_ok[t].item() == 1.0)
+        rows.append(row)
+    return rows
+
+
+@settings(deadline=None, max_examples=25)
+@given(step_traces())
+def test_trace_table_matches_per_element_json(trace):
+    with np.errstate(invalid="ignore", over="ignore"):
+        text = json_dumps(trace_to_dict(trace)["steps"])
+        assert text == json_reference(trace_rows(trace))
+
+
+@settings(deadline=None, max_examples=25)
+@given(step_traces())
+def test_trace_table_matches_per_element_csv(trace):
+    with np.errstate(invalid="ignore", over="ignore"):
+        header, *lines = trace_to_csv(trace).splitlines()
+        rows = trace_rows(trace)
+    keys = ["x"] + (["y", "z", "f_y"] if trace.y is not None else [])
+    keys += ["f", "gap", "grad_norm", "grad_dual_norm", "eta", "phi", "step_ok"]
+    expected = []
+    for row in rows:
+        cells = [row["t"]]
+        for k in keys:
+            cells += row[k] if isinstance(row.get(k), list) else [row.get(k)]
+        expected.append(",".join(map(csv_reference, cells)))
+    assert lines == expected
+    assert all(len(line.split(",")) == len(header.split(",")) for line in lines)
+
+
+@st.composite
+def step_reports(draw):
+    """Reports over the block boundary, with and without the amortized
+    column, held and violated steps, non-finite and -0.0 values."""
+    n = draw(st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specials = draw(st.booleans())
+    steps = {"t": np.sort(rng.choice(2 * n + 1, n, replace=False))}
+    for name in ("phi", "dphi", "allowed", "ok", "slack", "amortized"):
+        steps[name] = _column(rng, draw, (n,), specials)
+    steps["ok"] = steps["ok"] <= 0.0
+    if draw(st.booleans()):
+        del steps["amortized"]
+    return CertReport(theorem=draw(st.sampled_from(["gd-regret", "agm-smooth"])),
+                      claim="c", potential_kind=None, constants={},
+                      steps=steps if n or draw(st.booleans()) else {})
+
+
+def report_rows(report: CertReport) -> list:
+    """The report's step rows as dicts of Python values, one step at a time."""
+    rows = []
+    for i in range(len(report.steps.get("t", ()))):
+        row = {k: report.steps[k][i].item() for k in
+               ("t", "phi", "dphi", "allowed", "ok", "slack")}
+        if "amortized" in report.steps:
+            row["amortized"] = report.steps["amortized"][i].item()
+        rows.append(row)
+    return rows
+
+
+@settings(deadline=None, max_examples=40)
+@given(reports=st.lists(step_reports(), min_size=1, max_size=2))
+def test_report_table_matches_per_element_json(reports, tmp_path_factory):
+    path = tmp_path_factory.mktemp("report") / "report.json"
+    emit_report(reports, str(path))
+    assert path.read_text() == json_reference({"certificates": [
+        {**r.to_dict(), "steps": report_rows(r)} for r in reports]})
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(step_reports(), min_size=1, max_size=2))
+def test_report_table_matches_per_element_csv(reports):
+    expected = [",".join([r.theorem] + [csv_reference(row.get(k)) for k in (
+        "t", "phi", "dphi", "allowed", "amortized", "ok", "slack")])
+        for r in reports for row in report_rows(r)]
+    assert report_to_csv(reports).splitlines()[1:] == expected
