@@ -393,8 +393,7 @@ def _json_scalar(x) -> str:
     return format(f, ".17g")
 
 
-# rows per formatted block: one block's Python floats exist at a time, 6 MB
-# for x, y and z at d = 1000
+# rows per block: a block's Python floats (6 MB with x, y, z at d = 1000) exist at a time
 _BLOCK = 64
 
 
@@ -411,13 +410,13 @@ class _Table:
     verdict: str
 
 
-def _table_rows(table: _Table, fmt: str, lead: str = "") -> list:
-    """Each row of ``table`` as a JSON object, or as a CSV line after ``lead``.
-    A column's cell format is %d for a count, %r in CSV, %.17g in JSON when
-    every value is finite, else %s filled with ``_json_scalar`` cells. Rows
-    are formatted ``_BLOCK`` at a time from the ``tolist()`` of the stacked
-    columns: the templates need Python floats (%r on np.float64 prints
-    "np.float64(...)")."""
+def _table_blocks(table: _Table, fmt: str, lead: str = "") -> list:
+    """The rows of ``table``, ``_BLOCK`` to a string: JSON objects joined by
+    commas, or CSV lines, each after ``lead``, joined by newlines. A column's
+    cell format is %d for a count, %r in CSV, %.17g in JSON when every value
+    is finite, else %s filled with ``_json_scalar`` cells. A block is
+    formatted from the ``tolist()`` of the stacked columns: the templates
+    need Python floats (%r on np.float64 prints "np.float64(...)")."""
     is_json = fmt == "json"
     cells, data, strings = [], [], []  # (key, width, cell); argument columns
     for key, values in table.columns:
@@ -451,15 +450,16 @@ def _table_rows(table: _Table, fmt: str, lead: str = "") -> list:
     ok = dict(table.columns).get(table.verdict)
     kinds = np.zeros(n, int) if ok is None else np.select([np.isnan(ok), ok == 1], [0, 1], 2)
     templates = [template(kind) for kind in range(3)]
-    rows = []
+    blocks = []
     for lo in range(0, n, _BLOCK):
         block = np.column_stack([values[lo:lo + _BLOCK] for values in data])
         if strings:
             block = block.astype(object)
             block[:, strings] = np.frompyfunc(_json_scalar, 1, 1)(block[:, strings])
-        rows += [templates[k] % tuple(row) for k, row in
-                 zip(kinds[lo:lo + _BLOCK].tolist(), block.tolist())]
-    return rows
+        blocks.append(("," if is_json else "\n").join([
+            templates[k] % tuple(row) for k, row in
+            zip(kinds[lo:lo + _BLOCK].tolist(), block.tolist())]))
+    return blocks
 
 
 def json_dumps(obj) -> str:
@@ -477,7 +477,7 @@ def json_dumps(obj) -> str:
     if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
         return _json_scalar(obj)
     if isinstance(obj, _Table):
-        return "[" + ",".join(_table_rows(obj, "json")) + "]"
+        return "[" + ",".join(_table_blocks(obj, "json")) + "]"
     if isinstance(obj, np.ndarray):
         return json_dumps(obj.tolist())
     if isinstance(obj, (list, tuple)):
@@ -536,7 +536,7 @@ def trace_to_csv(trace: Trace) -> str:
     header = [k if columns[k] is None or columns[k].ndim == 1 else
               ",".join(f"{k}{i}" for i in range(columns[k].shape[1])) for k in keys]
     table = _Table([(k, columns[k]) for k in keys], "step_ok")
-    return "\n".join([",".join(header), *_table_rows(table, "csv")]) + "\n"
+    return "\n".join([",".join(header), *_table_blocks(table, "csv")]) + "\n"
 
 
 def report_to_csv(reports: list) -> str:
@@ -544,7 +544,7 @@ def report_to_csv(reports: list) -> str:
     lines = ["theorem," + ",".join(keys)]
     for rep in reports:
         table = _Table([(k, rep.steps.get(k)) for k in keys], "ok")
-        lines += _table_rows(table, "csv", rep.theorem + ",")
+        lines += _table_blocks(table, "csv", rep.theorem + ",")
     return "\n".join(lines) + "\n"
 
 

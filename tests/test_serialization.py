@@ -19,7 +19,7 @@ from gdcert.harness import (
     _grad_norms,
     _json_scalar,
     _Table,
-    _table_rows,
+    _table_blocks,
     emit_report,
     json_dumps,
     report_to_csv,
@@ -321,7 +321,7 @@ def test_records_match_per_element_json(rows):
 @settings(deadline=None, max_examples=60)
 @given(float_arrays(any_floats))
 def test_csv_vector_matches_per_element_cells(a):
-    (row,) = _table_rows(_Table([("x", a[None, :])], "ok"), "csv")
+    (row,) = _table_blocks(_Table([("x", a[None, :])], "ok"), "csv")
     assert row == ",".join(csv_reference(v) for v in a)
 
 
