@@ -623,8 +623,7 @@ def _gather_constants(trace: Trace, spec: _Theorem) -> tuple[dict, list]:
 def _replay(report: CertReport, spec: PotentialSpec, trace: Trace,
             tol: float) -> float | None:
     """Phi_t at every t, the step checks, the telescoping residual and the
-    consistency check, into ``report``; each checked step's phi and step_ok
-    are written to the trace's columns. Returns Phi_0, or None where
+    consistency check, into ``report``. Returns Phi_0, or None where
     undefined."""
     shape = POTENTIALS[spec.kind]
     spec.require(*shape.needs, *shape.bound_needs)
@@ -641,10 +640,6 @@ def _replay(report: CertReport, spec: PotentialSpec, trace: Trace,
     steps = np.flatnonzero(defined[:-1] & defined[1:])
     if steps.size:
         report.steps = _step_checks(spec, trace, phi, steps, tol)
-        if trace.phi is None:
-            trace.phi, trace.step_ok = np.full(trace.T, np.nan), np.full(trace.T, np.nan)
-        trace.phi[steps] = phi[steps]
-        trace.step_ok[steps] = report.steps["ok"]
     known = np.flatnonzero(defined)
     if known.size >= 2:
         first, last = phi[known[0]].item(), phi[known[-1]].item()
@@ -711,7 +706,8 @@ def rate_comparison(traces: list, theorem_ids: list) -> dict:
     """Side-by-side per-iteration table: measured gap of each trace next to
     each theorem's envelope. Traces must be over the same objective."""
     columns = ["t"]
-    series = []
+    horizon = max((tr.T + 1 for tr in traces), default=0)
+    series = [list(range(horizon))]
     for tr in traces:
         label = tr.meta.get("method", "run")
         columns.append(f"gap:{label}")
@@ -719,30 +715,25 @@ def rate_comparison(traces: list, theorem_ids: list) -> dict:
         # the gap at y_t where the run records one, else at x_t, else none
         at_y = tr.f_y if tr.f_y is not None else tr.f[:0]
         gaps = (np.concatenate([at_y, tr.f[len(at_y):]]) - f_star).tolist()
-        series.append(gaps + [None] * (tr.T + 1 - len(gaps)))
+        series.append(gaps + [None] * (horizon - len(gaps)))
     for tid in theorem_ids:
         if tid not in THEOREMS:
             raise KeyError(f"unknown theorem id {tid!r}")
         columns.append(f"envelope:{tid}")
-
-    horizon = max((len(s) for s in series), default=0)
-    rows = []
-    for t in range(horizon):
-        row = [t]
-        for s in series:
-            row.append(s[t] if t < len(s) else None)
-        row.extend(_envelope_value(tid, traces[0], t) for tid in theorem_ids)
-        rows.append(row)
-    return {"columns": columns, "rows": rows}
+        if traces:
+            series.append(_envelope_column(tid, traces[0], horizon))
+    return {"columns": columns, "rows": [list(row) for row in zip(*series)]}
 
 
-def _envelope_value(theorem_id: str, trace: Trace, t: int) -> float | None:
-    """Theoretical gap envelope at iteration t for the trace's constants;
-    None for theorems that bound no gap."""
+def _envelope_column(theorem_id: str, trace: Trace, horizon: int) -> list:
+    """Theoretical gap envelope at t = 0..horizon-1 for the trace's constants,
+    built once; None at t = 0, and at every t for theorems that bound no gap
+    or whose envelope reads a constant the trace does not carry."""
     envelope = THEOREMS[theorem_id].envelope
-    if t < 1 or envelope is None:
-        return None
+    if envelope is None:
+        return [None] * horizon
     try:
-        return envelope(trace, trace.constants)(t)
+        bound = envelope(trace, trace.constants)
+        return [None] + [bound(t) for t in range(1, horizon)]
     except KeyError:
-        return None
+        return [None] * horizon

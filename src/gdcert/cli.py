@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True)
     run.add_argument("--format", default="json", choices=FORMATS,
                      dest="fmt")
-    run.add_argument("--seed", type=int, default=0)
 
     suite = sub.add_parser("suite", help="run a JSON list of configurations")
     suite.add_argument("--config", required=True)
@@ -76,13 +75,12 @@ def _config_from_args(args) -> RunConfig:
         theorems=theorems,
         out=args.out,
         fmt=args.fmt,
-        seed=args.seed,
     )
 
 
 def _config_from_dict(raw: dict) -> RunConfig:
     known = {"problem", "method", "steps", "set", "schedule", "x0", "certify",
-             "theorems", "out", "format", "seed"}
+             "theorems", "out", "format"}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
@@ -102,7 +100,6 @@ def _config_from_dict(raw: dict) -> RunConfig:
         theorems=list(theorems),
         out=raw.get("out"),
         fmt=raw.get("format", "json"),
-        seed=int(raw.get("seed", 0)),
     )
 
 

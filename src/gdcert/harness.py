@@ -49,7 +49,6 @@ class RunConfig:
     theorems: list = field(default_factory=list)
     out: str | None = None
     fmt: str = "json"
-    seed: int = 0
 
     def echo(self) -> dict:
         return {
@@ -62,7 +61,6 @@ class RunConfig:
             "certify": self.certify,
             "theorems": list(self.theorems),
             "format": self.fmt,
-            "seed": self.seed,
         }
 
 
@@ -351,7 +349,7 @@ def run_experiment(config: RunConfig, prepared: tuple | None = None) -> RunResul
     ``prepared`` is what ``validate_config(config)`` returned, for a caller
     that has validated the config already.
 
-    Deterministic for a fixed (config, seed): runs use no randomness and the
+    Deterministic for a fixed config: runs use no randomness and the
     serializers are order- and format-stable.
     """
     if prepared is None:
@@ -402,12 +400,11 @@ class _Table:
     """A step table, which ``json_dumps`` writes as a list of objects and the
     CSV writers as lines: (key, values) columns in output order, each a
     float64 column of one value or one vector per row (integers for a count)
-    or None (JSON null, CSV empty). The ``verdict`` column is written true
-    for 1.0 and false for 0.0; a row whose verdict is nan, where no check
-    ran, leaves the verdict and ``phi`` out in JSON and empty in CSV."""
+    or None (JSON null, CSV empty). The boolean ``verdict`` column, where
+    the table has one, is written true or false."""
 
     columns: list
-    verdict: str
+    verdict: str | None = None
 
 
 def _table_blocks(table: _Table, fmt: str, lead: str = "") -> list:
@@ -418,10 +415,10 @@ def _table_blocks(table: _Table, fmt: str, lead: str = "") -> list:
     formatted from the ``tolist()`` of the stacked columns: the templates
     need Python floats (%r on np.float64 prints "np.float64(...)")."""
     is_json = fmt == "json"
-    cells, data, strings = [], [], []  # (key, width, cell); argument columns
+    cells, data, strings = [], [], []  # (key, cell); argument columns
     for key, values in table.columns:
         if values is None or key == table.verdict:
-            cells.append((key, 0, "null" if is_json else ""))
+            cells.append((key, "null" if is_json else ""))
             continue
         width = math.prod(values.shape[1:])
         f = "%d" if values.dtype.kind in "iu" else "%.17g" if is_json else "%r"
@@ -430,26 +427,19 @@ def _table_blocks(table: _Table, fmt: str, lead: str = "") -> list:
             offset = sum(math.prod(v.shape[1:]) for v in data)
             strings += range(offset, offset + width)
         cell = ",".join([f] * width)
-        cells.append((key, width, f"[{cell}]" if is_json and values.ndim == 2 else cell))
+        cells.append((key, f"[{cell}]" if is_json and values.ndim == 2 else cell))
         data.append(values)
 
-    def template(kind: int) -> str:  # 0 no verdict, 1 held, 2 violated
-        parts = []
-        for key, width, cell in cells:
-            if kind == 0 and key in (table.verdict, "phi"):
-                if is_json:  # the key is left out and its arguments print nothing
-                    parts[-1] += "%.0s" * width
-                    continue
-                cell = ",".join(["%.0s"] * width)
-            elif key == table.verdict:
-                cell = "true" if kind == 1 else "false"
-            parts.append(f'"{key}":{cell}' if is_json else cell)
+    def template(verdict: str) -> str:
+        parts = [verdict if key == table.verdict else cell for key, cell in cells]
+        if is_json:
+            parts = [f'"{key}":{part}' for (key, _), part in zip(cells, parts)]
         return lead + ("{" + ",".join(parts) + "}" if is_json else ",".join(parts))
 
     n = len(data[0]) if data else 0
     ok = dict(table.columns).get(table.verdict)
-    kinds = np.zeros(n, int) if ok is None else np.select([np.isnan(ok), ok == 1], [0, 1], 2)
-    templates = [template(kind) for kind in range(3)]
+    held = [False] * n if ok is None else ok.tolist()
+    templates = [template("false"), template("true")]  # indexed by the verdict
     blocks = []
     for lo in range(0, n, _BLOCK):
         block = np.column_stack([values[lo:lo + _BLOCK] for values in data])
@@ -458,7 +448,7 @@ def _table_blocks(table: _Table, fmt: str, lead: str = "") -> list:
             block[:, strings] = np.frompyfunc(_json_scalar, 1, 1)(block[:, strings])
         blocks.append(("," if is_json else "\n").join([
             templates[k] % tuple(row) for k, row in
-            zip(kinds[lo:lo + _BLOCK].tolist(), block.tolist())]))
+            zip(held[lo:lo + _BLOCK], block.tolist())]))
     return blocks
 
 
@@ -512,7 +502,6 @@ def _step_columns(trace: Trace) -> dict:
         columns.update(y=trace.y[:T], f_y=trace.f_y[:T])
     if trace.z is not None:
         columns["z"] = trace.z[:T]
-    columns.update(phi=trace.phi, step_ok=trace.step_ok)
     return columns
 
 
@@ -525,17 +514,17 @@ def trace_to_dict(trace: Trace) -> dict:
             final[name] = trace.final(name)
     meta = {k: v for k, v in trace.meta.items() if k != "constants"}
     meta.update(constants=trace.constants, final=final)
-    return {"meta": meta, "steps": _Table(list(_step_columns(trace).items()), "step_ok")}
+    return {"meta": meta, "steps": _Table(list(_step_columns(trace).items()))}
 
 
 def trace_to_csv(trace: Trace) -> str:
     """Per-iteration table: header row plus one row per recorded step."""
     columns = _step_columns(trace)
     keys = ["t", "x"] + (["y", "z", "f_y"] if trace.y is not None else [])
-    keys += ["f", "gap", "grad_norm", "grad_dual_norm", "eta", "phi", "step_ok"]
+    keys += ["f", "gap", "grad_norm", "grad_dual_norm", "eta"]
     header = [k if columns[k] is None or columns[k].ndim == 1 else
               ",".join(f"{k}{i}" for i in range(columns[k].shape[1])) for k in keys]
-    table = _Table([(k, columns[k]) for k in keys], "step_ok")
+    table = _Table([(k, columns[k]) for k in keys])
     return "\n".join([",".join(header), *_table_blocks(table, "csv")]) + "\n"
 
 

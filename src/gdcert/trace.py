@@ -30,11 +30,10 @@ class Trace:
     objective; ``y`` and ``z`` of a coupled run), T rows when only the steps
     do, and None when the method never records it.
 
-    ``phi`` and ``step_ok`` (T rows) are written by the certifier: Phi_t and
-    the verdict of each step it checked, 1 held and 0 violated; nan in both
-    where no certificate checked step t. ``meta`` echoes the configuration
-    and carries the constants and flags the certifier needs, e.g.
-    ``meta["constants"]["D"]`` and ``meta["flags"] = ["trajectory-estimated-D"]``.
+    The certifier reads the columns and never writes them: per-step verdicts
+    are in its report. ``meta`` echoes the configuration and carries the
+    constants and flags the certifier needs, e.g. ``meta["constants"]["D"]``
+    and ``meta["flags"] = ["trajectory-estimated-D"]``.
     """
 
     x: np.ndarray
@@ -45,8 +44,6 @@ class Trace:
     y: np.ndarray | None = None
     z: np.ndarray | None = None
     f_y: np.ndarray | None = None
-    phi: np.ndarray | None = None
-    step_ok: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     @classmethod

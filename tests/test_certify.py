@@ -13,11 +13,17 @@ from gdcert.certify import (
     certify_trace,
     potential,
     rate_comparison,
-    _envelope_value,
+    _envelope_column,
 )
 from gdcert.core import Unconstrained
 from gdcert.descent import Constant, run_online_gd
-from gdcert.harness import RunConfig, make_set, run_experiment
+from gdcert.harness import (
+    RunConfig,
+    json_dumps,
+    make_set,
+    run_experiment,
+    trace_to_dict,
+)
 from gdcert.problems import PROBLEMS, FixedAdversary, get_problem
 from gdcert.smooth import run_smooth_gd, run_well_conditioned
 from gdcert.accel import restart_accelerated, run_agm2, run_sc_agm
@@ -105,11 +111,29 @@ class TestCertifyTrace:
         report = certify_trace("smooth-value-scaled", trace)
         assert report.consistency_ok is True
 
-    def test_potentials_written_back_to_trace(self):
-        trace = run_smooth_gd(get_problem("p2"), [1.0, 1.0], 50)
-        certify_trace("smooth-value-scaled", trace)
-        assert not np.isnan(trace.phi[0])
-        assert trace.step_ok[0] == 1.0
+    def test_trace_steps_do_not_depend_on_certification(self):
+        theorems = ["smooth-value-log", "smooth-value-scaled", "smooth-value-distance"]
+
+        def run(order):
+            cfg = RunConfig(problem="p2", method="smooth-gd", steps=50,
+                            certify=bool(order), theorems=order)
+            return run_experiment(cfg).trace
+
+        def steps_json(trace):
+            return json_dumps(trace_to_dict(trace)["steps"])
+
+        def columns(trace):
+            return {name: col.tobytes() if isinstance(col, np.ndarray) else col
+                    for name, col in vars(trace).items() if name != "meta"}
+
+        uncertified = run([])
+        before = columns(uncertified)
+        for tid in theorems:
+            certify_trace(tid, uncertified)
+        assert columns(uncertified) == before
+        plain = steps_json(uncertified)
+        assert steps_json(run(theorems)) == plain
+        assert steps_json(run(theorems[::-1])) == plain
 
     def test_empty_trace_is_vacuous(self):
         report = certify_trace("agm-smooth", empty_trace())
@@ -148,7 +172,7 @@ class TestCertifyTrace:
     def test_agm_envelope_frozen(self):
         p1 = get_problem("p1")
         trace = run_agm2(p1, [1.0], 20)
-        assert _envelope_value("agm-smooth", trace, 10) == pytest.approx(2.0 / 110.0)
+        assert _envelope_column("agm-smooth", trace, 11)[10] == pytest.approx(2.0 / 110.0)
 
 
 # one run per potential kind, with a theorem certified on that kind
@@ -246,6 +270,30 @@ class TestRateComparison:
         trace = run_smooth_gd(get_problem("p2"), [1.0, 1.0], 20)
         table = rate_comparison([trace], ["agm-mirror"])
         assert [row[2] for row in table["rows"]] == [None] * 21
+
+    def test_envelope_missing_a_constant_is_none(self):
+        # agm-smooth reads x* when its envelope is built, smooth-value-log
+        # reads beta when it is evaluated
+        trace = run_smooth_gd(get_problem("p2"), [1.0, 1.0], 20)
+        del trace.constants["x_star"], trace.constants["beta"]
+        table = rate_comparison([trace], ["agm-smooth", "smooth-value-log"])
+        assert [row[2:] for row in table["rows"]] == [[None, None]] * 21
+
+    def test_envelope_built_once_per_theorem(self, monkeypatch):
+        p3 = get_problem("p3")
+        traces = [run_sc_agm(p3, [1.0, 1.0], 30), run_agm2(p3, [1.0, 1.0], 30)]
+        theorems = ["agm-smooth", "agm-sc", "smooth-value-distance"]
+        calls = []
+        sq_dist = gdcert.certify._sq_dist
+
+        def counted(*args):
+            calls.append(args)
+            return sq_dist(*args)
+
+        monkeypatch.setattr(gdcert.certify, "_sq_dist", counted)
+        table = rate_comparison(traces, theorems)
+        assert len(calls) == len(theorems)
+        assert all(v is not None for row in table["rows"][1:] for v in row[3:])
 
     def test_unknown_theorem_rejected(self):
         with pytest.raises(KeyError):

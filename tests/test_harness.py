@@ -1,5 +1,6 @@
 import itertools
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ class TestEmission:
     def test_trace_csv_emission(self, tmp_path):
         res = run_experiment(RunConfig(problem="p1", method="smooth-gd", steps=3))
         path = emit_trace(res.trace, str(tmp_path / "t.csv"), fmt="csv")
-        assert open(path).read().count("\n") == 4
+        assert pathlib.Path(path).read_text().count("\n") == 4
 
 
 class TestTraceContracts:
@@ -371,6 +372,19 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["suite", "--config", str(bad)]) == 2
+
+    def test_seed_is_not_an_option(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problem", "p2", "--method", "smooth-gd", "--steps", "5",
+                  "--out", str(out), "--seed", "3"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps([{"problem": "p2", "method": "smooth-gd",
+                                    "steps": 5, "out": str(out), "seed": 0}]))
+        assert main(["suite", "--config", str(cfg)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_suite_unknown_key_exit_two(self, tmp_path):
         cfg = tmp_path / "suite.json"

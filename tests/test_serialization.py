@@ -34,12 +34,12 @@ SMOOTH_VALUE = ["smooth-value-log", "smooth-value-scaled",
 
 # Short runs that together produce every row shape the serializers write.
 GOLDEN_RUNS = {
-    # f_ref-based gap, amortized report rows, numpy-bool step_ok
+    # f_ref-based gap, amortized report rows
     "gd-experts-ball": dict(problem="experts-alt", method="gd", steps=40,
                             feasible_set="ball", theorems=["gd-regret"]),
     "smooth-gd-p2": dict(problem="p2", method="smooth-gd", steps=40,
                          theorems=SMOOTH_VALUE),
-    # violating steps from t = 4 on: false step_ok and ok
+    # violating steps from t = 4 on: false ok
     "failed-potential-p3": dict(problem="p3", method="smooth-gd", steps=60,
                                 theorems=["failed-potential"]),
     # y / z / f_y columns
@@ -52,7 +52,7 @@ GOLDEN_RUNS = {
                                       theorems=["mirror-regret"]),
     "sc-agm-p3": dict(problem="p3", method="sc-agm", steps=40,
                       theorems=["agm-sc"]),
-    # certification off: no phi / step_ok keys and no report file
+    # certification off: no report file
     "uncertified-gd-p1": dict(problem="p1", method="gd", steps=30),
     # the end checks no run above reaches
     "sc-gd-p1": dict(problem="p1", method="sc-gd", steps=30,
@@ -94,115 +94,117 @@ GOLDEN_RUNS = {
 # runs from "sc-gd-p1" on with the per-theorem if-chains the theorem table
 # replaced, and the runs from "agm1-p3" on with the per-method step loops that
 # trace.drive replaced), and never regenerated: a changed hash is a changed
-# file format.
+# file format. The one deliberate change is derived from those files, not
+# regenerated: the config echo lost its "seed" key, and the trace lost the
+# certifier's "phi" and "step_ok" (its JSON keys and its last two CSV cells).
 GOLDEN = {
     ("agm2-negentropy-lse3", "json"): (
-        "057257fc5d15cb6d2ca8ce063302801e9ea9dc73ea7b5b70f6675917c3d7e286",
-        "3406bf08bbae517f6be0f6972b472ec98ead994cc5e3ee14c1a320c9231c08e7"),
+        "a3eeeeff14be9d39ca3b10fd59ec5826cdf5d3afde704ab2e07a9845f909a01e",
+        "77f9f7c264eb8a4cc8f2c2f29bb55ccc5df2810aec841421bc3215737b359f88"),
     ("agm2-negentropy-lse3", "csv"): (
-        "5cee7b1780eb0a463df798984e8909e47964fb8aeb91810f8d97a56db6065184",
+        "bd3cb29d9bab78a2e4e3c83e7eafb9dc5c55747f236aa27974ab9d2b803770c5",
         "c252dbe14163211ca0cee297b9216c03b639dbad2b89efffd07d29cf67e68fa7"),
     ("agm2-p2", "json"): (
-        "abb56126d5c5e11e9da6ee08a2aa2dab3f3fd2263b5532863025e0838ed087fb",
-        "ec372132684cd2eea925cfd5c17f71fca3424a57c7461177162caa0c0cfa9365"),
+        "e8cf9d8feaec984a33e1ccf2c7ffeb35b0c89e2d66d46c078891c7a96eef7e90",
+        "6ac0af10c0c9d4aa119fef525ffcf3c68e9da481df2e93b998bfed7f8dab6690"),
     ("agm2-p2", "csv"): (
-        "9619a3394c11b334cd76a36b7e1d461ad18859a322d13232597d240bc3ccfa45",
+        "b460e7cc5eed0cf5ee8c02853d02de75b5891179eb170a7865562d9422a202c3",
         "e34381ff7f0b7d2b0847d19cd9eaec26e0d2e4985471f6ed40e514eb0e2e360e"),
     ("failed-potential-p3", "json"): (
-        "202adc0b1528f2ac25fdd8992fcff68be7cde851bfc89b6c973380d2946c45fa",
-        "f37df8d71a1bc1e28a8bae3b73621e65866a965e4ffd56bfdbef57af1815f797"),
+        "f0de77497d5283e0b8a3e32d97f5c92808e5105af44520f9082ebef20fb18eba",
+        "40fc4306109271c63471dd3f7d831424562baffc4ff57f4624c17e1970bede82"),
     ("failed-potential-p3", "csv"): (
-        "b301d6fffc13740013d1a00ccdd137fa4c16a345b1a37daeba3f560e7a27b310",
+        "c7bf116fc220ba563ffe6e2fb8c02f5931f19aecd9c0864e44c2e65d5b68154d",
         "d9a79d0d0f705b140d6b3d8ebec7335ad3c0ca666f2ec9e337367765c2ccfc4e"),
     ("frank-wolfe-log-p2-box", "json"): (
-        "881314bfa429fcadf7c8968b847ce0a9ace0aaba712b37e593b0471fe08b7efa",
-        "305b8a0e927a27dd701a3b988077eff0b461491fb41baa4f6671fd7769fec98c"),
+        "db9e12a0c87e536f4a9c4d00b6f4518fb9e54abb37d66fc5189a3a63af3f2694",
+        "2b9d12a046d15570c82271971b4979a43917d91831d751c9234a492df4077c84"),
     ("frank-wolfe-log-p2-box", "csv"): (
-        "eb2f08a727d86885549c32f90a09b9617da271fab3dfd9711a737cb3271afe13",
+        "83f80a33f12d7dfa040bebcfe6a6301405d4dedb2b85c190d88c5ce186c2e9e6",
         "862023871c2e4cf5fcaa76e0cfd7d265c5760012ced876c12b0aa0577e1f6175"),
     ("frank-wolfe-p2-simplex", "json"): (
-        "7ddf1ff9f59c7b924fc98d42ed6a25395d7a913479f455086fb195c0e53e677a",
-        "966bb8d56b82d8fd1d887e7613ed0c8ffa1239246c7d07e2686f26f57154c0f8"),
+        "78b700728fbf51f6dad59a915d6709bce420202fbb622a6baedd3a193e7900b2",
+        "f65e557f09e7569bafa79dc2a1b05f1d2cefe68d74e67dfc999358dbd4e0fa89"),
     ("frank-wolfe-p2-simplex", "csv"): (
-        "9bb97740203db2f708d476db0ea17f114c4283ebd9037306210c89e9d46117bc",
+        "e4812f17df81a57f719a5831102515a4232c65e8b0d2fe42240babeaed2c736b",
         "418c2915c2fd21a9fcee9a1b41c67a52a6107ebd6e05a34c69dc6db1594d2059"),
     ("gd-experts-ball", "json"): (
-        "c7ebb1e1a4d0496c51f579977406e9d4974805f4d78f5d7ef92b6ab528e7f51f",
-        "7998f9ed479907fcafe5830d5f5981ac3fcead9906bd967d55e5b118b148d9c4"),
+        "d1313f05692f9b97a13063a93f4928e4bf968854a020929520b273a2745b5fc3",
+        "65d32fb445357bccc542b8504e9b7fd8bd07a2847088984a343861db68c4387f"),
     ("gd-experts-ball", "csv"): (
-        "b33df0ea04935849ef3b80a2b376c5010d9c197cdbf9bb092b4fd5f603bd7ab0",
+        "2b3fe9e75d6feaaf11660342e1f5d645ecd402fd329f6216b289c7cc2c3cb244",
         "508f6b501165eb735cc1af6e7223cc04a6c5889b6773fa7bb0069861cbf8df2e"),
     ("mirror-negentropy-experts", "json"): (
-        "8486b075affb83f57088c930c0755d5926967da067a612dd2117fbf8ace586de",
-        "a62132c7b19d5dcdc1f9683b7fac7092908b17d1a12dfa0267b0fee3eaf700ac"),
+        "18690f0f684356a0690f44894738ea8dcb75b6228d1239cbb52e99cbbe56e871",
+        "afe58e2603ba82ba2de010ff6813c68e20ceb040c663966edba98b61a108547e"),
     ("mirror-negentropy-experts", "csv"): (
-        "07e2fc20f89e2c82fc80c28b57fb5fe8d7a0bcf68c5444de7fc1d897c5b21383",
+        "b8385ca8a9abec35807e64cf4c740b81ad355479ed0844e912043839badfc84a",
         "6e90bfc1168d7b7a782697b6d5b14605ccf5dbb5e92a5bd6ea7289758c2e8833"),
     ("sc-agm-p3", "json"): (
-        "f5a1127de9e3caba9133024aaf895cafbd0e507f7bbf5972eca9d3cd01caf09f",
-        "a09a4a856e71088cf69c7b426ecc838821930d0c070bdb9c244bab83b3c237b2"),
+        "b906b0271eacc35be7b826d5b4cc37a8825292a201712a5bee8b6e1142b83c9d",
+        "cb15d75c296de7a9a2b2be85dcb726cb2288b7a5e43ebf904e716ab37693c991"),
     ("sc-agm-p3", "csv"): (
-        "325e6c9ff92643ba33adaeee807bc56925699c833263c40931c9a972d4179eec",
+        "ef0622af219b644e98cfa3decbbba59e92c69f94216fef98f3de2931b48ee29a",
         "db349b30f12cced7439c9363671b993d3242869e634060f68d929b8612f85fee"),
     ("sc-gd-p1", "json"): (
-        "f5cb5ef8cbdc3ac16acb81d46b313f87612b596f232f6ae972b6081030e4ccc3",
-        "9c0c1a8a1928bb31b3aa333a118e01a2ee3732cf84625e3ba6e3784bca0c5f6a"),
+        "3ab2b4f9efdc0db6c9436ca046533ccc918f21ed555bd74decad0769d70b2f72",
+        "6868832a0b257c937a5493b56e9105565bae92dc351c2c4388d8d40325391953"),
     ("sc-gd-p1", "csv"): (
-        "e9e855e023e46277db541009ccf5ba71fc5a92698c2fe010ced1195a3480ad67",
+        "4ef7aa37df031d0c6cd964d269e84f965a442600b6deb8e575d30d31f4abe969",
         "8e296f552626b54082e0887296bab851628729edb429b4e18672b1bd6e93b32f"),
     ("smooth-gd-p2", "json"): (
-        "f50c3b34a5e6c5409928df5acac88a36afa05553deead325967638c55cead9be",
-        "67c075039e39d3b5b875ec742a420e83c212faaa05af04c4c84acd6b84ef1a94"),
+        "330fbda94177c0d85e897fa838d0b5c9f7b32d0aa68504a5cfb73eaf86a83207",
+        "55cb7586e5f1cd1a157a60d7d335893e2022407eb745a9132a52e888ecbcd8ca"),
     ("smooth-gd-p2", "csv"): (
-        "e3ec24c1779e38a94f3df67d01c7dccf1abd47efbaec81947c52c84c5020f277",
+        "8f9ae7aefe9fddd4d04172b9f5d685ce8c856bf6599447a80850d4aff805e653",
         "d1192756e7c27912c9ee2840199f39e73fab3e56692da1aabc99070061905661"),
     ("smooth-gd-p2-ball", "json"): (
-        "c41c551064e0b482cc39a3d645da1a0bbb22bcbb31ad67ccc0f32c0e9f01eaae",
-        "6c18254b17e2897195f15f9909c8b7df1a2a256b6b1403c7410ac6d727333aa0"),
+        "25414c573ec1a14285aea207c0d0e226709a1539ac3a97984b0cad7e86b0c49c",
+        "0861bf59df73c9ef3406c1a65fd007acbc38b3b9c20234f26df85a4d4df0bed8"),
     ("smooth-gd-p2-ball", "csv"): (
-        "24c1f2a23cf6b46e468c603fc7442448e06d11d3911324ade09c3160afbc7b2d",
+        "fd5091ccf7f60510bec06c7e693fb791e57da9a6e7dc1660d4066c85f3ff3962",
         "b31dea6c3082a6aefa9b90edf920b7a1bf9215097ccad2c71c1148eedd797ec2"),
     ("uncertified-gd-p1", "json"): (
-        "e64dc38bc5b4ca578801b725191b512e6a1f2f8fbe2b9e2b096f0b1025d98917",
+        "9558774876c1c2b32e2962dd39110a45e02d2b22e39372e13e2c71a3d6b0c2f8",
         None),
     ("uncertified-gd-p1", "csv"): (
-        "d37aa04b6e2c2b56a9c5ac70de8ecb389369c93b95ce10fed326499da400bd14",
+        "0e9606d896023f89f5d94cd006f338d74e23d4ae802c9ac572cd11b1e3f7b29d",
         None),
     ("wellcond-gd-p3", "json"): (
-        "a70d116df4a5724dbe77c1b1683db4995686585ed7296e9ca3871afdb20a78cb",
-        "df8b982386222ddd802bfed82c4b597ae11d0fdd7e9e8089050772e59bd574f6"),
+        "1a8e78d68812eeb9f36c0520d3593cf3c56a0f660ff2613d0d656410761b9a10",
+        "e3bc54cb023c21d39000cad7d1c99f0d30b258c1d2ef10210fe002ae4e4f2bdb"),
     ("wellcond-gd-p3", "csv"): (
-        "78e42ad69999f0b2e3f8c897adb8b99146ac792b0f9f84eaa9d5c10eaf337649",
+        "8418a19d23b4d22d82e120a1a01301db0f1ac705c2f330bde5b01670468711a8",
         "c6c246c8639d2b09411148fbe0bb38c58d27e1fe4e01bb7f1655ca98b19766e6"),
     ("agm1-p3", "json"): (
-        "cd3e2b2de873c5ead48cb6ed2cca513034f32005e82b35347c543acfc14d5341",
+        "eccd33d5fd9c80cb70dfd9476cf1b0b6ffbc959077ae21af287dbc4ebaeb0451",
         None),
     ("agm1-p3", "csv"): (
-        "04862a30e5c597d9ced3fd3ba352922553d1288753933c7361eda322f13a0031",
+        "688866724e700b25c4ce96a2c10a807b79e7d9fb5c64b15bef702a7afad91e86",
         None),
     ("agm2-lambda-p2", "json"): (
-        "80847ed6da15aea00085c43f2ab34969a336485d79fecf5fde04a8e15a63b8ef",
+        "3b0593af7f27c03e7de314bdc91da50ebec44445c86c589d0f532b879f3931bd",
         None),
     ("agm2-lambda-p2", "csv"): (
-        "552ad8b0fe897b0cb1bd1f8cf3b17553750937c9f1d4e056c4e3876776110c6a",
+        "7b87ab9a5b92e3e25b5ed561e2465cf3a6b833dda669a2781c53fb57553a02f0",
         None),
     ("agm2-p2-simplex", "json"): (
-        "e5eec2ed41e0e2a857d00cef08115c5e6264986c58e4e101d972719a622b2327",
-        "e34ebd554e252bffe3a098ee3fd3b0ff96e61a28e08a51c9cb41cc70d0c9aa57"),
+        "fa0d8df33f43cbdbbf78b0daa05f26b58ff6628dc8b259d72ef5e49d272f2979",
+        "3cbcd246c6ccdb6a48b7523ffc057093918f6e46cdcf4f9e19d58e57a8e26e5f"),
     ("agm2-p2-simplex", "csv"): (
-        "efc134d320847b0074293376e68628536186452b5f880aa8617508fbee55ebd7",
+        "affbf02eb91ea08c37fadb76fcefd9a5c06a2a1b21708473fb675fac1444284e",
         "d4262dc7dbcc84a1dae05546c19eb8c483ac94f2c3e2a364ba5351dacdeb38f8"),
     ("mirror-euclidean-experts-ball", "json"): (
-        "feba062359dee7a941ed1dc0f5f728a5027ed874324f59c0d4feb27f0d5f2acd",
-        "0e0c2e40dec313d57e6f2dc6c0537cc51222343dfd3f548359a7e90e9d3e3a13"),
+        "f570d4c0ce56313dd9fe855ccc900239b2b15b23e891746a1eb583e9fa70ed2d",
+        "17620a45548b3ffe3e0acfe07d6a9ec1c2ed8169f2f184e2cf4adc9e5488d560"),
     ("mirror-euclidean-experts-ball", "csv"): (
-        "37db14b3e3d8375d9e913e6f7e4bce05ce84022c56aab074534bee52f84dcdc4",
+        "b57039b406f33b69609249d3ee93829ad992eb5362d8f815a416f6be96b3b07a",
         "a219e2efd5b8d98383472d5c9caee6ff4fab7352e0fd084a6848e1d30f013df7"),
     ("restart-agm-p3", "json"): (
-        "c28c7c9df7c31cf40b2945ea76ba163f024bae30f65649f02e9860f656c6514c",
+        "899993096f1c876a24630361387aeb9a8a19cd728779a1e308f967e2249685d8",
         None),
     ("restart-agm-p3", "csv"): (
-        "2c5957814f481daa17c14adcfa664fe5e2e94bd1a121778feff2019927e54e07",
+        "e82b7b82b5645471b757dda66f6beee193bd70a654ef4927e4865d4b424ee6dc",
         None),
 }
 
@@ -321,7 +323,7 @@ def test_records_match_per_element_json(rows):
 @settings(deadline=None, max_examples=60)
 @given(float_arrays(any_floats))
 def test_csv_vector_matches_per_element_cells(a):
-    (row,) = _table_blocks(_Table([("x", a[None, :])], "ok"), "csv")
+    (row,) = _table_blocks(_Table([("x", a[None, :])]), "csv")
     assert row == ",".join(csv_reference(v) for v in a)
 
 
@@ -364,8 +366,7 @@ def _column(rng, draw, shape, specials):
 def step_traces(draw):
     """Traces whose step tables take every cell format: T and d across the
     block boundary, with or without y/z, a comparator, f* or neither (a null
-    gap), and certificate columns with unchecked steps, violated steps and
-    non-finite Phi."""
+    gap)."""
     T = draw(st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]))
     d = draw(st.sampled_from([1, 2, 3, 1000]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -384,11 +385,6 @@ def step_traces(draw):
         trace.constants["f_star"] = draw(st.sampled_from([0.0, -0.0, 1.5, -2.25e-300]))
     if draw(st.booleans()):
         trace.y, trace.z, trace.f_y = col(T + 1, d), col(T + 1, d), col(T + 1)
-    if draw(st.booleans()):
-        trace.phi = col(T)
-        trace.step_ok = rng.choice([0.0, 1.0, np.nan] if draw(st.booleans())
-                                   else [0.0, 1.0], T)
-        trace.phi[np.isnan(trace.step_ok)] = np.nan
     return trace
 
 
@@ -409,8 +405,6 @@ def trace_rows(trace: Trace) -> list:
             row.update(y=trace.y[t].tolist(), f_y=trace.f_y[t].item())
         if trace.z is not None:
             row["z"] = trace.z[t].tolist()
-        if trace.phi is not None and not math.isnan(trace.step_ok[t]):
-            row.update(phi=trace.phi[t].item(), step_ok=trace.step_ok[t].item() == 1.0)
         rows.append(row)
     return rows
 
@@ -430,7 +424,7 @@ def test_trace_table_matches_per_element_csv(trace):
         header, *lines = trace_to_csv(trace).splitlines()
         rows = trace_rows(trace)
     keys = ["x"] + (["y", "z", "f_y"] if trace.y is not None else [])
-    keys += ["f", "gap", "grad_norm", "grad_dual_norm", "eta", "phi", "step_ok"]
+    keys += ["f", "gap", "grad_norm", "grad_dual_norm", "eta"]
     expected = []
     for row in rows:
         cells = [row["t"]]

@@ -83,8 +83,7 @@ def expected_layout(method: str) -> dict:
     """Each column's rows, as an offset from T; None where absent."""
     online = method in ONLINE_METHODS
     layout = {"x": 1, "f": 0 if online else 1, "grad": 0, "eta": 0,
-              "f_ref": 0 if online else None, "y": None, "z": None, "f_y": None,
-              "phi": None, "step_ok": None}
+              "f_ref": 0 if online else None, "y": None, "z": None, "f_y": None}
     if method in COUPLED:
         layout.update(y=1, z=1, f_y=1)
     if method == "restart-agm":  # the final block is the restart point alone
