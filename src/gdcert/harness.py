@@ -1,11 +1,13 @@
-"""Run configuration, method/problem/theorem registries, the experiment
-driver, and machine-readable trace/report serialization."""
+"""Run configuration, the METHODS table (one entry per method), the
+experiment driver, and machine-readable trace/report serialization."""
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from gdcert.problems import (
     PROBLEMS,
     FixedAdversary,
     OnlineAdversary,
+    Problem,
     get_adversary,
 )
 from gdcert.trace import Trace
@@ -68,38 +71,6 @@ SETS = ("unconstrained", "ball", "box", "simplex")
 
 FORMATS = ("json", "csv")
 
-METHODS = ("gd", "sc-gd", "smooth-gd", "frank-wolfe", "wellcond-gd",
-           "mirror-euclidean", "mirror-negentropy", "agm2", "agm1",
-           "agm2-negentropy", "sc-agm", "restart-agm")
-
-SCHEDULES = {
-    "gd": ("dg-sqrt-T", "dg-sqrt-t"),
-    "sc-gd": ("inv-alpha-t1", "inv-alpha-t"),
-    "frank-wolfe": ("fw-2t", "fw-1t"),
-    "agm2": ("agm-smooth", "agm-smooth-full", "agm-lambda"),
-    "mirror-euclidean": ("md-tuned",),
-    "mirror-negentropy": ("md-tuned",),
-}
-
-# The sets a method runs on, where that is not every set.
-METHOD_SETS = {
-    "frank-wolfe": ("ball", "box", "simplex"),
-    "wellcond-gd": ("unconstrained",),
-    "mirror-negentropy": ("unconstrained", "simplex"),
-    "agm1": ("unconstrained",),
-    "agm2-negentropy": ("simplex",),
-    "sc-agm": ("unconstrained",),
-    "restart-agm": ("unconstrained",),
-}
-
-# methods that play the problem as an online adversary against a comparator
-ONLINE_METHODS = ("gd", "sc-gd", "mirror-euclidean", "mirror-negentropy")
-
-# methods that start at x0 unprojected, with the mirror map whose domain x0
-# must lie in
-START_MAPS = {"frank-wolfe": "euclidean", "mirror-euclidean": "euclidean",
-              "mirror-negentropy": "negentropy", "agm2-negentropy": "negentropy"}
-
 
 def make_set(set_id: str, dim: int) -> FeasibleSet:
     if set_id == "unconstrained":
@@ -124,6 +95,102 @@ def default_x0(set_id: str, dim: int) -> np.ndarray:
     return ones
 
 
+class _Prepared(NamedTuple):
+    """What ``_prepare`` makes for a run. G, its flags, the comparator and D
+    (the set's diameter, else the distance from x0 to the comparator) are
+    an online method's; ``problem`` is None for an online adversary."""
+
+    adversary: OnlineAdversary
+    problem: Problem | None
+    feasible: FeasibleSet
+    x0: np.ndarray
+    T: int
+    schedule: str | None
+    mirror_map: mirror.MirrorMap | None
+    G: float | None
+    flags: list
+    comparator: np.ndarray | None
+    D: float | None
+
+
+def _gd(p: _Prepared) -> Trace:
+    if p.schedule == "dg-sqrt-t":
+        schedule = descent.AnytimeScaled(p.D, p.G)
+    else:
+        schedule = descent.HorizonScaled(p.D, p.G, p.T)
+    return descent.run_online_gd(p.adversary, p.feasible, p.x0, schedule, p.T,
+                                 comparator=p.comparator)
+
+
+def _sc_gd(p: _Prepared) -> Trace:
+    return descent.run_strongly_convex_gd(
+        p.adversary, p.feasible, p.x0, p.adversary.strongly_convex_alpha, p.T,
+        shift=0 if p.schedule == "inv-alpha-t" else 1, comparator=p.comparator)
+
+
+def _mirror_descent(p: _Prepared) -> Trace:
+    eta = mirror.tuned_eta(p.mirror_map, p.comparator, p.x0, p.G, p.T)
+    return mirror.run_mirror_descent(p.adversary, p.mirror_map, p.feasible, p.x0,
+                                     eta, p.T, comparator=p.comparator)
+
+
+def _restart_agm(p: _Prepared) -> Trace:
+    epoch = int(np.ceil(4.0 * np.sqrt(p.problem.kappa)))
+    return accel.restart_accelerated(p.problem, p.x0, 1e-6,
+                                     max_epochs=max(1, p.T // epoch))
+
+
+@dataclass(frozen=True)
+class _Method:
+    """One method: how it runs from what ``_prepare`` made, and the runs it
+    takes. ``run`` calls its runner through the runner's module, so that a
+    wrapper set on the module sees the call."""
+
+    run: Callable                        # _Prepared -> Trace
+    sets: tuple = SETS
+    schedules: tuple = ()                # default first
+    online: bool = False                 # plays an online adversary, with a comparator
+    start_map: str | None = None         # x0 unprojected, in this mirror map's domain
+    needs: tuple = ()                    # "kappa", "alpha", and D, G > 0
+    unconstrained_only: tuple = ()       # schedules that take no bounded set
+
+
+METHODS = {
+    "gd": _Method(_gd, schedules=("dg-sqrt-T", "dg-sqrt-t"), online=True,
+                  needs=("D", "G")),
+    "sc-gd": _Method(_sc_gd, schedules=("inv-alpha-t1", "inv-alpha-t"),
+                     online=True, needs=("alpha",)),
+    "smooth-gd": _Method(
+        lambda p: smooth.run_smooth_gd(p.problem, p.x0, p.T, feasible=p.feasible)),
+    "frank-wolfe": _Method(
+        lambda p: smooth.run_frank_wolfe(p.problem, p.feasible, p.x0, p.T,
+                                         schedule=p.schedule),
+        sets=("ball", "box", "simplex"), schedules=tuple(smooth.FW_STEP_SIZES),
+        start_map="euclidean"),
+    "wellcond-gd": _Method(
+        lambda p: smooth.run_well_conditioned(p.problem, p.x0, p.T),
+        sets=("unconstrained",), needs=("kappa",)),
+    "mirror-euclidean": _Method(_mirror_descent, schedules=("md-tuned",),
+                                online=True, start_map="euclidean", needs=("G",)),
+    "mirror-negentropy": _Method(_mirror_descent, sets=("unconstrained", "simplex"),
+                                 schedules=("md-tuned",), online=True,
+                                 start_map="negentropy", needs=("G",)),
+    "agm2": _Method(
+        lambda p: accel.run_agm2(p.problem, p.x0, p.T, schedule=p.schedule,
+                                 feasible=p.feasible),
+        schedules=accel.AgmSchedule.KINDS, unconstrained_only=("agm-lambda",)),
+    "agm1": _Method(lambda p: accel.run_agm1(p.problem, p.x0, p.T),
+                    sets=("unconstrained",)),
+    "agm2-negentropy": _Method(
+        lambda p: accel.run_general_norm_agm(p.problem, p.mirror_map, p.feasible,
+                                             p.x0, p.T),
+        sets=("simplex",), start_map="negentropy"),
+    "sc-agm": _Method(lambda p: accel.run_sc_agm(p.problem, p.x0, p.T),
+                      sets=("unconstrained",), needs=("kappa",)),
+    "restart-agm": _Method(_restart_agm, sets=("unconstrained",), needs=("kappa",)),
+}
+
+
 def _is_int(x) -> bool:
     return type(x) is int or isinstance(x, np.integer)
 
@@ -138,15 +205,13 @@ def _finite_coordinates(x0) -> bool:
         return False
 
 
-def validate_config(config: RunConfig) -> tuple:
+def validate_config(config: RunConfig) -> _Prepared:
     """Reject a config its run cannot take (ConfigError); returns what
     ``_prepare`` makes for the run, so that the run need not make it again."""
     if config.problem not in PROBLEMS and config.problem not in ADVERSARIES:
         raise ConfigError(f"unknown problem id {config.problem!r}")
     if config.method not in METHODS:
         raise ConfigError(f"unknown method id {config.method!r}")
-    if config.feasible_set not in SETS:
-        raise ConfigError(f"unknown set id {config.feasible_set!r}")
     if not _is_int(config.steps):
         raise ConfigError(f"steps must be an integer, got {config.steps!r}")
     if config.steps < 1:
@@ -158,38 +223,32 @@ def validate_config(config: RunConfig) -> tuple:
         raise ConfigError(f"x0 must be a list of finite numbers, got {config.x0!r}")
     if config.fmt not in FORMATS:
         raise ConfigError(f"unknown output format {config.fmt!r}; use one of {FORMATS}")
-    allowed = SCHEDULES.get(config.method)
-    if config.schedule is not None:
-        if allowed is None or config.schedule not in allowed:
-            raise ConfigError(
-                f"schedule {config.schedule!r} does not apply to method {config.method!r}")
+    if config.theorems and not config.certify:
+        raise ConfigError("theorem list given without --certify")
+    prepared = _prepare(config)
     for tid in config.theorems:
         if tid not in THEOREMS:
             raise ConfigError(f"unknown theorem id {tid!r}")
         why = THEOREMS[tid].mismatch(config.method, config.feasible_set,
-                                     _schedule(config))
+                                     prepared.schedule)
         if why:
             raise ConfigError(f"theorem {tid!r} {why}")
-    if config.theorems and not config.certify:
-        raise ConfigError("theorem list given without --certify")
-    return _prepare(config)
+    return prepared
 
 
-def _schedule(config: RunConfig) -> str | None:
-    """The configured schedule, or the method's default one."""
-    return config.schedule or SCHEDULES.get(config.method, (None,))[0]
-
-
-def _prepare(config: RunConfig) -> tuple:
-    """The run's adversary, feasible set, start point, and for the online
-    methods the gradient bound G with its flags, the comparator and D, the
-    set's diameter or else the distance from x0 to the comparator. Raises
-    ConfigError for a run its method cannot start: a set it does not run
-    on, a constant the objective does not declare, no comparator, an x0 it
-    cannot take, or a step size D/G or 1/G with G estimated as 0."""
-    method = config.method
+def _prepare(config: RunConfig) -> _Prepared:
+    """What the run starts from (see ``_Prepared``). Raises ConfigError for a
+    run its method cannot start: a set or a schedule it does not run on, a
+    constant the objective does not declare, no comparator, an x0 it cannot
+    take, or a step size D/G or 1/G with D or G equal to 0."""
+    method, entry = config.method, METHODS[config.method]
+    if config.schedule is not None and config.schedule not in entry.schedules:
+        raise ConfigError(
+            f"schedule {config.schedule!r} does not apply to method {method!r}")
+    # the configured schedule, or the method's default one
+    schedule = config.schedule or next(iter(entry.schedules), None)
     adversary = get_adversary(config.problem)
-    feasible = make_set(config.feasible_set, adversary.dim)
+    feasible = make_set(config.feasible_set, adversary.dim)  # which checks the set id
     if isinstance(config.x0, str):
         x0 = default_x0(config.feasible_set, adversary.dim)
     else:
@@ -197,19 +256,24 @@ def _prepare(config: RunConfig) -> tuple:
         if x0.shape[0] != adversary.dim:
             raise ConfigError(
                 f"x0 has dimension {x0.shape[0]}, problem needs {adversary.dim}")
-    sets = METHOD_SETS.get(method, SETS)
-    if config.feasible_set not in sets:
-        raise ConfigError(f"method {method!r} runs on the sets {list(sets)} only")
-    if method not in ONLINE_METHODS:
-        if not isinstance(adversary, FixedAdversary):
-            raise ConfigError(
-                f"method {method!r} needs a fixed objective, not an online adversary")
-        if method in ("wellcond-gd", "sc-agm", "restart-agm") and not adversary.problem.kappa:
-            raise ConfigError(f"method {method!r} needs both curvature constants")
-    if method == "sc-gd" and not adversary.strongly_convex_alpha:
+    if config.feasible_set not in entry.sets:
+        raise ConfigError(f"method {method!r} runs on the sets {list(entry.sets)} only")
+    if schedule in entry.unconstrained_only and config.feasible_set != "unconstrained":
+        raise ConfigError(f"schedule {schedule!r} runs on the unconstrained set only")
+    problem = adversary.problem if isinstance(adversary, FixedAdversary) else None
+    if not entry.online and problem is None:
+        raise ConfigError(
+            f"method {method!r} needs a fixed objective, not an online adversary")
+    if "kappa" in entry.needs and not problem.kappa:
+        raise ConfigError(f"method {method!r} needs both curvature constants")
+    if "alpha" in entry.needs and not adversary.strongly_convex_alpha:
         raise ConfigError(f"problem {config.problem!r} declares no strong convexity")
-    comparator, D = None, feasible.diameter
-    if method in ONLINE_METHODS:
+    mp = None if entry.start_map is None else mirror.get_map(entry.start_map)
+    if mp is not None and not (feasible.member(x0) and mp.interior(x0)):
+        raise ConfigError(f"method {method!r} needs x0 in the {config.feasible_set} "
+                          f"set and in the {entry.start_map} map's domain")
+    comparator, D, G, flags = None, feasible.diameter, None, []
+    if entry.online:
         try:
             comparator = adversary.comparator_over(feasible, config.steps)
         except ValueError as exc:
@@ -217,103 +281,42 @@ def _prepare(config: RunConfig) -> tuple:
                               f"on an unconstrained run: {exc}") from exc
         if D is None:
             D = float(np.linalg.norm(x0 - comparator))
-    if method == "gd" and D == 0.0:
-        raise ConfigError("gd steps by D/(G sqrt T): the set must have a positive "
-                          "diameter, or x0 must differ from the comparator")
-    if method in START_MAPS and not (feasible.member(x0) and
-                                     mirror.get_map(START_MAPS[method]).interior(x0)):
-        raise ConfigError(f"method {method!r} needs x0 in the {config.feasible_set} "
-                          f"set and in the {START_MAPS[method]} map's domain")
-    G, flags = None, []
-    if method in ONLINE_METHODS:
-        kind = Norm.EUCLIDEAN
-        if method in START_MAPS:  # mirror descent: the map's dual norm
-            kind = mirror.get_map(START_MAPS[method]).norm
-        G = _grad_bound_or_estimate(adversary, x0, kind, flags)
-        if G == 0.0 and method != "sc-gd":
-            raise ConfigError(f"method {method!r} divides its step size by G: the "
-                              "problem declares no gradient bound, and the "
-                              "gradient at x0 is 0")
-    return adversary, feasible, x0, G, flags, comparator, D
+        # mirror descent bounds the gradients in the map's dual norm
+        kind = Norm.EUCLIDEAN if mp is None else mp.norm
+        G = adversary.grad_bound(kind)
+        if G is None:
+            G = dual_norm(kind, adversary.next_loss(0, x0).gradient(x0))
+            flags.append("trajectory-estimated-G")
+        G = float(G)
+    if "D" in entry.needs and D == 0.0:
+        raise ConfigError(f"method {method!r} steps by D/(G sqrt T), and D is 0: a "
+                          "one-point set, or x0 at the comparator")
+    if "G" in entry.needs and G == 0.0:
+        raise ConfigError(f"method {method!r} divides its step size by G, and G is 0: "
+                          "no declared bound, and the gradient at x0 is 0")
+    return _Prepared(adversary, problem, feasible, x0, config.steps, schedule, mp,
+                     G, flags, comparator, D)
 
 
-def _grad_bound_or_estimate(adversary: OnlineAdversary, x0, kind: Norm,
-                            flags: list) -> float:
-    G = adversary.grad_bound(kind)
-    if G is None:
-        g = adversary.next_loss(0, x0).gradient(x0)
-        G = dual_norm(kind, g)
-        flags.append("trajectory-estimated-G")
-    return float(G)
-
-
-def _dispatch(config: RunConfig, prepared: tuple):
-    """Run the configured method from what ``_prepare`` made for it; returns
-    (trace, problem_or_None, feasible)."""
-    adversary, feasible, x0, G, flags, comparator, D = prepared
-    problem = adversary.problem if isinstance(adversary, FixedAdversary) else None
-    T = config.steps
-    sched_id = _schedule(config)
-    method = config.method
-
-    if method in ONLINE_METHODS:
-        if method in START_MAPS:  # mirror descent
-            mp = mirror.get_map(START_MAPS[method])
-            eta = mirror.tuned_eta(mp, comparator, x0, G, T)
-            trace = mirror.run_mirror_descent(adversary, mp, feasible, x0, eta, T,
-                                              comparator=comparator)
-            trace.constants["G_dual"] = G
+def _dispatch(config: RunConfig, p: _Prepared) -> Trace:
+    """Run the configured method from what ``_prepare`` made for it; an online
+    run records D and G (G_dual for mirror descent), its flags and f*."""
+    entry = METHODS[config.method]
+    trace = entry.run(p)
+    if entry.online:
+        G = p.G
+        if p.flags and "G" not in entry.needs:
+            # the step size never reads G: bound it by the run's gradients
+            G = float(np.max(np.sqrt(np.vecdot(trace.grad, trace.grad))))
+        if p.mirror_map is None:
+            trace.constants.update(D=p.D, G=G)
         else:
-            if method == "gd":
-                if sched_id == "dg-sqrt-t":
-                    schedule = descent.AnytimeScaled(D, G)
-                else:
-                    schedule = descent.HorizonScaled(D, G, T)
-                trace = descent.run_online_gd(adversary, feasible, x0, schedule, T,
-                                              comparator=comparator)
-            else:
-                alpha = adversary.strongly_convex_alpha
-                shift = 0 if sched_id == "inv-alpha-t" else 1
-                trace = descent.run_strongly_convex_gd(
-                    adversary, feasible, x0, alpha, T, shift=shift,
-                    comparator=comparator)
-                if flags:
-                    # the schedule never reads G: bound it by the run's gradients
-                    G = float(np.max(np.sqrt(np.vecdot(trace.grad, trace.grad))))
-            trace.constants["D"] = D
-            trace.constants["G"] = G
-        for f in flags:
+            trace.constants["G_dual"] = G
+        for f in p.flags:
             trace.add_flag(f)
-        if problem is not None:
-            trace.constants["f_star"] = problem.optimal_value_over(feasible)
-        return trace, problem, feasible
-
-    if method == "smooth-gd":
-        fs = None if config.feasible_set == "unconstrained" else feasible
-        return smooth.run_smooth_gd(problem, x0, T, feasible=fs), problem, feasible
-    if method == "frank-wolfe":
-        return (smooth.run_frank_wolfe(problem, feasible, x0, T, schedule=sched_id),
-                problem, feasible)
-    if method == "wellcond-gd":
-        return smooth.run_well_conditioned(problem, x0, T), problem, feasible
-    if method == "agm2":
-        fs = None if config.feasible_set == "unconstrained" else feasible
-        return (accel.run_agm2(problem, x0, T, schedule=sched_id, feasible=fs),
-                problem, feasible)
-    if method == "agm1":
-        return accel.run_agm1(problem, x0, T), problem, feasible
-    if method == "agm2-negentropy":
-        mp = mirror.get_map("negentropy")
-        return (accel.run_general_norm_agm(problem, mp, feasible, x0, T),
-                problem, feasible)
-    if method == "sc-agm":
-        return accel.run_sc_agm(problem, x0, T), problem, feasible
-    if method == "restart-agm":
-        epoch = int(np.ceil(4.0 * np.sqrt(problem.kappa)))
-        max_epochs = max(1, T // epoch)
-        trace = accel.restart_accelerated(problem, x0, 1e-6, max_epochs=max_epochs)
-        return trace, problem, feasible
-    raise ConfigError(f"unknown method id {method!r}")
+        if p.problem is not None:  # a fixed objective
+            trace.constants["f_star"] = p.problem.optimal_value_over(p.feasible)
+    return trace
 
 
 @dataclass
@@ -329,9 +332,7 @@ class RunResult:
 
     @property
     def exit_code(self) -> int:
-        if self.error is not None:
-            return 1
-        return 0 if self.passed else 1
+        return 0 if self.passed else 1  # an error fails the run
 
     def report_dict(self) -> dict:
         if not self.reports and self.error is None:
@@ -344,7 +345,7 @@ class RunResult:
         }
 
 
-def run_experiment(config: RunConfig, prepared: tuple | None = None) -> RunResult:
+def run_experiment(config: RunConfig, prepared: _Prepared | None = None) -> RunResult:
     """Validate, run, certify, and (when asked) write trace and report files.
     ``prepared`` is what ``validate_config(config)`` returned, for a caller
     that has validated the config already.
@@ -355,27 +356,24 @@ def run_experiment(config: RunConfig, prepared: tuple | None = None) -> RunResul
     if prepared is None:
         prepared = validate_config(config)
     try:
-        trace, problem, feasible = _dispatch(config, prepared)
+        trace = _dispatch(config, prepared)
     except FloatingPointError as exc:
         return RunResult(config=config, trace=None, reports=[],
                          error=f"numeric failure: {exc}")
     trace.meta["config"] = config.echo()
     reports = []
     if config.certify:
-        theorems = config.theorems or _default_theorems(config)
+        # the expected-fail diagnostic is opt-in
+        theorems = config.theorems or [
+            tid for tid, th in THEOREMS.items() if not th.expected_fail and th.mismatch(
+                config.method, config.feasible_set, prepared.schedule) is None]
         for tid in theorems:
-            reports.append(certify_trace(tid, trace, problem=problem,
-                                         feasible=feasible))
+            reports.append(certify_trace(tid, trace, problem=prepared.problem,
+                                         feasible=prepared.feasible))
     result = RunResult(config=config, trace=trace, reports=reports)
     if config.out:
         write_outputs(result, config.out, config.fmt)
     return result
-
-
-def _default_theorems(config: RunConfig) -> list:
-    # the expected-fail diagnostic is opt-in
-    return [tid for tid, th in THEOREMS.items() if not th.expected_fail
-            and th.mismatch(config.method, config.feasible_set, _schedule(config)) is None]
 
 
 # --- serialization ---------------------------------------------------------
@@ -582,6 +580,6 @@ def registry_listing() -> dict:
         "problems": sorted(PROBLEMS) + sorted(ADVERSARIES),
         "methods": list(METHODS),
         "sets": list(SETS),
-        "schedules": {k: list(v) for k, v in SCHEDULES.items()},
+        "schedules": {k: list(m.schedules) for k, m in METHODS.items() if m.schedules},
         "theorems": {tid: THEOREMS[tid].claim for tid in THEOREMS},
     }

@@ -75,11 +75,11 @@ def frank_wolfe_step(feasible: FeasibleSet, x, g, eta_t: float) -> Vector:
     return (1.0 - eta_t) * np.asarray(x, dtype=float) + eta_t * feasible.lmo(g)
 
 
-FW_SCHEDULES = {
-    # classic 1/(t+1): yields the log-factor rate
-    "fw-1t": lambda t: 1.0 / (t + 1.0),
+FW_STEP_SIZES = {  # by schedule id, the default first
     # 2/(t+2): drops the log factor (2/(t+1) would exceed 1 at t=0)
     "fw-2t": lambda t: 2.0 / (t + 2.0),
+    # classic 1/(t+1): yields the log-factor rate
+    "fw-1t": lambda t: 1.0 / (t + 1.0),
 }
 
 
@@ -115,7 +115,7 @@ def run_smooth_gd(problem: Problem, x0, T: int,
 def run_frank_wolfe(problem: Problem, feasible: FeasibleSet, x0, T: int,
                     schedule: str = "fw-2t") -> Trace:
     """Conditional gradient descent with one of the named step schedules."""
-    if schedule not in FW_SCHEDULES:
+    if schedule not in FW_STEP_SIZES:
         raise KeyError(f"unknown Frank-Wolfe schedule {schedule!r}")
     beta = problem.smoothness_beta
     if beta is None:
@@ -127,7 +127,7 @@ def run_frank_wolfe(problem: Problem, feasible: FeasibleSet, x0, T: int,
         raise ValueError("starting point must be feasible")
     trace = drive(problem, x, T,
                   lambda t, x, g, eta: frank_wolfe_step(feasible, x, g, eta),
-                  FW_SCHEDULES[schedule])
+                  FW_STEP_SIZES[schedule])
     trace.meta["method"] = "frank-wolfe"
     trace.meta["schedule"] = schedule
     trace.constants["beta"] = beta

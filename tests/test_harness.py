@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gdcert import accel, descent, mirror, problems, smooth
+from gdcert.certify import THEOREMS
 from gdcert.cli import main
 from gdcert.core import Unconstrained
 from gdcert.descent import Constant, run_online_gd
@@ -82,16 +83,26 @@ class TestConfigValidation:
     def test_every_combination_runs_or_is_rejected(self):
         # anything else escaping (a ValueError from a runner, a NaN step
         # size) is a combination the boundary let through
-        for problem, method, set_id in itertools.product(
-                sorted(PROBLEMS) + sorted(ADVERSARIES), METHODS, SETS):
-            config = RunConfig(problem=problem, method=method, steps=20,
-                               feasible_set=set_id, certify=True)
-            try:
-                result = run_experiment(config)
-            except ConfigError:
-                continue
-            for rep in result.reports:
-                assert all(np.isfinite(s.phi) for s in rep.step_checks), config
+        for problem, (method, entry), set_id in itertools.product(
+                sorted(PROBLEMS) + sorted(ADVERSARIES), METHODS.items(), SETS):
+            for schedule in entry.schedules or (None,):
+                config = RunConfig(problem=problem, method=method, steps=20,
+                                   feasible_set=set_id, schedule=schedule,
+                                   certify=True)
+                try:
+                    result = run_experiment(config)
+                except ConfigError:
+                    continue
+                for rep in result.reports:
+                    assert all(np.isfinite(s.phi) for s in rep.step_checks), config
+
+    def test_theorems_name_methods_and_their_schedules(self):
+        # a typo in either table would only show as a theorem that never applies
+        for tid, th in THEOREMS.items():
+            for method in th.methods:
+                assert method in METHODS, (tid, method)
+                for schedule in th.schedules or ():
+                    assert schedule in METHODS[method].schedules, (tid, method, schedule)
 
 
 class TestDefaults:
@@ -329,6 +340,24 @@ class TestCli:
         cfg = tmp_path / "suite.json"
         cfg.write_text(json.dumps([good, {**good, "out": str(tmp_path / "bad.json"),
                                           **bad}]))
+        assert main(["suite", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_bounded_weight_recurrence_exit_two_writes_nothing(self, tmp_path, capsys):
+        # the schedule runs unconstrained only: rejected before any file is written
+        out = tmp_path / "x.json"
+        args = ["--problem", "p2", "--method", "agm2", "--schedule", "agm-lambda",
+                "--set", "ball", "--steps", "10", "--out", str(out)]
+        assert main(["run", *args]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps([
+            {"problem": "p2", "method": "smooth-gd", "steps": 5,
+             "out": str(tmp_path / "first.json")},
+            {"problem": "p2", "method": "agm2", "schedule": "agm-lambda", "set": "ball",
+             "steps": 10, "out": str(out)}]))
         assert main(["suite", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]

@@ -5,7 +5,7 @@ from gdcert.certify import certify_trace
 from gdcert.core import Ball, Box, Norm, Simplex, Unconstrained, dual_norm
 from gdcert.problems import get_problem
 from gdcert.smooth import (
-    FW_SCHEDULES,
+    FW_STEP_SIZES,
     descent_lemma_gap,
     frank_wolfe_step,
     general_norm_smooth_step,
@@ -122,11 +122,11 @@ class TestFrankWolfe:
             frank_wolfe_step(Simplex(2), [1.0, 0.0], [1.0, 0.0], 1.5)
 
     def test_schedules_stay_feasible(self):
-        assert FW_SCHEDULES["fw-1t"](0) == 1.0
-        assert FW_SCHEDULES["fw-2t"](0) == 1.0
+        assert FW_STEP_SIZES["fw-1t"](0) == 1.0
+        assert FW_STEP_SIZES["fw-2t"](0) == 1.0
         for t in range(1000):
-            assert 0.0 < FW_SCHEDULES["fw-1t"](t) <= 1.0
-            assert 0.0 < FW_SCHEDULES["fw-2t"](t) <= 1.0
+            assert 0.0 < FW_STEP_SIZES["fw-1t"](t) <= 1.0
+            assert 0.0 < FW_STEP_SIZES["fw-2t"](t) <= 1.0
 
     @pytest.mark.parametrize("set_id", ["simplex", "box"])
     def test_runs_feasible_without_projection(self, p2, set_id):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gdcert import problems
-from gdcert.harness import METHODS, ONLINE_METHODS, RunConfig, run_experiment
+from gdcert.harness import METHODS, RunConfig, run_experiment
 from gdcert.problems import get_problem
 from gdcert.trace import drive, record
 
@@ -81,7 +81,7 @@ COUPLED = ("agm2", "agm1", "agm2-negentropy", "sc-agm")
 
 def expected_layout(method: str) -> dict:
     """Each column's rows, as an offset from T; None where absent."""
-    online = method in ONLINE_METHODS
+    online = METHODS[method].online
     layout = {"x": 1, "f": 0 if online else 1, "grad": 0, "eta": 0,
               "f_ref": 0 if online else None, "y": None, "z": None, "f_y": None}
     if method in COUPLED:
