@@ -72,11 +72,11 @@ class Trace:
 
     @property
     def flags(self) -> list:
-        return self.meta.setdefault("flags", [])
+        return self.meta.get("flags", [])  # reading adds no key
 
     def add_flag(self, flag: str) -> None:
         if flag not in self.flags:
-            self.flags.append(flag)
+            self.meta.setdefault("flags", []).append(flag)
 
 
 def _stack(rows: list, dim: int) -> np.ndarray:

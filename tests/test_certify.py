@@ -1,3 +1,4 @@
+import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -134,6 +135,15 @@ class TestCertifyTrace:
         plain = steps_json(uncertified)
         assert steps_json(run(theorems)) == plain
         assert steps_json(run(theorems[::-1])) == plain
+
+    def test_certifying_leaves_meta_unchanged(self):
+        # the run sets no flag: reading the flags must not add the key
+        trace = run_smooth_gd(get_problem("p2"), [1.0, 1.0], 50)
+        assert "flags" not in trace.meta
+        before = copy.deepcopy(trace.meta)
+        for tid in ("smooth-value-log", "smooth-value-scaled", "smooth-value-distance"):
+            assert certify_trace(tid, trace).passed
+        assert json_dumps(trace.meta) == json_dumps(before)
 
     def test_empty_trace_is_vacuous(self):
         report = certify_trace("agm-smooth", empty_trace())

@@ -94,54 +94,57 @@ GOLDEN_RUNS = {
 # runs from "sc-gd-p1" on with the per-theorem if-chains the theorem table
 # replaced, and the runs from "agm1-p3" on with the per-method step loops that
 # trace.drive replaced), and never regenerated: a changed hash is a changed
-# file format. The one deliberate change is derived from those files, not
+# file format. The deliberate changes are derived from those files, not
 # regenerated: the config echo lost its "seed" key, and the trace lost the
-# certifier's "phi" and "step_ok" (its JSON keys and its last two CSV cells).
+# certifier's "phi" and "step_ok" (its JSON keys and its last two CSV cells);
+# then the JSON trace of a certified run that sets no flag lost the empty
+# "flags" key that reading the flags used to add (the substring ,"flags":[]
+# deleted; CSV traces and reports unchanged).
 GOLDEN = {
     ("agm2-negentropy-lse3", "json"): (
-        "a3eeeeff14be9d39ca3b10fd59ec5826cdf5d3afde704ab2e07a9845f909a01e",
+        "39e4112b982282d510afda241dcf8ccea5ebc40bdf085a9bf346e6870059fb85",
         "77f9f7c264eb8a4cc8f2c2f29bb55ccc5df2810aec841421bc3215737b359f88"),
     ("agm2-negentropy-lse3", "csv"): (
         "bd3cb29d9bab78a2e4e3c83e7eafb9dc5c55747f236aa27974ab9d2b803770c5",
         "c252dbe14163211ca0cee297b9216c03b639dbad2b89efffd07d29cf67e68fa7"),
     ("agm2-p2", "json"): (
-        "e8cf9d8feaec984a33e1ccf2c7ffeb35b0c89e2d66d46c078891c7a96eef7e90",
+        "b9c5bcbd7851bac8a0657928cd73581f32a46e54685df6cd2bdc2d04795d2c48",
         "6ac0af10c0c9d4aa119fef525ffcf3c68e9da481df2e93b998bfed7f8dab6690"),
     ("agm2-p2", "csv"): (
         "b460e7cc5eed0cf5ee8c02853d02de75b5891179eb170a7865562d9422a202c3",
         "e34381ff7f0b7d2b0847d19cd9eaec26e0d2e4985471f6ed40e514eb0e2e360e"),
     ("failed-potential-p3", "json"): (
-        "f0de77497d5283e0b8a3e32d97f5c92808e5105af44520f9082ebef20fb18eba",
+        "c4ba14fe86ab941039072aea038bd93e9d53d5e932effd47fcdc01d94520b0b4",
         "40fc4306109271c63471dd3f7d831424562baffc4ff57f4624c17e1970bede82"),
     ("failed-potential-p3", "csv"): (
         "c7bf116fc220ba563ffe6e2fb8c02f5931f19aecd9c0864e44c2e65d5b68154d",
         "d9a79d0d0f705b140d6b3d8ebec7335ad3c0ca666f2ec9e337367765c2ccfc4e"),
     ("frank-wolfe-log-p2-box", "json"): (
-        "db9e12a0c87e536f4a9c4d00b6f4518fb9e54abb37d66fc5189a3a63af3f2694",
+        "936f11a48e749ca748082a273e0a1ab26f703bd1a343ef8503320f264a354649",
         "2b9d12a046d15570c82271971b4979a43917d91831d751c9234a492df4077c84"),
     ("frank-wolfe-log-p2-box", "csv"): (
         "83f80a33f12d7dfa040bebcfe6a6301405d4dedb2b85c190d88c5ce186c2e9e6",
         "862023871c2e4cf5fcaa76e0cfd7d265c5760012ced876c12b0aa0577e1f6175"),
     ("frank-wolfe-p2-simplex", "json"): (
-        "78b700728fbf51f6dad59a915d6709bce420202fbb622a6baedd3a193e7900b2",
+        "d7b8da1d84fa69c589f438b9b2ae6757a45533e9ce6e17e5b9c1b33d5658cdba",
         "f65e557f09e7569bafa79dc2a1b05f1d2cefe68d74e67dfc999358dbd4e0fa89"),
     ("frank-wolfe-p2-simplex", "csv"): (
         "e4812f17df81a57f719a5831102515a4232c65e8b0d2fe42240babeaed2c736b",
         "418c2915c2fd21a9fcee9a1b41c67a52a6107ebd6e05a34c69dc6db1594d2059"),
     ("gd-experts-ball", "json"): (
-        "d1313f05692f9b97a13063a93f4928e4bf968854a020929520b273a2745b5fc3",
+        "93a9514fde676fb18c6a37bf260e35141e1d2aadefd2bc848194b61f7d5179fd",
         "65d32fb445357bccc542b8504e9b7fd8bd07a2847088984a343861db68c4387f"),
     ("gd-experts-ball", "csv"): (
         "2b3fe9e75d6feaaf11660342e1f5d645ecd402fd329f6216b289c7cc2c3cb244",
         "508f6b501165eb735cc1af6e7223cc04a6c5889b6773fa7bb0069861cbf8df2e"),
     ("mirror-negentropy-experts", "json"): (
-        "18690f0f684356a0690f44894738ea8dcb75b6228d1239cbb52e99cbbe56e871",
+        "f6c294960f937db30d96f132eacd27d2c9f424625481728dfe2ec26e783494cb",
         "afe58e2603ba82ba2de010ff6813c68e20ceb040c663966edba98b61a108547e"),
     ("mirror-negentropy-experts", "csv"): (
         "b8385ca8a9abec35807e64cf4c740b81ad355479ed0844e912043839badfc84a",
         "6e90bfc1168d7b7a782697b6d5b14605ccf5dbb5e92a5bd6ea7289758c2e8833"),
     ("sc-agm-p3", "json"): (
-        "b906b0271eacc35be7b826d5b4cc37a8825292a201712a5bee8b6e1142b83c9d",
+        "7f2a242b3aa7b0c1eadf5346be0ab76b262cde9200dc0f9041d5a30238361f9c",
         "cb15d75c296de7a9a2b2be85dcb726cb2288b7a5e43ebf904e716ab37693c991"),
     ("sc-agm-p3", "csv"): (
         "ef0622af219b644e98cfa3decbbba59e92c69f94216fef98f3de2931b48ee29a",
@@ -153,13 +156,13 @@ GOLDEN = {
         "4ef7aa37df031d0c6cd964d269e84f965a442600b6deb8e575d30d31f4abe969",
         "8e296f552626b54082e0887296bab851628729edb429b4e18672b1bd6e93b32f"),
     ("smooth-gd-p2", "json"): (
-        "330fbda94177c0d85e897fa838d0b5c9f7b32d0aa68504a5cfb73eaf86a83207",
+        "46d0db899ce828add073d6ab65d0b5a5a36010bbe194a4c4d624dd1427586d61",
         "55cb7586e5f1cd1a157a60d7d335893e2022407eb745a9132a52e888ecbcd8ca"),
     ("smooth-gd-p2", "csv"): (
         "8f9ae7aefe9fddd4d04172b9f5d685ce8c856bf6599447a80850d4aff805e653",
         "d1192756e7c27912c9ee2840199f39e73fab3e56692da1aabc99070061905661"),
     ("smooth-gd-p2-ball", "json"): (
-        "25414c573ec1a14285aea207c0d0e226709a1539ac3a97984b0cad7e86b0c49c",
+        "90336ca97e6a58e8b53954963fe4f6c0248cd05610e513cc8baf44117fe73862",
         "0861bf59df73c9ef3406c1a65fd007acbc38b3b9c20234f26df85a4d4df0bed8"),
     ("smooth-gd-p2-ball", "csv"): (
         "fd5091ccf7f60510bec06c7e693fb791e57da9a6e7dc1660d4066c85f3ff3962",
@@ -171,7 +174,7 @@ GOLDEN = {
         "0e9606d896023f89f5d94cd006f338d74e23d4ae802c9ac572cd11b1e3f7b29d",
         None),
     ("wellcond-gd-p3", "json"): (
-        "1a8e78d68812eeb9f36c0520d3593cf3c56a0f660ff2613d0d656410761b9a10",
+        "7e8a6e6bf785284f9536aef0e585a7b6b1a5ee1b9fb6cb678a7c24f013b9d866",
         "e3bc54cb023c21d39000cad7d1c99f0d30b258c1d2ef10210fe002ae4e4f2bdb"),
     ("wellcond-gd-p3", "csv"): (
         "8418a19d23b4d22d82e120a1a01301db0f1ac705c2f330bde5b01670468711a8",
@@ -189,13 +192,13 @@ GOLDEN = {
         "7b87ab9a5b92e3e25b5ed561e2465cf3a6b833dda669a2781c53fb57553a02f0",
         None),
     ("agm2-p2-simplex", "json"): (
-        "fa0d8df33f43cbdbbf78b0daa05f26b58ff6628dc8b259d72ef5e49d272f2979",
+        "0092080c824cb2f7d2fa45475113465cf7de65a3d00ce478c3a561a352cf9089",
         "3cbcd246c6ccdb6a48b7523ffc057093918f6e46cdcf4f9e19d58e57a8e26e5f"),
     ("agm2-p2-simplex", "csv"): (
         "affbf02eb91ea08c37fadb76fcefd9a5c06a2a1b21708473fb675fac1444284e",
         "d4262dc7dbcc84a1dae05546c19eb8c483ac94f2c3e2a364ba5351dacdeb38f8"),
     ("mirror-euclidean-experts-ball", "json"): (
-        "f570d4c0ce56313dd9fe855ccc900239b2b15b23e891746a1eb583e9fa70ed2d",
+        "9ac576f4f1dd0388977d7c55c1d5357149d785701839cc7a50c6c127971e618e",
         "17620a45548b3ffe3e0acfe07d6a9ec1c2ed8169f2f184e2cf4adc9e5488d560"),
     ("mirror-euclidean-experts-ball", "csv"): (
         "b57039b406f33b69609249d3ee93829ad992eb5362d8f815a416f6be96b3b07a",
