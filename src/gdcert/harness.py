@@ -314,7 +314,7 @@ def _dispatch(config: RunConfig, p: _Prepared) -> Trace:
             trace.constants["G_dual"] = G
         for f in p.flags:
             trace.add_flag(f)
-        if p.problem is not None:  # a fixed objective
+        if p.problem is not None:
             trace.constants["f_star"] = p.problem.optimal_value_over(p.feasible)
     return trace
 

@@ -309,11 +309,14 @@ class TestCli:
         ["--problem", "p2", "--method", "mirror-euclidean", "--set", "ball",
          "--x0", "0,0"],
         ["--problem", "p2", "--method", "gd", "--set", "ball", "--x0", "0,0"],
+        # the weight-recurrence schedule runs unconstrained only
+        ["--problem", "p2", "--method", "agm2", "--schedule", "agm-lambda",
+         "--set", "ball"],
     ], ids=["negentropy-ball", "experts-unconstrained", "lse3-unconstrained",
             "lse3-wellcond", "lse3-sc-agm", "one-point-simplex",
             "fw-x0-outside", "negentropy-x0-on-face", "mirror-x0-outside",
             "agm-negentropy-x0-off-simplex", "mirror-zero-G",
-            "mirror-ball-zero-G", "gd-ball-zero-G"])
+            "mirror-ball-zero-G", "gd-ball-zero-G", "agm-lambda-ball"])
     def test_unstartable_run_exit_two(self, tmp_path, capsys, args):
         out = tmp_path / "out.json"
         code = main(["run", *args, "--steps", "10", "--certify", "--out", str(out)])
@@ -331,33 +334,16 @@ class TestCli:
         {"format": "JSON"},
         {"problem": "lse3", "method": "wellcond-gd"},
         {"method": "frank-wolfe", "set": "simplex", "x0": [0.7, 0.7]},
+        {"method": "agm2", "schedule": "agm-lambda", "set": "ball"},
     ], ids=["steps-text", "steps-fraction", "x0-text-coordinate",
             "x0-infinite", "x0-text-unparsable", "format-yaml", "format-upper",
-            "no-curvature-constants", "fw-x0-outside"])
+            "no-curvature-constants", "fw-x0-outside", "agm-lambda-ball"])
     def test_suite_bad_entry_exit_two_writes_nothing(self, tmp_path, capsys, bad):
         good = {"problem": "p2", "method": "smooth-gd", "steps": 5,
                 "out": str(tmp_path / "first.json")}
         cfg = tmp_path / "suite.json"
         cfg.write_text(json.dumps([good, {**good, "out": str(tmp_path / "bad.json"),
                                           **bad}]))
-        assert main(["suite", "--config", str(cfg)]) == 2
-        assert "config error" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [cfg]
-
-    def test_bounded_weight_recurrence_exit_two_writes_nothing(self, tmp_path, capsys):
-        # the schedule runs unconstrained only: rejected before any file is written
-        out = tmp_path / "x.json"
-        args = ["--problem", "p2", "--method", "agm2", "--schedule", "agm-lambda",
-                "--set", "ball", "--steps", "10", "--out", str(out)]
-        assert main(["run", *args]) == 2
-        assert "config error" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-        cfg = tmp_path / "suite.json"
-        cfg.write_text(json.dumps([
-            {"problem": "p2", "method": "smooth-gd", "steps": 5,
-             "out": str(tmp_path / "first.json")},
-            {"problem": "p2", "method": "agm2", "schedule": "agm-lambda", "set": "ball",
-             "steps": 10, "out": str(out)}]))
         assert main(["suite", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
