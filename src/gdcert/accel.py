@@ -88,11 +88,6 @@ class AgmSchedule:
             return 2.0 / (t + 3.0)
         return 1.0 / float(self._lam[t + 1])
 
-    def lam(self, t: int) -> float:
-        if self._lam is None:
-            raise ValueError("schedule has no momentum weights")
-        return float(self._lam[t])
-
 
 def agm2_step(state: AccelState, g: Vector, beta: float,
               schedule: AgmSchedule) -> AccelState:
@@ -137,19 +132,14 @@ def run_agm2(problem: Problem, x0, T: int, schedule: str = "agm-smooth",
     else:
         def step(t, state, g, eta):
             return agm2_step(state, g, beta, sched)
-    trace = _run_coupled(problem, feasible.project(x0), T, step,
-                         lambda t: sched.eta(t, beta))
+    trace = drive(problem, AccelState.start(feasible.project(x0)), T, step,
+                  lambda t: sched.eta(t, beta))
     trace.meta["method"] = "agm2"
     trace.meta["schedule"] = schedule
     trace.meta["constrained"] = constrained
     trace.constants["beta"] = beta
     _attach_reference(trace, problem, feasible, reference)
     return trace
-
-
-def _run_coupled(problem: Problem, x0, T: int, step, eta) -> Trace:
-    """Drive a coupled method from x = y = z = x0."""
-    return drive(problem, AccelState.start(x0), T, step, eta)
 
 
 def agm1_step(x, g: Vector, y_prev, lam_t: float, lam_next: float,
@@ -187,49 +177,29 @@ def run_agm1(problem: Problem, x0, T: int) -> Trace:
         x, y = agm1_step(state.x, g, state.y, float(lam[t]), lam_next, beta)
         return AccelState(x=x, y=y, z=agm1_to_agm2_state(x, y, lam_next), t=t + 1)
 
-    trace = _run_coupled(problem, x0, T, step, lambda t: float(lam[t]) / beta)
+    trace = drive(problem, AccelState.start(x0), T, step,
+                  lambda t: float(lam[t]) / beta)
     trace.meta["method"] = "agm1"
     trace.constants["beta"] = beta
     return trace
 
 
-def _l1_prox_on_simplex(x, g, beta: float, rounds: int = 14,
-                        grid: int = 33) -> Vector:
-    """argmin over the simplex of <g, y-x> + (beta/2) ||y - x||_1^2 by grid
-    refinement (reference-quality; dimensions up to 3)."""
-    x = as_vector(x)
-    g = as_vector(g)
-    n = x.shape[0]
-    if n == 1:
-        return np.ones(1)
-    if n > 3:
-        raise ValueError("grid prox supports dimension <= 3 only")
-
-    def objective(free):
-        last = 1.0 - free.sum(axis=0)
-        pts = np.concatenate([free, last[None]], axis=0)
-        diff = np.abs(pts - x.reshape(-1, *([1] * free[0].ndim)))
-        l1 = diff.sum(axis=0)
-        lin = np.tensordot(g, pts - x.reshape(-1, *([1] * free[0].ndim)), axes=(0, 0))
-        bad = last < -1e-15
-        return np.where(bad, np.inf, lin + 0.5 * beta * l1 * l1), pts
-
-    lo = np.zeros(n - 1)
-    hi = np.ones(n - 1)
-    best = None
-    for _ in range(rounds):
-        axes = [np.linspace(lo[i], hi[i], grid) for i in range(n - 1)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        free = np.stack(mesh, axis=0)
-        vals, pts = objective(free)
-        idx = np.unravel_index(np.argmin(vals), vals.shape)
-        center = np.array([axes[i][idx[i]] for i in range(n - 1)])
-        best = pts[(slice(None),) + idx]
-        width = (hi - lo) / (grid - 1)
-        lo = np.maximum(center - 2 * width, 0.0)
-        hi = np.minimum(center + 2 * width, 1.0)
-    best = np.maximum(best, 0.0)
-    return best / float(np.sum(best))
+def _l1_prox_on_simplex(x, g, beta: float) -> Vector:
+    """argmin over the simplex of <g, y-x> + (beta/2) ||y - x||_1^2, exactly
+    (Nesterov 2005, sec. 3). Moving mass m to j = argmin g, taken from the
+    highest-g coordinates first, each giving at most x_i, costs
+    <g, y-x> + 2 beta m^2: a convex piecewise quadratic in m whose slope
+    while coordinate i gives is g_j - g_i + 4 beta m. Each coordinate gives
+    until that slope reaches zero or it is empty."""
+    order = np.argsort(-g)
+    j = order[-1]
+    xs = x[order]
+    moved_before = np.cumsum(xs) - xs
+    give = np.clip((g[order] - g[j]) / (4.0 * beta) - moved_before, 0.0, xs)
+    y = x.copy()
+    y[order] -= give
+    y[j] += give.sum()
+    return y
 
 
 def general_norm_agm_step(mirror_map: MirrorMap, feasible: FeasibleSet,
@@ -262,8 +232,8 @@ def run_general_norm_agm(problem: Problem, mirror_map: MirrorMap,
     x0 = as_vector(x0)
     if not (feasible.member(x0) and mirror_map.interior(x0)):
         raise ValueError("starting point must be an interior member")
-    trace = _run_coupled(
-        problem, x0, T,
+    trace = drive(
+        problem, AccelState.start(x0), T,
         lambda t, state, g, eta: general_norm_agm_step(mirror_map, feasible,
                                                        state, g, beta),
         lambda t: (t + 1.0) * mirror_map.alpha_h / (2.0 * beta))
@@ -339,7 +309,7 @@ def run_sc_agm(problem: Problem, x0, T: int) -> Trace:
             x, y = sc_agm_step(state.x, g, state.y, kappa, beta)
             return AccelState(x=x, y=y, z=sc_agm_z(x, y, kappa), t=t + 1)
 
-    trace = _run_coupled(problem, x0, T, step, lambda t: 1.0 / beta)
+    trace = drive(problem, AccelState.start(x0), T, step, lambda t: 1.0 / beta)
     trace.meta["method"] = "sc-agm"
     trace.constants.update({"alpha": alpha, "beta": beta, "kappa": kappa})
     if kappa == 1.0:

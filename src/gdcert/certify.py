@@ -20,11 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from gdcert.core import FeasibleSet, Vector, as_vector, dual_norm
+from gdcert.core import Vector, as_vector, dual_norm
 from gdcert.descent import weighted_average
 from gdcert.mirror import get_map
 from gdcert.problems import Problem
-from gdcert.smooth import projected_smoothness_gap
 from gdcert.trace import Trace
 
 DEFAULT_TOL = 1e-9
@@ -420,15 +419,17 @@ def _sc_average(trace, c, tol, problem, **_):
     return [_bound_check("weighted-average-gap", lhs, rhs, tol)]
 
 
-def _projected(trace, c, tol, envelope, problem, feasible, **_):
-    out = _final_gap(trace, c, tol, envelope)
-    if problem is not None and feasible is not None:
-        worst = max(projected_smoothness_gap(feasible, problem, x,
-                                             c["x_star"], c["beta"])
-                    for x in trace.x[:trace.T])
-        out.append(_bound_check("projected-smoothness-gap", worst, 0.0, tol,
-                                note="gap of the projected-step inequality at y = x*"))
-    return out
+def _projected(trace, c, tol, envelope, **_):
+    """The final gap, and the largest gap over the steps of the projected
+    step's inequality at y = x*:
+    f(x+) - f(y) <= beta <x - x+, x - y> - (beta/2) ||x - x+||^2."""
+    x, beta = trace.x, c["beta"]
+    d = x[:-1] - x[1:]
+    gap = (trace.f[1:] - c["f_star"]) - (beta * np.vecdot(d, x[:-1] - c["x_star"])
+                                         - 0.5 * beta * np.vecdot(d, d))
+    return _final_gap(trace, c, tol, envelope) + [_bound_check(
+        "projected-smoothness-gap", np.max(gap), 0.0, tol,
+        note="gap of the projected-step inequality at y = x*")]
 
 
 def _final_distance(trace, c, tol, **_):
@@ -659,7 +660,6 @@ def _replay(report: CertReport, spec: PotentialSpec, trace: Trace,
 
 
 def certify_trace(theorem_id: str, trace: Trace, problem: Problem | None = None,
-                  feasible: FeasibleSet | None = None,
                   tol: float = DEFAULT_TOL) -> CertReport:
     """Replay one theorem's potential argument on a trace.
 
@@ -696,7 +696,7 @@ def certify_trace(theorem_id: str, trace: Trace, problem: Problem | None = None,
                 phi0 = _replay(report, pspec, trace, tol)
         report.end_checks.extend(spec.end(
             trace, consts, tol, envelope=spec.envelope, phi0=phi0,
-            problem=problem, feasible=feasible))
+            problem=problem))
     except (ValueError, KeyError) as exc:
         report.error = f"not certifiable: {exc}"
     return report

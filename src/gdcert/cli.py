@@ -6,13 +6,16 @@ Subcommands:
   list   registered problems, methods, sets, schedules, and theorems
 
 Exit codes: 0 when every certification passes, 1 on any hard failure
-(certificate violation or numeric abort), 2 on configuration errors.
+(certificate violation or numeric abort), 2 on configuration errors, and
+141 (128 + SIGPIPE, as a shell reports it) when the reader of stdout closes
+it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from gdcert.harness import (
@@ -120,47 +123,59 @@ def _print_result(result) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            listing = registry_listing()
-            print("problems:  " + ", ".join(listing["problems"]))
-            print("methods:   " + ", ".join(listing["methods"]))
-            print("sets:      " + ", ".join(listing["sets"]))
-            print("schedules:")
-            for method, scheds in listing["schedules"].items():
-                print(f"  {method}: " + ", ".join(scheds))
-            print("theorems:")
-            for tid, claim in listing["theorems"].items():
-                print(f"  {tid}: {claim}")
-            return 0
-        if args.command == "run":
-            result = run_experiment(_config_from_args(args))
-            _print_result(result)
-            return result.exit_code
-        if args.command == "suite":
-            try:
-                with open(args.config) as fh:
-                    raw = json.load(fh)
-            except OSError as exc:
-                raise ConfigError(f"cannot read suite config: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"suite config is not valid JSON: {exc}") from exc
-            if not isinstance(raw, list):
-                raise ConfigError("suite config must be a JSON list of run configs")
-            configs = [_config_from_dict(entry) for entry in raw]
-            # reject the suite before writing any file
-            prepared = [validate_config(config) for config in configs]
-            worst = 0
-            for config, prep in zip(configs, prepared):
-                result = run_experiment(config, prep)
-                _print_result(result)
-                worst = max(worst, result.exit_code)
-            return worst
+        code = _command(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stop quietly, with stdout on the null device so that the flush at
+        # exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+
+
+def _command(args) -> int:
+    if args.command == "list":
+        listing = registry_listing()
+        print("problems:  " + ", ".join(listing["problems"]))
+        print("methods:   " + ", ".join(listing["methods"]))
+        print("sets:      " + ", ".join(listing["sets"]))
+        print("schedules:")
+        for method, scheds in listing["schedules"].items():
+            print(f"  {method}: " + ", ".join(scheds))
+        print("theorems:")
+        for tid, claim in listing["theorems"].items():
+            print(f"  {tid}: {claim}")
+        return 0
+    if args.command == "run":
+        result = run_experiment(_config_from_args(args))
+        _print_result(result)
+        return result.exit_code
+    if args.command == "suite":
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read suite config: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"suite config is not valid JSON: {exc}") from exc
+        if not isinstance(raw, list):
+            raise ConfigError("suite config must be a JSON list of run configs")
+        configs = [_config_from_dict(entry) for entry in raw]
+        # reject the suite before writing any file
+        prepared = [validate_config(config) for config in configs]
+        worst = 0
+        for config, prep in zip(configs, prepared):
+            result = run_experiment(config, prep)
+            _print_result(result)
+            worst = max(worst, result.exit_code)
+        return worst
     return 2
 
 

@@ -368,8 +368,7 @@ def run_experiment(config: RunConfig, prepared: _Prepared | None = None) -> RunR
             tid for tid, th in THEOREMS.items() if not th.expected_fail and th.mismatch(
                 config.method, config.feasible_set, prepared.schedule) is None]
         for tid in theorems:
-            reports.append(certify_trace(tid, trace, problem=prepared.problem,
-                                         feasible=prepared.feasible))
+            reports.append(certify_trace(tid, trace, problem=prepared.problem))
     result = RunResult(config=config, trace=trace, reports=reports)
     if config.out:
         write_outputs(result, config.out, config.fmt)

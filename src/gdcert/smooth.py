@@ -44,25 +44,6 @@ def projected_smooth_step(feasible: FeasibleSet, x, g, beta: float) -> Vector:
     return feasible.project(smooth_gd_step(x, g, beta))
 
 
-def projected_smoothness_gap(feasible: FeasibleSet, problem: Problem, x, y,
-                             beta: float) -> float:
-    """Slack in the workhorse inequality of projected smooth descent.
-
-    For the projected step x+ from x and any member y:
-        f(x+) - f(y) <= beta <x - x+, x - y> - (beta/2) ||x - x+||^2.
-    Returns LHS - RHS, which must be non-positive.
-    """
-    x = as_vector(x)
-    y = as_vector(y)
-    if not (feasible.member(x) and feasible.member(y)):
-        raise ValueError("both points must belong to the feasible set")
-    x_next = projected_smooth_step(feasible, x, problem.gradient(x), beta)
-    lhs = problem.value(x_next) - problem.value(y)
-    d = x - x_next
-    rhs = beta * float(np.dot(d, x - y)) - 0.5 * beta * float(np.dot(d, d))
-    return lhs - rhs
-
-
 def frank_wolfe_step(feasible: FeasibleSet, x, g, eta_t: float) -> Vector:
     """(1 - eta) x + eta * lmo(g); feasible by convexity, no projection.
 

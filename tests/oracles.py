@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the code paths it verifies: projections
 are solved by exhaustive support enumeration, minimizers by grid refinement,
-the broken potential's increasing steps by exact rational arithmetic on
-the closed-form iterates, a certificate by a scalar loop over the
-recorded points, and vector validation by numpy's own coercion.
+the l1 smooth step is checked by its optimality conditions, the projected
+step's inequality by fresh oracle calls, the broken potential's increasing
+steps by exact rational arithmetic on the closed-form iterates, a
+certificate by a scalar loop over the recorded points, and vector
+validation by numpy's own coercion.
 """
 
 from __future__ import annotations
@@ -62,6 +64,22 @@ def simplex_project_enumerate(y) -> np.ndarray:
     return np.maximum(best, 0.0)
 
 
+def simplex_project_loop(y) -> np.ndarray:
+    """``Simplex.project`` with its threshold index found by a loop over the
+    sorted entries, the last index that keeps a positive share, as before
+    that search became one array expression. Same arithmetic, so the
+    library must match it bit for bit."""
+    v = np.asarray(y, dtype=float)
+    s = np.sort(v)[::-1]
+    css = np.cumsum(s)
+    rho = 1
+    for j in range(v.shape[0]):
+        if s[j] + (1.0 - css[j]) / (j + 1) >= 0.0:
+            rho = j + 1
+    theta = (css[rho - 1] - 1.0) / rho
+    return np.maximum(v - theta, 0.0)
+
+
 def grid_refine_box(objective, lo, hi, rounds: int = 14, pts: int = 33):
     """Minimize a vectorized objective over a box by iterated grid shrinking.
 
@@ -99,6 +117,39 @@ def grid_refine_simplex(objective, n: int, rounds: int = 16, pts: int = 33):
                            rounds=rounds, pts=pts)
     out = np.append(free, max(1.0 - free.sum(), 0.0))
     return out / out.sum()
+
+
+def projected_smoothness_gap(feasible, problem, x, y, beta: float) -> float:
+    """Slack in the workhorse inequality of projected smooth descent, from
+    fresh oracle calls. For the projected step x+ from x and any member y:
+        f(x+) - f(y) <= beta <x - x+, x - y> - (beta/2) ||x - x+||^2.
+    Returns LHS - RHS, which must be non-positive."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not (feasible.member(x) and feasible.member(y)):
+        raise ValueError("both points must belong to the feasible set")
+    x_next = feasible.project(x - problem.gradient(x) / beta)
+    lhs = problem.value(x_next) - problem.value(y)
+    d = x - x_next
+    rhs = beta * float(np.dot(d, x - y)) - 0.5 * beta * float(np.dot(d, d))
+    return lhs - rhs
+
+
+def l1_prox_is_optimal(y, x, g, beta: float, tol: float = 1e-12) -> bool:
+    """Whether the member y minimizes <g, y-x> + (beta/2) ||y - x||_1^2 over
+    the simplex. The objective is convex and the moves along e_a - e_b with
+    y_b > 0 decompose every feasible direction conformally, so y is optimal
+    when none of them descends. The one-sided derivative along e_a - e_b is
+    g_a - g_b + beta ||y - x||_1 (s_a + s_b), with s_a the sign of (y - x)_a,
+    s_b the sign of (x - y)_b, and 1 where the difference is zero."""
+    y, x, g = (np.asarray(v, dtype=float) for v in (y, x, g))
+    d = y - x
+    l1 = float(np.sum(np.abs(d)))
+    up = np.where(d == 0.0, 1.0, np.sign(d))
+    down = np.where(d == 0.0, 1.0, -np.sign(d))
+    slope = g[:, None] - g[None, :] + beta * l1 * (up[:, None] + down[None, :])
+    scale = 1.0 + float(np.max(np.abs(g))) + beta * l1
+    return bool(np.all(slope[:, y > 0] >= -tol * scale))
 
 
 def broken_potential_increases(q, beta, x0, T: int) -> set:

@@ -4,6 +4,7 @@ import pytest
 from gdcert.accel import (
     AccelState,
     AgmSchedule,
+    _l1_prox_on_simplex,
     agm1_step,
     agm1_to_agm2_state,
     agm2_step,
@@ -22,7 +23,8 @@ from gdcert.accel import (
 from gdcert.certify import certify_trace
 from gdcert.core import Ball, Simplex, Unconstrained
 from gdcert.mirror import EuclideanMap, NegEntropyMap
-from gdcert.problems import get_problem, make_diag_quadratic
+from gdcert.problems import LogSumExp, get_problem, make_diag_quadratic
+from oracles import grid_refine_simplex, l1_prox_is_optimal
 
 
 @pytest.fixture(scope="module")
@@ -203,11 +205,68 @@ class TestGeneralNormAgm:
         np.testing.assert_allclose(s1.y, s0.x, atol=1e-9)
         np.testing.assert_allclose(s1.z, s0.z, atol=1e-12)
 
+    def test_entropy_run_certifies_at_dimension_1000(self):
+        d = 1000
+        x0 = np.arange(1.0, d + 1.0)
+        trace = run_general_norm_agm(LogSumExp(d), NegEntropyMap(), Simplex(d),
+                                     x0 / x0.sum(), 100)
+        report = certify_trace("agm-mirror", trace)
+        assert report.passed
+        assert report.step_failures == 0
+
     def test_unsupported_pair_rejected(self, p2):
         s0 = AccelState.start(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             general_norm_agm_step(NegEntropyMap(), Ball(np.zeros(2), 1.0), s0,
                                   p2.gradient(s0.x), 4.0)
+
+
+def l1_prox_instances(rng, dim: int, count: int):
+    """(x, g, beta) with faces of the simplex, tied gradients and a wide
+    range of scales."""
+    for k in range(count):
+        x = rng.dirichlet(np.ones(dim))
+        if k % 3 == 0:
+            x[rng.random(dim) < 0.3] = 0.0
+            x = x / x.sum() if x.sum() > 0 else np.eye(dim)[0]
+        g = rng.normal(size=dim) * 10.0 ** rng.integers(-3, 3)
+        if k % 4 == 0:
+            g = np.round(g, 1)  # ties
+        yield x, g, 10.0 ** float(rng.integers(-2, 3))
+
+
+class TestL1Prox:
+    """The cautious step of the entropy method: argmin over the simplex of
+    <g, y-x> + (beta/2) ||y - x||_1^2."""
+
+    @staticmethod
+    def objective(points, x, g, beta):
+        diff = points - x.reshape(-1, *([1] * (points.ndim - 1)))
+        return np.tensordot(g, diff, axes=(0, 0)) + 0.5 * beta * np.abs(diff).sum(axis=0) ** 2
+
+    @pytest.mark.parametrize("dim", [5, 50])
+    def test_optimal_at_any_dimension(self, dim):
+        rng = np.random.default_rng(dim)
+        for x, g, beta in l1_prox_instances(rng, dim, 200):
+            y = _l1_prox_on_simplex(x, g, beta)
+            assert np.all(y >= 0.0) and abs(y.sum() - x.sum()) <= 1e-12
+            assert l1_prox_is_optimal(y, x, g, beta)
+
+    def test_oracle_rejects_a_descending_point(self):
+        x = np.array([0.5, 0.3, 0.2])
+        g = np.array([1.0, 0.0, 0.5])
+        assert not l1_prox_is_optimal(x, x, g, 1.0)
+        assert l1_prox_is_optimal(_l1_prox_on_simplex(x, g, 1.0), x, g, 1.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_no_worse_than_grid_refinement(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        for x, g, beta in l1_prox_instances(rng, dim, 60):
+            y = _l1_prox_on_simplex(x, g, beta)
+            ref = grid_refine_simplex(lambda pts: self.objective(pts, x, g, beta), dim)
+            scale = 1.0 + np.abs(g).max() + beta
+            assert self.objective(y, x, g, beta) <= \
+                self.objective(ref, x, g, beta) + 1e-14 * scale
 
 
 class TestStronglyConvexAgm:

@@ -21,7 +21,6 @@ from gdcert.descent import Constant, run_online_gd
 from gdcert.harness import (
     RunConfig,
     json_dumps,
-    make_set,
     run_experiment,
     trace_to_dict,
 )
@@ -214,7 +213,6 @@ def test_potential_evaluated_once_per_point(theorem_id, monkeypatch):
     cfg = RunConfig(steps=T, **ONE_RUN_PER_KIND[theorem_id])
     trace = run_experiment(cfg).trace
     problem = get_problem(cfg.problem) if cfg.problem in PROBLEMS else None
-    feasible = make_set(cfg.feasible_set, trace.final_x.shape[0])
     calls = []
     evaluate = gdcert.certify.potential
 
@@ -223,7 +221,7 @@ def test_potential_evaluated_once_per_point(theorem_id, monkeypatch):
         return evaluate(*args)
 
     monkeypatch.setattr(gdcert.certify, "potential", counted)
-    report = certify_trace(theorem_id, trace, problem=problem, feasible=feasible)
+    report = certify_trace(theorem_id, trace, problem=problem)
     assert report.error is None
     assert len(report.step_checks) == T
     assert len(calls) == 1

@@ -1,6 +1,10 @@
+import errno
 import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -369,6 +373,43 @@ class TestCli:
         out = capsys.readouterr().out
         assert "problems:" in out and "agm2" in out and "mirror-regret" in out
 
+    def test_list_stops_quietly_when_stdout_closes(self, monkeypatch):
+        """A reader that closed early (``gdcert list | head``) gets exit code
+        141 and no traceback; stdout then writes to the null device."""
+        read_end, write_end = os.pipe()
+
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return write_end
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        try:
+            assert main(["list"]) == 141
+            os.write(write_end, b"dropped")
+            assert os.read(read_end, 1) == b""  # the pipe lost its writer
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+
+    def test_closed_pipe_exits_without_traceback(self):
+        """The whole process, exit flush included, on a pipe with no reader."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(accel.__file__).parents[1]))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "gdcert.cli", "list"],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")
+
     def test_suite_command(self, tmp_path, capsys):
         configs = [
             {"problem": "p2", "method": "agm2", "steps": 40, "certify": True,
@@ -419,7 +460,6 @@ GRADIENT_COUNT_RUNS = {
     "mirror-negentropy": dict(problem="experts-alt", feasible_set="simplex"),
     "agm2": dict(problem="p2", feasible_set="simplex", x0=[0.5, 0.5]),
     "agm1": dict(problem="p3"),
-    # the grid prox costs milliseconds per step
     "agm2-negentropy": dict(problem="lse3", feasible_set="simplex", steps=5),
     "sc-agm": dict(problem="p3"),
     # two 40-step epochs
@@ -483,14 +523,15 @@ class TestGradientCallsPerRun:
     def calls(self, monkeypatch):
         calls = []
 
-        def counted(fn):
+        def counted(fn, name):
             def wrapper(*args, **kwargs):
-                calls.append(1)
+                calls.append(name)
                 return fn(*args, **kwargs)
             return wrapper
 
         for cls in ORACLES:
-            monkeypatch.setattr(cls, "gradient", counted(vars(cls)["gradient"]))
+            for name in ("gradient", "value"):
+                monkeypatch.setattr(cls, name, counted(vars(cls)[name], name))
         return calls
 
     @pytest.mark.parametrize("cfg, expected", [
@@ -500,13 +541,24 @@ class TestGradientCallsPerRun:
     def test_gradient_calls(self, cfg, expected, calls):
         result = run_experiment(RunConfig(**cfg))
         assert result.error is None and result.passed
-        assert len(calls) == expected
+        assert calls.count("gradient") == expected
 
     def test_suite_checks_and_runs_with_one_start(self, tmp_path, calls):
         cfg = tmp_path / "suite.json"
         cfg.write_text(json.dumps([{"problem": "p1", "method": "gd", "steps": 200}]))
         assert main(["suite", "--config", str(cfg)]) == 0
-        assert len(calls) == 201
+        assert calls.count("gradient") == 201
+
+    def test_projected_certificate_reads_the_recorded_steps(self, calls):
+        """The projected-step check makes no oracle call: the run's T
+        gradients and T + 1 values, f* and the f(x0) of the sublevel
+        diameter are all."""
+        result = run_experiment(RunConfig(problem="p2", method="smooth-gd", steps=1000,
+                                          feasible_set="ball", certify=True))
+        assert result.passed
+        assert "smooth-projected" in [r.theorem for r in result.reports]
+        assert calls.count("gradient") == 1000
+        assert calls.count("value") == 1003
 
 
 class TestComparatorSolvesPerRun:

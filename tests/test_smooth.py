@@ -10,13 +10,12 @@ from gdcert.smooth import (
     frank_wolfe_step,
     general_norm_smooth_step,
     projected_smooth_step,
-    projected_smoothness_gap,
     run_frank_wolfe,
     run_smooth_gd,
     run_well_conditioned,
     smooth_gd_step,
 )
-from oracles import grid_refine_box, sample_member
+from oracles import grid_refine_box, projected_smoothness_gap, sample_member
 
 
 @pytest.fixture(scope="module")
@@ -179,11 +178,24 @@ class TestSmoothRuns:
 
     def test_projected_run_certifies(self, p2):
         trace = run_smooth_gd(p2, [0.5, 0.5], 300, feasible=Simplex(2))
-        report = certify_trace("smooth-projected", trace, problem=p2,
-                               feasible=Simplex(2))
+        report = certify_trace("smooth-projected", trace)
         assert report.passed
         labels = [e.label for e in report.end_checks]
         assert "projected-smoothness-gap" in labels
+
+    @pytest.mark.parametrize("feasible", [Ball(np.zeros(2), 1.0), Simplex(2)],
+                             ids=["ball", "simplex"])
+    def test_projected_gap_matches_fresh_oracle_calls(self, p2, feasible):
+        """The end check reads the recorded steps; the oracle re-runs each
+        step from its point. The largest gap is the same double."""
+        trace = run_smooth_gd(p2, [2.0, -1.0], 300, feasible=feasible)
+        report = certify_trace("smooth-projected", trace)
+        check = next(e for e in report.end_checks
+                     if e.label == "projected-smoothness-gap")
+        worst = max(projected_smoothness_gap(feasible, p2, x, trace.constants["x_star"],
+                                             trace.constants["beta"])
+                    for x in trace.x[:-1])
+        assert check.lhs == worst
 
     def test_reference_diameter_uses_sublevel_radius(self, p2):
         trace = run_smooth_gd(p2, [1.0, 1.0], 10)
