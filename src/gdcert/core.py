@@ -232,10 +232,10 @@ class Simplex(FeasibleSet):
         self._check_dim(v)
         s = np.sort(v)[::-1]
         css = np.cumsum(s)
-        # rho is the last index that keeps a positive share (the first always
-        # does): the first True counted from the end
-        keeps = s + (1.0 - css) / np.arange(1, self.dim + 1) >= 0.0
-        rho = self.dim - int(np.argmax(keeps[::-1]))
+        rho = 1
+        for j in range(self.dim):
+            if s[j] + (1.0 - css[j]) / (j + 1) >= 0.0:
+                rho = j + 1
         theta = (css[rho - 1] - 1.0) / rho
         return np.maximum(v - theta, 0.0)
 

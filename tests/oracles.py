@@ -64,22 +64,6 @@ def simplex_project_enumerate(y) -> np.ndarray:
     return np.maximum(best, 0.0)
 
 
-def simplex_project_loop(y) -> np.ndarray:
-    """``Simplex.project`` with its threshold index found by a loop over the
-    sorted entries, the last index that keeps a positive share, as before
-    that search became one array expression. Same arithmetic, so the
-    library must match it bit for bit."""
-    v = np.asarray(y, dtype=float)
-    s = np.sort(v)[::-1]
-    css = np.cumsum(s)
-    rho = 1
-    for j in range(v.shape[0]):
-        if s[j] + (1.0 - css[j]) / (j + 1) >= 0.0:
-            rho = j + 1
-    theta = (css[rho - 1] - 1.0) / rho
-    return np.maximum(v - theta, 0.0)
-
-
 def grid_refine_box(objective, lo, hi, rounds: int = 14, pts: int = 33):
     """Minimize a vectorized objective over a box by iterated grid shrinking.
 

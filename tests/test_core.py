@@ -15,12 +15,7 @@ from gdcert.core import (
     norm_value,
     pythagorean_gap,
 )
-from oracles import (
-    as_vector_reference,
-    sample_member,
-    simplex_project_enumerate,
-    simplex_project_loop,
-)
+from oracles import as_vector_reference, sample_member, simplex_project_enumerate
 
 ALL_NORMS = [Norm.EUCLIDEAN, Norm.L1, Norm.LINF]
 
@@ -165,16 +160,6 @@ class TestProjection:
                 y = np.round(4.0 * y) / 4.0  # equal entries and equal shares
             np.testing.assert_allclose(s.project(y),
                                        simplex_project_enumerate(y), atol=1e-12)
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 50, 1000])
-    def test_simplex_threshold_search_equals_loop(self, dim):
-        rng = np.random.default_rng(29)
-        s = Simplex(dim)
-        for k in range(40):
-            y = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=dim)
-            if k % 2:
-                y = np.round(4.0 * y) / 4.0
-            np.testing.assert_array_equal(s.project(y), simplex_project_loop(y))
 
     def test_box_clamps(self):
         box = Box([-1.0, 0.0], [1.0, 2.0])
