@@ -114,8 +114,7 @@ def constrained_agm_step(feasible: FeasibleSet, state: AccelState, g: Vector,
 
 
 def run_agm2(problem: Problem, x0, T: int, schedule: str = "agm-smooth",
-             feasible: FeasibleSet | None = None,
-             reference: Vector | None = None) -> Trace:
+             feasible: FeasibleSet | None = None) -> Trace:
     """Run the two-sequence method, projected when a bounded set is given."""
     beta = problem.smoothness_beta
     if beta is None:
@@ -138,7 +137,7 @@ def run_agm2(problem: Problem, x0, T: int, schedule: str = "agm-smooth",
     trace.meta["schedule"] = schedule
     trace.meta["constrained"] = constrained
     trace.constants["beta"] = beta
-    _attach_reference(trace, problem, feasible, reference)
+    _attach_reference(trace, problem, feasible)
     return trace
 
 
@@ -203,14 +202,13 @@ def _l1_prox_on_simplex(x, g, beta: float) -> Vector:
 
 
 def general_norm_agm_step(mirror_map: MirrorMap, feasible: FeasibleSet,
-                          state: AccelState, g: Vector,
-                          beta: float) -> AccelState:
+                          state: AccelState, g: Vector, beta: float,
+                          eta_t: float) -> AccelState:
     """Coupled step under a mirror map with the gradient g at x: the
     cautious update is the smooth step in the map's norm (solved on the set),
-    the aggressive update is a mirror step, and the mix uses
+    the aggressive update is a mirror step of size eta_t, and the mix uses
     tau_{t+1} = 2/(t+3)."""
     t = state.t
-    eta = (t + 1.0) * mirror_map.alpha_h / (2.0 * beta)
     if isinstance(mirror_map, EuclideanMap):
         y_next = projected_smooth_step(feasible, state.x, g, beta)
     elif isinstance(mirror_map, NegEntropyMap) and isinstance(feasible, Simplex):
@@ -218,7 +216,7 @@ def general_norm_agm_step(mirror_map: MirrorMap, feasible: FeasibleSet,
     else:
         raise ValueError(
             f"unsupported (map, set) pair: ({mirror_map.map_id}, {type(feasible).__name__})")
-    z_next = mirror_step(mirror_map, feasible, state.z, g, eta)
+    z_next = mirror_step(mirror_map, feasible, state.z, g, eta_t)
     tau = 2.0 / (t + 3.0)
     x_next = (1.0 - tau) * y_next + tau * z_next
     return AccelState(x=x_next, y=y_next, z=z_next, t=t + 1)
@@ -235,16 +233,15 @@ def run_general_norm_agm(problem: Problem, mirror_map: MirrorMap,
     trace = drive(
         problem, AccelState.start(x0), T,
         lambda t, state, g, eta: general_norm_agm_step(mirror_map, feasible,
-                                                       state, g, beta),
+                                                       state, g, beta, eta),
         lambda t: (t + 1.0) * mirror_map.alpha_h / (2.0 * beta))
     trace.meta["method"] = f"agm2-{mirror_map.map_id}"
     trace.meta["map"] = mirror_map.map_id
     trace.constants["beta"] = beta
     trace.constants["alpha_h"] = mirror_map.alpha_h
-    x_star = problem.minimizer_over(feasible)
-    trace.constants["x_star"] = x_star
-    trace.constants["f_star"] = problem.value(x_star)
-    trace.constants["bregman_x_star_z0"] = mirror_map.bregman(x_star, x0)
+    _attach_reference(trace, problem, feasible)
+    trace.constants["bregman_x_star_z0"] = mirror_map.bregman(
+        trace.constants["x_star"], x0)
     return trace
 
 
@@ -290,13 +287,10 @@ def run_sc_agm(problem: Problem, x0, T: int) -> Trace:
     Condition number exactly 1 bypasses acceleration: one exact smooth step
     reaches the minimizer.
     """
-    alpha = problem.strong_convexity_alpha
-    beta = problem.smoothness_beta
-    if not alpha or not beta:
+    kappa = problem.kappa
+    if not kappa:
         raise ValueError("problem must declare both curvature constants")
-    kappa = beta / alpha
-    x_star = problem.minimizer_over(Unconstrained(problem.dim))
-    f_star = problem.value(x_star)
+    beta = problem.smoothness_beta
 
     if kappa == 1.0:
         T = 1
@@ -311,12 +305,13 @@ def run_sc_agm(problem: Problem, x0, T: int) -> Trace:
 
     trace = drive(problem, AccelState.start(x0), T, step, lambda t: 1.0 / beta)
     trace.meta["method"] = "sc-agm"
-    trace.constants.update({"alpha": alpha, "beta": beta, "kappa": kappa})
+    trace.constants.update({"alpha": problem.strong_convexity_alpha, "beta": beta,
+                            "kappa": kappa})
     if kappa == 1.0:
         trace.add_flag("single-step-optimal")
     else:
         trace.constants["gamma"] = 1.0 / (np.sqrt(kappa) - 1.0)
-    trace.constants.update({"x_star": x_star, "f_star": f_star})
+    _attach_reference(trace, problem, Unconstrained(problem.dim))
     return trace
 
 
@@ -325,11 +320,10 @@ def restart_accelerated(problem: Problem, x0, epsilon: float,
     """Repeatedly run the smooth two-sequence method for ceil(4 sqrt(kappa))
     steps and restart from its cautious point; the distance to the minimizer
     halves per epoch, giving linear convergence from a sublinear method."""
-    alpha = problem.strong_convexity_alpha
-    beta = problem.smoothness_beta
-    if not alpha or not beta:
+    kappa = problem.kappa
+    if not kappa:
         raise ValueError("problem must declare both curvature constants")
-    kappa = beta / alpha
+    beta = problem.smoothness_beta
     x_star = problem.minimizer_over(Unconstrained(problem.dim))
     f_star = problem.value(x_star)
     epoch_len = int(np.ceil(4.0 * np.sqrt(kappa)))
@@ -359,7 +353,7 @@ def restart_accelerated(problem: Problem, x0, epsilon: float,
     trace.meta["method"] = "restart-agm"
     trace.meta["epochs"] = epochs
     trace.meta["epoch_length"] = epoch_len
-    trace.constants.update({"alpha": alpha, "beta": beta, "kappa": kappa,
-                            "x_star": x_star, "f_star": f_star,
+    trace.constants.update({"alpha": problem.strong_convexity_alpha, "beta": beta,
+                            "kappa": kappa, "x_star": x_star, "f_star": f_star,
                             "epsilon": epsilon})
     return trace

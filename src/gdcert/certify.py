@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from gdcert.core import Vector, as_vector, dual_norm
+from gdcert.core import as_vector, dual_norm
 from gdcert.descent import weighted_average
 from gdcert.mirror import get_map
 from gdcert.problems import Problem
@@ -52,19 +52,10 @@ class PotentialKind(str, enum.Enum):
     FAILED = "failed"                      # t(t+1)(f - f*) + 2 beta ||x - x*||^2
 
 
-@dataclass
-class PotentialSpec:
-    """Which potential to evaluate, with which constants and reference."""
-
-    kind: PotentialKind
-    constants: dict
-    x_star: Vector
-    f_star: float | None = None
-
-    def require(self, *names):
-        for n in names:
-            if self.constants.get(n) is None:
-                raise ValueError(f"potential {self.kind.value!r} needs constant {n!r}")
+def _require(kind: PotentialKind, c: dict, names) -> None:
+    for n in names:
+        if c.get(n) is None:
+            raise ValueError(f"potential {kind.value!r} needs constant {n!r}")
 
 
 def _at_every_point(trace: Trace, name: str) -> np.ndarray:
@@ -91,13 +82,13 @@ def _growth(gamma: float, t):
     return np.exp(t * np.log1p(gamma))
 
 
-def _dist2(spec: PotentialSpec, point):
-    d = point - spec.x_star
+def _dist2(c: dict, point):
+    d = point - c["x_star"]
     return np.vecdot(d, d)
 
 
-def _bregman(spec: PotentialSpec, point):
-    return spec.constants["map"].bregman(spec.x_star, point)
+def _bregman(c: dict, point):
+    return c["map"].bregman(c["x_star"], point)
 
 
 def _value_distance_allowance(c: dict, trace: Trace, t):
@@ -124,7 +115,7 @@ class _Shape:
     # (c, trace, t) -> B_t at every step t; monotone potentials may not increase
     allowance: Callable = lambda c, trace, t: 0.0
     bound_needs: tuple = ()           # constants B_t reads beyond those
-    distance: Callable | None = None  # (spec, point or rows) -> distance term
+    distance: Callable | None = None  # (c, point or rows) -> distance term
     # distance-only potentials are charged the round's loss: the check is
     # (f_t(x_t) - f_t(x*)) + dPhi <= B_t
     amortized: bool = False
@@ -171,24 +162,24 @@ POTENTIALS = {
 }
 
 
-def potential(spec: PotentialSpec, state, t):
-    """Evaluate Phi_t on a state carrying x and f (z and f_y when coupled):
-    one point at one t, or a trace's columns at every t = 0..T, one value
-    per row.
+def potential(kind: PotentialKind, c: dict, state, t):
+    """Evaluate Phi_t of ``kind`` at the constants ``c``, which hold the
+    reference x* and f*, on a state carrying x and f (z and f_y when
+    coupled): one point at one t, or a trace's columns at every t = 0..T,
+    one value per row.
 
     Non-negative whenever the reference value is the true optimum.
     """
-    shape = POTENTIALS[spec.kind]
-    spec.require(*shape.needs)
+    shape = POTENTIALS[kind]
+    _require(kind, c, shape.needs)
     point, value = (state.z, state.f_y) if shape.coupled else (state.x, state.f)
     gap = None
     if not shape.amortized:
-        if value is None or spec.f_star is None:
-            raise ValueError(
-                f"potential {spec.kind.value!r} needs an objective value and f*")
-        gap = value - spec.f_star
-    dist = shape.distance(spec, point) if shape.distance else None
-    return shape.phi(spec.constants, t, gap, dist)
+        if value is None or c.get("f_star") is None:
+            raise ValueError(f"potential {kind.value!r} needs an objective value and f*")
+        gap = value - c["f_star"]
+    dist = shape.distance(c, point) if shape.distance else None
+    return shape.phi(c, t, gap, dist)
 
 
 @dataclass(slots=True)
@@ -289,32 +280,30 @@ class CertReport:
         }
 
 
-def _defined(spec: PotentialSpec, trace: Trace) -> np.ndarray:
+def _defined(shape: _Shape, c: dict, trace: Trace) -> np.ndarray:
     """The rows where Phi_t is defined: every row, unless the potential
     reads a divergence, whose point must lie in the mirror map's domain."""
-    shape = POTENTIALS[spec.kind]
     rows = np.ones(trace.T + 1, dtype=bool)
     if shape.distance is _bregman:
-        rows &= spec.constants["map"].interior(trace.z if shape.coupled else trace.x)
+        rows &= c["map"].interior(trace.z if shape.coupled else trace.x)
     return rows
 
 
-def _step_checks(spec: PotentialSpec, trace: Trace, phi: np.ndarray,
+def _step_checks(shape: _Shape, c: dict, trace: Trace, phi: np.ndarray,
                  steps: np.ndarray, tol: float) -> dict:
     """The bounds of the given steps t, each from Phi on both sides of it, as
     the columns of ``CertReport.steps``."""
-    shape = POTENTIALS[spec.kind]
     t = np.arange(trace.T)
     dphi = phi[1:] - phi[:-1]
-    allowed = np.broadcast_to(shape.allowance(spec.constants, trace, t), dphi.shape)
+    allowed = np.broadcast_to(shape.allowance(c, trace, t), dphi.shape)
     slack = tol * (1.0 + np.abs(phi[:-1]))
     checked, amortized = dphi, {}
     if shape.amortized:
         f_ref = trace.f_ref
         if f_ref is None:
-            if spec.f_star is None:
+            if c.get("f_star") is None:
                 raise ValueError("amortized check needs the comparator's round value")
-            f_ref = spec.f_star
+            f_ref = c["f_star"]
         checked = (trace.f[:trace.T] - f_ref) + dphi
         amortized = {"amortized": checked}
     columns = dict(t=t, phi=phi[:-1], dphi=dphi, allowed=allowed,
@@ -412,8 +401,6 @@ def _sc_regret(trace, c, tol, **_):
 def _sc_average(trace, c, tol, problem, **_):
     if problem is None:
         raise ValueError("weighted-average check needs the objective")
-    if c.get("G") is None:
-        c["G"] = _max_grad_norm(trace)
     lhs = problem.value(weighted_average(trace)) - c["f_star"]
     rhs = c["G"] ** 2 / (c["alpha"] * (trace.T + 1.0))
     return [_bound_check("weighted-average-gap", lhs, rhs, tol)]
@@ -491,6 +478,7 @@ class _Theorem:
     schedules: tuple | None = None      # None: any schedule of the method
     expected_fail: bool = False
     constants: dict = field(default_factory=dict)  # set by the argument itself
+    reads: tuple = ()                   # constants the end check reads beyond the shape's
 
     def mismatch(self, method: str, set_id: str, schedule: str | None) -> str | None:
         """Why a run of ``method`` on ``set_id`` with ``schedule`` cannot
@@ -510,7 +498,7 @@ THEOREMS = {th.theorem_id: th for th in [
     _Theorem(
         "gd-regret",
         "average regret of gradient descent with eta = D/(G sqrt(T)) is below D G / sqrt(T)",
-        PotentialKind.DISTANCE, ("gd",), "any", _gd_regret),
+        PotentialKind.DISTANCE, ("gd",), "any", _gd_regret, reads=("D",)),
     _Theorem(
         "sc-regret",
         "average regret under strong convexity is below G^2 log(T) / (2 T alpha)",
@@ -518,7 +506,7 @@ THEOREMS = {th.theorem_id: th for th in [
     _Theorem(
         "sc-average",
         "the 2t/(T(T+1))-weighted average satisfies f - f* <= G^2 / (alpha (T+1))",
-        None, ("sc-gd",), "unconstrained", _sc_average),
+        None, ("sc-gd",), "unconstrained", _sc_average, reads=("G",)),
     _Theorem(
         "smooth-value-log",
         "smooth descent gap is below beta D^2 (1 + ln T) / (2T)",
@@ -564,7 +552,7 @@ THEOREMS = {th.theorem_id: th for th in [
         "mirror-regret",
         "mirror descent regret is below D_h(x*||x0)/eta + eta sum ||grad||_*^2 / (2 alpha_h)",
         PotentialKind.BREGMAN, ("mirror-euclidean", "mirror-negentropy"), "any",
-        _mirror_regret),
+        _mirror_regret, reads=("G_dual",)),
     _Theorem(
         "agm-smooth",
         "accelerated gap f(y_t) - f* is below 2 beta ||z0 - x*||^2 / (t(t+1)) at every t",
@@ -590,57 +578,72 @@ THEOREMS = {th.theorem_id: th for th in [
 ]}
 
 
-def _gather_constants(trace: Trace, spec: _Theorem) -> tuple[dict, list]:
-    """Merge trace constants with certifier-derived fallbacks; returns the
-    constants plus any honesty flags the fallbacks introduce."""
+def _max_distance(trace: Trace, c: dict) -> float | None:
+    """The largest distance from a recorded x to x*, where x* is known."""
+    if "x_star" not in c:
+        return None
+    d = trace.x - c["x_star"]
+    return float(np.max(np.sqrt(np.vecdot(d, d))))
+
+
+# constant -> (its estimate from the trace and the constants, None where it
+# has none; the honesty flag the estimate raises), in the order estimated
+_ESTIMATES = {
+    "G": (lambda trace, c: _max_grad_norm(trace), "trajectory-estimated-G"),
+    "G_dual": (lambda trace, c: float(np.max(dual_norm(c["map"].norm, trace.grad))),
+               "trajectory-estimated-G"),
+    "D": (_max_distance, "trajectory-estimated-D"),
+}
+
+
+def _gather_constants(trace: Trace, theorem: _Theorem) -> tuple[dict, list]:
+    """Merge trace constants with the estimates of those the theorem reads and
+    the trace lacks; returns the constants plus the honesty flags the
+    estimates raise."""
     c = dict(trace.constants)
     flags = list(trace.flags)
-    kind = spec.kind
+    shape = POTENTIALS.get(theorem.kind)
+    needs = (shape.needs + shape.bound_needs if shape else ()) + theorem.reads
 
     if "x_star" in c:
         c["x_star"] = as_vector(c["x_star"])
-    if kind is PotentialKind.BREGMAN or kind is PotentialKind.AGM_BREGMAN:
+    if "map" in needs:
         c["map"] = get_map(trace.meta.get("map", "euclidean"))
     if not trace.T:  # no steps to estimate eta, G or D from
         return c, flags
     if "eta" not in c:
         c["eta"] = trace.eta[0].item()
-        if kind is PotentialKind.DISTANCE and np.any(trace.eta != c["eta"]):
+        if "eta" in needs and np.any(trace.eta != c["eta"]):
             flags.append("varying-eta")
-    if c.get("G") is None and kind in (PotentialKind.DISTANCE, PotentialKind.SC_DISTANCE):
-        c["G"] = _max_grad_norm(trace)
-        flags.append("trajectory-estimated-G")
-    if c.get("G_dual") is None and kind is PotentialKind.BREGMAN:
-        c["G_dual"] = float(np.max(dual_norm(c["map"].norm, trace.grad)))
-    needs_D = kind in (PotentialKind.DISTANCE, PotentialKind.VALUE,
-                       PotentialKind.VALUE_SCALED)
-    if needs_D and c.get("D") is None and "x_star" in c:
-        d = trace.x - c["x_star"]
-        c["D"] = float(np.max(np.sqrt(np.vecdot(d, d))))
-        flags.append("trajectory-estimated-D")
+    for name, (estimate, flag) in _ESTIMATES.items():
+        if name in needs and c.get(name) is None:
+            value = estimate(trace, c)
+            if value is not None:
+                c[name] = value
+                flags.append(flag)
     return c, flags
 
 
-def _replay(report: CertReport, spec: PotentialSpec, trace: Trace,
+def _replay(report: CertReport, kind: PotentialKind, c: dict, trace: Trace,
             tol: float) -> float | None:
     """Phi_t at every t, the step checks, the telescoping residual and the
     consistency check, into ``report``. Returns Phi_0, or None where
     undefined."""
-    shape = POTENTIALS[spec.kind]
-    spec.require(*shape.needs, *shape.bound_needs)
+    shape = POTENTIALS[kind]
+    _require(kind, c, shape.needs + shape.bound_needs)
     try:
         _at_every_point(trace, "z" if shape.coupled else "x")
         if not shape.amortized:
             _at_every_point(trace, "f_y" if shape.coupled else "f")
-        phi = potential(spec, trace, np.arange(trace.T + 1))
-        defined = _defined(spec, trace)
+        phi = potential(kind, c, trace, np.arange(trace.T + 1))
+        defined = _defined(shape, c, trace)
     except ValueError:
         # no f* for a value potential, or no point or value of the kind it
         # reads at every t: Phi_t is undefined at every t
         return None
     steps = np.flatnonzero(defined[:-1] & defined[1:])
     if steps.size:
-        report.steps = _step_checks(spec, trace, phi, steps, tol)
+        report.steps = _step_checks(shape, c, trace, phi, steps, tol)
     known = np.flatnonzero(defined)
     if known.size >= 2:
         first, last = phi[known[0]].item(), phi[known[-1]].item()
@@ -650,11 +653,11 @@ def _replay(report: CertReport, spec: PotentialSpec, trace: Trace,
             1.0 + abs(first) + abs(last))
     # monotone-potential consistency: Phi_T still dominates its value term
     # a_T (f_T - f*) when the reference is the true optimum
-    if (not shape.amortized and defined[-1] and spec.f_star is not None
+    if (not shape.amortized and defined[-1] and c.get("f_star") is not None
             and "comparator-reference" not in report.flags):
         last = phi[-1].item()
         gap = (trace.f_y if shape.coupled else trace.f)[-1].item()
-        value_term = shape.phi(spec.constants, trace.T, gap - spec.f_star, 0.0)
+        value_term = shape.phi(c, trace.T, gap - c["f_star"], 0.0)
         report.consistency_ok = bool(last >= value_term - tol * (1.0 + abs(last)))
     return phi[0].item() if defined[0] else None
 
@@ -689,11 +692,9 @@ def certify_trace(theorem_id: str, trace: Trace, problem: Problem | None = None,
     try:
         phi0 = None
         if spec.kind is not None and "single-step-optimal" not in trace.flags:
-            pspec = PotentialSpec(kind=spec.kind, constants=consts,
-                                  x_star=consts["x_star"], f_star=consts.get("f_star"))
             # the columns overflow and meet inf - inf as Python floats do: quietly
             with np.errstate(over="ignore", invalid="ignore"):
-                phi0 = _replay(report, pspec, trace, tol)
+                phi0 = _replay(report, spec.kind, consts, trace, tol)
         report.end_checks.extend(spec.end(
             trace, consts, tol, envelope=spec.envelope, phi0=phi0,
             problem=problem))

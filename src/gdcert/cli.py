@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one configured experiment")
     run.add_argument("--problem", required=True)
     run.add_argument("--method", required=True)
-    run.add_argument("--set", default="unconstrained", dest="feasible_set")
+    run.add_argument("--set", default="unconstrained")
     run.add_argument("--schedule", default=None)
     run.add_argument("--steps", type=int, required=True)
     run.add_argument("--certify", action="store_true")
@@ -55,8 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--x0", default="default",
                      help="comma-separated start coordinates, or 'default'")
     run.add_argument("--out", required=True)
-    run.add_argument("--format", default="json", choices=FORMATS,
-                     dest="fmt")
+    run.add_argument("--format", default="json", choices=FORMATS)
 
     suite = sub.add_parser("suite", help="run a JSON list of configurations")
     suite.add_argument("--config", required=True)
@@ -66,19 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    theorems = [t for t in args.theorems.split(",") if t.strip()]
-    return RunConfig(
-        problem=args.problem,
-        method=args.method,
-        steps=args.steps,
-        feasible_set=args.feasible_set,
-        schedule=args.schedule,
-        x0=_parse_x0(args.x0),
-        certify=args.certify or bool(theorems),
-        theorems=theorems,
-        out=args.out,
-        fmt=args.fmt,
-    )
+    """The ``run`` arguments as the suite entry with the same keys."""
+    raw = {k: v for k, v in vars(args).items() if k != "command"}
+    raw["theorems"] = [t for t in args.theorems.split(",") if t.strip()]
+    return _config_from_dict(raw)
 
 
 def _config_from_dict(raw: dict) -> RunConfig:

@@ -96,9 +96,10 @@ def default_x0(set_id: str, dim: int) -> np.ndarray:
 
 
 class _Prepared(NamedTuple):
-    """What ``_prepare`` makes for a run. G, its flags, the comparator and D
-    (the set's diameter, else the distance from x0 to the comparator) are
-    an online method's; ``problem`` is None for an online adversary."""
+    """What ``validate_config`` makes for a run. G, its flags, the comparator
+    and D (the set's diameter, else the distance from x0 to the comparator)
+    are an online method's; ``problem`` is None for an online adversary.
+    ``theorems`` are the ids to certify, empty when not certifying."""
 
     adversary: OnlineAdversary
     problem: Problem | None
@@ -111,6 +112,7 @@ class _Prepared(NamedTuple):
     flags: list
     comparator: np.ndarray | None
     D: float | None
+    theorems: tuple = ()
 
 
 def _gd(p: _Prepared) -> Trace:
@@ -206,8 +208,10 @@ def _finite_coordinates(x0) -> bool:
 
 
 def validate_config(config: RunConfig) -> _Prepared:
-    """Reject a config its run cannot take (ConfigError); returns what
-    ``_prepare`` makes for the run, so that the run need not make it again."""
+    """Reject a config its run cannot take (ConfigError), certifying with no
+    theorem that applies included; returns what ``_prepare`` makes for the
+    run with the theorems to certify, so that the run need not make them
+    again."""
     if config.problem not in PROBLEMS and config.problem not in ADVERSARIES:
         raise ConfigError(f"unknown problem id {config.problem!r}")
     if config.method not in METHODS:
@@ -226,6 +230,8 @@ def validate_config(config: RunConfig) -> _Prepared:
     if config.theorems and not config.certify:
         raise ConfigError("theorem list given without --certify")
     prepared = _prepare(config)
+    if not config.certify:
+        return prepared
     for tid in config.theorems:
         if tid not in THEOREMS:
             raise ConfigError(f"unknown theorem id {tid!r}")
@@ -233,7 +239,16 @@ def validate_config(config: RunConfig) -> _Prepared:
                                      prepared.schedule)
         if why:
             raise ConfigError(f"theorem {tid!r} {why}")
-    return prepared
+    # the configured theorems, else every one that applies; the expected-fail
+    # diagnostic is opt-in
+    theorems = config.theorems or [
+        tid for tid, th in THEOREMS.items() if not th.expected_fail and th.mismatch(
+            config.method, config.feasible_set, prepared.schedule) is None]
+    if not theorems:
+        raise ConfigError(
+            f"no theorem certifies method {config.method!r} on the "
+            f"{config.feasible_set} set with schedule {prepared.schedule!r}")
+    return prepared._replace(theorems=tuple(theorems))
 
 
 def _prepare(config: RunConfig) -> _Prepared:
@@ -361,14 +376,8 @@ def run_experiment(config: RunConfig, prepared: _Prepared | None = None) -> RunR
         return RunResult(config=config, trace=None, reports=[],
                          error=f"numeric failure: {exc}")
     trace.meta["config"] = config.echo()
-    reports = []
-    if config.certify:
-        # the expected-fail diagnostic is opt-in
-        theorems = config.theorems or [
-            tid for tid, th in THEOREMS.items() if not th.expected_fail and th.mismatch(
-                config.method, config.feasible_set, prepared.schedule) is None]
-        for tid in theorems:
-            reports.append(certify_trace(tid, trace, problem=prepared.problem))
+    reports = [certify_trace(tid, trace, problem=prepared.problem)
+               for tid in prepared.theorems]
     result = RunResult(config=config, trace=trace, reports=reports)
     if config.out:
         write_outputs(result, config.out, config.fmt)

@@ -65,14 +65,10 @@ FW_STEP_SIZES = {  # by schedule id, the default first
 
 
 def run_smooth_gd(problem: Problem, x0, T: int,
-                  feasible: FeasibleSet | None = None,
-                  reference: Vector | None = None) -> Trace:
-    """T steps of x <- Pi(x - grad/beta), recording values and gradients.
-
-    ``reference`` overrides the comparator point used for gap bookkeeping;
-    by default it is the problem's minimizer over the (possibly whole-space)
-    feasible set.
-    """
+                  feasible: FeasibleSet | None = None) -> Trace:
+    """T steps of x <- Pi(x - grad/beta), recording values and gradients,
+    with the gaps measured from the problem's minimizer over the (possibly
+    whole-space) feasible set."""
     beta = problem.smoothness_beta
     if beta is None:
         raise ValueError("problem declares no smoothness constant")
@@ -83,7 +79,7 @@ def run_smooth_gd(problem: Problem, x0, T: int,
                   lambda t: 1.0 / beta)
     trace.meta["method"] = "smooth-gd"
     trace.constants["beta"] = beta
-    _attach_reference(trace, problem, feasible, reference)
+    _attach_reference(trace, problem, feasible)
     D = problem.sublevel_diameter(as_vector(x0))
     if D is None:
         d = trace.x - trace.constants["x_star"]
@@ -123,16 +119,14 @@ def run_well_conditioned(problem: Problem, x0, T: int) -> Trace:
     For condition number exactly 1 a single step lands on the minimizer, so
     the run stops there and the trace is flagged.
     """
-    alpha = problem.strong_convexity_alpha
-    beta = problem.smoothness_beta
-    if not alpha or not beta:
+    kappa = problem.kappa
+    if not kappa:
         raise ValueError("problem must declare both curvature constants")
-    kappa = beta / alpha
     if kappa == 1.0:
         T = min(T, 1)
     trace = run_smooth_gd(problem, x0, T)
     trace.meta["method"] = "wellcond-gd"
-    trace.constants["alpha"] = alpha
+    trace.constants["alpha"] = problem.strong_convexity_alpha
     trace.constants["kappa"] = kappa
     if kappa > 1.0:
         trace.constants["gamma"] = 1.0 / (kappa - 1.0)
@@ -141,18 +135,16 @@ def run_well_conditioned(problem: Problem, x0, T: int) -> Trace:
     return trace
 
 
-def _attach_reference(trace: Trace, problem: Problem, feasible: FeasibleSet,
-                      reference: Vector | None = None) -> None:
+def _attach_reference(trace: Trace, problem: Problem, feasible: FeasibleSet) -> None:
     """Record the reference point x* the guarantees are measured against and
     f* there; when no minimizer exists over the run's set, fall back to the
     simplex one and flag the certificate (the bounds hold for any fixed
     comparator)."""
-    if reference is None:
-        try:
-            reference = problem.minimizer_over(feasible)
-        except ValueError:
-            reference = problem.minimizer_over(Simplex(problem.dim))
-            trace.add_flag("comparator-reference")
+    try:
+        reference = problem.minimizer_over(feasible)
+    except ValueError:
+        reference = problem.minimizer_over(Simplex(problem.dim))
+        trace.add_flag("comparator-reference")
     reference = as_vector(reference)
     trace.constants["x_star"] = reference
     trace.constants["f_star"] = problem.value(reference)

@@ -184,7 +184,8 @@ class TestGeneralNormAgm:
         s0 = AccelState.start(np.array([0.5, 0.5]))
         g = p2.gradient(s0.x)
         plain = agm2_step(s0, g, 4.0, AgmSchedule("agm-smooth"))
-        gen = general_norm_agm_step(EuclideanMap(), Unconstrained(2), s0, g, 4.0)
+        gen = general_norm_agm_step(EuclideanMap(), Unconstrained(2), s0, g, 4.0,
+                                    1.0 / (2.0 * 4.0))
         np.testing.assert_allclose(gen.x, plain.x, atol=1e-14)
         np.testing.assert_allclose(gen.y, plain.y, atol=1e-14)
         np.testing.assert_allclose(gen.z, plain.z, atol=1e-14)
@@ -201,7 +202,7 @@ class TestGeneralNormAgm:
         p = make_diag_quadratic([1.0, 1.0, 1.0], [1 / 3] * 3)
         s0 = AccelState.start(np.array([1 / 3] * 3))
         s1 = general_norm_agm_step(NegEntropyMap(), Simplex(3), s0,
-                                   p.gradient(s0.x), 1.0)
+                                   p.gradient(s0.x), 1.0, 0.5)
         np.testing.assert_allclose(s1.y, s0.x, atol=1e-9)
         np.testing.assert_allclose(s1.z, s0.z, atol=1e-12)
 
@@ -218,7 +219,29 @@ class TestGeneralNormAgm:
         s0 = AccelState.start(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             general_norm_agm_step(NegEntropyMap(), Ball(np.zeros(2), 1.0), s0,
-                                  p2.gradient(s0.x), 4.0)
+                                  p2.gradient(s0.x), 4.0, 0.125)
+
+    @pytest.mark.parametrize("mirror_map, feasible, pid, x0", [
+        (NegEntropyMap(), Simplex(3), "lse3", [0.6, 0.3, 0.1]),
+        (EuclideanMap(), Ball(np.zeros(2), 1.0), "p2", [0.6, 0.3]),
+    ])
+    def test_step_with_recorded_eta_is_bit_identical(self, mirror_map, feasible,
+                                                     pid, x0):
+        """The run records eta_t = (t+1) alpha_h / (2 beta), the step size the
+        step once computed itself; each recorded state is the step from the
+        one before with that eta, bit for bit."""
+        problem = get_problem(pid)
+        beta = problem.smoothness_beta
+        trace = run_general_norm_agm(problem, mirror_map, feasible, x0, 40)
+        t = np.arange(trace.T)
+        assert trace.eta.tolist() == ((t + 1.0) * mirror_map.alpha_h / (2.0 * beta)).tolist()
+        for k in range(trace.T):
+            state = AccelState(x=trace.x[k], y=trace.y[k], z=trace.z[k], t=k)
+            eta = (k + 1.0) * mirror_map.alpha_h / (2.0 * beta)
+            nxt = general_norm_agm_step(mirror_map, feasible, state, trace.grad[k],
+                                        beta, eta)
+            for name in ("x", "y", "z"):
+                assert getattr(nxt, name).tobytes() == getattr(trace, name)[k + 1].tobytes()
 
 
 def l1_prox_instances(rng, dim: int, count: int):

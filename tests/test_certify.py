@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import gdcert.certify
 from gdcert.certify import (
     PotentialKind,
-    PotentialSpec,
     THEOREMS,
     certify_trace,
     potential,
@@ -17,7 +16,7 @@ from gdcert.certify import (
     _envelope_column,
 )
 from gdcert.core import Unconstrained
-from gdcert.descent import Constant, run_online_gd
+from gdcert.descent import Constant, run_online_gd, run_strongly_convex_gd
 from gdcert.harness import (
     RunConfig,
     json_dumps,
@@ -45,33 +44,32 @@ def empty_trace():
 class TestPotentialValues:
     def test_distance_kind_worked_case(self):
         # ||x - x*||^2 / (2 eta) at x = 1, x* = 0, eta = 0.1
-        spec = PotentialSpec(PotentialKind.DISTANCE, {"eta": 0.1},
-                             np.array([0.0]), 0.0)
-        assert potential(spec, view(1.0, f=0.5), 0) == pytest.approx(5.0)
+        c = {"eta": 0.1, "x_star": np.array([0.0]), "f_star": 0.0}
+        assert potential(PotentialKind.DISTANCE, c, view(1.0, f=0.5), 0) == pytest.approx(5.0)
 
     def test_agm_kind_at_start(self):
         # t = 0 kills the value term; 2 beta ||z0 - x*||^2 = 2
-        spec = PotentialSpec(PotentialKind.AGM, {"beta": 1.0}, np.array([0.0]), 0.0)
+        c = {"beta": 1.0, "x_star": np.array([0.0]), "f_star": 0.0}
         s = view(1.0, f=0.5, y=1.0, z=1.0, f_y=0.5)
-        assert potential(spec, s, 0) == pytest.approx(2.0)
+        assert potential(PotentialKind.AGM, c, s, 0) == pytest.approx(2.0)
 
     def test_zero_at_reference(self):
         for kind, consts in [(PotentialKind.VALUE, {}),
                              (PotentialKind.VALUE_DISTANCE, {"beta": 2.0}),
                              (PotentialKind.EXP_VALUE, {"gamma": 0.5})]:
-            spec = PotentialSpec(kind, consts, np.array([0.0]), 0.0)
-            assert potential(spec, view(0.0, f=0.0), 3) == pytest.approx(0.0)
+            c = {**consts, "x_star": np.array([0.0]), "f_star": 0.0}
+            assert potential(kind, c, view(0.0, f=0.0), 3) == pytest.approx(0.0)
 
     def test_missing_constants_rejected(self):
-        spec = PotentialSpec(PotentialKind.DISTANCE, {}, np.array([0.0]), 0.0)
-        with pytest.raises(ValueError):
-            potential(spec, view(1.0, f=0.5), 0)
+        c = {"x_star": np.array([0.0]), "f_star": 0.0}
+        with pytest.raises(ValueError, match="needs constant 'eta'"):
+            potential(PotentialKind.DISTANCE, c, view(1.0, f=0.5), 0)
 
     def test_failed_kind_uses_doubled_distance_weight(self):
-        spec = PotentialSpec(PotentialKind.FAILED, {"beta": 4.0}, np.zeros(2), 0.0)
+        c = {"beta": 4.0, "x_star": np.zeros(2), "f_star": 0.0}
         s = view([1.0, 1.0], f=2.5)
         # a = 4 beta so the distance term is 2 beta ||x||^2 = 16
-        assert potential(spec, s, 0) == pytest.approx(16.0)
+        assert potential(PotentialKind.FAILED, c, s, 0) == pytest.approx(16.0)
 
 
 class TestCertifyStep:
@@ -217,7 +215,7 @@ def test_potential_evaluated_once_per_point(theorem_id, monkeypatch):
     evaluate = gdcert.certify.potential
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args[-1])
         return evaluate(*args)
 
     monkeypatch.setattr(gdcert.certify, "potential", counted)
@@ -226,6 +224,52 @@ def test_potential_evaluated_once_per_point(theorem_id, monkeypatch):
     assert len(report.step_checks) == T
     assert len(calls) == 1
     assert calls[0].tolist() == list(range(T + 1))
+
+
+# the theorems that read each constant the certifier estimates from a trace
+# that lacks it, and the flag the estimate raises
+ESTIMATED = {
+    "G": ({"gd-regret", "sc-regret", "sc-average"}, "trajectory-estimated-G"),
+    "G_dual": ({"mirror-regret"}, "trajectory-estimated-G"),
+    "D": ({"gd-regret", "smooth-value-log", "smooth-value-scaled", "frank-wolfe-log",
+           "frank-wolfe"}, "trajectory-estimated-D"),
+}
+
+
+class TestEstimatedConstants:
+    def test_sc_theorems_report_the_same_estimated_g(self):
+        p2 = get_problem("p2")
+        trace = run_strongly_convex_gd(FixedAdversary(p2), Unconstrained(2), [1.0, 1.0],
+                                       p2.strong_convexity_alpha, 30)
+        trace.constants["f_star"] = p2.optimal_value_over(Unconstrained(2))
+        reports = [certify_trace(tid, trace, problem=p2)
+                   for tid in ("sc-regret", "sc-average")]
+        g_max = max(float(np.linalg.norm(g)) for g in trace.grad)
+        for report in reports:
+            assert report.error is None and report.passed
+            assert report.constants["G"] == g_max
+            assert "trajectory-estimated-G" in report.flags
+        (end,) = reports[1].end_checks
+        assert end.rhs == g_max ** 2 / (p2.strong_convexity_alpha * 31.0)
+
+    @pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
+    def test_estimates_only_for_their_readers(self, theorem_id):
+        p2 = get_problem("p2")
+        trace = run_smooth_gd(p2, [1.0, 1.0], 20)
+        del trace.constants["D"]  # a trace with no D, G or G_dual
+        report = certify_trace(theorem_id, trace, problem=p2)
+        norms = [float(np.linalg.norm(g)) for g in trace.grad]
+        expected = {"G": max(norms), "G_dual": max(norms),
+                    "D": max(float(np.linalg.norm(x - trace.constants["x_star"]))
+                             for x in trace.x)}
+        for name, (readers, flag) in ESTIMATED.items():
+            if theorem_id in readers:
+                assert report.constants[name] == expected[name], name
+                assert flag in report.flags, name
+            else:
+                assert name not in report.constants, name
+        raised = {flag for readers, flag in ESTIMATED.values() if theorem_id in readers}
+        assert set(report.flags) == raised
 
 
 class TestFailedPotentialSemantics:

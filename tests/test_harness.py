@@ -11,7 +11,7 @@ import pytest
 
 from gdcert import accel, descent, mirror, problems, smooth
 from gdcert.certify import THEOREMS
-from gdcert.cli import main
+from gdcert.cli import _build_parser, _config_from_args, _config_from_dict, main
 from gdcert.core import Unconstrained
 from gdcert.descent import Constant, run_online_gd
 from gdcert.harness import (
@@ -68,6 +68,13 @@ class TestConfigValidation:
             validate_config(RunConfig(problem="p2", method="frank-wolfe", steps=5,
                                       feasible_set="simplex", schedule="fw-1t",
                                       certify=True, theorems=["frank-wolfe"]))
+
+    def test_certify_resolves_the_theorems_once(self):
+        config = RunConfig(problem="p2", method="smooth-gd", steps=5, certify=True)
+        assert validate_config(config).theorems == (
+            "smooth-value-log", "smooth-value-scaled", "smooth-value-distance")
+        config.certify = False
+        assert validate_config(config).theorems == ()
 
     def test_theorems_require_certify(self):
         with pytest.raises(ConfigError):
@@ -316,11 +323,16 @@ class TestCli:
         # the weight-recurrence schedule runs unconstrained only
         ["--problem", "p2", "--method", "agm2", "--schedule", "agm-lambda",
          "--set", "ball"],
+        # --certify with no theorem that applies to the run
+        ["--problem", "p3", "--method", "agm1"],
+        ["--problem", "p3", "--method", "restart-agm"],
+        ["--problem", "p3", "--method", "agm2", "--schedule", "agm-lambda"],
     ], ids=["negentropy-ball", "experts-unconstrained", "lse3-unconstrained",
             "lse3-wellcond", "lse3-sc-agm", "one-point-simplex",
             "fw-x0-outside", "negentropy-x0-on-face", "mirror-x0-outside",
             "agm-negentropy-x0-off-simplex", "mirror-zero-G",
-            "mirror-ball-zero-G", "gd-ball-zero-G", "agm-lambda-ball"])
+            "mirror-ball-zero-G", "gd-ball-zero-G", "agm-lambda-ball",
+            "agm1-no-theorem", "restart-agm-no-theorem", "agm-lambda-no-theorem"])
     def test_unstartable_run_exit_two(self, tmp_path, capsys, args):
         out = tmp_path / "out.json"
         code = main(["run", *args, "--steps", "10", "--certify", "--out", str(out)])
@@ -339,9 +351,11 @@ class TestCli:
         {"problem": "lse3", "method": "wellcond-gd"},
         {"method": "frank-wolfe", "set": "simplex", "x0": [0.7, 0.7]},
         {"method": "agm2", "schedule": "agm-lambda", "set": "ball"},
+        {"method": "agm1", "certify": True},
     ], ids=["steps-text", "steps-fraction", "x0-text-coordinate",
             "x0-infinite", "x0-text-unparsable", "format-yaml", "format-upper",
-            "no-curvature-constants", "fw-x0-outside", "agm-lambda-ball"])
+            "no-curvature-constants", "fw-x0-outside", "agm-lambda-ball",
+            "agm1-no-theorem"])
     def test_suite_bad_entry_exit_two_writes_nothing(self, tmp_path, capsys, bad):
         good = {"problem": "p2", "method": "smooth-gd", "steps": 5,
                 "out": str(tmp_path / "first.json")}
@@ -351,6 +365,23 @@ class TestCli:
         assert main(["suite", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_run_arguments_equal_suite_entry(self):
+        argv = ["run", "--problem", "p2", "--method", "smooth-gd", "--steps", "20",
+                "--set", "ball", "--theorems", "smooth-projected,failed-potential",
+                "--x0", "0.5,-0.25", "--out", "t.csv", "--format", "csv"]
+        entry = {"problem": "p2", "method": "smooth-gd", "steps": 20, "set": "ball",
+                 "theorems": ["smooth-projected", "failed-potential"],
+                 "x0": [0.5, -0.25], "out": "t.csv", "format": "csv"}
+        from_args = _config_from_args(_build_parser().parse_args(argv))
+        assert from_args == _config_from_dict(entry)
+        assert from_args.certify and from_args.feasible_set == "ball"
+        default_args = _build_parser().parse_args(
+            ["run", "--problem", "p1", "--method", "gd", "--steps", "5",
+             "--certify", "--out", "t.json"])
+        assert _config_from_args(default_args) == _config_from_dict(
+            {"problem": "p1", "method": "gd", "steps": 5, "certify": True,
+             "out": "t.json"})
 
     def test_suite_x0_string_is_parsed(self, tmp_path):
         out = tmp_path / "out.json"
