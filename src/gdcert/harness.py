@@ -245,9 +245,8 @@ def validate_config(config: RunConfig) -> _Prepared:
         tid for tid, th in THEOREMS.items() if not th.expected_fail and th.mismatch(
             config.method, config.feasible_set, prepared.schedule) is None]
     if not theorems:
-        raise ConfigError(
-            f"no theorem certifies method {config.method!r} on the "
-            f"{config.feasible_set} set with schedule {prepared.schedule!r}")
+        raise ConfigError(f"no theorem certifies this run of method {config.method!r}; "
+                          "run it uncertified")
     return prepared._replace(theorems=tuple(theorems))
 
 
