@@ -240,8 +240,6 @@ def run_general_norm_agm(problem: Problem, mirror_map: MirrorMap,
     trace.constants["beta"] = beta
     trace.constants["alpha_h"] = mirror_map.alpha_h
     _attach_reference(trace, problem, feasible)
-    trace.constants["bregman_x_star_z0"] = mirror_map.bregman(
-        trace.constants["x_star"], x0)
     return trace
 
 
@@ -309,8 +307,6 @@ def run_sc_agm(problem: Problem, x0, T: int) -> Trace:
                             "kappa": kappa})
     if kappa == 1.0:
         trace.add_flag("single-step-optimal")
-    else:
-        trace.constants["gamma"] = 1.0 / (np.sqrt(kappa) - 1.0)
     _attach_reference(trace, problem, Unconstrained(problem.dim))
     return trace
 

@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from gdcert.accel import sc_agm_recursion_residual
 from gdcert.core import as_vector, dual_norm
 from gdcert.descent import weighted_average
 from gdcert.mirror import get_map
@@ -348,12 +349,9 @@ def _agm_envelope(trace: Trace, c: dict):
 
 
 def _agm_mirror_envelope(trace: Trace, c: dict):
-    div = c.get("bregman_x_star_z0")
-    if div is None:
-        if trace.z is None:  # an uncoupled run has no z0 to measure from
-            return lambda t: None
-        mp = get_map(trace.meta.get("map", "euclidean"))
-        div = mp.bregman(as_vector(c["x_star"]), trace.z[0])
+    if trace.z is None:  # an uncoupled run has no z0 to measure from
+        return lambda t: None
+    div = c["map"].bregman(c["x_star"], trace.z[0])
     coef = 4.0 * c["beta"] / c["alpha_h"]
     return lambda t: coef * div / (t * (t + 1.0))
 
@@ -453,14 +451,18 @@ def _agm_sc(trace, c, tol, envelope, phi0, **_):
         raise ValueError("the initial potential is undefined")
     out.append(_bound_check("initial-potential", phi0, envelope(trace, c)(0), tol,
                             note="Phi_0 within (alpha+beta)/2 ||x0-x*||^2"))
-    from gdcert.accel import sc_agm_recursion_residual
-
     z = _at_every_point(trace, "z")
     residual = sc_agm_recursion_residual(trace.grad, trace.x[:-1], z[:-1], z[1:],
                                          c["alpha"], c["kappa"])
     out.append(_bound_check("z-recursion-residual", np.max(residual), 0.0,
                             1e-9, note="implied aggressive-sequence recursion"))
     return out
+
+
+def _rate(gamma):
+    """The constants of a contraction at rate gamma(kappa): none at kappa = 1,
+    where one exact step leaves nothing to telescope."""
+    return lambda c: {"gamma": gamma(c["kappa"])} if c.get("kappa", 1.0) > 1.0 else {}
 
 
 @dataclass(frozen=True)
@@ -477,7 +479,8 @@ class _Theorem:
     envelope: Callable | None = None
     schedules: tuple | None = None      # None: any schedule of the method
     expected_fail: bool = False
-    constants: dict = field(default_factory=dict)  # set by the argument itself
+    # (constants) -> the constants the argument itself sets from them
+    constants: Callable = lambda c: {}
     reads: tuple = ()                   # constants the end check reads beyond the shape's
 
     def mismatch(self, method: str, set_id: str, schedule: str | None) -> str | None:
@@ -528,7 +531,7 @@ THEOREMS = {th.theorem_id: th for th in [
         "smooth-projected",
         "projected smooth descent gap is below (beta/2) ||x0 - x*||^2 / T",
         PotentialKind.VALUE_DISTANCE, ("smooth-gd",), "bounded", _projected,
-        _distance_envelope, constants={"projected": True}),
+        _distance_envelope, constants=lambda c: {"projected": True}),
     _Theorem(
         "frank-wolfe-log",
         "Frank-Wolfe gap with the 1/(t+1) schedule is below beta D^2 (1 + ln T) / (2T)",
@@ -543,7 +546,7 @@ THEOREMS = {th.theorem_id: th for th in [
         "well-conditioned",
         "gap contracts like exp(-T/kappa) times the initial gap",
         PotentialKind.EXP_VALUE, ("wellcond-gd",), "unconstrained", _final_gap,
-        _exp_envelope),
+        _exp_envelope, constants=_rate(lambda kappa: 1.0 / (kappa - 1.0))),
     _Theorem(
         "well-conditioned-distance",
         "squared distance contracts like kappa exp(-T/kappa)",
@@ -566,7 +569,8 @@ THEOREMS = {th.theorem_id: th for th in [
     _Theorem(
         "agm-sc",
         "strongly convex accelerated gap is below (1+gamma)^{-t} (alpha+beta)/2 ||x0-x*||^2",
-        PotentialKind.AGM_SC, ("sc-agm",), "unconstrained", _agm_sc, _agm_sc_envelope),
+        PotentialKind.AGM_SC, ("sc-agm",), "unconstrained", _agm_sc, _agm_sc_envelope,
+        constants=_rate(lambda kappa: 1.0 / (np.sqrt(kappa) - 1.0))),
     _Theorem(
         "failed-potential",
         "the uncoupled t(t+1) potential with a = 4 beta must increase at some step",
@@ -598,8 +602,8 @@ _ESTIMATES = {
 
 def _gather_constants(trace: Trace, theorem: _Theorem) -> tuple[dict, list]:
     """Merge trace constants with the estimates of those the theorem reads and
-    the trace lacks; returns the constants plus the honesty flags the
-    estimates raise."""
+    the trace lacks, then with those its argument sets; returns the
+    constants plus the honesty flags the estimates raise."""
     c = dict(trace.constants)
     flags = list(trace.flags)
     shape = POTENTIALS.get(theorem.kind)
@@ -609,18 +613,17 @@ def _gather_constants(trace: Trace, theorem: _Theorem) -> tuple[dict, list]:
         c["x_star"] = as_vector(c["x_star"])
     if "map" in needs:
         c["map"] = get_map(trace.meta.get("map", "euclidean"))
-    if not trace.T:  # no steps to estimate eta, G or D from
-        return c, flags
-    if "eta" not in c:
+    if trace.T and "eta" not in c:  # no steps: no eta, G or D to estimate
         c["eta"] = trace.eta[0].item()
         if "eta" in needs and np.any(trace.eta != c["eta"]):
             flags.append("varying-eta")
     for name, (estimate, flag) in _ESTIMATES.items():
-        if name in needs and c.get(name) is None:
+        if trace.T and name in needs and c.get(name) is None:
             value = estimate(trace, c)
             if value is not None:
                 c[name] = value
                 flags.append(flag)
+    c.update(theorem.constants(c))
     return c, flags
 
 
@@ -678,7 +681,6 @@ def certify_trace(theorem_id: str, trace: Trace, problem: Problem | None = None,
         tol = max(tol, LONG_RUN_TOL)
 
     consts, flags = _gather_constants(trace, spec)
-    consts.update(spec.constants)
     report = CertReport(theorem=theorem_id, claim=spec.claim,
                         potential_kind=spec.kind.value if spec.kind else None,
                         constants={k: v for k, v in consts.items() if k != "map"},
@@ -705,7 +707,9 @@ def certify_trace(theorem_id: str, trace: Trace, problem: Problem | None = None,
 
 def rate_comparison(traces: list, theorem_ids: list) -> dict:
     """Side-by-side per-iteration table: measured gap of each trace next to
-    each theorem's envelope. Traces must be over the same objective."""
+    each theorem's envelope, on the first trace of a method the theorem
+    certifies, else on the first trace. Traces must be over the same
+    objective."""
     columns = ["t"]
     horizon = max((tr.T + 1 for tr in traces), default=0)
     series = [list(range(horizon))]
@@ -722,19 +726,22 @@ def rate_comparison(traces: list, theorem_ids: list) -> dict:
             raise KeyError(f"unknown theorem id {tid!r}")
         columns.append(f"envelope:{tid}")
         if traces:
-            series.append(_envelope_column(tid, traces[0], horizon))
+            own = next((tr for tr in traces
+                        if tr.meta.get("method") in THEOREMS[tid].methods), traces[0])
+            series.append(_envelope_column(tid, own, horizon))
     return {"columns": columns, "rows": [list(row) for row in zip(*series)]}
 
 
 def _envelope_column(theorem_id: str, trace: Trace, horizon: int) -> list:
-    """Theoretical gap envelope at t = 0..horizon-1 for the trace's constants,
-    built once; None at t = 0, and at every t for theorems that bound no gap
-    or whose envelope reads a constant the trace does not carry."""
-    envelope = THEOREMS[theorem_id].envelope
-    if envelope is None:
+    """Theoretical gap envelope at t = 0..horizon-1 at the constants the
+    certificate reads on the trace, built once; None at t = 0, and at every t
+    for theorems that bound no gap or whose envelope reads a constant the
+    trace does not carry."""
+    spec = THEOREMS[theorem_id]
+    if spec.envelope is None:
         return [None] * horizon
     try:
-        bound = envelope(trace, trace.constants)
+        bound = spec.envelope(trace, _gather_constants(trace, spec)[0])
         return [None] + [bound(t) for t in range(1, horizon)]
     except KeyError:
         return [None] * horizon

@@ -96,10 +96,11 @@ def default_x0(set_id: str, dim: int) -> np.ndarray:
 
 
 class _Prepared(NamedTuple):
-    """What ``validate_config`` makes for a run. G, its flags, the comparator
-    and D (the set's diameter, else the distance from x0 to the comparator)
-    are an online method's; ``problem`` is None for an online adversary.
-    ``theorems`` are the ids to certify, empty when not certifying."""
+    """What ``validate_config`` makes for a run. D (the set's diameter, else
+    x0's distance to the comparator) and G with its flags are made where the
+    step size reads them; the comparator is an online method's, and
+    ``problem`` is None for an online adversary. ``theorems`` are the ids to
+    certify, empty when not certifying."""
 
     adversary: OnlineAdversary
     problem: Problem | None
@@ -286,15 +287,21 @@ def _prepare(config: RunConfig) -> _Prepared:
     if mp is not None and not (feasible.member(x0) and mp.interior(x0)):
         raise ConfigError(f"method {method!r} needs x0 in the {config.feasible_set} "
                           f"set and in the {entry.start_map} map's domain")
-    comparator, D, G, flags = None, feasible.diameter, None, []
+    comparator, D, G, flags = None, None, None, []
     if entry.online:
         try:
             comparator = adversary.comparator_over(feasible, config.steps)
         except ValueError as exc:
             raise ConfigError(f"problem {config.problem!r} has no comparator "
                               f"on an unconstrained run: {exc}") from exc
+    if "D" in entry.needs:
+        D = feasible.diameter
         if D is None:
             D = float(np.linalg.norm(x0 - comparator))
+        if D == 0.0:
+            raise ConfigError(f"method {method!r} steps by D/(G sqrt T), and D is 0: "
+                              "a one-point set, or x0 at the comparator")
+    if "G" in entry.needs:
         # mirror descent bounds the gradients in the map's dual norm
         kind = Norm.EUCLIDEAN if mp is None else mp.norm
         G = adversary.grad_bound(kind)
@@ -302,34 +309,27 @@ def _prepare(config: RunConfig) -> _Prepared:
             G = dual_norm(kind, adversary.next_loss(0, x0).gradient(x0))
             flags.append("trajectory-estimated-G")
         G = float(G)
-    if "D" in entry.needs and D == 0.0:
-        raise ConfigError(f"method {method!r} steps by D/(G sqrt T), and D is 0: a "
-                          "one-point set, or x0 at the comparator")
-    if "G" in entry.needs and G == 0.0:
-        raise ConfigError(f"method {method!r} divides its step size by G, and G is 0: "
-                          "no declared bound, and the gradient at x0 is 0")
+        if G == 0.0:
+            raise ConfigError(f"method {method!r} divides its step size by G, and G "
+                              "is 0: no declared bound, and the gradient at x0 is 0")
     return _Prepared(adversary, problem, feasible, x0, config.steps, schedule, mp,
                      G, flags, comparator, D)
 
 
 def _dispatch(config: RunConfig, p: _Prepared) -> Trace:
-    """Run the configured method from what ``_prepare`` made for it; an online
-    run records D and G (G_dual for mirror descent), its flags and f*."""
+    """Run the configured method from what ``_prepare`` made for it. The trace
+    records the D and G its step size read (G as G_dual for mirror descent)
+    with their flags, and an online run on a fixed objective its f*."""
     entry = METHODS[config.method]
     trace = entry.run(p)
-    if entry.online:
-        G = p.G
-        if p.flags and "G" not in entry.needs:
-            # the step size never reads G: bound it by the run's gradients
-            G = float(np.max(np.sqrt(np.vecdot(trace.grad, trace.grad))))
-        if p.mirror_map is None:
-            trace.constants.update(D=p.D, G=G)
-        else:
-            trace.constants["G_dual"] = G
-        for f in p.flags:
-            trace.add_flag(f)
-        if p.problem is not None:
-            trace.constants["f_star"] = p.problem.optimal_value_over(p.feasible)
+    if "D" in entry.needs:
+        trace.constants.update(D=p.D, G=p.G)
+    elif "G" in entry.needs:
+        trace.constants["G_dual"] = p.G
+    for f in p.flags:
+        trace.add_flag(f)
+    if entry.online and p.problem is not None:
+        smooth._attach_reference(trace, p.problem, p.feasible)
     return trace
 
 

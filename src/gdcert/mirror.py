@@ -196,7 +196,6 @@ def run_mirror_descent(adversary: OnlineAdversary, mirror_map: MirrorMap,
     trace.constants["eta"] = eta
     trace.constants["alpha_h"] = mirror_map.alpha_h
     trace.constants["x_star"] = comparator
-    trace.constants["bregman_x_star_x0"] = mirror_map.bregman(comparator, as_vector(x0))
     trace.meta["map"] = mirror_map.map_id
     return trace
 

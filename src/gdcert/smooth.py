@@ -68,7 +68,7 @@ def run_smooth_gd(problem: Problem, x0, T: int,
                   feasible: FeasibleSet | None = None) -> Trace:
     """T steps of x <- Pi(x - grad/beta), recording values and gradients,
     with the gaps measured from the problem's minimizer over the (possibly
-    whole-space) feasible set."""
+    whole-space) feasible set, and D where the sublevel set gives one."""
     beta = problem.smoothness_beta
     if beta is None:
         raise ValueError("problem declares no smoothness constant")
@@ -81,11 +81,8 @@ def run_smooth_gd(problem: Problem, x0, T: int,
     trace.constants["beta"] = beta
     _attach_reference(trace, problem, feasible)
     D = problem.sublevel_diameter(as_vector(x0))
-    if D is None:
-        d = trace.x - trace.constants["x_star"]
-        D = float(np.max(np.sqrt(np.vecdot(d, d))))
-        trace.add_flag("trajectory-estimated-D")
-    trace.constants["D"] = D
+    if D is not None:
+        trace.constants["D"] = D
     return trace
 
 
@@ -128,9 +125,7 @@ def run_well_conditioned(problem: Problem, x0, T: int) -> Trace:
     trace.meta["method"] = "wellcond-gd"
     trace.constants["alpha"] = problem.strong_convexity_alpha
     trace.constants["kappa"] = kappa
-    if kappa > 1.0:
-        trace.constants["gamma"] = 1.0 / (kappa - 1.0)
-    else:
+    if kappa == 1.0:
         trace.add_flag("single-step-optimal")
     return trace
 

@@ -31,9 +31,9 @@ class Trace:
     do, and None when the method never records it.
 
     The certifier reads the columns and never writes them: per-step verdicts
-    are in its report. ``meta`` echoes the configuration and carries the
-    constants and flags the certifier needs, e.g. ``meta["constants"]["D"]``
-    and ``meta["flags"] = ["trajectory-estimated-D"]``.
+    are in its report, as are the constants only a proof reads. ``meta``
+    echoes the configuration and carries the run's constants and flags, e.g.
+    ``meta["constants"]["beta"]`` and ``meta["flags"] = ["comparator-reference"]``.
     """
 
     x: np.ndarray

@@ -297,6 +297,11 @@ def replay_certificate(theorem_id: str, kind: str | None, trace, problem=None,
     xs = list(trace.x)
     if c.get("D") is None and kind in ("distance", "value", "value-scaled"):
         c["D"] = max(math.sqrt(_sq(x - x_star)) for x in xs)
+    # the contraction rates of the two exponential arguments
+    if theorem_id == "well-conditioned":
+        c["gamma"] = 1.0 / (c["kappa"] - 1.0)
+    elif theorem_id == "agm-sc":
+        c["gamma"] = 1.0 / (np.sqrt(c["kappa"]) - 1.0)
     f_star = c.get("f_star")
 
     coupled = kind in COUPLED
@@ -370,9 +375,7 @@ def replay_certificate(theorem_id: str, kind: str | None, trace, problem=None,
         rz = float(np.sum((points[0] - x_star) ** 2))
         end = [_anytime(c, values, lambda t: 2.0 * c["beta"] * rz / (t * (t + 1.0)), tol)]
     elif theorem_id == "agm-mirror":
-        div = c.get("bregman_x_star_z0")
-        if div is None:
-            div = _divergence(map_id, x_star, points[0])
+        div = _divergence(map_id, x_star, points[0])
         coef = 4.0 * c["beta"] / c["alpha_h"]
         end = [_anytime(c, values, lambda t: coef * div / (t * (t + 1.0)), tol)]
     elif theorem_id == "agm-sc":

@@ -1,4 +1,5 @@
 import copy
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -316,6 +317,26 @@ class TestRateComparison:
         row = table["rows"][40]
         gap_agm, gap_plain = row[1], row[2]
         assert gap_agm < gap_plain
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_envelope_columns_read_their_own_runs(self, order):
+        """Each envelope column is its theorem's envelope on the run of the
+        method it certifies, whatever the trace order: on p3 from x0 = (1, 1),
+        f(x0) - f* = 50.5, ||x0 - x*||^2 = 2, beta = 100 and kappa = 100."""
+        p3, T = get_problem("p3"), 30
+        traces = [run_well_conditioned(p3, [1.0, 1.0], T), run_agm2(p3, [1.0, 1.0], T),
+                  run_sc_agm(p3, [1.0, 1.0], T)]
+        theorems = ["well-conditioned", "agm-smooth", "agm-sc"]
+        closed_forms = [lambda t: np.exp(-t / 100.0) * 50.5,
+                        lambda t: 2.0 * 100.0 * 2.0 / (t * (t + 1.0)),
+                        # (alpha+beta)/2 ||x0-x*||^2 (1 + 1/(sqrt(kappa)-1))^-t
+                        lambda t: 0.5 * (1.0 + 100.0) * 2.0 * (1.0 + 1.0 / 9.0) ** -t]
+        table = rate_comparison([traces[i] for i in order], theorems)
+        for k, (tid, trace, bound) in enumerate(zip(theorems, traces, closed_forms)):
+            column = [row[4 + k] for row in table["rows"]]
+            assert column == _envelope_column(tid, trace, T + 1), tid
+            assert column[1:] == pytest.approx([bound(t) for t in range(1, T + 1)],
+                                               rel=1e-12), tid
 
     def test_envelope_without_its_column_is_none(self):
         # agm-mirror's envelope reads z0, which an uncoupled run does not record

@@ -278,11 +278,13 @@ class TestCli:
                      "--certify", "--out", str(out)])
         assert code == 0
         trace = json.loads(out.read_text())
-        G = trace["meta"]["constants"]["G"]
-        assert G == max(s["grad_norm"] for s in trace["steps"]) == 12.0
-        assert "trajectory-estimated-G" in trace["meta"]["flags"]
         report = json.loads((tmp_path / "out.report.json").read_text())
-        assert all(c["step_failures"] == 0 for c in report["certificates"])
+        assert [c["theorem"] for c in report["certificates"]] == ["sc-regret", "sc-average"]
+        for cert in report["certificates"]:
+            G = cert["constants"]["G"]
+            assert G == max(s["grad_norm"] for s in trace["steps"]) == 12.0
+            assert "trajectory-estimated-G" in cert["flags"]
+            assert cert["step_failures"] == 0
 
     def test_x0_parsing(self, tmp_path):
         code = main(["run", "--problem", "p2", "--method", "smooth-gd",
@@ -546,9 +548,24 @@ class TestOneGradientPerStep:
         assert len(calls) == trace.T
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_trace_records_only_the_constants_the_run_used(method):
+    """No trace carries a constant only a proof reads: the rate gamma, a
+    Bregman start term, or a D or G its method's step size does not read."""
+    cfg = {"steps": 40, **GRADIENT_COUNT_RUNS[method]}
+    trace = run_experiment(RunConfig(method=method, **cfg)).trace
+    assert not {"gamma", "bregman_x_star_x0", "bregman_x_star_z0"} & set(trace.constants)
+    assert ("G" in trace.constants) == ("D" in METHODS[method].needs)
+    assert ("G_dual" in trace.constants) == method.startswith("mirror-")
+    if method == "sc-gd":
+        assert "D" not in trace.constants
+        assert "trajectory-estimated-G" not in trace.flags
+
+
 class TestGradientCallsPerRun:
     """Every gradient call of a whole run, start checks and certification
-    included: one per step, plus the x0 gradient that fixes G."""
+    included: one per step, plus the x0 gradient that fixes G where the step
+    size reads a G the problem does not declare."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -567,6 +584,7 @@ class TestGradientCallsPerRun:
 
     @pytest.mark.parametrize("cfg, expected", [
         (dict(problem="p1", method="gd", steps=200), 201),
+        (dict(problem="p1", method="sc-gd", steps=200), 200),
         (dict(problem="p3", method="sc-agm", steps=200, certify=True), 200),
     ])
     def test_gradient_calls(self, cfg, expected, calls):

@@ -101,10 +101,17 @@ GOLDEN_RUNS = {
 # deleted; CSV traces and reports unchanged). The "agm2-negentropy-lse3"
 # pins alone were regenerated when the grid search for its l1 smooth step
 # gave way to the exact minimizer: its iterates moved by up to 6.4e-10.
+# When a trace came to record only the constants its run used, six JSON pairs
+# were derived from the previous files by moving or deleting "key":value
+# tokens of "constants" objects: "gamma" and the "bregman_x_star_*" terms
+# left every trace, "sc-gd-p1" lost "D", "G" and its one flag (its "flags"
+# key with it), and each report's "gamma" and estimated "G" moved after
+# "eta", where the certifier now adds them; "well-conditioned-distance",
+# which reads no rate, lost its "gamma". No step table moved.
 GOLDEN = {
     ("agm2-negentropy-lse3", "json"): (
-        "c33f6c3b237856c7f4d4f2a91bb7e811f89693061c3c684c36a27119ed8cae0b",
-        "128307bda013f04009b790e8248fe09316d674ac817eab0e9d228e10f092d165"),
+        "5c40f3e8657e8d06716eab6511e8344fe3b0d4f82101377a42c4915d9fcd955c",
+        "af52730efef415a414a999c3d9fa4d9d32591ee1c3d76f6bcc15bd3a0326ef9e"),
     ("agm2-negentropy-lse3", "csv"): (
         "f14522ea7290827a633593e79f986176104bb3dd0aab7975abf77de6f87f5ebb",
         "164589f1a14354684b5b51dd142a190a7deb1803ae7174d70c4318b3779aa6ec"),
@@ -139,20 +146,20 @@ GOLDEN = {
         "2b3fe9e75d6feaaf11660342e1f5d645ecd402fd329f6216b289c7cc2c3cb244",
         "508f6b501165eb735cc1af6e7223cc04a6c5889b6773fa7bb0069861cbf8df2e"),
     ("mirror-negentropy-experts", "json"): (
-        "f6c294960f937db30d96f132eacd27d2c9f424625481728dfe2ec26e783494cb",
-        "afe58e2603ba82ba2de010ff6813c68e20ceb040c663966edba98b61a108547e"),
+        "20f21d1fdca9f9853928302bebc4ad326e08c6c23a0d0cfa2aa91eebb1cd1e29",
+        "0245cdd694ad7165e6c598e1df9f661f3c164135b45837ffdd1134f0c38e2d0d"),
     ("mirror-negentropy-experts", "csv"): (
         "b8385ca8a9abec35807e64cf4c740b81ad355479ed0844e912043839badfc84a",
         "6e90bfc1168d7b7a782697b6d5b14605ccf5dbb5e92a5bd6ea7289758c2e8833"),
     ("sc-agm-p3", "json"): (
-        "7f2a242b3aa7b0c1eadf5346be0ab76b262cde9200dc0f9041d5a30238361f9c",
-        "cb15d75c296de7a9a2b2be85dcb726cb2288b7a5e43ebf904e716ab37693c991"),
+        "64e6cd88e031c13a8149ab30161bfe5276551339e38524835bc2c5a6110776aa",
+        "db51e02012c6fcb0fdd52fb97e05f70acc8f14bd3d81ab807afb67cbbfd2d854"),
     ("sc-agm-p3", "csv"): (
         "ef0622af219b644e98cfa3decbbba59e92c69f94216fef98f3de2931b48ee29a",
         "db349b30f12cced7439c9363671b993d3242869e634060f68d929b8612f85fee"),
     ("sc-gd-p1", "json"): (
-        "3ab2b4f9efdc0db6c9436ca046533ccc918f21ed555bd74decad0769d70b2f72",
-        "6868832a0b257c937a5493b56e9105565bae92dc351c2c4388d8d40325391953"),
+        "337ffc80b6d23f9e354509a39302ecb81b1a26bfa080f12151f1cd2de719e074",
+        "483073476b7f00f2a562c9f79be6d6c16a98b5a2ebb2040a75bcf56a79bb259a"),
     ("sc-gd-p1", "csv"): (
         "4ef7aa37df031d0c6cd964d269e84f965a442600b6deb8e575d30d31f4abe969",
         "8e296f552626b54082e0887296bab851628729edb429b4e18672b1bd6e93b32f"),
@@ -175,8 +182,8 @@ GOLDEN = {
         "0e9606d896023f89f5d94cd006f338d74e23d4ae802c9ac572cd11b1e3f7b29d",
         None),
     ("wellcond-gd-p3", "json"): (
-        "7e8a6e6bf785284f9536aef0e585a7b6b1a5ee1b9fb6cb678a7c24f013b9d866",
-        "e3bc54cb023c21d39000cad7d1c99f0d30b258c1d2ef10210fe002ae4e4f2bdb"),
+        "06e8852d7eeb84e5426b52841f99f8ac007c889fd6c5e32f7e4a6b3bfb72060f",
+        "b661f6478d37229aafa14a44b19cc7a94b08fe8b0fce4862bc3d5654d62e93a6"),
     ("wellcond-gd-p3", "csv"): (
         "8418a19d23b4d22d82e120a1a01301db0f1ac705c2f330bde5b01670468711a8",
         "c6c246c8639d2b09411148fbe0bb38c58d27e1fe4e01bb7f1655ca98b19766e6"),
@@ -199,8 +206,8 @@ GOLDEN = {
         "affbf02eb91ea08c37fadb76fcefd9a5c06a2a1b21708473fb675fac1444284e",
         "d4262dc7dbcc84a1dae05546c19eb8c483ac94f2c3e2a364ba5351dacdeb38f8"),
     ("mirror-euclidean-experts-ball", "json"): (
-        "9ac576f4f1dd0388977d7c55c1d5357149d785701839cc7a50c6c127971e618e",
-        "17620a45548b3ffe3e0acfe07d6a9ec1c2ed8169f2f184e2cf4adc9e5488d560"),
+        "d08f59d36e02f5c4aa014f7b400408fd7b053d3686c87b237499eb020d177b1f",
+        "4f9c517e0029da458ce342b2b5036e5384d1fe01b38049a01e80208a4a615351"),
     ("mirror-euclidean-experts-ball", "csv"): (
         "b57039b406f33b69609249d3ee93829ad992eb5362d8f815a416f6be96b3b07a",
         "a219e2efd5b8d98383472d5c9caee6ff4fab7352e0fd084a6848e1d30f013df7"),

@@ -203,10 +203,17 @@ class TestSmoothRuns:
         assert "trajectory-estimated-D" not in trace.flags
 
     def test_lse_run_flags_estimated_constants(self):
+        # no closed-form sublevel diameter: the run records no D, and the
+        # certificate that reads D estimates it from the trajectory
         lse = get_problem("lse3")
         trace = run_smooth_gd(lse, np.ones(3), 50)
         assert "comparator-reference" in trace.flags
-        assert "trajectory-estimated-D" in trace.flags
+        assert "D" not in trace.constants
+        report = certify_trace("smooth-value-log", trace)
+        assert report.constants["D"] == max(
+            float(np.linalg.norm(x - trace.constants["x_star"])) for x in trace.x)
+        assert "comparator-reference" in report.flags
+        assert "trajectory-estimated-D" in report.flags
 
 
 class TestWellConditioned:
@@ -220,7 +227,8 @@ class TestWellConditioned:
         trace = run_well_conditioned(p2, [1.0, 1.0], 8)
         gap = trace.final("f") - 0.0
         assert gap <= np.exp(-2.0) * 2.5
-        assert trace.constants["gamma"] == pytest.approx(1.0 / 3.0)
+        report = certify_trace("well-conditioned", trace)
+        assert report.constants["gamma"] == pytest.approx(1.0 / 3.0)
 
     def test_potential_nonincreasing(self, p2):
         trace = run_well_conditioned(p2, [1.0, 1.0], 100)
