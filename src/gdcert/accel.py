@@ -90,12 +90,13 @@ class AgmSchedule:
 
 
 def agm2_step(state: AccelState, g: Vector, beta: float,
-              schedule: AgmSchedule) -> AccelState:
+              schedule: AgmSchedule, eta_t: float) -> AccelState:
     """One unconstrained coupled step with the gradient g at x: cautious
-    y-update from x, aggressive z-update from z, then mix with tau_{t+1}."""
+    y-update from x, aggressive z-update of size eta_t from z, then mix with
+    the schedule's tau_{t+1}."""
     t = state.t
     y_next = state.x - g / beta
-    z_next = state.z - schedule.eta(t, beta) * g
+    z_next = state.z - eta_t * g
     tau = schedule.tau_next(t)
     x_next = (1.0 - tau) * y_next + tau * z_next
     return AccelState(x=x_next, y=y_next, z=z_next, t=t + 1)
@@ -130,7 +131,7 @@ def run_agm2(problem: Problem, x0, T: int, schedule: str = "agm-smooth",
             return constrained_agm_step(feasible, state, g, beta, eta)
     else:
         def step(t, state, g, eta):
-            return agm2_step(state, g, beta, sched)
+            return agm2_step(state, g, beta, sched, eta)
     trace = drive(problem, AccelState.start(feasible.project(x0)), T, step,
                   lambda t: sched.eta(t, beta))
     trace.meta["method"] = "agm2"
@@ -335,7 +336,7 @@ def restart_accelerated(problem: Problem, x0, epsilon: float,
             break
         start_dist = float(np.linalg.norm(x - x_star))
         epoch, state = record(problem, AccelState.start(x), epoch_len,
-                              lambda t, state, g, eta: agm2_step(state, g, beta, sched),
+                              lambda t, state, g, eta: agm2_step(state, g, beta, sched, eta),
                               lambda t: sched.eta(t, beta), t0=len(rows["x"]))
         for name, col in epoch.items():
             rows.setdefault(name, []).extend(col)

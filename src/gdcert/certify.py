@@ -300,12 +300,9 @@ def _step_checks(shape: _Shape, c: dict, trace: Trace, phi: np.ndarray,
     slack = tol * (1.0 + np.abs(phi[:-1]))
     checked, amortized = dphi, {}
     if shape.amortized:
-        f_ref = trace.f_ref
-        if f_ref is None:
-            if c.get("f_star") is None:
-                raise ValueError("amortized check needs the comparator's round value")
-            f_ref = c["f_star"]
-        checked = (trace.f[:trace.T] - f_ref) + dphi
+        if trace.f_ref is None:
+            raise ValueError("trace has no comparator values")
+        checked = (trace.f[:trace.T] - trace.f_ref) + dphi
         amortized = {"amortized": checked}
     columns = dict(t=t, phi=phi[:-1], dphi=dphi, allowed=allowed,
                    ok=checked <= allowed + slack, slack=slack, **amortized)

@@ -257,17 +257,3 @@ class Simplex(FeasibleSet):
     def __repr__(self):
         return f"Simplex({self.dim})"
 
-
-def pythagorean_gap(feasible: FeasibleSet, a, b_prime) -> float:
-    """``<a - b, b' - b>`` with ``b`` the projection of ``b'``.
-
-    Non-positive for any member ``a``: the supporting hyperplane at the
-    projected point separates ``b'`` from the set.
-    """
-    a = as_vector(a)
-    b_prime = as_vector(b_prime)
-    check_same_dim(a, b_prime)
-    if not feasible.member(a):
-        raise ValueError("first argument must belong to the feasible set")
-    b = feasible.project(b_prime)
-    return float(np.dot(a - b, b_prime - b))

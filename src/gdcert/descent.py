@@ -121,17 +121,14 @@ def run_strongly_convex_gd(adversary: OnlineAdversary, feasible: FeasibleSet,
     return trace
 
 
-def weighted_average(trace: Trace, T: int | None = None) -> Vector:
+def weighted_average(trace: Trace) -> Vector:
     """Convex combination sum_t lambda_t x_t with lambda_t = 2t / (T(T+1)),
     taken over the iterates x_1 .. x_T produced by the run."""
-    if T is None:
-        T = trace.T
+    T = trace.T
     if T < 1:
         raise ValueError("need at least one iterate to average")
-    if trace.T < T:
-        raise ValueError("trace is shorter than the requested horizon")
     weights = np.array([2.0 * t / (T * (T + 1.0)) for t in range(1, T + 1)])
     out = np.zeros_like(trace.x[0])
-    for w, x in zip(weights, trace.x[1:T + 1]):
+    for w, x in zip(weights, trace.x[1:]):
         out += w * x
     return out

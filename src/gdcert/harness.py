@@ -355,7 +355,8 @@ class RunResult:
             "config": self.config.echo(),
             "passed": self.passed,
             "error": self.error,
-            "certificates": _certificates(self.reports),
+            "certificates": [{**r.to_dict(), "steps": _Table(list(r.steps.items()), "ok")}
+                             for r in self.reports],
         }
 
 
@@ -542,12 +543,6 @@ def report_to_csv(reports: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _certificates(reports: list) -> list:
-    """The report JSON's certificates, each with its step table."""
-    return [{**r.to_dict(), "steps": _Table(list(r.steps.items()), "ok")}
-            for r in reports]
-
-
 def emit_trace(trace: Trace, path: str, fmt: str = "json") -> str:
     text = json_dumps(trace_to_dict(trace)) if fmt == "json" else trace_to_csv(trace)
     with open(path, "w") as fh:
@@ -555,16 +550,11 @@ def emit_trace(trace: Trace, path: str, fmt: str = "json") -> str:
     return path
 
 
-def emit_report(result_or_reports, path: str, fmt: str = "json") -> str:
-    """Write certification results; JSON is canonical, CSV is the per-step
-    table. An empty report serializes to an empty JSON object."""
-    if isinstance(result_or_reports, RunResult):
-        payload = result_or_reports.report_dict()
-        reports = result_or_reports.reports
-    else:
-        reports = list(result_or_reports)
-        payload = {"certificates": _certificates(reports)} if reports else {}
-    text = json_dumps(payload) if fmt == "json" else report_to_csv(reports)
+def emit_report(result: RunResult, path: str, fmt: str = "json") -> str:
+    """Write a run's certification results; JSON is canonical, CSV is the
+    per-step table. An empty report serializes to an empty JSON object."""
+    text = (json_dumps(result.report_dict()) if fmt == "json"
+            else report_to_csv(result.reports))
     with open(path, "w") as fh:
         fh.write(text)
     return path

@@ -1,5 +1,5 @@
-"""Mirror maps, Bregman divergences and projections, the mirror-descent
-update, and the multiplicative-weights closed form."""
+"""Mirror maps, Bregman divergences and projections, and the
+mirror-descent update."""
 
 from __future__ import annotations
 
@@ -43,12 +43,7 @@ class MirrorMap:
 
     def bregman(self, y, x) -> float:
         """h(y) - h(x) - <grad h(x), y - x>: the linearization error at y."""
-        y = as_vector(y)
-        x = as_vector(x)
-        check_same_dim(y, x)
-        if not self.interior(x):
-            raise ValueError("second argument must lie in the map's interior")
-        return self.h(y) - self.h(x) - float(np.dot(self.grad_h(x), y - x))
+        raise NotImplementedError
 
 
 class EuclideanMap(MirrorMap):
@@ -198,44 +193,6 @@ def run_mirror_descent(adversary: OnlineAdversary, mirror_map: MirrorMap,
     trace.constants["x_star"] = comparator
     trace.meta["map"] = mirror_map.map_id
     return trace
-
-
-def hedge_closed_form(x0, cumulative_grads, eta: float) -> Vector:
-    """Multiplicative-weights point after absorbing the summed gradients:
-    x_i proportional to x0_i * exp(-eta * sum of gradients), normalized.
-
-    Matches iterating ``mirror_step`` with the entropy map on the simplex.
-    """
-    x0 = as_vector(x0)
-    if np.any(x0 <= 0):
-        raise ValueError("starting point must be simplex-interior")
-    cumulative_grads = as_vector(cumulative_grads)
-    check_same_dim(x0, cumulative_grads)
-    logits = np.log(x0) - eta * cumulative_grads
-    w = np.exp(logits - np.max(logits))
-    return w / float(np.sum(w))
-
-
-def generalized_pythagorean_gap(mirror_map: MirrorMap, feasible: FeasibleSet,
-                                a, b_prime) -> tuple[float, float]:
-    """Both slack quantities of the Bregman projection inequality.
-
-    With b the Bregman projection of b_prime, returns
-      (<grad h(b') - grad h(b), a - b>,
-       D(a||b') - D(a||b) - D(b||b')).
-    The first is non-positive and the second non-negative for any member a.
-    """
-    a = as_vector(a)
-    b_prime = as_vector(b_prime)
-    if not feasible.member(a):
-        raise ValueError("first argument must belong to the feasible set")
-    if not mirror_map.interior(b_prime):
-        raise ValueError("second argument must lie in the map's interior")
-    b = bregman_project(mirror_map, feasible, b_prime)
-    first = float(np.dot(mirror_map.grad_h(b_prime) - mirror_map.grad_h(b), a - b))
-    second = (mirror_map.bregman(a, b_prime) - mirror_map.bregman(a, b)
-              - mirror_map.bregman(b, b_prime))
-    return first, second
 
 
 def tuned_eta(mirror_map: MirrorMap, x_star, x0, G_dual: float, T: int) -> float:

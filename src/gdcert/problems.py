@@ -49,9 +49,6 @@ class Problem:
     def minimizer_over(self, feasible: FeasibleSet) -> Vector:
         raise NotImplementedError
 
-    def optimal_value_over(self, feasible: FeasibleSet) -> float:
-        return self.value(self.minimizer_over(feasible))
-
     def sublevel_diameter(self, x0) -> float | None:
         """Largest distance to the minimizer within the {f <= f(x0)} sublevel
         set, when computable in closed form."""
@@ -261,22 +258,6 @@ def make_experts_adversary(loss_matrix) -> ExpertsAdversary:
 def make_alternating_experts(dim: int = 2) -> ExpertsAdversary:
     """Round-robin unit losses: expert t % dim pays 1, everyone else 0."""
     return ExpertsAdversary(np.eye(dim))
-
-
-def gradient_check(problem: Problem, x, h: float) -> float:
-    """Largest coordinatewise deviation of a central difference from the
-    declared gradient, scaled by 1 + |gradient|."""
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
-    x = as_vector(x)
-    g = problem.gradient(x)
-    worst = 0.0
-    for i in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[i] = h
-        cd = (problem.value(x + e) - problem.value(x - e)) / (2.0 * h)
-        worst = max(worst, abs(cd - g[i]) / (1.0 + abs(g[i])))
-    return worst
 
 
 # --- registry -------------------------------------------------------------

@@ -29,17 +29,6 @@ def smooth_gd_step(x, g, beta: float) -> Vector:
     return x - g / beta
 
 
-def descent_lemma_gap(problem: Problem, x, beta: float) -> float:
-    """f(x+) - [f(x) - ||grad||^2 / (2 beta)] after one smooth step.
-
-    Non-positive for any beta-smooth objective.
-    """
-    g = problem.gradient(x)
-    x_next = smooth_gd_step(x, g, beta)
-    bound = problem.value(x) - float(np.dot(g, g)) / (2.0 * beta)
-    return problem.value(x_next) - bound
-
-
 def projected_smooth_step(feasible: FeasibleSet, x, g, beta: float) -> Vector:
     return feasible.project(smooth_gd_step(x, g, beta))
 

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths it verifies: projections
 are solved by exhaustive support enumeration, minimizers by grid refinement,
 the l1 smooth step is checked by its optimality conditions, the projected
-step's inequality by fresh oracle calls, the broken potential's increasing
+step's inequality and the one-step lemmas (the Pythagorean inequality and its
+Bregman form, the descent lemma, the multiplicative-weights closed form,
+central differences) by fresh oracle calls, the broken potential's increasing
 steps by exact rational arithmetic on the closed-form iterates, a
 certificate by a scalar loop over the recorded points, and vector
 validation by numpy's own coercion.
@@ -117,6 +119,59 @@ def projected_smoothness_gap(feasible, problem, x, y, beta: float) -> float:
     d = x - x_next
     rhs = beta * float(np.dot(d, x - y)) - 0.5 * beta * float(np.dot(d, d))
     return lhs - rhs
+
+
+# --- the one-step lemmas of the proofs ----------------------------------------
+#
+# Each returns the slack of one inequality. Projected points come from the
+# caller, so a test measures the library's projections against the lemma.
+
+def pythagorean_gap(a, b_prime, b) -> float:
+    """<a - b, b' - b> for b the projection of b' onto a convex set: the
+    supporting hyperplane at b separates b' from the set, so this is
+    non-positive for every member a."""
+    a, b_prime, b = (np.asarray(v, dtype=float) for v in (a, b_prime, b))
+    return float(np.dot(a - b, b_prime - b))
+
+
+def generalized_pythagorean_gap(map_id: str, a, b_prime, b) -> tuple[float, float]:
+    """Both slacks of the Bregman projection inequality, for b the Bregman
+    projection of b' under the map ("euclidean" or "negentropy"):
+        (<grad h(b') - grad h(b), a - b>,  D(a||b') - D(a||b) - D(b||b')).
+    The first is non-positive and the second non-negative for every member a."""
+    a, b_prime, b = (np.asarray(v, dtype=float) for v in (a, b_prime, b))
+    shift = b_prime - b if map_id == "euclidean" else np.log(b_prime / b)
+    second = (_divergence(map_id, a, b_prime) - _divergence(map_id, a, b)
+              - _divergence(map_id, b, b_prime))
+    return float(np.dot(shift, a - b)), second
+
+
+def hedge_closed_form(x0, cumulative_grads, eta: float) -> np.ndarray:
+    """The multiplicative-weights point after absorbing the summed gradients:
+    x_i proportional to x0_i exp(-eta * sum of gradients), normalized. The
+    smallest sum is subtracted first, which the normalization absorbs."""
+    total = np.asarray(cumulative_grads, dtype=float)
+    w = np.asarray(x0, dtype=float) * np.exp(-eta * (total - total.min()))
+    return w / w.sum()
+
+
+def descent_lemma_gap(problem, x, beta: float) -> float:
+    """f(x - g/beta) - [f(x) - ||g||^2 / (2 beta)] with g the gradient at x:
+    non-positive for every beta-smooth objective."""
+    x = np.asarray(x, dtype=float)
+    g = problem.gradient(x)
+    bound = problem.value(x) - float(np.dot(g, g)) / (2.0 * beta)
+    return problem.value(x - g / beta) - bound
+
+
+def gradient_check(problem, x, h: float) -> float:
+    """Largest coordinatewise deviation of the central difference with step
+    h from the problem's gradient at x, relative to 1 + |gradient|."""
+    x = np.asarray(x, dtype=float)
+    g = problem.gradient(x)
+    cd = np.array([(problem.value(x + e) - problem.value(x - e)) / (2.0 * h)
+                   for e in h * np.eye(x.size)])
+    return float(np.max(np.abs(cd - g) / (1.0 + np.abs(g))))
 
 
 def l1_prox_is_optimal(y, x, g, beta: float, tol: float = 1e-12) -> bool:

@@ -59,7 +59,7 @@ class TestAgm2Step:
     def test_worked_first_step(self, p1):
         # grad = 1: y1 = 0, z1 = 1 - 0.5 = 0.5, tau1 = 2/3, x1 = 1/3
         s0 = AccelState.start([1.0])
-        state = agm2_step(s0, p1.gradient(s0.x), 1.0, AgmSchedule("agm-smooth"))
+        state = agm2_step(s0, p1.gradient(s0.x), 1.0, AgmSchedule("agm-smooth"), 0.5)
         assert state.y[0] == pytest.approx(0.0)
         assert state.z[0] == pytest.approx(0.5)
         assert state.x[0] == pytest.approx(1.0 / 3.0)
@@ -69,7 +69,8 @@ class TestAgm2Step:
         p = make_diag_quadratic([1.0, 4.0], [0.5, 0.5])
         s0 = AccelState(x=np.array([0.5, 0.5]), y=np.array([0.1, 0.1]),
                         z=np.array([0.9, 0.9]), t=3)
-        s1 = agm2_step(s0, p.gradient(s0.x), 4.0, AgmSchedule("agm-smooth"))
+        sched = AgmSchedule("agm-smooth")
+        s1 = agm2_step(s0, p.gradient(s0.x), 4.0, sched, sched.eta(3, 4.0))
         np.testing.assert_allclose(s1.y, s0.x)
         np.testing.assert_allclose(s1.z, s0.z)
 
@@ -77,7 +78,7 @@ class TestAgm2Step:
         # lambda_0 = 0 so eta_0 = 0: z does not move and x1 = z1 = x0
         sched = AgmSchedule("agm-lambda", T=5)
         s0 = AccelState.start([1.0])
-        state = agm2_step(s0, p1.gradient(s0.x), 1.0, sched)
+        state = agm2_step(s0, p1.gradient(s0.x), 1.0, sched, sched.eta(0, 1.0))
         assert state.y[0] == pytest.approx(0.0)
         assert state.z[0] == pytest.approx(1.0)
         assert state.x[0] == pytest.approx(1.0)
@@ -85,6 +86,22 @@ class TestAgm2Step:
     def test_unknown_schedule_rejected(self):
         with pytest.raises(KeyError):
             AgmSchedule("agm-warp")
+
+    @pytest.mark.parametrize("schedule", AgmSchedule.KINDS)
+    def test_step_with_recorded_eta_is_bit_identical(self, schedule):
+        """The run records the schedule's eta_t, the step size the step once
+        computed itself; each recorded state is the step from the one before
+        with that eta, bit for bit."""
+        problem = get_problem("lse3")
+        beta = problem.smoothness_beta
+        trace = run_agm2(problem, [1.0, 0.5, -1.0], 40, schedule=schedule)
+        sched = AgmSchedule(schedule, T=trace.T)
+        assert trace.eta.tolist() == [sched.eta(t, beta) for t in range(trace.T)]
+        for k in range(trace.T):
+            state = AccelState(x=trace.x[k], y=trace.y[k], z=trace.z[k], t=k)
+            nxt = agm2_step(state, trace.grad[k], beta, sched, sched.eta(k, beta))
+            for name in ("x", "y", "z"):
+                assert getattr(nxt, name).tobytes() == getattr(trace, name)[k + 1].tobytes()
 
 
 class TestAgm1:
@@ -129,7 +146,7 @@ class TestConstrainedAgm:
                         z=np.array([0.3, 0.3]), t=2)
         sched = AgmSchedule("agm-smooth")
         g = p2.gradient(s0.x)
-        plain = agm2_step(s0, g, 4.0, sched)
+        plain = agm2_step(s0, g, 4.0, sched, sched.eta(2, 4.0))
         proj = constrained_agm_step(Unconstrained(2), s0, g, 4.0,
                                     sched.eta(2, 4.0))
         np.testing.assert_allclose(proj.x, plain.x)
@@ -183,7 +200,7 @@ class TestGeneralNormAgm:
     def test_euclidean_reduces_to_plain(self, p2):
         s0 = AccelState.start(np.array([0.5, 0.5]))
         g = p2.gradient(s0.x)
-        plain = agm2_step(s0, g, 4.0, AgmSchedule("agm-smooth"))
+        plain = agm2_step(s0, g, 4.0, AgmSchedule("agm-smooth"), 1.0 / (2.0 * 4.0))
         gen = general_norm_agm_step(EuclideanMap(), Unconstrained(2), s0, g, 4.0,
                                     1.0 / (2.0 * 4.0))
         np.testing.assert_allclose(gen.x, plain.x, atol=1e-14)

@@ -14,19 +14,25 @@ that the diagnostic fires at all.
 import numpy as np
 
 from gdcert.accel import lambda_schedule, run_agm1, run_agm2, run_sc_agm
-from gdcert.core import Ball, Simplex, pythagorean_gap
+from gdcert.core import Ball, Simplex
 from gdcert.harness import RunConfig, run_experiment
 from gdcert.mirror import (
     EuclideanMap,
     NegEntropyMap,
-    generalized_pythagorean_gap,
-    hedge_closed_form,
+    bregman_project,
     run_mirror_descent,
     tuned_eta,
 )
 from gdcert.descent import Constant, run_online_gd
-from gdcert.problems import get_problem, gradient_check, make_alternating_experts
-from oracles import broken_potential_increases, sample_member
+from gdcert.problems import get_problem, make_alternating_experts
+from oracles import (
+    broken_potential_increases,
+    generalized_pythagorean_gap,
+    gradient_check,
+    hedge_closed_form,
+    pythagorean_gap,
+    sample_member,
+)
 
 CERTIFIED_REPORTS = []
 
@@ -319,14 +325,15 @@ def test_criterion_11_property_suites():
             p1 = feasible.project(x)
             ok = ok and float(np.max(np.abs(feasible.project(p1) - p1))) <= 1e-12
             a = sample_member(rng, feasible, 2)
-            ok = ok and pythagorean_gap(feasible, a, x) <= 1e-10
+            ok = ok and pythagorean_gap(a, x, p1) <= 1e-10
 
     # Bregman projection inequality, divergence non-negativity, curvature
     ent = NegEntropyMap()
     for _ in range(1000):
         a = rng.dirichlet(np.ones(3))
         b_prime = rng.uniform(0.05, 2.0, size=3)
-        first, second = generalized_pythagorean_gap(ent, Simplex(3), a, b_prime)
+        b = bregman_project(ent, Simplex(3), b_prime)
+        first, second = generalized_pythagorean_gap("negentropy", a, b_prime, b)
         ok = ok and first <= 1e-10 and second >= -1e-10
         q = 0.98 * rng.dirichlet(np.ones(3)) + 0.02 / 3
         div = ent.bregman(a, q)

@@ -165,6 +165,17 @@ class TestCertifyTrace:
         assert report.error is not None
         assert not report.passed
 
+    @pytest.mark.parametrize("theorem_id", ["gd-regret", "sc-regret"])
+    def test_amortized_check_needs_comparator_values(self, theorem_id):
+        # f* does not stand in for the comparator's round values
+        trace = run_strongly_convex_gd(FixedAdversary(get_problem("p1")), Unconstrained(1),
+                                       [1.0], 1.0, 10)
+        trace.f_ref = None
+        trace.constants["f_star"] = 0.0
+        report = certify_trace(theorem_id, trace)
+        assert report.error == "not certifiable: trace has no comparator values"
+        assert not report.passed
+
     def test_unknown_theorem_rejected(self):
         with pytest.raises(KeyError):
             certify_trace("fermat-last", empty_trace())
@@ -242,7 +253,7 @@ class TestEstimatedConstants:
         p2 = get_problem("p2")
         trace = run_strongly_convex_gd(FixedAdversary(p2), Unconstrained(2), [1.0, 1.0],
                                        p2.strong_convexity_alpha, 30)
-        trace.constants["f_star"] = p2.optimal_value_over(Unconstrained(2))
+        trace.constants["f_star"] = p2.value(p2.minimizer_over(Unconstrained(2)))
         reports = [certify_trace(tid, trace, problem=p2)
                    for tid in ("sc-regret", "sc-average")]
         g_max = max(float(np.linalg.norm(g)) for g in trace.grad)

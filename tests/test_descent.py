@@ -19,6 +19,7 @@ from gdcert.problems import (
     get_problem,
     make_experts_adversary,
 )
+from gdcert.trace import Trace
 
 
 class TestSteps:
@@ -164,7 +165,7 @@ class TestWeightedAverage:
     def test_single_iterate(self):
         adv = FixedAdversary(get_problem("p1"))
         trace = run_online_gd(adv, Unconstrained(1), [1.0], Constant(0.5), 1)
-        np.testing.assert_allclose(weighted_average(trace, 1), trace.x[1])
+        np.testing.assert_allclose(weighted_average(trace), trace.x[1])
 
     def test_two_iterate_weights(self):
         # lambda = (1/3, 2/3)
@@ -172,7 +173,7 @@ class TestWeightedAverage:
         trace = run_online_gd(adv, Unconstrained(1), [1.0], Constant(0.25), 2)
         xs = trace.x
         expected = xs[1] / 3.0 + 2.0 * xs[2] / 3.0
-        np.testing.assert_allclose(weighted_average(trace, 2), expected)
+        np.testing.assert_allclose(weighted_average(trace), expected)
 
     @pytest.mark.parametrize("T", [1, 2, 7, 100, 1000])
     def test_weights_sum_to_one(self, T):
@@ -184,12 +185,12 @@ class TestWeightedAverage:
         adv = FixedAdversary(get_problem("p1"))
         T = 100
         trace = run_strongly_convex_gd(adv, Unconstrained(1), [1.0], 1.0, T)
-        xbar = weighted_average(trace, T)
+        xbar = weighted_average(trace)
         gap = get_problem("p1").value(xbar)
         assert gap <= 1.0 / (1.0 * (T + 1.0))
 
     def test_rejects_empty_horizon(self):
-        adv = FixedAdversary(get_problem("p1"))
-        trace = run_online_gd(adv, Unconstrained(1), [1.0], Constant(0.5), 1)
+        trace = Trace(x=np.array([[1.0]]), f=np.array([0.5]), grad=np.zeros((0, 1)),
+                      eta=np.zeros(0))
         with pytest.raises(ValueError):
-            weighted_average(trace, 0)
+            weighted_average(trace)

@@ -189,14 +189,15 @@ class TestEmission:
 
     def test_empty_report_is_empty_document(self, tmp_path):
         path = tmp_path / "empty.json"
-        emit_report([], str(path))
+        emit_report(run_experiment(RunConfig(problem="p1", method="smooth-gd", steps=3)),
+                    str(path))
         assert json.loads(path.read_text()) == {}
 
     def test_report_csv_rows(self, tmp_path):
         res = run_experiment(RunConfig(problem="p2", method="smooth-gd", steps=25,
                                        certify=True, theorems=["smooth-value-scaled"]))
         path = tmp_path / "rep.csv"
-        emit_report(res.reports, str(path), fmt="csv")
+        emit_report(res, str(path), fmt="csv")
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 26  # header + one row per step check
 

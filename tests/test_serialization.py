@@ -16,6 +16,7 @@ from gdcert.core import Norm, dual_norm
 from gdcert.harness import (
     _BLOCK,
     RunConfig,
+    RunResult,
     _grad_norms,
     _json_scalar,
     _Table,
@@ -480,9 +481,13 @@ def report_rows(report: CertReport) -> list:
 @given(reports=st.lists(step_reports(), min_size=1, max_size=2))
 def test_report_table_matches_per_element_json(reports, tmp_path_factory):
     path = tmp_path_factory.mktemp("report") / "report.json"
-    emit_report(reports, str(path))
-    assert path.read_text() == json_reference({"certificates": [
-        {**r.to_dict(), "steps": report_rows(r)} for r in reports]})
+    config = RunConfig(problem="p2", method="agm2", steps=1, certify=True,
+                       theorems=[r.theorem for r in reports])
+    emit_report(RunResult(config=config, trace=None, reports=reports), str(path))
+    assert path.read_text() == json_reference({
+        "config": config.echo(), "passed": all(r.passed for r in reports),
+        "error": None,
+        "certificates": [{**r.to_dict(), "steps": report_rows(r)} for r in reports]})
 
 
 @settings(deadline=None, max_examples=40)

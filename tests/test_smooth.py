@@ -6,7 +6,6 @@ from gdcert.core import Ball, Box, Norm, Simplex, Unconstrained, dual_norm
 from gdcert.problems import get_problem
 from gdcert.smooth import (
     FW_STEP_SIZES,
-    descent_lemma_gap,
     frank_wolfe_step,
     general_norm_smooth_step,
     projected_smooth_step,
@@ -15,7 +14,12 @@ from gdcert.smooth import (
     run_well_conditioned,
     smooth_gd_step,
 )
-from oracles import grid_refine_box, projected_smoothness_gap, sample_member
+from oracles import (
+    descent_lemma_gap,
+    grid_refine_box,
+    projected_smoothness_gap,
+    sample_member,
+)
 
 
 @pytest.fixture(scope="module")
