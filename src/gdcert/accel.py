@@ -327,17 +327,22 @@ def restart_accelerated(problem: Problem, x0, epsilon: float,
 
     x = as_vector(x0).copy()
     # every epoch's step rows in turn; the final row holds the last restart
-    # point and its value only
-    rows = {"x": [], "f": [], "grad": [], "eta": []}
+    # point only
+    rows = {"x": [], "grad": [], "eta": []}
     epochs = []
     sched = AgmSchedule("agm-smooth")
     for _ in range(max_epochs):
         if problem.value(x) - f_star <= epsilon:
             break
         start_dist = float(np.linalg.norm(x - x_star))
-        epoch, state = record(problem, AccelState.start(x), epoch_len,
-                              lambda t, state, g, eta: agm2_step(state, g, beta, sched, eta),
-                              lambda t: sched.eta(t, beta), t0=len(rows["x"]))
+        try:
+            epoch, state = record(problem, AccelState.start(x), epoch_len,
+                                  lambda t, state, g, eta: agm2_step(state, g, beta, sched, eta),
+                                  lambda t: sched.eta(t, beta), t0=len(rows["x"]))
+        except FloatingPointError:
+            if rows["x"]:  # an earlier epoch's row whose value fails comes first
+                Trace.from_rows(rows, problem)
+            raise
         for name, col in epoch.items():
             rows.setdefault(name, []).extend(col)
         x = state.y.copy()
@@ -345,8 +350,7 @@ def restart_accelerated(problem: Problem, x0, epsilon: float,
                        "start_distance": start_dist,
                        "end_distance": float(np.linalg.norm(x - x_star))})
     rows["x"].append(x)
-    rows["f"].append(problem.value(x))
-    trace = Trace.from_rows(rows)
+    trace = Trace.from_rows(rows, problem)
     trace.meta["method"] = "restart-agm"
     trace.meta["epochs"] = epochs
     trace.meta["epoch_length"] = epoch_len

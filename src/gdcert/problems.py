@@ -19,6 +19,7 @@ from gdcert.core import (
     Simplex,
     Unconstrained,
     Vector,
+    as_points,
     as_vector,
     norm_value,
 )
@@ -33,7 +34,10 @@ class Problem:
     strong_convexity_alpha: float | None = None
     smoothness_beta: float | None = None
 
-    def value(self, x) -> float:
+    def value(self, x):
+        """f at one point, as a float, or at each row of an (n, d) array of
+        recorded points, as an array rounded row for row as the single-point
+        call (``core.as_points``)."""
         raise NotImplementedError
 
     def gradient(self, x) -> Vector:
@@ -93,9 +97,10 @@ class DiagQuadratic(Problem):
         self.name = name
         self._minimizers: dict[str, Vector] = {}
 
-    def value(self, x) -> float:
-        d = as_vector(x) - self.shift
-        return 0.5 * float(np.dot(self.diag * d, d))
+    def value(self, x):
+        d = as_points(x) - self.shift
+        v = 0.5 * np.vecdot(self.diag * d, d)
+        return float(v) if d.ndim == 1 else v
 
     def gradient(self, x) -> Vector:
         return self.diag * (as_vector(x) - self.shift)
@@ -133,10 +138,11 @@ class LogSumExp(Problem):
         self.lipschitz_G = 1.0  # gradient is a probability vector
         self.name = name
 
-    def value(self, x) -> float:
-        v = as_vector(x)
-        m = float(np.max(v))
-        return m + float(np.log(np.sum(np.exp(v - m))))
+    def value(self, x):
+        v = as_points(x)
+        m = np.max(v, axis=-1, keepdims=True)
+        lse = m[..., 0] + np.log(np.sum(np.exp(v - m), axis=-1))
+        return float(lse) if v.ndim == 1 else lse
 
     def gradient(self, x) -> Vector:
         v = as_vector(x)
@@ -166,8 +172,9 @@ class LinearLoss(Problem):
         self.dim = self.ell.shape[0]
         self.name = "linear"
 
-    def value(self, x) -> float:
-        return float(np.dot(self.ell, as_vector(x)))
+    def value(self, x):
+        v = np.vecdot(as_points(x), self.ell)
+        return float(v) if v.ndim == 0 else v
 
     def gradient(self, x) -> Vector:
         as_vector(x)
@@ -183,6 +190,10 @@ class OnlineAdversary:
     dim: int
 
     def next_loss(self, t: int, x) -> Problem:
+        raise NotImplementedError
+
+    def round_values(self, X) -> np.ndarray:
+        """The round-t loss at row t of the (n, d) points X, t = 0..n-1."""
         raise NotImplementedError
 
     def grad_bound(self, kind: Norm = Norm.EUCLIDEAN) -> float | None:
@@ -207,6 +218,9 @@ class FixedAdversary(OnlineAdversary):
 
     def next_loss(self, t: int, x) -> Problem:
         return self.problem
+
+    def round_values(self, X) -> np.ndarray:
+        return self.problem.value(X)
 
     def grad_bound(self, kind: Norm = Norm.EUCLIDEAN) -> float | None:
         return self.problem.lipschitz_G if kind is Norm.EUCLIDEAN else None
@@ -237,6 +251,14 @@ class ExpertsAdversary(OnlineAdversary):
 
     def next_loss(self, t: int, x) -> Problem:
         return self._losses[t % len(self._losses)]
+
+    def round_values(self, X) -> np.ndarray:
+        # one call per distinct loss row, over the rounds that play it
+        k = len(self._losses)
+        values = np.empty(len(X))
+        for i, loss in enumerate(self._losses[:len(X)]):
+            values[i::k] = loss.value(X[i::k])
+        return values
 
     def grad_bound(self, kind: Norm = Norm.EUCLIDEAN) -> float:
         return max(norm_value(kind.dual, r) for r in self.rows)

@@ -14,6 +14,9 @@ from gdcert.problems import OnlineAdversary
 # the columns holding one vector per row; the others hold one float
 _VECTORS = ("x", "grad", "y", "z")
 
+# the errstate of the step loop, and of the values of the steps it recorded
+_RAISE = dict(over="raise", divide="raise", invalid="raise")
+
 
 @dataclass
 class Trace:
@@ -28,7 +31,9 @@ class Trace:
     about. A column's row count says where it is recorded: T + 1 rows when
     the final state carries it too (``x``; ``f`` and ``f_y`` on a fixed
     objective; ``y`` and ``z`` of a coupled run), T rows when only the steps
-    do, and None when the method never records it.
+    do, and None when the method never records it. The step loop records
+    the points; ``from_rows`` takes ``f``, ``f_y`` and ``f_ref`` after it,
+    with one ``value`` call per column over the stacked rows.
 
     The certifier reads the columns and never writes them: per-step verdicts
     are in its report, as are the constants only a proof reads. ``meta``
@@ -47,11 +52,23 @@ class Trace:
     meta: dict = field(default_factory=dict)
 
     @classmethod
-    def from_rows(cls, rows: dict) -> Trace:
-        """Stack each column's list of rows once into one array."""
+    def from_rows(cls, rows: dict, objective, comparator: Vector | None = None,
+                  t0: int = 0) -> Trace:
+        """Stack each column's list of rows once into one array, then add the
+        values at the stacked points, one ``value`` call per column: ``f`` at
+        ``x`` and ``f_y`` at ``y`` (on an online objective, round t's loss at
+        the T step rows; on a fixed objective, the objective at every row),
+        and ``f_ref``, round t's loss at ``comparator``.
+
+        A step row t whose value overflows, divides by zero or is invalid
+        raises ``FloatingPointError("iterate diverged at step t0 + t")`` at
+        the first such t, as inside the step loop; the final row is valued
+        outside that errstate, as after the loop."""
         dim = len(rows["x"][0])
-        return cls(**{name: _stack(col, dim) if name in _VECTORS
-                      else np.array(col, dtype=float) for name, col in rows.items()})
+        cols = {name: _stack(col, dim) if name in _VECTORS
+                else np.array(col, dtype=float) for name, col in rows.items()}
+        cols.update(_values(objective, cols, comparator, t0))
+        return cls(**cols)
 
     @property
     def T(self) -> int:
@@ -87,6 +104,54 @@ def _stack(rows: list, dim: int) -> np.ndarray:
     return np.concatenate(rows, dtype=float).reshape(len(rows), dim)
 
 
+def _values(objective, cols: dict, comparator: Vector | None, t0: int) -> dict:
+    steps = len(cols["eta"])
+    online = isinstance(objective, OnlineAdversary)
+    value = objective.round_values if online else objective.value
+    points = {"f": cols["x"]}
+    if "y" in cols:
+        points["f_y"] = cols["y"]
+    if comparator is not None:
+        points["f_ref"] = np.broadcast_to(comparator, (steps, len(comparator)))
+    values, failed = {}, []
+    for name, X in points.items():
+        if online:
+            X = X[:steps]
+        col = _evaluate(value, X)
+        if col is None:
+            t = _first_failing_row(value, X)
+            if t < steps:
+                failed.append(t)
+                continue
+            col = np.append(value(X[:steps]), value(X[steps]))
+        values[name] = col
+    if failed:
+        raise FloatingPointError(f"iterate diverged at step {t0 + min(failed)}")
+    return values
+
+
+def _evaluate(value, X):
+    """``value(X)`` under the step loop's errstate; None when it raises."""
+    try:
+        with np.errstate(**_RAISE):
+            return value(X)
+    except FloatingPointError:
+        return None
+
+
+def _first_failing_row(value, X) -> int:
+    # bisect on prefixes, which start at row 0 as the online rounds do:
+    # X[:lo] evaluates, X[:hi] raises
+    lo, hi = 0, len(X)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _evaluate(value, X[:mid]) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 def record(objective, state, T: int, step, eta, comparator: Vector | None = None,
            t0: int = 0) -> tuple[dict, object]:
     """Run T steps from ``state``; returns each column's T rows as a list,
@@ -94,17 +159,19 @@ def record(objective, state, T: int, step, eta, comparator: Vector | None = None
 
     Each step t takes the round loss (``objective`` itself for a fixed
     objective, ``objective.next_loss(t, x)`` for an online adversary),
-    evaluates its gradient g once at the played point x, records it, and
-    passes that same g to ``step(t, state, g, eta(t))`` for the next state.
-    ``state`` is the played point, or for coupled methods an object whose
-    ``x``, ``y`` and ``z`` are recorded with the value at ``y``. A
-    ``comparator`` adds the round loss there as ``f_ref``. ``t0`` is the
-    step number of the first step in the error message; ``step`` and
-    ``eta`` see the local t.
+    evaluates its gradient g once at the played point x, records x, g and
+    the step size, and passes that same g to ``step(t, state, g, eta(t))``
+    for the next state. ``state`` is the played point, or for coupled
+    methods an object whose ``x``, ``y`` and ``z`` are recorded too. No step
+    reads a value, so none is taken here: ``Trace.from_rows`` takes them
+    after the loop. ``t0`` is the step number of the first step in the error
+    message; ``step`` and ``eta`` see the local t.
 
     Overflow, division by zero and invalid operations raise inside the loop,
     and a non-finite gradient, step size or next point is rejected: either
-    ends the run with ``FloatingPointError("iterate diverged at step t")``.
+    ends the run with ``FloatingPointError("iterate diverged at step t")``,
+    unless the value of an earlier row (at x, at y, or at ``comparator``)
+    fails the same way, which names that row's step instead.
     """
     if T < 1:
         raise ValueError("need at least one step")
@@ -114,52 +181,48 @@ def record(objective, state, T: int, step, eta, comparator: Vector | None = None
     # finite entries times zeros sum to exactly 0, an inf or nan entry to nan:
     # one BLAS call per check whatever the dimension
     zero = np.zeros_like(x)
-    xs, fs, grads, etas = [], [], [], []
-    rows = {"x": xs, "f": fs, "grad": grads, "eta": etas}
-    if comparator is not None:
-        f_refs = rows["f_ref"] = []
+    xs, grads, etas = [], [], []
+    rows = {"x": xs, "grad": grads, "eta": etas}
     if coupled:
-        ys, zs, f_ys = rows["y"], rows["z"], rows["f_y"] = [], [], []
+        ys, zs = rows["y"], rows["z"] = [], []
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with np.errstate(**_RAISE):
             for t in range(T):
                 loss = objective.next_loss(t, x) if online else objective
                 g = loss.gradient(x)
                 eta_t = eta(t)
                 if not math.isfinite(g.dot(zero) + eta_t):
                     raise FloatingPointError
-                if comparator is not None:
-                    f_refs.append(loss.value(comparator))
                 xs.append(x)
-                fs.append(loss.value(x))
                 grads.append(g)
                 etas.append(eta_t)
                 if coupled:
                     ys.append(state.y)
                     zs.append(state.z)
-                    f_ys.append(loss.value(state.y))
                 state = step(t, state, g, eta_t)
                 x = state.x if coupled else state
                 if not math.isfinite(x.dot(zero)):
                     raise FloatingPointError
+        return rows, state
     except FloatingPointError:
-        raise FloatingPointError(f"iterate diverged at step {t0 + t}") from None
-    return rows, state
+        pass
+    if t > 0:
+        # the values of the complete rows before t, which raises at the
+        # first one that fails
+        Trace.from_rows({name: col[:t] for name, col in rows.items()},
+                        objective, comparator, t0)
+    raise FloatingPointError(f"iterate diverged at step {t0 + t}")
 
 
 def drive(objective, state, T: int, step, eta,
           comparator: Vector | None = None) -> Trace:
-    """``record`` T steps, then add the final state's row: x (and y, z of a
-    coupled state), and on a fixed objective its value there (and at y)."""
+    """``record`` T steps, add the final state's row (x, and y, z of a
+    coupled state), and stack the rows with their values
+    (``Trace.from_rows``)."""
     rows, state = record(objective, state, T, step, eta, comparator)
     coupled = "y" in rows
-    x = state.x if coupled else state
-    rows["x"].append(x)
+    rows["x"].append(state.x if coupled else state)
     if coupled:
         rows["y"].append(state.y)
         rows["z"].append(state.z)
-    if not isinstance(objective, OnlineAdversary):
-        rows["f"].append(objective.value(x))
-        if coupled:
-            rows["f_y"].append(objective.value(state.y))
-    return Trace.from_rows(rows)
+    return Trace.from_rows(rows, objective, comparator)

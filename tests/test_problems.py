@@ -8,6 +8,7 @@ from gdcert.core import Ball, Box, Norm, Simplex, Unconstrained
 from gdcert.problems import (
     ExpertsAdversary,
     FixedAdversary,
+    LinearLoss,
     LogSumExp,
     get_adversary,
     get_problem,
@@ -57,6 +58,52 @@ class TestDiagQuadratic:
         p2 = suite["p2"]
         assert p2.strong_convexity_alpha == 1.0
         assert p2.smoothness_beta == 4.0
+
+
+def _rows(rng, n, d, lo, hi):
+    """n normal rows, each scaled by a magnitude log-uniform in [lo, hi]."""
+    return rng.normal(size=(n, d)) * 10.0 ** rng.uniform(lo, hi, (n, 1))
+
+
+class TestBatchedValues:
+    """``value`` on an (n, d) stack of points equals the per-row calls bit for
+    bit, as do an adversary's round values and ``next_loss(t).value``: the
+    trace takes each value column in one call."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 1000])
+    def test_diag_quadratic(self, d):
+        rng = np.random.default_rng(d)
+        p = make_diag_quadratic(10.0 ** rng.uniform(-2.0, 2.0, d), rng.normal(size=d))
+        X = _rows(rng, 300, d, -8.0, 150.0)
+        assert p.value(X).tobytes() == np.array([p.value(x) for x in X]).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3, 1000])
+    def test_log_sum_exp(self, d):
+        lse = LogSumExp(d)
+        X = _rows(np.random.default_rng(d), 300, d, -8.0, 150.0)
+        assert lse.value(X).tobytes() == np.array([lse.value(x) for x in X]).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3, 1000])
+    def test_linear_loss(self, d):
+        rng = np.random.default_rng(d)
+        loss = LinearLoss(rng.random(d))
+        X = _rows(rng, 300, d, -8.0, 150.0)
+        assert loss.value(X).tobytes() == np.array([loss.value(x) for x in X]).tobytes()
+
+    def test_single_point_is_a_float(self):
+        for p in (get_problem("p2"), LogSumExp(2), LinearLoss([0.5, 1.0])):
+            assert type(p.value([1.0, -2.0])) is float
+
+    @pytest.mark.parametrize("adversary", [
+        FixedAdversary(make_diag_quadratic([1.0, 4.0, 9.0], [0.5, 0.0, -1.0])),
+        # three loss rows played cyclically
+        make_experts_adversary(np.random.default_rng(3).random((3, 3))),
+    ], ids=["fixed", "experts"])
+    @pytest.mark.parametrize("T", [2, 3, 10])
+    def test_round_values(self, adversary, T):
+        X = _rows(np.random.default_rng(T), T, 3, -8.0, 100.0)
+        rounds = [adversary.next_loss(t, x).value(x) for t, x in enumerate(X)]
+        assert adversary.round_values(X).tobytes() == np.array(rounds).tobytes()
 
 
 class TestConstrainedMinimizers:
