@@ -18,7 +18,7 @@ from gdcert.core import (
 from gdcert.mirror import MirrorMap, EuclideanMap, NegEntropyMap, mirror_step
 from gdcert.problems import Problem
 from gdcert.smooth import _attach_reference, projected_smooth_step, smooth_gd_step
-from gdcert.trace import Trace, drive, record
+from gdcert.trace import _RAISE, Trace, drive, record
 
 
 @dataclass
@@ -331,8 +331,19 @@ def restart_accelerated(problem: Problem, x0, epsilon: float,
     rows = {"x": [], "grad": [], "eta": []}
     epochs = []
     sched = AgmSchedule("agm-smooth")
+
+    def check_earlier_rows():
+        if rows["x"]:  # an earlier epoch's row whose value fails comes first
+            Trace.from_rows(rows, problem)
+
     for _ in range(max_epochs):
-        if problem.value(x) - f_star <= epsilon:
+        try:
+            with np.errstate(**_RAISE):  # x is a recorded row, valued as in the loop
+                gap = problem.value(x) - f_star
+        except FloatingPointError:
+            check_earlier_rows()
+            raise FloatingPointError(f"iterate diverged at step {len(rows['x'])}") from None
+        if gap <= epsilon:
             break
         start_dist = float(np.linalg.norm(x - x_star))
         try:
@@ -340,8 +351,7 @@ def restart_accelerated(problem: Problem, x0, epsilon: float,
                                   lambda t, state, g, eta: agm2_step(state, g, beta, sched, eta),
                                   lambda t: sched.eta(t, beta), t0=len(rows["x"]))
         except FloatingPointError:
-            if rows["x"]:  # an earlier epoch's row whose value fails comes first
-                Trace.from_rows(rows, problem)
+            check_earlier_rows()
             raise
         for name, col in epoch.items():
             rows.setdefault(name, []).extend(col)

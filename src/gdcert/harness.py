@@ -397,91 +397,155 @@ def _json_scalar(x) -> str:
     return format(f, ".17g")
 
 
-# rows per block: a block's Python floats (6 MB with x, y, z at d = 1000) exist at a time
-_BLOCK = 64
+# cells per chunk of a step table (one row where a row is wider): the JSON
+# kernel's temporaries, four 8-byte words a cell at most, stay within
+# glibc's 128 KiB mmap threshold
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
 class _Table:
     """A step table, which ``json_dumps`` writes as a list of objects and the
     CSV writers as lines: (key, values) columns in output order, each a
-    float64 column of one value or one vector per row (integers for a count)
-    or None (JSON null, CSV empty). The boolean ``verdict`` column, where
-    the table has one, is written true or false."""
+    float64 column of one value or one vector per row (integers below 2**53
+    for a count) or None (JSON null, CSV empty). The boolean ``verdict``
+    column, where the table has one, is written true or false."""
 
     columns: list
     verdict: str | None = None
 
+    def layout(self, cell: Callable, is_json: bool) -> tuple:
+        """Two row templates, for a false and a true verdict, with
+        ``cell(values)`` in each cell's place; the columns that fill the
+        cells; the verdict of each row (None: the same template for all);
+        and the rows per chunk."""
+        parts, data = [], []
+        for key, values in self.columns:
+            if values is None or key == self.verdict:
+                part = "\1" if key == self.verdict else "null" if is_json else ""
+            else:
+                part = ",".join([cell(values)] * math.prod(values.shape[1:]))
+                if is_json and values.ndim == 2:
+                    part = f"[{part}]"
+                data.append(values)
+            parts.append(f"{json.dumps(key)}:{part}" if is_json else part)
+        row = "{" + ",".join(parts) + "}" if is_json else ",".join(parts)
+        ok = dict(self.columns).get(self.verdict)
+        width = sum(math.prod(values.shape[1:]) for values in data)
+        return ([row.replace("\1", v) for v in ("false", "true")], data,
+                None if ok is None else ok.astype(np.intp),
+                max(1, _CHUNK // max(width, 1)))
 
-def _table_blocks(table: _Table, fmt: str, lead: str = "") -> list:
-    """The rows of ``table``, ``_BLOCK`` to a string: JSON objects joined by
-    commas, or CSV lines, each after ``lead``, joined by newlines. A column's
-    cell format is %d for a count, %r in CSV, %.17g in JSON when every value
-    is finite, else %s filled with ``_json_scalar`` cells. A block is
-    formatted from the ``tolist()`` of the stacked columns: the templates
-    need Python floats (%r on np.float64 prints "np.float64(...)")."""
-    is_json = fmt == "json"
-    cells, data, strings = [], [], []  # (key, cell); argument columns
-    for key, values in table.columns:
-        if values is None or key == table.verdict:
-            cells.append((key, "null" if is_json else ""))
-            continue
-        width = math.prod(values.shape[1:])
-        f = "%d" if values.dtype.kind in "iu" else "%.17g" if is_json else "%r"
-        if f == "%.17g" and not np.isfinite(values).all():
-            f = "%s"
-            offset = sum(math.prod(v.shape[1:]) for v in data)
-            strings += range(offset, offset + width)
-        cell = ",".join([f] * width)
-        cells.append((key, f"[{cell}]" if is_json and values.ndim == 2 else cell))
-        data.append(values)
 
-    def template(verdict: str) -> str:
-        parts = [verdict if key == table.verdict else cell for key, cell in cells]
-        if is_json:
-            parts = [f'"{key}":{part}' for (key, _), part in zip(cells, parts)]
-        return lead + ("{" + ",".join(parts) + "}" if is_json else ",".join(parts))
-
+def _csv_lines(table: _Table, lead: str = "") -> list:
+    """The CSV lines of ``table``'s rows after ``lead``, a chunk of rows to a
+    string joined by newlines. A cell is %d for a count and %r for a float
+    (the shortest round trip; nan and inf as such). A chunk is formatted
+    from the ``tolist()`` of its stacked columns: %r on a np.float64 prints
+    "np.float64(...)"."""
+    templates, data, held, rows = table.layout(
+        lambda values: "%d" if values.dtype.kind in "iu" else "%r", is_json=False)
     n = len(data[0]) if data else 0
-    ok = dict(table.columns).get(table.verdict)
-    held = [False] * n if ok is None else ok.tolist()
-    templates = [template("false"), template("true")]  # indexed by the verdict
+    held = [0] * n if held is None else held.tolist()
     blocks = []
-    for lo in range(0, n, _BLOCK):
-        block = np.column_stack([values[lo:lo + _BLOCK] for values in data])
-        if strings:
-            block = block.astype(object)
-            block[:, strings] = np.frompyfunc(_json_scalar, 1, 1)(block[:, strings])
-        blocks.append(("," if is_json else "\n").join([
-            templates[k] % tuple(row) for k, row in
-            zip(held[lo:lo + _BLOCK], block.tolist())]))
+    for lo in range(0, n, rows):
+        block = np.column_stack([values[lo:lo + rows] for values in data])
+        blocks.append("\n".join([lead + templates[k] % tuple(row) for k, row in
+                                 zip(held[lo:lo + rows], block.tolist())]))
     return blocks
 
 
-def json_dumps(obj) -> str:
+def _json_rows(table: _Table):
+    """The JSON objects of ``table``'s rows joined by commas, a chunk of rows
+    at a time. A row is laid out in 8-byte words from a byte template: per
+    cell, words for the text before it (a key, a bracket or a comma, null
+    columns, the verdict) and ``_g17`` slot words for its number, then the
+    row's closing text. Deleting the 0 bytes the template and the kernel
+    leave gives the text."""
+    # imported on the first JSON table, so that a process that writes none
+    # (library use, CSV) does not build the kernel's tables
+    from gdcert import _g17
+
+    templates, data, held, rows = table.layout(lambda values: "\0", is_json=True)
+    n = len(data[0]) if data else 0
+    if n == 0:
+        return
+    pieces = [(row + ",").encode().split(b"\0") for row in templates]
+    m = len(pieces[0]) - 1  # cells per row
+    lit = math.ceil(max((len(p) for ps in pieces for p in ps[:-1]), default=0) / 8)
+    slot = lit + _g17.SLOT_WORDS  # words a cell
+    tail = 8 * math.ceil(max(len(ps[-1]) for ps in pieces) / 8)
+    # by the verdict: each cell's text before it in its slot, then the tail
+    row_bytes = np.frombuffer(b"".join(
+        b"".join(p.ljust(8 * slot, b"\0") for p in ps[:-1]) + ps[-1].ljust(tail, b"\0")
+        for ps in pieces), np.uint8).reshape(2, -1)
+    width = row_bytes.shape[1]
+    buf = bytearray(min(rows, n) * width)  # every chunk's grid
+    grid = np.frombuffer(buf, np.uint8).reshape(-1, width)
+    for lo in range(0, n, rows):
+        block = np.column_stack([values[lo:lo + rows] for values in data])
+        r = len(block)
+        if held is None:
+            grid[:r] = row_bytes[0]
+        else:
+            np.take(row_bytes, held[lo:lo + r], axis=0, out=grid[:r], mode="clip")
+        cells = grid[:r].view(np.uint64)[:, :m * slot].reshape(r, m, slot)
+        _g17.format_g17(block.astype(float, copy=False), cells[..., lit:], _json_scalar)
+        text = (buf if r == len(grid) else buf[:r * width]).translate(None, b"\0")
+        if lo + r == n:
+            del text[-1]  # the last row's comma
+        yield text
+
+
+def json_dumps(obj, write: Callable | None = None) -> str | None:
     """Deterministic JSON: numbers carry 17 significant digits so every
     double round-trips exactly; NaN and infinities become the strings
     ``"nan"``, ``"inf"`` and ``"-inf"``.
 
-    Step tables are formatted through row templates; the output is the same
-    as formatting each element on its own.
+    Returns the text, or with ``write`` passes it to ``write`` in bytes-like
+    pieces as they are made (a step table a chunk at a time) and returns
+    None. Step tables go through ``_g17``; the output is the same as
+    formatting each element on its own.
     """
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
-        return _json_scalar(obj)
+    if write is not None:
+        _dump(obj, write)
+        return None
+    parts = []
+    _dump(obj, parts.append)
+    return b"".join(parts).decode()
+
+
+def _dump(obj, write: Callable) -> None:
+    """Write ``obj``'s JSON text; each element of a list or a dict goes
+    through ``json_dumps``."""
     if isinstance(obj, _Table):
-        return "[" + ",".join(_table_blocks(obj, "json")) + "]"
-    if isinstance(obj, np.ndarray):
-        return json_dumps(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(json_dumps(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = (json.dumps(str(k)) + ":" + json_dumps(v) for k, v in obj.items())
-        return "{" + ",".join(items) + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        write(b"[")
+        for chunk in _json_rows(obj):
+            write(chunk)
+        write(b"]")
+    elif isinstance(obj, np.ndarray):
+        json_dumps(obj.tolist(), write)
+    elif isinstance(obj, (list, tuple)):
+        write(b"[")
+        for i, v in enumerate(obj):
+            if i:
+                write(b",")
+            json_dumps(v, write)
+        write(b"]")
+    elif isinstance(obj, dict):
+        write(b"{")
+        for i, (k, v) in enumerate(obj.items()):
+            write(("," * (i > 0) + json.dumps(str(k)) + ":").encode())
+            json_dumps(v, write)
+        write(b"}")
+    elif obj is None:
+        write(b"null")
+    elif isinstance(obj, str):
+        write(json.dumps(obj).encode())
+    elif isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
+        write(_json_scalar(obj).encode())
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _grad_norms(trace: Trace) -> tuple:
@@ -531,7 +595,7 @@ def trace_to_csv(trace: Trace) -> str:
     header = [k if columns[k] is None or columns[k].ndim == 1 else
               ",".join(f"{k}{i}" for i in range(columns[k].shape[1])) for k in keys]
     table = _Table([(k, columns[k]) for k in keys])
-    return "\n".join([",".join(header), *_table_blocks(table, "csv")]) + "\n"
+    return "\n".join([",".join(header), *_csv_lines(table)]) + "\n"
 
 
 def report_to_csv(reports: list) -> str:
@@ -539,25 +603,37 @@ def report_to_csv(reports: list) -> str:
     lines = ["theorem," + ",".join(keys)]
     for rep in reports:
         table = _Table([(k, rep.steps.get(k)) for k in keys], "ok")
-        lines += _table_blocks(table, "csv", rep.theorem + ",")
+        lines += _csv_lines(table, rep.theorem + ",")
     return "\n".join(lines) + "\n"
 
 
 def emit_trace(trace: Trace, path: str, fmt: str = "json") -> str:
-    text = json_dumps(trace_to_dict(trace)) if fmt == "json" else trace_to_csv(trace)
-    with open(path, "w") as fh:
-        fh.write(text)
+    """Write the trace; JSON goes to the file as it is made."""
+    if fmt == "json":
+        _write_json(path, trace_to_dict(trace))
+    else:
+        _write_text(path, trace_to_csv(trace))
     return path
 
 
 def emit_report(result: RunResult, path: str, fmt: str = "json") -> str:
     """Write a run's certification results; JSON is canonical, CSV is the
     per-step table. An empty report serializes to an empty JSON object."""
-    text = (json_dumps(result.report_dict()) if fmt == "json"
-            else report_to_csv(result.reports))
+    if fmt == "json":
+        _write_json(path, result.report_dict())
+    else:
+        _write_text(path, report_to_csv(result.reports))
+    return path
+
+
+def _write_json(path: str, doc) -> None:
+    with open(path, "wb") as fh:
+        json_dumps(doc, fh.write)
+
+
+def _write_text(path: str, text: str) -> None:
     with open(path, "w") as fh:
         fh.write(text)
-    return path
 
 
 def write_outputs(result: RunResult, out: str, fmt: str = "json") -> list:

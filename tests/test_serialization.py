@@ -1,5 +1,6 @@
-"""Serialization contract: pinned bytes of trace and report files, and the
-fast formatting paths checked against per-element references."""
+"""Serialization contract: pinned bytes of trace and report files, the
+%.17g kernel checked against '%.17g' %, and the fast formatting paths
+checked against per-element references."""
 
 import hashlib
 import json
@@ -11,16 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gdcert import _g17, harness
 from gdcert.certify import CertReport
 from gdcert.core import Norm, dual_norm
 from gdcert.harness import (
-    _BLOCK,
+    _CHUNK,
     RunConfig,
     RunResult,
+    _csv_lines,
     _grad_norms,
     _json_scalar,
     _Table,
-    _table_blocks,
     emit_report,
     json_dumps,
     report_to_csv,
@@ -240,6 +242,68 @@ def test_written_bytes_are_pinned(name, fmt, tmp_path):
     assert written_hashes(name, fmt, tmp_path) == GOLDEN[(name, fmt)]
 
 
+# --- the %.17g kernel against '%.17g' % -------------------------------------
+
+def g17_texts(values) -> list:
+    """The kernel's text of each value, with ``_json_scalar`` for the cells
+    it leaves to the fallback."""
+    v = np.asarray(values, dtype=float)
+    out = np.zeros((v.size, _g17.SLOT_WORDS), np.uint64)
+    _g17.format_g17(v, out, _json_scalar)
+    slots = out.view(np.uint8).reshape(v.size, -1)
+    slots[:, -1] = ord(",")  # a slot's last byte is always a hole
+    return slots.tobytes().translate(None, b"\0").decode().split(",")[:-1]
+
+
+def g17_reference(values) -> list:
+    return ["%.17g" % x if math.isfinite(x) else _json_scalar(x) for x in values]
+
+
+def test_g17_matches_on_random_bit_patterns():
+    # every exponent: subnormals, nan and the infinities included
+    bits = np.random.default_rng(17).integers(0, 2**64, 200_000, dtype=np.uint64)
+    v = bits.view(np.float64)
+    assert g17_texts(v) == g17_reference(v.tolist())
+
+
+def test_g17_matches_at_powers_of_ten_and_their_neighbours():
+    p = np.array([float(f"1e{k}") for k in range(-300, 300)])
+    v = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+    v = np.concatenate([v, -v])
+    assert g17_texts(v) == g17_reference(v.tolist())
+
+
+def test_g17_rounds_exact_ties_half_to_even():
+    # 18 significant digits ending in 5: 3 * 2**-24 through the fallback,
+    # the others through rint on an exact power of ten; the last one rounds
+    # down to its even 17th digit
+    ties = [3 * 2.0**-24, 31867706181171.1875, 1176256028784796.75,
+            891381373001006.125]
+    assert g17_texts(ties) == ["1.7881393432617188e-07", "31867706181171.188",
+                               "1176256028784796.8", "891381373001006.12"]
+    assert g17_texts(ties) == g17_reference(ties)
+
+
+def test_g17_writes_integers_as_percent_d():
+    # the t column: integers up to 2**53 in the float64 cells of a chunk
+    ints = np.random.default_rng(53).integers(0, 2**53, 20_000).tolist()
+    ints += [0, 1, 9, 10, 2**53 - 1, 2**53]
+    assert g17_texts(ints) == ["%d" % i for i in ints]
+
+
+def test_g17_zeros_and_non_finite():
+    assert g17_texts([0.0, -0.0, math.nan, math.inf, -math.inf]) == [
+        "0", "-0", '"nan"', '"inf"', '"-inf"']
+
+
+def test_g17_carries_into_the_next_power():
+    # the doubles nearest 1e-14, 1e-70 and 1e-305 lie below them, within
+    # half a unit of the 17th digit: D rounds to 10**17 and X moves up
+    v = [9.9999999999999999e15, 1e-14, 1e-70, 1e-305, -1e-14]
+    assert g17_texts(v) == ["10000000000000000", "1e-14", "1e-70", "1e-305", "-1e-14"]
+    assert g17_texts(v) == g17_reference(v)
+
+
 # --- fast paths against per-element references ------------------------------
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
@@ -335,7 +399,7 @@ def test_records_match_per_element_json(rows):
 @settings(deadline=None, max_examples=60)
 @given(float_arrays(any_floats))
 def test_csv_vector_matches_per_element_cells(a):
-    (row,) = _table_blocks(_Table([("x", a[None, :])]), "csv")
+    (row,) = _csv_lines(_Table([("x", a[None, :])]))
     assert row == ",".join(csv_reference(v) for v in a)
 
 
@@ -376,26 +440,31 @@ def _column(rng, draw, shape, specials):
 
 @st.composite
 def step_traces(draw):
-    """Traces whose step tables take every cell format: T and d across the
-    block boundary, with or without y/z, a comparator, f* or neither (a null
-    gap)."""
-    T = draw(st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]))
+    """Traces whose step tables take every cell format: d from 1 to 1000,
+    with or without y/z, a comparator, f* or neither (a null gap), and T at
+    the chunk edges: a row short of a chunk, one chunk, a row over."""
     d = draw(st.sampled_from([1, 2, 3, 1000]))
+    coupled = draw(st.booleans())
+    gap = draw(st.sampled_from(["f_ref", "f_star", "none"]))
+    # t, x, f, gap, the two gradient norms and eta; y, f_y and z
+    cells = (3 * d + 7 if coupled else d + 6) - (gap == "none")
+    rows = max(1, _CHUNK // cells)
+    T = draw(st.sampled_from([0, 1, rows - 1, rows, rows + 1]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     specials = draw(st.booleans())
+    return _trace(rng, T, d, coupled, gap, lambda *shape: _column(rng, draw, shape, specials),
+                  draw(st.sampled_from(["euclidean", "negentropy"])),
+                  draw(st.sampled_from([0.0, -0.0, 1.5, -2.25e-300])))
 
-    def col(*shape):
-        return _column(rng, draw, shape, specials)
 
+def _trace(rng, T, d, coupled, gap, col, map_id="euclidean", f_star=1.5) -> Trace:
     trace = Trace(x=col(T + 1, d), f=col(T + 1), grad=rng.standard_normal((T, d)),
-                  eta=col(T), meta={"map": draw(st.sampled_from(["euclidean",
-                                                                  "negentropy"]))})
-    gap = draw(st.sampled_from(["f_ref", "f_star", "none"]))
+                  eta=col(T), meta={"map": map_id})
     if gap == "f_ref":
         trace.f_ref = col(T)
     elif gap == "f_star":
-        trace.constants["f_star"] = draw(st.sampled_from([0.0, -0.0, 1.5, -2.25e-300]))
-    if draw(st.booleans()):
+        trace.constants["f_star"] = f_star
+    if coupled:
         trace.y, trace.z, trace.f_y = col(T + 1, d), col(T + 1, d), col(T + 1)
     return trace
 
@@ -447,18 +516,33 @@ def test_trace_table_matches_per_element_csv(trace):
     assert all(len(line.split(",")) == len(header.split(",")) for line in lines)
 
 
+def test_row_wider_than_a_chunk_matches_per_element_json_and_csv(monkeypatch):
+    # rows of 3,007 cells at d = 1000, each a chunk of its own
+    monkeypatch.setattr(harness, "_CHUNK", 2_048)
+    rng = np.random.default_rng(11)
+    trace = _trace(rng, 3, 1000, True, "f_ref",
+                   lambda *shape: rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 9, shape))
+    rows = trace_rows(trace)
+    assert json_dumps(trace_to_dict(trace)["steps"]) == json_reference(rows)
+    lines = trace_to_csv(trace).splitlines()[1:]
+    assert [line.split(",")[1:1001] for line in lines] == [
+        [csv_reference(v) for v in row["x"]] for row in rows]
+
+
 @st.composite
 def step_reports(draw):
-    """Reports over the block boundary, with and without the amortized
-    column, held and violated steps, non-finite and -0.0 values."""
-    n = draw(st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]))
+    """Reports at the chunk edges, with and without the amortized column,
+    held and violated steps, non-finite and -0.0 values."""
+    amortized = draw(st.booleans())
+    rows = _CHUNK // (6 if amortized else 5)  # t, phi, dphi, allowed, slack
+    n = draw(st.sampled_from([0, 1, rows - 1, rows, rows + 1]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     specials = draw(st.booleans())
     steps = {"t": np.sort(rng.choice(2 * n + 1, n, replace=False))}
     for name in ("phi", "dphi", "allowed", "ok", "slack", "amortized"):
         steps[name] = _column(rng, draw, (n,), specials)
     steps["ok"] = steps["ok"] <= 0.0
-    if draw(st.booleans()):
+    if not amortized:
         del steps["amortized"]
     return CertReport(theorem=draw(st.sampled_from(["gd-regret", "agm-smooth"])),
                       claim="c", potential_kind=None, constants={},

@@ -120,6 +120,20 @@ def test_restart_names_the_first_failing_value_across_epochs():
         accel.restart_accelerated(_OverflowAt(9, x1), [1.0, 1.0], 1e-300)
 
 
+@pytest.mark.filterwarnings("error")
+def test_restart_stops_at_an_overflowing_epoch_start():
+    # f(x0) overflows at x0 = 1e160: no epoch runs, and no RuntimeWarning
+    # is raised on the way
+    with pytest.raises(FloatingPointError, match="iterate diverged at step 0$"):
+        accel.restart_accelerated(get_problem("p2"), [1e160, 1e160], 1e-6)
+    # kappa = 4: epochs of 8 steps; f overflows at the second epoch's start,
+    # the restart point x_8, while every earlier row's value is finite
+    x8 = accel.restart_accelerated(get_problem("p2"), [1.0, 1.0], 1e-300,
+                                   max_epochs=1).x[8]
+    with pytest.raises(FloatingPointError, match="iterate diverged at step 8$"):
+        accel.restart_accelerated(_OverflowAt(10**9, x8), [1.0, 1.0], 1e-300)
+
+
 def test_final_value_is_taken_outside_the_loop_errstate():
     # the steps' values at 1e100, 1e120 and 1e140 are finite; the final row's
     # at 1e160 overflows with numpy's warning, as a value after the loop does
