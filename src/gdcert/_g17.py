@@ -1,6 +1,6 @@
-"""Exact ``'%.17g' % v`` for a whole float64 array at once.
+"""Exact ``'%.17g' % v`` and ``repr(v)`` for a whole float64 array at once.
 
-``format_g17`` writes each value's text into a slot of ``SLOT_WORDS``
+``format_floats`` writes each value's text into a slot of ``SLOT_WORDS``
 8-byte words whose unused bytes are 0 (holes), so that deleting every 0
 byte of a run of slots gives the texts side by side. A finite v != 0 takes
 these steps:
@@ -14,21 +14,26 @@ these steps:
   first scaled by 2^600 or 2^-600 and the table entry by the inverse, so
   that no partial product leaves the normal range;
 - the 17 digits D = hi + rint(lo), which rounds half to even as ``dtoa``
-  does (hi >= 1e16 is even); a carry to 10^17 moves X up by one;
-- the ``%g`` layout: fixed notation for -4 <= X < 17, scientific otherwise,
+  does (hi >= 1e16 is even); for ``repr``, the shortest digits that round
+  to v instead (``_shortest``); a carry to 10^17 moves X up by one;
+- the layout: fixed notation for -4 <= X < 17 (``%g``) or X < 16
+  (``repr``, which adds ".0" to an integer), scientific otherwise,
   trailing zeros and a bare point dropped, an exponent of two digits at
   least.
 
-Zero is written as "0" or "-0". Every other value goes to ``fallback``: nan
-and infinities, and a value whose lo lies within 1e-6 of a half with an
-inexact power of ten, where the error of V could decide the rounding.
+Zero is written as "0" and "-0", or "0.0" and "-0.0". Every other value
+goes to ``fallback``: nan and infinities, and a value whose rounding the
+error of V or of the interval could decide: for ``%.17g`` a lo within
+1e-6 of a half with an inexact power of ten; for ``repr`` a candidate
+within 1e-6 of a tie or of the edge of v's rounding interval, and the
+powers of two and subnormals.
 
 A slot is, byte by byte: the sign, the "0.000" prefix of -4 <= X < 0,
 then digit i at byte 6 + 2i with the point after it at byte 7 + 2i, then
-"e+XXX". Its words are looked up in tables: the sign and the first digit
-by both, four digits per word by their value, the prefix, the point and
-the trailing-zero mask by the position of the point and the digit count,
-and the exponent by X.
+"e+XXX"; its last three bytes are always holes. Its words are looked up in
+tables: the sign and the first digit by both, four digits per word by
+their value, the prefix, the point and the trailing-zero mask by the
+position of the point and the digit count, and the exponent by X.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ SLOT_WORDS = 6
 
 _K0, _K1 = -325, 341  # the decimal exponents the tables cover
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
+_TOL = 1e-6  # the margin, in units of V's last digit, for an unsure rounding
 
 
 def _words(rows: np.ndarray) -> np.ndarray:
@@ -99,10 +105,12 @@ class _Tables:
         b[:, 6] = np.arange(20) % 10 + 48
         self.lead = _words(b)[:, 0]  # by 10 * sign + leading digit
 
-        # by X - _K0: the exponent word, empty for fixed notation, and the
-        # layout (below)
-        x = np.arange(_K0, _K1 + 1)
-        ax, wide, fixed = np.abs(x), np.abs(x) >= 100, (x >= -4) & (x < 17)
+        # by X - _K0, then once more for the repr style: the exponent word,
+        # empty for fixed notation, and the layout (below)
+        x = np.tile(np.arange(_K0, _K1 + 1), 2)
+        short = np.arange(len(x)) >= len(x) // 2
+        ax, wide = np.abs(x), np.abs(x) >= 100
+        fixed = (x >= -4) & (x < 17 - short)
         b = np.zeros((len(x), 8), np.uint8)
         b[:, 0] = ord("e")
         b[:, 1] = np.where(x < 0, ord("-"), ord("+"))
@@ -111,20 +119,24 @@ class _Tables:
         b[:, 4] = np.where(wide, ax % 10 + 48, 0)
         b[fixed] = 0
         self.exp = _words(b)[:, 0]
-        self.layout = 18 * np.where(fixed, np.where(x >= 0, x, 17 - x), 17)
+        self.layout = 18 * np.where(fixed, np.where(x >= 0, x + 22 * short, 17 - x), 17)
 
         # by layout * 18 + digit count n, where layout is X for 0 <= X <= 16
-        # (integer digits through X, point after digit X), 17 for
-        # scientific (point after the first digit) and 17 - X for
+        # (integer digits through X, point after digit X), 22 + X for the
+        # repr style's 0 <= X <= 15 (the same, with ".0" for an integer),
+        # 17 for scientific (point after the first digit) and 17 - X for
         # -4 <= X <= -1 (prefix "0." and -X - 1 zeros, no point)
-        keep = np.zeros((22 * 18, 40), np.uint8)
-        put = np.zeros((22 * 18, 40), np.uint8)
-        for layout in range(22):
+        keep = np.zeros((38 * 18, 40), np.uint8)
+        put = np.zeros((38 * 18, 40), np.uint8)
+        for layout in range(38):
             for n in range(1, 18):
                 row, shown, point = layout * 18 + n, n, None
                 if layout <= 16:
                     shown = max(n, layout + 1)
                     point = layout if n > layout + 1 else None
+                elif layout >= 22:
+                    # digit X + 1 of an integer is the 0 after the point
+                    shown, point = max(n, layout - 20), layout - 22
                 elif layout == 17:
                     point = 0 if n > 1 else None
                 else:
@@ -141,16 +153,61 @@ class _Tables:
 _T = _Tables()
 
 
-def format_g17(v: np.ndarray, out: np.ndarray, fallback) -> None:
-    """Write ``'%.17g' % x`` of each x in the float64 array ``v`` into
-    ``out``, uint64 of shape ``v.shape + (SLOT_WORDS,)`` (a view will do),
-    with 0 bytes in the unused places; ``fallback(x)``, a str of at most 48
-    ASCII characters, is written for each x off the vectorized path."""
+def _shortest(hi, d17, lo, slow17, mant) -> tuple:
+    """The digits of ``repr`` as a 17-digit integer with trailing zeros, and
+    where they are unsure, for V = d17 + lo (|lo| <= 1/2), the value v scaled
+    by 10^(16 - X), from hi, its nearest double; ``mant`` is v's significand
+    in [1/2, 1), 2^-53 times the integer one.
+
+    The n-digit candidate c_n is V rounded to a multiple of 10^(17 - n), and
+    n is the least for which c_n rounds to v: |c_n - V| < h = V / (2^54
+    mant), half an ulp of v at V's scale (v is not a power of two, whose
+    interval is asymmetric; the caller leaves those to the fallback). Once
+    c_n is outside, so is every shorter candidate, which is no nearer. As
+    h < 12, two multiples of 100 are never both inside: if c_15 is inside,
+    every shorter candidate inside is c_15 itself, and its trailing zeros
+    give n. So only c_16 and c_15 are tested, as offsets from the multiple
+    of 100 below d17. A cell is unsure where a distance lies within _TOL of
+    h, where c_16 is chosen within _TOL of a tie, or where c_17 = d17 is
+    chosen and ``slow17``, the %.17g style's unsure cells, holds it."""
+    h = hi / (mant * 2.0**54)
+    base = d17 // 100
+    base *= 100
+    r17 = (d17 - base).astype(float)  # exact
+    x = r17 + lo  # V - base
+    c16 = np.rint(x * 0.1)
+    c16 *= 10.0
+    dist = np.abs(x - c16)
+    inside = dist < h
+    unsure = np.abs(dist - h) < _TOL
+    unsure |= np.where(inside, np.abs(dist - 5.0) < _TOL, slow17)
+    off = np.where(inside, c16, r17)
+    c15 = np.rint(x * 0.01)
+    c15 *= 100.0
+    dist = np.abs(x - c15)
+    inside = dist < h
+    unsure |= np.abs(dist - h) < _TOL
+    np.copyto(off, c15, where=inside)
+    base += off.astype(np.int64)
+    return base, unsure
+
+
+def format_floats(v: np.ndarray, out: np.ndarray, fallback, shortest=False) -> None:
+    """Write the text of each x in the float64 array ``v`` into ``out``,
+    uint64 of shape ``v.shape + (SLOT_WORDS,)`` (a view will do), with 0
+    bytes in the unused places: ``'%.17g' % x``, or ``repr(x)`` where
+    ``shortest``, a bool or a bool array that broadcasts against ``v``, is
+    true. ``fallback(x)``, a str of at most 45 ASCII characters, is written
+    for each x off the vectorized path."""
     t = _T
     a = np.abs(v)
     finite = a < np.inf
     zero = a == 0.0
     a = np.where(finite & ~zero, a, 1.0)
+    if shortest is not False:
+        mant, e = np.frexp(a)
+        odd = mant == 0.5  # a power of two: its interval is asymmetric
+        odd |= e < -1021  # subnormal
     ix = (np.floor(np.log10(a)) - _K0).astype(np.intp)  # X - _K0
     ix += a >= t.least.take(ix + 1)
     ix -= a < t.least.take(ix)
@@ -164,10 +221,18 @@ def format_g17(v: np.ndarray, out: np.ndarray, fallback) -> None:
     hh, hl, pl = t.hi_hi.take(q), t.hi_lo.take(q), t.lo.take(q)
     lo = ((ah * hh - hi) + ah * hl + al * hh) + al * hl + a * pl
     r = np.rint(lo)
-    near_tie = np.abs(lo - r) > 0.5 - 1e-6
-    near_tie &= pl != 0.0
+    slow = np.abs(lo - r) > 0.5 - _TOL  # near a tie
+    slow &= pl != 0.0
     d = hi.astype(np.int64)
     d += r.astype(np.int64)
+    if shortest is not False:
+        ds, unsure = _shortest(hi, d, lo - r, slow, mant)
+        unsure |= odd
+        d = np.where(shortest, ds, d)
+        slow = np.where(shortest, unsure, slow)
+        slow &= ~zero  # whose stand-in 1.0 is a power of two
+        # the repr style's half of the layout and exponent tables
+        ix += np.multiply(shortest, len(t.least), dtype=np.intp)
     d[zero] = 0
     carry = d == 10 ** 17
     if carry.any():
@@ -197,7 +262,7 @@ def format_g17(v: np.ndarray, out: np.ndarray, fallback) -> None:
     out[..., 1:5] = quads
     out[..., 5] = t.exp.take(ix)
 
-    slow = ~finite | near_tie
+    slow |= ~finite
     if slow.any():
         at = np.nonzero(slow)
         text = np.array([fallback(f) for f in v[at].tolist()], dtype="S48")

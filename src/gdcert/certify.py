@@ -355,7 +355,14 @@ def _agm_mirror_envelope(trace: Trace, c: dict):
 
 def _agm_sc_envelope(trace: Trace, c: dict):
     scale = 0.5 * (c["alpha"] + c["beta"]) * _sq_dist(trace.x[0], c)
-    return lambda t: scale / _growth(c["gamma"], t)
+
+    def envelope(t):
+        # (1 + gamma)^t overflows to inf once the bound is below every
+        # double: the quotient is then its limit, 0.0
+        with np.errstate(over="ignore"):
+            return scale / _growth(c["gamma"], t)
+
+    return envelope
 
 
 # --- end-to-end checks: (trace, constants, tol, **context) -> [EndCheck]

@@ -20,16 +20,6 @@ class StepSchedule:
 
 
 @dataclass(frozen=True)
-class Constant(StepSchedule):
-    value: float
-
-    def eta(self, t: int) -> float:
-        if self.value <= 0:
-            raise ValueError("step size must be positive")
-        return self.value
-
-
-@dataclass(frozen=True)
 class HorizonScaled(StepSchedule):
     """eta = D / (G sqrt(T)): constant, tuned to a known horizon."""
 

@@ -397,10 +397,15 @@ def _json_scalar(x) -> str:
     return format(f, ".17g")
 
 
-# cells per chunk of a step table (one row where a row is wider): the JSON
-# kernel's temporaries, four 8-byte words a cell at most, stay within
-# glibc's 128 KiB mmap threshold
+# cells per chunk of a step table (one row where a row is wider): the
+# kernel's temporaries, four 8-byte words a cell at most, stay within glibc's
+# 128 KiB mmap threshold
 _CHUNK = 4096
+
+# the length from which a float64 vector goes through the kernel in one
+# call: a shorter one costs less element by element (about 2 us an element,
+# against 50-150 us for a kernel call)
+_VECTOR_CELLS = 32
 
 
 @dataclass(frozen=True)
@@ -414,17 +419,17 @@ class _Table:
     columns: list
     verdict: str | None = None
 
-    def layout(self, cell: Callable, is_json: bool) -> tuple:
-        """Two row templates, for a false and a true verdict, with
-        ``cell(values)`` in each cell's place; the columns that fill the
-        cells; the verdict of each row (None: the same template for all);
-        and the rows per chunk."""
+    def layout(self, is_json: bool) -> tuple:
+        """Two row templates, for a false and a true verdict, with a 0 byte
+        in each cell's place; the columns that fill the cells; the verdict
+        of each row (None: the same template for all); and the rows per
+        chunk."""
         parts, data = [], []
         for key, values in self.columns:
             if values is None or key == self.verdict:
                 part = "\1" if key == self.verdict else "null" if is_json else ""
             else:
-                part = ",".join([cell(values)] * math.prod(values.shape[1:]))
+                part = ",".join(["\0"] * math.prod(values.shape[1:]))
                 if is_json and values.ndim == 2:
                     part = f"[{part}]"
                 data.append(values)
@@ -437,40 +442,26 @@ class _Table:
                 max(1, _CHUNK // max(width, 1)))
 
 
-def _csv_lines(table: _Table, lead: str = "") -> list:
-    """The CSV lines of ``table``'s rows after ``lead``, a chunk of rows to a
-    string joined by newlines. A cell is %d for a count and %r for a float
-    (the shortest round trip; nan and inf as such). A chunk is formatted
-    from the ``tolist()`` of its stacked columns: %r on a np.float64 prints
-    "np.float64(...)"."""
-    templates, data, held, rows = table.layout(
-        lambda values: "%d" if values.dtype.kind in "iu" else "%r", is_json=False)
-    n = len(data[0]) if data else 0
-    held = [0] * n if held is None else held.tolist()
-    blocks = []
-    for lo in range(0, n, rows):
-        block = np.column_stack([values[lo:lo + rows] for values in data])
-        blocks.append("\n".join([lead + templates[k] % tuple(row) for k, row in
-                                 zip(held[lo:lo + rows], block.tolist())]))
-    return blocks
-
-
-def _json_rows(table: _Table):
-    """The JSON objects of ``table``'s rows joined by commas, a chunk of rows
-    at a time. A row is laid out in 8-byte words from a byte template: per
-    cell, words for the text before it (a key, a bracket or a comma, null
-    columns, the verdict) and ``_g17`` slot words for its number, then the
-    row's closing text. Deleting the 0 bytes the template and the kernel
-    leave gives the text."""
-    # imported on the first JSON table, so that a process that writes none
-    # (library use, CSV) does not build the kernel's tables
+def _table_rows(table: _Table, is_json: bool, lead: str = ""):
+    """The rows of ``table`` a chunk at a time, as bytes: JSON objects joined
+    by commas, or CSV lines after ``lead``, each ended by a newline. A row is
+    laid out in 8-byte words from a byte template: per cell, words for the
+    text before it (a key, a bracket or a comma, null columns, the verdict)
+    and ``_g17`` slot words for its number, then the row's closing text.
+    Deleting the 0 bytes the template and the kernel leave gives the text.
+    A number is written as ``'%.17g' %`` gives it, but a CSV float as
+    ``repr`` does (the shortest round trip; nan and inf as such); a count,
+    below 2**53, is the same either way as ``%d``."""
+    # imported on the first table, so that a process that writes none
+    # (library use) does not build the kernel's tables
     from gdcert import _g17
 
-    templates, data, held, rows = table.layout(lambda values: "\0", is_json=True)
+    templates, data, held, rows = table.layout(is_json)
     n = len(data[0]) if data else 0
     if n == 0:
         return
-    pieces = [(row + ",").encode().split(b"\0") for row in templates]
+    end = "," if is_json else "\n"
+    pieces = [(lead + row + end).encode().split(b"\0") for row in templates]
     m = len(pieces[0]) - 1  # cells per row
     lit = math.ceil(max((len(p) for ps in pieces for p in ps[:-1]), default=0) / 8)
     slot = lit + _g17.SLOT_WORDS  # words a cell
@@ -479,6 +470,10 @@ def _json_rows(table: _Table):
     row_bytes = np.frombuffer(b"".join(
         b"".join(p.ljust(8 * slot, b"\0") for p in ps[:-1]) + ps[-1].ljust(tail, b"\0")
         for ps in pieces), np.uint8).reshape(2, -1)
+    shortest = not is_json and np.repeat(
+        [values.dtype.kind == "f" for values in data],
+        [math.prod(values.shape[1:]) for values in data])
+    fallback = _json_scalar if is_json else repr
     width = row_bytes.shape[1]
     buf = bytearray(min(rows, n) * width)  # every chunk's grid
     grid = np.frombuffer(buf, np.uint8).reshape(-1, width)
@@ -490,10 +485,28 @@ def _json_rows(table: _Table):
         else:
             np.take(row_bytes, held[lo:lo + r], axis=0, out=grid[:r], mode="clip")
         cells = grid[:r].view(np.uint64)[:, :m * slot].reshape(r, m, slot)
-        _g17.format_g17(block.astype(float, copy=False), cells[..., lit:], _json_scalar)
+        _g17.format_floats(block.astype(float, copy=False), cells[..., lit:],
+                           fallback, shortest)
         text = (buf if r == len(grid) else buf[:r * width]).translate(None, b"\0")
-        if lo + r == n:
+        if is_json and lo + r == n:
             del text[-1]  # the last row's comma
+        yield text
+
+
+def _json_vector(v: np.ndarray):
+    """The JSON numbers of the float64 vector ``v`` joined by commas, a
+    chunk at a time, as bytes: ``_g17`` slots with a comma in each slot's
+    last byte, which the kernel leaves a hole."""
+    from gdcert import _g17
+
+    out = np.empty((min(len(v), _CHUNK), _g17.SLOT_WORDS), np.uint64)
+    for lo in range(0, len(v), _CHUNK):
+        slots = out[:len(v) - lo]
+        _g17.format_floats(v[lo:lo + _CHUNK], slots, _json_scalar)
+        slots.view(np.uint8)[:, -1] = ord(",")
+        text = bytearray(slots).translate(None, b"\0")
+        if lo + _CHUNK >= len(v):
+            del text[-1]  # the last number's comma
         yield text
 
 
@@ -504,8 +517,8 @@ def json_dumps(obj, write: Callable | None = None) -> str | None:
 
     Returns the text, or with ``write`` passes it to ``write`` in bytes-like
     pieces as they are made (a step table a chunk at a time) and returns
-    None. Step tables go through ``_g17``; the output is the same as
-    formatting each element on its own.
+    None. Step tables and long float64 vectors go through ``_g17``; the
+    output is the same as formatting each element on its own.
     """
     if write is not None:
         _dump(obj, write)
@@ -520,7 +533,13 @@ def _dump(obj, write: Callable) -> None:
     through ``json_dumps``."""
     if isinstance(obj, _Table):
         write(b"[")
-        for chunk in _json_rows(obj):
+        for chunk in _table_rows(obj, is_json=True):
+            write(chunk)
+        write(b"]")
+    elif (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1
+          and len(obj) >= _VECTOR_CELLS):
+        write(b"[")
+        for chunk in _json_vector(obj):
             write(chunk)
         write(b"]")
     elif isinstance(obj, np.ndarray):
@@ -587,53 +606,59 @@ def trace_to_dict(trace: Trace) -> dict:
     return {"meta": meta, "steps": _Table(list(_step_columns(trace).items()))}
 
 
-def trace_to_csv(trace: Trace) -> str:
-    """Per-iteration table: header row plus one row per recorded step."""
+def trace_to_csv(trace: Trace, write: Callable | None = None) -> str | None:
+    """Per-iteration table: header row plus one row per recorded step.
+    Returns the text, or with ``write`` passes it on as ``json_dumps`` does."""
     columns = _step_columns(trace)
     keys = ["t", "x"] + (["y", "z", "f_y"] if trace.y is not None else [])
     keys += ["f", "gap", "grad_norm", "grad_dual_norm", "eta"]
     header = [k if columns[k] is None or columns[k].ndim == 1 else
               ",".join(f"{k}{i}" for i in range(columns[k].shape[1])) for k in keys]
-    table = _Table([(k, columns[k]) for k in keys])
-    return "\n".join([",".join(header), *_csv_lines(table)]) + "\n"
+    return _csv(",".join(header), [(_Table([(k, columns[k]) for k in keys]), "")],
+                write)
 
 
-def report_to_csv(reports: list) -> str:
+def report_to_csv(reports: list, write: Callable | None = None) -> str | None:
+    """Every certificate's step table under one header, a line per step
+    after the theorem's id; returns or passes on the text as ``trace_to_csv``."""
     keys = ("t", "phi", "dphi", "allowed", "amortized", "ok", "slack")
-    lines = ["theorem," + ",".join(keys)]
-    for rep in reports:
-        table = _Table([(k, rep.steps.get(k)) for k in keys], "ok")
-        lines += _csv_lines(table, rep.theorem + ",")
-    return "\n".join(lines) + "\n"
+    tables = [(_Table([(k, rep.steps.get(k)) for k in keys], "ok"), rep.theorem + ",")
+              for rep in reports]
+    return _csv("theorem," + ",".join(keys), tables, write)
+
+
+def _csv(header: str, tables: list, write: Callable | None) -> str | None:
+    """The header line, then the lines of each (table, lead)."""
+    if write is None:
+        parts = []
+        _csv(header, tables, parts.append)
+        return b"".join(parts).decode()
+    write(header.encode() + b"\n")
+    for table, lead in tables:
+        for chunk in _table_rows(table, is_json=False, lead=lead):
+            write(chunk)
 
 
 def emit_trace(trace: Trace, path: str, fmt: str = "json") -> str:
-    """Write the trace; JSON goes to the file as it is made."""
-    if fmt == "json":
-        _write_json(path, trace_to_dict(trace))
-    else:
-        _write_text(path, trace_to_csv(trace))
+    """Write the trace to the file as it is made."""
+    with open(path, "wb") as fh:
+        if fmt == "json":
+            json_dumps(trace_to_dict(trace), fh.write)
+        else:
+            trace_to_csv(trace, fh.write)
     return path
 
 
 def emit_report(result: RunResult, path: str, fmt: str = "json") -> str:
-    """Write a run's certification results; JSON is canonical, CSV is the
-    per-step table. An empty report serializes to an empty JSON object."""
-    if fmt == "json":
-        _write_json(path, result.report_dict())
-    else:
-        _write_text(path, report_to_csv(result.reports))
-    return path
-
-
-def _write_json(path: str, doc) -> None:
+    """Write a run's certification results as they are made; JSON is
+    canonical, CSV is the per-step table. An empty report serializes to an
+    empty JSON object."""
     with open(path, "wb") as fh:
-        json_dumps(doc, fh.write)
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
+        if fmt == "json":
+            json_dumps(result.report_dict(), fh.write)
+        else:
+            report_to_csv(result.reports, fh.write)
+    return path
 
 
 def write_outputs(result: RunResult, out: str, fmt: str = "json") -> list:

@@ -31,6 +31,17 @@ def as_vector_reference(x) -> np.ndarray:
     return v
 
 
+class Constant:
+    """The step size schedule eta(t) = ``value``, for online runs that a test
+    drives with a step size of its own choosing."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def eta(self, t: int) -> float:
+        return self.value
+
+
 def cumulative_loop(rows, T: int) -> np.ndarray:
     """``ExpertsAdversary.cumulative`` as a loop over the rounds: the rows
     played cyclically, added one round at a time onto zeros."""

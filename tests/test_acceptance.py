@@ -23,9 +23,10 @@ from gdcert.mirror import (
     run_mirror_descent,
     tuned_eta,
 )
-from gdcert.descent import Constant, run_online_gd
+from gdcert.descent import run_online_gd
 from gdcert.problems import get_problem, make_alternating_experts
 from oracles import (
+    Constant,
     broken_potential_increases,
     generalized_pythagorean_gap,
     gradient_check,

@@ -17,7 +17,7 @@ from gdcert.certify import (
     _envelope_column,
 )
 from gdcert.core import Unconstrained
-from gdcert.descent import Constant, run_online_gd, run_strongly_convex_gd
+from gdcert.descent import run_online_gd, run_strongly_convex_gd
 from gdcert.harness import (
     RunConfig,
     json_dumps,
@@ -28,7 +28,7 @@ from gdcert.problems import PROBLEMS, FixedAdversary, get_problem
 from gdcert.smooth import run_smooth_gd, run_well_conditioned
 from gdcert.accel import restart_accelerated, run_agm2, run_sc_agm
 from gdcert.trace import Trace
-from oracles import replay_certificate
+from oracles import Constant, replay_certificate
 
 
 def view(x, f=None, y=None, z=None, f_y=None):
@@ -392,6 +392,27 @@ class TestCertifyRun:
         assert report.passed
         assert report.end_checks[0].label == "single-step-gap"
         assert not report.step_checks  # no potential without a growth rate
+
+    @pytest.mark.filterwarnings("error")
+    def test_agm_sc_envelope_reaches_zero_without_overflow(self):
+        # p2 has gamma = 1: (1 + gamma)^t overflows from t = 1025 on, where
+        # the envelope's true value is below every double
+        p2 = get_problem("p2")
+        trace = run_sc_agm(p2, [1.0, 1.0], 2000)
+        c = {"alpha": 1.0, "beta": 4.0, "gamma": 1.0, "x_star": [0.0, 0.0]}
+        t = np.arange(1, 2001)
+        envelope = gdcert.certify._agm_sc_envelope(trace, c)(t)
+        with np.errstate(over="ignore"):
+            growth = np.exp(t * np.log1p(1.0))
+        finite = np.isfinite(growth)
+        # (alpha + beta) / 2 * ||x0 - x*||^2 = 5, divided as before
+        assert envelope[finite].tolist() == (5.0 / growth[finite]).tolist()
+        assert (~finite).sum() == 976
+        assert envelope[~finite].tolist() == [0.0] * 976
+        # the end check now gives a verdict; the step checks' false FAILs
+        # past the overflow are another matter
+        report = certify_trace("agm-sc", trace, problem=p2)
+        assert {e.label: e.ok for e in report.end_checks}["anytime-gap"]
 
 
 def test_every_theorem_has_a_claim():

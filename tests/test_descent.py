@@ -5,7 +5,6 @@ from gdcert.certify import certify_trace
 from gdcert.core import Ball, Simplex, Unconstrained
 from gdcert.descent import (
     AnytimeScaled,
-    Constant,
     HorizonScaled,
     InverseStrongConvexity,
     gd_step,
@@ -20,6 +19,7 @@ from gdcert.problems import (
     make_experts_adversary,
 )
 from gdcert.trace import Trace
+from oracles import Constant
 
 
 class TestSteps:
@@ -61,7 +61,7 @@ class TestSchedules:
 
     def test_always_positive(self):
         for sched in (HorizonScaled(1.0, 2.0, 10), AnytimeScaled(1.0, 2.0),
-                      InverseStrongConvexity(0.5), Constant(0.3)):
+                      InverseStrongConvexity(0.5)):
             assert all(sched.eta(t) > 0 for t in range(100))
 
 

@@ -14,7 +14,7 @@ from gdcert import accel, descent, mirror, problems, smooth
 from gdcert.certify import THEOREMS
 from gdcert.cli import _build_parser, _config_from_args, _config_from_dict, main
 from gdcert.core import Unconstrained
-from gdcert.descent import Constant, run_online_gd
+from gdcert.descent import run_online_gd
 from gdcert.harness import (
     METHODS,
     SETS,
@@ -34,6 +34,7 @@ from gdcert.harness import (
 )
 from gdcert.mirror import EuclideanMap, run_mirror_descent
 from gdcert.problems import ADVERSARIES, PROBLEMS, FixedAdversary, get_problem
+from oracles import Constant
 
 
 class TestConfigValidation:

@@ -3,7 +3,7 @@ import pytest
 
 from gdcert.certify import certify_trace
 from gdcert.core import Ball, Box, Norm, Simplex, Unconstrained, norm_value
-from gdcert.descent import Constant, run_online_gd
+from gdcert.descent import run_online_gd
 from gdcert.mirror import (
     EuclideanMap,
     NegEntropyMap,
@@ -15,6 +15,7 @@ from gdcert.mirror import (
 )
 from gdcert.problems import make_alternating_experts, make_experts_adversary
 from oracles import (
+    Constant,
     generalized_pythagorean_gap,
     grid_refine_simplex,
     hedge_closed_form,

@@ -1,6 +1,6 @@
 """Serialization contract: pinned bytes of trace and report files, the
-%.17g kernel checked against '%.17g' %, and the fast formatting paths
-checked against per-element references."""
+kernel's two styles checked against '%.17g' % and repr, and the fast
+formatting paths checked against per-element references."""
 
 import hashlib
 import json
@@ -19,10 +19,10 @@ from gdcert.harness import (
     _CHUNK,
     RunConfig,
     RunResult,
-    _csv_lines,
     _grad_norms,
     _json_scalar,
     _Table,
+    _table_rows,
     emit_report,
     json_dumps,
     report_to_csv,
@@ -249,7 +249,7 @@ def g17_texts(values) -> list:
     it leaves to the fallback."""
     v = np.asarray(values, dtype=float)
     out = np.zeros((v.size, _g17.SLOT_WORDS), np.uint64)
-    _g17.format_g17(v, out, _json_scalar)
+    _g17.format_floats(v, out, _json_scalar)
     slots = out.view(np.uint8).reshape(v.size, -1)
     slots[:, -1] = ord(",")  # a slot's last byte is always a hole
     return slots.tobytes().translate(None, b"\0").decode().split(",")[:-1]
@@ -302,6 +302,94 @@ def test_g17_carries_into_the_next_power():
     v = [9.9999999999999999e15, 1e-14, 1e-70, 1e-305, -1e-14]
     assert g17_texts(v) == ["10000000000000000", "1e-14", "1e-70", "1e-305", "-1e-14"]
     assert g17_texts(v) == g17_reference(v)
+
+
+# --- the repr style against repr --------------------------------------------
+
+def repr_texts(values) -> list:
+    """The kernel's shortest-digits text of each value, with ``repr`` for
+    the cells it leaves to the fallback."""
+    v = np.asarray(values, dtype=float)
+    out = np.zeros((v.size, _g17.SLOT_WORDS), np.uint64)
+    _g17.format_floats(v, out, repr, shortest=True)
+    slots = out.view(np.uint8).reshape(v.size, -1)
+    slots[:, -1] = ord(",")
+    return slots.tobytes().translate(None, b"\0").decode().split(",")[:-1]
+
+
+def repr_mismatches(values) -> list:
+    """(value, kernel text, repr) for each value the kernel writes otherwise
+    than ``repr``: a short list to report when the check fails."""
+    values = np.asarray(values, dtype=float).tolist()
+    return [(x, text, repr(x)) for x, text in zip(values, repr_texts(values))
+            if text != repr(x)]
+
+
+def test_repr_matches_on_random_bit_patterns():
+    # every exponent: subnormals, nan and the infinities included
+    bits = np.random.default_rng(18).integers(0, 2**64, 200_000, dtype=np.uint64)
+    assert repr_mismatches(bits.view(np.float64)) == []
+
+
+def test_repr_matches_at_powers_of_ten_and_their_neighbours():
+    p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    v = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+    assert repr_mismatches(np.concatenate([v, -v])) == []
+
+
+def test_repr_matches_at_powers_of_two_and_their_neighbours():
+    # 2^e has a rounding interval half as wide below as above
+    p = np.ldexp(1.0, np.arange(-1074, 1024))
+    assert repr_mismatches(np.concatenate([p, np.nextafter(p, 0.0),
+                                           np.nextafter(p, np.inf)])) == []
+    assert repr_texts([0.5, 1024.0, 2.0**-20]) == ["0.5", "1024.0", "9.5367431640625e-07"]
+
+
+def test_repr_matches_on_values_rounded_to_each_digit_count():
+    # 1 to 17 significant digits over many magnitudes: every shortest count,
+    # the ones below 15 included
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal(6_000) * 10.0 ** rng.integers(-30, 30, 6_000)
+    assert repr_mismatches([float("%.*g" % (k, y)) for y in x.tolist()
+                            for k in range(1, 18)]) == []
+
+
+def test_repr_writes_integral_floats_with_a_point_zero():
+    ints = np.random.default_rng(53).integers(0, 2**53, 20_000).astype(float)
+    assert repr_mismatches(np.concatenate(
+        [ints, [1.0, 9.0, 10.0, 100.0, 123.0, 2.0**53 - 1, 2.0**53]])) == []
+    assert repr_texts([100.0, -7.0, 1e15]) == ["100.0", "-7.0", "1000000000000000.0"]
+
+
+def test_repr_switches_layout_at_1e16_and_1e_minus_4():
+    v = [1e16, 9999999999999998.0, 1.5e16, 1e-4, 1.5e-4, 9.9e-5, 1e-5, 0.00012345]
+    assert repr_texts(v) == ["1e+16", "9999999999999998.0", "1.5e+16", "0.0001",
+                             "0.00015", "9.9e-05", "1e-05", "0.00012345"]
+    assert repr_mismatches(v) == []
+
+
+def test_repr_zeros_subnormals_and_non_finite():
+    sub = np.ldexp(np.random.default_rng(1074).integers(1, 2**52, 2_000).astype(float), -1074)
+    v = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                         math.nan, math.inf, -math.inf], sub])
+    assert repr_texts(v)[:8] == ["0.0", "-0.0", "5e-324", "-5e-324",
+                                 "2.225073858507201e-308", "nan", "inf", "-inf"]
+    assert repr_mismatches(v) == []
+
+
+def test_repr_rounds_ties_half_to_even():
+    # 8 + 2^-16 = 8.0000152587890625 lies halfway between two 16-digit
+    # candidates, both inside its interval: the fallback decides. The other
+    # needs 17 digits and is an exact tie at an exact power of ten, which
+    # rint rounds to even as the %.17g style does. Zeros stay on the
+    # vectorized path
+    seen = []
+    v = np.array([8 + 2.0**-16, 31867706181171.1875, 0.0, -0.0])
+    out = np.zeros((4, _g17.SLOT_WORDS), np.uint64)
+    _g17.format_floats(v, out, lambda x: seen.append(x) or repr(x), shortest=True)
+    assert seen == [8 + 2.0**-16]
+    assert repr_texts(v) == ["8.000015258789062", "31867706181171.188", "0.0", "-0.0"]
+    assert repr_mismatches(v) == []
 
 
 # --- fast paths against per-element references ------------------------------
@@ -358,6 +446,15 @@ def test_array_with_non_finite_matches_per_element_json(a):
     assert json_dumps(a) == "[" + ",".join(_json_scalar(v) for v in a.tolist()) + "]"
 
 
+def test_long_vectors_match_per_element_json():
+    # past a chunk, at the kernel's least length, and empty
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(2 * _CHUNK + 5) * 10.0 ** rng.integers(-300, 300, 2 * _CHUNK + 5)
+    v[[3, _CHUNK, 2 * _CHUNK]] = [math.nan, -math.inf, -0.0]
+    for w in (v, v[:harness._VECTOR_CELLS], v[:0]):
+        assert json_dumps(w) == "[" + ",".join(_json_scalar(x) for x in w.tolist()) + "]"
+
+
 # one strategy per column kind; "mixed" draws a different kind per cell
 CELLS = {
     "float": st.floats(allow_nan=False, allow_infinity=False),
@@ -399,8 +496,8 @@ def test_records_match_per_element_json(rows):
 @settings(deadline=None, max_examples=60)
 @given(float_arrays(any_floats))
 def test_csv_vector_matches_per_element_cells(a):
-    (row,) = _csv_lines(_Table([("x", a[None, :])]))
-    assert row == ",".join(csv_reference(v) for v in a)
+    text = b"".join(_table_rows(_Table([("x", a[None, :])]), is_json=False))
+    assert text.decode() == ",".join(csv_reference(v) for v in a) + "\n"
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 10, 1000])
