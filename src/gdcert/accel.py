@@ -4,6 +4,7 @@ variants, the strongly convex variant, and the restart reduction."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,7 @@ def run_agm2(problem: Problem, x0, T: int, schedule: str = "agm-smooth",
     beta = problem.smoothness_beta
     if beta is None:
         raise ValueError("problem declares no smoothness constant")
+    x0 = as_vector(x0)
     sched = AgmSchedule(schedule, T=T)
     constrained = feasible is not None and not isinstance(feasible, Unconstrained)
     if feasible is None:
@@ -149,8 +151,8 @@ def agm1_step(x, g: Vector, y_prev, lam_t: float, lam_next: float,
     weight recurrence."""
     if lam_next <= 0:
         raise ValueError("next momentum weight must be positive")
-    x = as_vector(x)
-    y_prev = as_vector(y_prev)
+    x = np.asarray(x, dtype=float)
+    y_prev = np.asarray(y_prev, dtype=float)
     y_next = x - g / beta
     c = (1.0 - lam_t) / lam_next
     x_next = (1.0 - c) * y_next + c * y_prev
@@ -159,8 +161,8 @@ def agm1_step(x, g: Vector, y_prev, lam_t: float, lam_next: float,
 
 def agm1_to_agm2_state(x, y, lam: float) -> Vector:
     """Reconstruct the aggressive-sequence point: z = lam x - (lam - 1) y."""
-    x = as_vector(x)
-    y = as_vector(y)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     return lam * x - (lam - 1.0) * y
 
 
@@ -252,9 +254,10 @@ def sc_agm_step(x, g: Vector, y_prev, kappa: float,
         raise ValueError("condition number must be at least 1")
     if kappa == 1:
         raise ValueError("condition number 1 is solved by a single smooth step")
-    x = as_vector(x)
-    y_prev = as_vector(y_prev)
-    m = (np.sqrt(kappa) - 1.0) / (np.sqrt(kappa) + 1.0)
+    x = np.asarray(x, dtype=float)
+    y_prev = np.asarray(y_prev, dtype=float)
+    rk = math.sqrt(kappa)  # np.sqrt's correctly rounded root, as a float
+    m = (rk - 1.0) / (rk + 1.0)
     y_next = x - g / beta
     x_next = (1.0 + m) * y_next - m * y_prev
     return x_next, y_next
@@ -264,9 +267,9 @@ def sc_agm_z(x, y, kappa: float) -> Vector:
     """Implied aggressive-sequence point z = sqrt(kappa) (x - y) + x."""
     if kappa <= 1:
         raise ValueError("condition number must exceed 1")
-    x = as_vector(x)
-    y = as_vector(y)
-    return np.sqrt(kappa) * (x - y) + x
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return math.sqrt(kappa) * (x - y) + x
 
 
 def sc_agm_recursion_residual(grad, x, z, z_next, alpha: float, kappa: float):

@@ -24,7 +24,9 @@ _LIST_CHECK_MAX = 32
 
 def as_vector(x) -> Vector:
     """Coerce ``x`` to a 1-D float64 array, rejecting NaN/Inf entries; a
-    valid 1-D float64 ``ndarray`` is returned as it is, not copied."""
+    valid 1-D float64 ``ndarray`` is returned as it is, not copied. For data
+    where it enters a run (x0, a constructor's vectors): what a step calls
+    trusts the points and gradients ``trace.record`` checked."""
     if not (type(x) is np.ndarray and x.dtype == float and x.ndim == 1):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.ndim != 1:
@@ -109,9 +111,14 @@ class FeasibleSet:
         """argmin over the set of ``<g, .>``; only bounded sets support it."""
         raise ValueError(f"{type(self).__name__} is unbounded: no linear minimizer")
 
-    def _check_dim(self, x: Vector) -> None:
+    def _vector(self, x) -> Vector:
+        """``x`` as a float array (a float64 ``ndarray`` as it is) of the
+        set's dimension. Finiteness is the caller's: a run checks x0 once,
+        and ``trace.record`` every point it steps to."""
+        x = np.asarray(x, dtype=float)
         if self.dim is not None and x.shape[0] != self.dim:
             raise ValueError(f"dimension mismatch: set dim {self.dim}, vector dim {x.shape[0]}")
+        return x
 
 
 class Unconstrained(FeasibleSet):
@@ -121,13 +128,11 @@ class Unconstrained(FeasibleSet):
         self.dim = dim
 
     def member(self, x, tol: float = MEMBER_TOL) -> bool:
-        self._check_dim(as_vector(x))
+        self._vector(x)
         return True
 
     def project(self, x) -> Vector:
-        v = as_vector(x)
-        self._check_dim(v)
-        return v.copy()
+        return self._vector(x).copy()
 
     def __repr__(self):
         return "Unconstrained()"
@@ -144,15 +149,14 @@ class Ball(FeasibleSet):
         self.dim = self.center.shape[0]
 
     def member(self, x, tol: float = MEMBER_TOL) -> bool:
-        v = as_vector(x)
-        self._check_dim(v)
-        return float(np.linalg.norm(v - self.center)) <= self.radius + tol
+        v = self._vector(x)
+        d = v - self.center
+        return math.sqrt(d.dot(d)) <= self.radius + tol
 
     def project(self, x) -> Vector:
-        v = as_vector(x)
-        self._check_dim(v)
+        v = self._vector(x)
         d = v - self.center
-        n = float(np.linalg.norm(d))
+        n = math.sqrt(d.dot(d))  # np.linalg.norm's arithmetic on a real vector
         if n <= self.radius:
             # includes the degenerate center point: return it unchanged
             return v.copy()
@@ -163,9 +167,8 @@ class Ball(FeasibleSet):
         return 2.0 * self.radius
 
     def lmo(self, g) -> Vector:
-        g = as_vector(g)
-        self._check_dim(g)
-        n = float(np.linalg.norm(g))
+        g = self._vector(g)
+        n = math.sqrt(g.dot(g))
         if n == 0.0:
             return self.center.copy()
         return self.center - g * (self.radius / n)
@@ -186,13 +189,11 @@ class Box(FeasibleSet):
         self.dim = self.lo.shape[0]
 
     def member(self, x, tol: float = MEMBER_TOL) -> bool:
-        v = as_vector(x)
-        self._check_dim(v)
+        v = self._vector(x)
         return bool(np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol))
 
     def project(self, x) -> Vector:
-        v = as_vector(x)
-        self._check_dim(v)
+        v = self._vector(x)
         return np.clip(v, self.lo, self.hi)
 
     @property
@@ -202,8 +203,7 @@ class Box(FeasibleSet):
     def lmo(self, g) -> Vector:
         # per coordinate: lower bound when the objective coefficient is
         # non-negative, upper bound otherwise (deterministic at zero)
-        g = as_vector(g)
-        self._check_dim(g)
+        g = self._vector(g)
         return np.where(g >= 0, self.lo, self.hi).astype(float)
 
     def __repr__(self):
@@ -219,8 +219,7 @@ class Simplex(FeasibleSet):
         self.dim = int(dim)
 
     def member(self, x, tol: float = MEMBER_TOL) -> bool:
-        v = as_vector(x)
-        self._check_dim(v)
+        v = self._vector(x)
         return bool(np.all(v >= -tol) and abs(float(np.sum(v)) - 1.0) <= tol)
 
     def project(self, x) -> Vector:
@@ -228,8 +227,7 @@ class Simplex(FeasibleSet):
 
         Threshold-index ties break toward the larger support.
         """
-        v = as_vector(x)
-        self._check_dim(v)
+        v = self._vector(x)
         s = np.sort(v)[::-1]
         css = np.cumsum(s)
         rho = 1
@@ -245,8 +243,7 @@ class Simplex(FeasibleSet):
         return float(np.sqrt(2.0)) if self.dim > 1 else 0.0
 
     def lmo(self, g) -> Vector:
-        g = as_vector(g)
-        self._check_dim(g)
+        g = self._vector(g)
         out = np.zeros(self.dim)
         out[int(np.argmin(g))] = 1.0  # argmin takes the lowest index on ties
         return out

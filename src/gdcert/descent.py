@@ -3,11 +3,13 @@ strongly convex variants, plus the weighted-average offline readout."""
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from gdcert.core import FeasibleSet, Vector, as_vector, check_same_dim
+from gdcert.core import FeasibleSet, Unconstrained, Vector, as_vector, check_same_dim
 from gdcert.problems import OnlineAdversary
 from gdcert.trace import Trace, drive
 
@@ -27,8 +29,12 @@ class HorizonScaled(StepSchedule):
     G: float
     T: int
 
+    @functools.cached_property
+    def step_size(self) -> float:
+        return self.D / (self.G * math.sqrt(self.T))
+
     def eta(self, t: int) -> float:
-        return self.D / (self.G * np.sqrt(self.T))
+        return self.step_size
 
 
 @dataclass(frozen=True)
@@ -39,7 +45,7 @@ class AnytimeScaled(StepSchedule):
     G: float
 
     def eta(self, t: int) -> float:
-        return self.D / (self.G * np.sqrt(t + 1.0))
+        return self.D / (self.G * math.sqrt(t + 1.0))
 
 
 @dataclass(frozen=True)
@@ -62,8 +68,8 @@ def gd_step(x, g, eta: float) -> Vector:
     """x - eta * g; also the minimizer of 0.5||u-x||^2 + eta <g, u>."""
     if eta <= 0:
         raise ValueError("step size must be positive")
-    x = as_vector(x)
-    g = as_vector(g)
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(g, dtype=float)
     check_same_dim(x, g)
     return x - eta * g
 
@@ -81,13 +87,17 @@ def run_online_gd(adversary: OnlineAdversary, feasible: FeasibleSet, x0,
     Records the played point, round loss, gradient, and the round loss at the
     comparator (the best fixed point in hindsight unless one is supplied).
     """
-    x = feasible.project(x0)
+    x = feasible.project(as_vector(x0))
     if comparator is None:
         comparator = adversary.comparator_over(feasible, T)
     comparator = as_vector(comparator)
-    trace = drive(adversary, x, T,
-                  lambda t, x, g, eta: feasible.project(x - eta * g),
-                  schedule.eta, comparator=comparator)
+    if isinstance(feasible, Unconstrained):
+        def step(t, x, g, eta):
+            return x - eta * g
+    else:
+        def step(t, x, g, eta):
+            return feasible.project(x - eta * g)
+    trace = drive(adversary, x, T, step, schedule.eta, comparator=comparator)
     trace.constants["x_star"] = comparator
     trace.meta["method"] = "gd"
     return trace
@@ -117,8 +127,8 @@ def weighted_average(trace: Trace) -> Vector:
     T = trace.T
     if T < 1:
         raise ValueError("need at least one iterate to average")
-    weights = np.array([2.0 * t / (T * (T + 1.0)) for t in range(1, T + 1)])
-    out = np.zeros_like(trace.x[0])
-    for w, x in zip(weights, trace.x[1:]):
-        out += w * x
-    return out
+    weights = 2.0 * np.arange(1, T + 1) / (T * (T + 1.0))
+    # summed from zeros in step order, as a running total would be: one
+    # accumulate, where a reduce may add pairwise
+    terms = np.concatenate([np.zeros_like(trace.x[:1]), weights[:, None] * trace.x[1:]])
+    return np.add.accumulate(terms)[-1]

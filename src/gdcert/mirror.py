@@ -59,10 +59,10 @@ class EuclideanMap(MirrorMap):
         return 0.5 * float(np.dot(v, v))
 
     def grad_h(self, x) -> Vector:
-        return as_vector(x).copy()
+        return np.array(x, dtype=float)
 
     def grad_h_star(self, theta) -> Vector:
-        return as_vector(theta).copy()
+        return np.array(theta, dtype=float)
 
     def bregman(self, y, x) -> float:
         # x may be an (n, d) stack of points: one divergence per row
@@ -88,16 +88,16 @@ class NegEntropyMap(MirrorMap):
         return float(np.sum(terms))
 
     def grad_h(self, x) -> Vector:
-        v = as_vector(x)
-        if np.any(v <= 0):
+        v = np.asarray(x, dtype=float)
+        if not np.minimum.reduce(v) > 0.0:  # nan fails too
             raise ValueError("gradient of entropy needs strictly positive entries")
         return 1.0 + np.log(v)
 
     def grad_h_star(self, theta) -> Vector:
-        return np.exp(as_vector(theta) - 1.0)
+        return np.exp(np.asarray(theta, dtype=float) - 1.0)
 
     def interior(self, x) -> bool:
-        return np.all(as_points(x) > 0, axis=-1)
+        return np.all(np.asarray(x, dtype=float) > 0, axis=-1)
 
     def bregman(self, y, x) -> float:
         # sum_i y_i ln(y_i / x_i) + sum(x) - sum(y); reduces to KL on the
@@ -133,19 +133,19 @@ def get_map(map_id: str) -> MirrorMap:
 def bregman_project(mirror_map: MirrorMap, feasible: FeasibleSet, x_prime) -> Vector:
     """argmin over the set of the divergence from x_prime.
 
-    Supported pairs: the Euclidean map with any set (reduces to Euclidean
-    projection) and negative entropy with the simplex (an l1 rescale).
+    Supported pairs: any map on the unconstrained set (x_prime itself), the
+    Euclidean map with any set (reduces to Euclidean projection) and
+    negative entropy with the simplex (an l1 rescale).
     """
+    if isinstance(feasible, Unconstrained):
+        return np.asarray(x_prime, dtype=float)
     if isinstance(mirror_map, EuclideanMap):
-        return feasible.project(x_prime)  # which validates x_prime
-    x_prime = as_vector(x_prime)
-    if isinstance(mirror_map, NegEntropyMap):
-        if isinstance(feasible, Simplex):
-            if not mirror_map.interior(x_prime):
-                raise ValueError("entropy projection needs a positive point")
-            return x_prime / float(np.sum(x_prime))
-        if isinstance(feasible, Unconstrained):
-            return x_prime.copy()
+        return feasible.project(x_prime)
+    if isinstance(mirror_map, NegEntropyMap) and isinstance(feasible, Simplex):
+        x_prime = np.asarray(x_prime, dtype=float)
+        if not mirror_map.interior(x_prime):
+            raise ValueError("entropy projection needs a positive point")
+        return x_prime / float(np.sum(x_prime))
     raise ValueError(
         f"unsupported (map, set) pair: ({mirror_map.map_id}, {type(feasible).__name__})")
 
@@ -156,19 +156,21 @@ def mirror_step(mirror_map: MirrorMap, feasible: FeasibleSet, x, g,
     project(grad_h_star(grad_h(x) - eta * g))."""
     if eta <= 0:
         raise ValueError("step size must be positive")
-    x = as_vector(x)
-    g = as_vector(g)
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(g, dtype=float)
     check_same_dim(x, g)
     multiplicative = isinstance(mirror_map, NegEntropyMap) and isinstance(feasible, Simplex)
-    # the entropy interior x > 0 is tested on the x validated above
-    if not ((x > 0.0).all() if multiplicative else mirror_map.interior(x)):
+    # the entropy interior x > 0 (which a nan entry fails), with the ufunc
+    # reductions that .min(), .max() and .sum() wrap: the same bits on a
+    # vector, without the method call's Python layer
+    if not (np.minimum.reduce(x) > 0.0 if multiplicative else mirror_map.interior(x)):
         raise ValueError("iterate left the mirror map's interior")
     if multiplicative:
         # multiplicative update in log space; subtracting the max exponent
         # is absorbed by the rescaling projection and avoids overflow
         logits = np.log(x) - eta * g
-        w = np.exp(logits - logits.max())
-        return w / float(w.sum())
+        w = np.exp(logits - np.maximum.reduce(logits))
+        return w / float(np.add.reduce(w))
     theta = mirror_map.grad_h(x) - eta * g
     return bregman_project(mirror_map, feasible, mirror_map.grad_h_star(theta))
 

@@ -41,6 +41,9 @@ class Problem:
         raise NotImplementedError
 
     def gradient(self, x) -> Vector:
+        """The gradient at one point. The step loop calls it once per step,
+        on a point it has already checked, so it does not scan x for
+        non-finite entries; ``trace.record`` checks the gradient too."""
         raise NotImplementedError
 
     @property
@@ -103,7 +106,7 @@ class DiagQuadratic(Problem):
         return float(v) if d.ndim == 1 else v
 
     def gradient(self, x) -> Vector:
-        return self.diag * (as_vector(x) - self.shift)
+        return self.diag * (x - self.shift)
 
     def minimizer_over(self, feasible: FeasibleSet) -> Vector:
         if isinstance(feasible, Unconstrained):
@@ -145,9 +148,9 @@ class LogSumExp(Problem):
         return float(lse) if v.ndim == 1 else lse
 
     def gradient(self, x) -> Vector:
-        v = as_vector(x)
-        e = np.exp(v - np.max(v))
-        return e / np.sum(e)
+        v = np.asarray(x, dtype=float)
+        e = np.exp(v - v.max())
+        return e / e.sum()
 
     def minimizer_over(self, feasible: FeasibleSet) -> Vector:
         if isinstance(feasible, Simplex):
@@ -177,7 +180,6 @@ class LinearLoss(Problem):
         return float(v) if v.ndim == 0 else v
 
     def gradient(self, x) -> Vector:
-        as_vector(x)
         return self.ell.copy()
 
     def minimizer_over(self, feasible: FeasibleSet) -> Vector:

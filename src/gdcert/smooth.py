@@ -23,8 +23,8 @@ def smooth_gd_step(x, g, beta: float) -> Vector:
     from beta-smoothness."""
     if beta <= 0:
         raise ValueError("smoothness constant must be positive")
-    x = as_vector(x)
-    g = as_vector(g)
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(g, dtype=float)
     check_same_dim(x, g)
     return x - g / beta
 
@@ -40,7 +40,7 @@ def frank_wolfe_step(feasible: FeasibleSet, x, g, eta_t: float) -> Vector:
     """
     if not (0.0 <= eta_t <= 1.0):
         raise ValueError("Frank-Wolfe step size must lie in [0, 1]")
-    if not feasible.member(x):  # which validates x
+    if not feasible.member(x):  # which checks x's dimension
         raise ValueError("current point must be feasible")
     return (1.0 - eta_t) * np.asarray(x, dtype=float) + eta_t * feasible.lmo(g)
 
@@ -61,15 +61,20 @@ def run_smooth_gd(problem: Problem, x0, T: int,
     beta = problem.smoothness_beta
     if beta is None:
         raise ValueError("problem declares no smoothness constant")
+    x0 = as_vector(x0)
     if feasible is None:
         feasible = Unconstrained(problem.dim)
-    trace = drive(problem, feasible.project(x0), T,
-                  lambda t, x, g, eta: feasible.project(x - g / beta),
-                  lambda t: 1.0 / beta)
+    if isinstance(feasible, Unconstrained):
+        def step(t, x, g, eta):
+            return x - g / beta
+    else:
+        def step(t, x, g, eta):
+            return feasible.project(x - g / beta)
+    trace = drive(problem, feasible.project(x0), T, step, lambda t: 1.0 / beta)
     trace.meta["method"] = "smooth-gd"
     trace.constants["beta"] = beta
     _attach_reference(trace, problem, feasible)
-    D = problem.sublevel_diameter(as_vector(x0))
+    D = problem.sublevel_diameter(x0)
     if D is not None:
         trace.constants["D"] = D
     return trace
@@ -143,8 +148,8 @@ def general_norm_smooth_step(kind: Norm, x, g, beta: float) -> Vector:
     """
     if beta <= 0:
         raise ValueError("smoothness constant must be positive")
-    x = as_vector(x)
-    g = as_vector(g)
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(g, dtype=float)
     check_same_dim(x, g)
     eta = 1.0 / beta
     if kind is Norm.EUCLIDEAN:

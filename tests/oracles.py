@@ -52,6 +52,18 @@ def cumulative_loop(rows, T: int) -> np.ndarray:
     return total
 
 
+def weighted_average_loop(x) -> np.ndarray:
+    """``descent.weighted_average`` as a loop over the steps: the iterates
+    x_1 .. x_T of the (T + 1, d) column, each weighted by 2t / (T(T + 1)),
+    added one step at a time onto zeros."""
+    x = np.asarray(x, dtype=float)
+    T = x.shape[0] - 1
+    total = np.zeros(x.shape[1])
+    for t in range(1, T + 1):
+        total += 2.0 * t / (T * (T + 1.0)) * x[t]
+    return total
+
+
 def simplex_project_enumerate(y) -> np.ndarray:
     """Exact simplex projection by enumerating KKT support sets.
 

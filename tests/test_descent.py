@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gdcert.certify import certify_trace
 from gdcert.core import Ball, Simplex, Unconstrained
@@ -19,7 +22,7 @@ from gdcert.problems import (
     make_experts_adversary,
 )
 from gdcert.trace import Trace
-from oracles import Constant
+from oracles import Constant, weighted_average_loop
 
 
 class TestSteps:
@@ -188,6 +191,26 @@ class TestWeightedAverage:
         xbar = weighted_average(trace)
         gap = get_problem("p1").value(xbar)
         assert gap <= 1.0 / (1.0 * (T + 1.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_step_loop(self, data):
+        """Bit for bit the running total, d = 1 included (where a sum may
+        add pairwise), with -0.0 entries and rows, whose total from zeros
+        is +0.0."""
+        T = data.draw(st.integers(1, 60), label="T")
+        d = data.draw(st.integers(1, 3), label="d")
+        entries = st.one_of(st.just(-0.0), st.floats(-1e6, 1e6))
+        x = data.draw(hnp.arrays(np.float64, (T + 1, d), elements=entries), label="x")
+        for t in data.draw(st.lists(st.integers(0, T), max_size=3), label="zero rows"):
+            x[t] = -0.0
+        trace = Trace(x=x, f=np.zeros(T + 1), grad=np.zeros((T, d)), eta=np.ones(T))
+        assert weighted_average(trace).tobytes() == weighted_average_loop(x).tobytes()
+
+    def test_negative_zero_iterates_average_to_positive_zero(self):
+        trace = Trace(x=np.full((4, 1), -0.0), f=np.zeros(4), grad=np.zeros((3, 1)),
+                      eta=np.ones(3))
+        assert weighted_average(trace).tobytes() == np.zeros(1).tobytes()
 
     def test_rejects_empty_horizon(self):
         trace = Trace(x=np.array([[1.0]]), f=np.array([0.5]), grad=np.zeros((0, 1)),

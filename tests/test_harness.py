@@ -10,10 +10,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gdcert import accel, descent, mirror, problems, smooth
+from gdcert import accel, core, descent, mirror, problems, smooth
+from gdcert import trace as trace_module
 from gdcert.certify import THEOREMS
 from gdcert.cli import _build_parser, _config_from_args, _config_from_dict, main
-from gdcert.core import Unconstrained
+from gdcert.core import Ball, Simplex, Unconstrained
 from gdcert.descent import run_online_gd
 from gdcert.harness import (
     METHODS,
@@ -32,7 +33,7 @@ from gdcert.harness import (
     trace_to_dict,
     validate_config,
 )
-from gdcert.mirror import EuclideanMap, run_mirror_descent
+from gdcert.mirror import EuclideanMap, NegEntropyMap, run_mirror_descent
 from gdcert.problems import ADVERSARIES, PROBLEMS, FixedAdversary, get_problem
 from oracles import Constant
 
@@ -298,12 +299,19 @@ class TestCli:
         assert data["steps"][0]["x"] == [0.3, 0.7]
 
     def test_non_finite_x0_exit_two(self, tmp_path, capsys):
+        """Every method's run rejects a non-finite x0 where it enters, with
+        exit 2 and nothing written: the step loop checks no x0 again."""
         out = tmp_path / "out.json"
-        code = main(["run", "--problem", "p2", "--method", "smooth-gd",
-                     "--steps", "5", "--x0", "1,nan", "--out", str(out)])
-        assert code == 2
-        assert "x0" in capsys.readouterr().err
-        assert not out.exists()
+        for method, bad in itertools.product(METHODS, ["nan", "inf"]):
+            cfg = GRADIENT_COUNT_RUNS[method]
+            dim = problems.get_adversary(cfg["problem"]).dim
+            code = main(["run", "--problem", cfg["problem"], "--method", method,
+                         "--set", cfg.get("feasible_set", "unconstrained"),
+                         "--steps", "5", "--x0", ",".join(["1"] * (dim - 1) + [bad]),
+                         "--out", str(out)])
+            assert code == 2, (method, bad)
+            assert "x0" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("args", [
         ["--problem", "p1", "--method", "mirror-negentropy", "--set", "ball"],
@@ -563,6 +571,79 @@ def test_trace_records_only_the_constants_the_run_used(method):
     if method == "sc-gd":
         assert "D" not in trace.constants
         assert "trajectory-estimated-G" not in trace.flags
+
+
+# every runner called directly, from the given x0
+RUNNER_CALLS = {
+    "run_online_gd": lambda x0: descent.run_online_gd(
+        FixedAdversary(get_problem("p2")), Unconstrained(2), x0, Constant(0.1), 5),
+    "run_strongly_convex_gd": lambda x0: descent.run_strongly_convex_gd(
+        FixedAdversary(get_problem("p2")), Unconstrained(2), x0, 1.0, 5),
+    "run_smooth_gd": lambda x0: smooth.run_smooth_gd(get_problem("p2"), x0, 5),
+    "run_frank_wolfe": lambda x0: smooth.run_frank_wolfe(
+        get_problem("p2"), Simplex(2), x0, 5),
+    "run_well_conditioned": lambda x0: smooth.run_well_conditioned(
+        get_problem("p2"), x0, 5),
+    "run_mirror_descent": lambda x0: mirror.run_mirror_descent(
+        problems.make_alternating_experts(2), EuclideanMap(), Ball(np.zeros(2), 1.0),
+        x0, 0.1, 5),
+    "run_agm2": lambda x0: accel.run_agm2(get_problem("p2"), x0, 5),
+    "run_agm1": lambda x0: accel.run_agm1(get_problem("p2"), x0, 5),
+    "run_general_norm_agm": lambda x0: accel.run_general_norm_agm(
+        get_problem("p2"), NegEntropyMap(), Simplex(2), x0, 5),
+    "run_sc_agm": lambda x0: accel.run_sc_agm(get_problem("p2"), x0, 5),
+    "restart_accelerated": lambda x0: accel.restart_accelerated(
+        get_problem("p2"), x0, 1e-6, max_epochs=2),
+}
+
+
+class TestValidatedWhereItEnters:
+    """Data is checked once, where it enters a run; the step loop's
+    oracles, set calls and step kernels trust what ``trace.record`` checked."""
+
+    def test_every_runner_has_a_call(self):
+        assert sorted(RUNNER_CALLS) == sorted(name for _, name in RUNNERS)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("runner", sorted(RUNNER_CALLS))
+    def test_direct_run_rejects_non_finite_x0(self, runner, bad):
+        assert RUNNER_CALLS[runner]([0.5, 0.5]).T >= 1
+        with pytest.raises(ValueError, match="non-finite"):
+            RUNNER_CALLS[runner]([0.5, bad])
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_step_loop_makes_no_as_vector_call(self, method, monkeypatch):
+        """No ``core.as_vector`` call inside ``trace.record``, wherever a
+        module imported it by name; the x0 checks at the start stay."""
+        original, record = core.as_vector, trace_module.record
+        depth, calls = [0], []
+
+        def counted(*args, **kwargs):
+            calls.append(depth[0])
+            return original(*args, **kwargs)
+
+        def scoped(fn):
+            def wrapper(*args, **kwargs):
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        modules = [m for name, m in sys.modules.items()
+                   if name == "gdcert" or name.startswith("gdcert.")]
+        for module in modules:
+            for name, value in vars(module).items():
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+                elif value is record:
+                    monkeypatch.setattr(module, name, scoped(record))
+        cfg = {"steps": 40, **GRADIENT_COUNT_RUNS[method]}
+        trace = run_experiment(RunConfig(method=method, **cfg)).trace
+        assert trace.T == cfg["steps"]
+        assert 0 in calls  # the counter sees the checks made at the start
+        assert sum(1 for d in calls if d) == 0
 
 
 class _OracleCalls(list):
