@@ -6,9 +6,10 @@ seeded inputs: the %.17g style with ``'%.17g' %`` and the repr style with
 ``repr``. Each batch mixes random 64-bit patterns (every exponent,
 subnormals, nan and the infinities included), values rounded to 1..17
 significant digits over many magnitudes, integers below 2**53, and the
-neighbours of powers of ten and of two. The cells the kernel leaves to its
-fallback are counted; the fallback is the reference itself. Exit code 1 on
-the first mismatch.
+neighbours of powers of ten and of two. Each slot must leave its byte 0
+a hole and hold its text in exactly as many nonzero bytes, so that no text
+byte is 0. The cells the kernel leaves to its fallback are counted; the
+fallback is the reference itself. Exit code 1 on the first mismatch.
 
 Usage:
     python scripts/check_kernel.py [count] [seed]    (default 10000000 0)
@@ -56,8 +57,11 @@ def texts(v: np.ndarray, shortest: bool, fallback) -> tuple:
     out = np.zeros((v.size, _g17.SLOT_WORDS), np.uint64)
     _g17.format_floats(v, out, counted, shortest)
     slots = out.view(np.uint8).reshape(v.size, -1)
-    slots[:, -1] = ord(",")  # a slot's last byte is always a hole
-    return slots.tobytes().translate(None, b"\0").decode().split(",")[:-1], len(calls)
+    holes = not slots[:, 0].any()
+    sizes = np.count_nonzero(slots, axis=1).tolist()
+    slots[:, 0] = ord(",")  # the literal byte, which the kernel leaves a hole
+    text = slots.tobytes().translate(None, b"\0").decode().split(",")[1:]
+    return text, sizes, holes, len(calls)
 
 
 def main() -> int:
@@ -68,13 +72,17 @@ def main() -> int:
         v = batch(rng, min(BATCH, count - done))
         values = v.tolist()
         for shortest, reference in ((False, g17), (True, repr)):
-            got, calls = texts(v, shortest, reference)
+            got, sizes, holes, calls = texts(v, shortest, reference)
             slow[shortest] += calls
-            for x, text in zip(values, got):
-                if text != reference(x):
-                    style = "repr" if shortest else "%.17g"
-                    print(f"MISMATCH ({style}): {x!r} -> {text!r}, "
-                          f"expected {reference(x)!r}")
+            style = "repr" if shortest else "%.17g"
+            if not holes:
+                print(f"SLOT ({style}): a slot's byte 0 is not a hole")
+                return 1
+            for x, text, size in zip(values, got, sizes):
+                expected = reference(x)
+                if text != expected or size != len(expected):
+                    print(f"MISMATCH ({style}): {x!r} -> {text!r} in {size} "
+                          f"nonzero bytes, expected {expected!r}")
                     return 1
         done += v.size
     print(f"{done} values, both styles exact; fallback share "

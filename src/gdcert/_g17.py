@@ -28,12 +28,22 @@ error of V or of the interval could decide: for ``%.17g`` a lo within
 within 1e-6 of a tie or of the edge of v's rounding interval, and the
 powers of two and subnormals.
 
-A slot is, byte by byte: the sign, the "0.000" prefix of -4 <= X < 0,
-then digit i at byte 6 + 2i with the point after it at byte 7 + 2i, then
-"e+XXX"; its last three bytes are always holes. Its words are looked up in
-tables: the sign and the first digit by both, four digits per word by
-their value, the prefix, the point and the trailing-zero mask by the
-position of the point and the digit count, and the exponent by X.
+A slot is four 8-byte words, byte by byte: byte 0, always a hole, for
+the caller's separator; the sign at byte 1; the "0.000" prefix of
+-4 <= X < 0 at bytes 2-6; then digit i of D densely, seven to a word: at
+byte 8 + i, 9 + i (i >= 7) or 10 + i (i >= 14), so that the last byte of
+each digit word (15, 23, 27) is free; and the exponent "e+XX" or "e+XXX"
+at bytes 27-31, the tail of the last word. The point after digit p moves
+the digits after it in p's word up by one byte into the free one and takes
+the byte it leaves; the other words stay as they are. Only scientific
+notation has an exponent, and its point lies in the first digit word, so
+the free byte 27 holds a digit or the point only without an exponent. A
+text is 24 bytes at most: the sign, 17 digits, the point and "e-308".
+
+The words are looked up in tables: a digit word from a four-digit and a
+three-digit group by their values, the prefix and each digit word's low
+mask (kept in place), high mask (moved up a byte) and point by the layout
+and the digit count, and the exponent by X.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ import math
 
 import numpy as np
 
-SLOT_WORDS = 6
+SLOT_WORDS = 4
 
 _K0, _K1 = -325, 341  # the decimal exponents the tables cover
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
@@ -89,34 +99,36 @@ class _Tables:
         self.hi_hi = c - (c - self.hi)
         self.hi_lo = self.hi - self.hi_hi
 
+        # digit words by group value: a four-digit group at bytes 0-3, a
+        # three-digit one at bytes 4-6 or 0-2; and by group k (a1, a2, b1, b2,
+        # c below), the digit count of D through the group's last nonzero
+        # digit; 0 for a zero group, but 1 for a1, whose leading digit counts
         g = np.arange(10_000)
         b = np.zeros((10_000, 8), np.uint8)
-        b[:, ::2] = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], 1) + 48
-        self.quad = _words(b)[:, 0]  # by a four-digit group
-        # by the k-th group: the digit count of D through the group's last
-        # nonzero digit; 0 for a zero group, but 1 for the first, where the
-        # leading digit counts
-        sig = 4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0)
-        self.count = [np.where(g > 0, 4 * k + 1 + sig, int(k == 0)).astype(np.uint8)
-                      for k in range(4)]
+        b[:, :4] = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], 1) + 48
+        self.quad = _words(b)[:, 0]
+        b = np.zeros((1_000, 8), np.uint8)
+        b[:, 4:7] = np.stack([g[:1000] // 100, g[:1000] // 10 % 10, g[:1000] % 10], 1) + 48
+        self.tri_high = _words(b)[:, 0]
+        self.tri = self.tri_high >> np.uint64(32)
+        self.count = []
+        for first, width in ((0, 4), (4, 3), (7, 4), (11, 3), (14, 3)):
+            h = g[:10 ** width]
+            sig = width - (h % 10 == 0) - (h % 100 == 0) - (width == 4) * (h % 1000 == 0)
+            self.count.append(np.where(h > 0, first + sig, int(first == 0)).astype(np.uint8))
 
-        b = np.zeros((20, 8), np.uint8)
-        b[10:, 0] = ord("-")
-        b[:, 6] = np.arange(20) % 10 + 48
-        self.lead = _words(b)[:, 0]  # by 10 * sign + leading digit
-
-        # by X - _K0, then once more for the repr style: the exponent word,
-        # empty for fixed notation, and the layout (below)
+        # by X - _K0, then once more for the repr style: the exponent in the
+        # last word, empty for fixed notation, and the layout (below)
         x = np.tile(np.arange(_K0, _K1 + 1), 2)
         short = np.arange(len(x)) >= len(x) // 2
         ax, wide = np.abs(x), np.abs(x) >= 100
         fixed = (x >= -4) & (x < 17 - short)
         b = np.zeros((len(x), 8), np.uint8)
-        b[:, 0] = ord("e")
-        b[:, 1] = np.where(x < 0, ord("-"), ord("+"))
-        b[:, 2] = np.where(wide, ax // 100, ax // 10) + 48
-        b[:, 3] = np.where(wide, ax // 10 % 10, ax % 10) + 48
-        b[:, 4] = np.where(wide, ax % 10 + 48, 0)
+        b[:, 3] = ord("e")
+        b[:, 4] = np.where(x < 0, ord("-"), ord("+"))
+        b[:, 5] = np.where(wide, ax // 100, ax // 10) + 48
+        b[:, 6] = np.where(wide, ax // 10 % 10, ax % 10) + 48
+        b[:, 7] = np.where(wide, ax % 10 + 48, 0)
         b[fixed] = 0
         self.exp = _words(b)[:, 0]
         self.layout = 18 * np.where(fixed, np.where(x >= 0, x + 22 * short, 17 - x), 17)
@@ -126,8 +138,10 @@ class _Tables:
         # repr style's 0 <= X <= 15 (the same, with ".0" for an integer),
         # 17 for scientific (point after the first digit) and 17 - X for
         # -4 <= X <= -1 (prefix "0." and -X - 1 zeros, no point)
-        keep = np.zeros((38 * 18, 40), np.uint8)
-        put = np.zeros((38 * 18, 40), np.uint8)
+        head = np.zeros((38 * 18, 8), np.uint8)
+        low = np.zeros((38 * 18, 3, 8), np.uint8)
+        high = np.zeros((38 * 18, 3, 8), np.uint8)
+        put = np.zeros((38 * 18, 3, 8), np.uint8)
         for layout in range(38):
             for n in range(1, 18):
                 row, shown, point = layout * 18 + n, n, None
@@ -141,13 +155,18 @@ class _Tables:
                     point = 0 if n > 1 else None
                 else:
                     prefix = b"0." + b"0" * (layout - 18)
-                    put[row, 1:1 + len(prefix)] = list(prefix)
-                keep[row, 6:6 + 2 * shown:2] = 0xFF
+                    head[row, 2:2 + len(prefix)] = list(prefix)
+                # digit i in word min(i // 7, 2), at byte i less 7 a word
+                at = [min(i // 7, 2) for i in range(18)]
+                for i in range(shown):
+                    moved = point is not None and i > point and at[i] == at[point]
+                    (high if moved else low)[row, at[i], i - 7 * at[i]] = 0xFF
                 if point is not None:
-                    put[row, 7 + 2 * point] = ord(".")
-        self.head_put = _words(put)[:, 0].copy()
-        self.quads_keep = _words(keep)[:, 1:5].copy()
-        self.quads_put = _words(put)[:, 1:5].copy()
+                    put[row, at[point], point - 7 * at[point] + 1] = ord(".")
+        self.head = _words(head)[:, 0].copy()
+        # one row per digit word
+        self.low, self.high, self.put = (_words(m.reshape(-1, 24)).T.copy()
+                                         for m in (low, high, put))
 
 
 _T = _Tables()
@@ -197,8 +216,9 @@ def format_floats(v: np.ndarray, out: np.ndarray, fallback, shortest=False) -> N
     uint64 of shape ``v.shape + (SLOT_WORDS,)`` (a view will do), with 0
     bytes in the unused places: ``'%.17g' % x``, or ``repr(x)`` where
     ``shortest``, a bool or a bool array that broadcasts against ``v``, is
-    true. ``fallback(x)``, a str of at most 45 ASCII characters, is written
-    for each x off the vectorized path."""
+    true. ``fallback(x)``, a str of at most 31 ASCII characters other than
+    NUL (ValueError otherwise), is written for each x off the vectorized
+    path. Byte 0 of every slot is left 0."""
     t = _T
     a = np.abs(v)
     finite = a < np.inf
@@ -239,31 +259,45 @@ def format_floats(v: np.ndarray, out: np.ndarray, fallback, shortest=False) -> N
         d[carry] = 10 ** 16
         ix += carry
 
-    top = d // 100_000_000
-    low = d - top * 100_000_000
-    lead = top // 100_000_000
-    mid = top - lead * 100_000_000
-    groups = np.empty(v.shape + (4,), np.intp)
-    groups[..., 0] = mid // 10_000
-    groups[..., 1] = mid - groups[..., 0] * 10_000
-    groups[..., 2] = low // 10_000
-    groups[..., 3] = low - groups[..., 2] * 10_000
-    n = t.count[0].take(groups[..., 0])
-    for k in (1, 2, 3):
-        np.maximum(n, t.count[k].take(groups[..., k]), out=n)
+    # D's digits in groups, one to a leading row: a1 = d0-d3 and b1 =
+    # d7-d10 in ``fours``, a2 = d4-d6 and b2 = d11-d13 in ``threes``, and
+    # c = d14-d16
+    ab = np.empty((2,) + v.shape, np.int64)
+    np.floor_divide(d, 10 ** 10, out=ab[0])
+    c = d - ab[0] * 10 ** 10
+    np.floor_divide(c, 1000, out=ab[1])
+    c -= ab[1] * 1000
+    fours = ab // 1000
+    threes = ab - fours * 1000
+    n = t.count[0].take(fours[0])
+    for table, group in zip(t.count[1:], (threes[0], fours[1], threes[1], c)):
+        np.maximum(n, table.take(group), out=n)
     layout = t.layout.take(ix)
     layout += n
 
-    lead += np.signbit(v) * 10
-    out[..., 0] = t.lead.take(lead) | t.head_put.take(layout)
-    quads = t.quad.take(groups)
-    quads &= t.quads_keep.take(layout, axis=0)
-    quads |= t.quads_put.take(layout, axis=0)
-    out[..., 1:5] = quads
-    out[..., 5] = t.exp.take(ix)
+    # the digit words, one to a leading row, then the point's shift
+    words = np.empty((3,) + v.shape, np.uint64)
+    words[:2] = t.quad.take(fours)
+    words[:2] |= t.tri_high.take(threes)
+    words[2] = t.tri.take(c)
+    moved = t.high.take(layout, axis=1)
+    moved &= words
+    moved <<= np.uint64(8)
+    words &= t.low.take(layout, axis=1)
+    words |= moved
+    put = t.put.take(layout, axis=1)
+    put[2] |= t.exp.take(ix)
+    np.bitwise_or(words, put, out=np.moveaxis(out[..., 1:], -1, 0))
+    np.bitwise_or(t.head.take(layout), np.signbit(v) * np.uint64(ord("-") << 8),
+                  out=out[..., 0])
 
     slow |= ~finite
     if slow.any():
         at = np.nonzero(slow)
-        text = np.array([fallback(f) for f in v[at].tolist()], dtype="S48")
-        out[at] = text.view(np.uint64).reshape(-1, SLOT_WORDS)
+        texts = [fallback(f).encode("ascii") for f in v[at].tolist()]
+        room = 8 * SLOT_WORDS - 1
+        if max(map(len, texts)) > room or any(b"\0" in text for text in texts):
+            raise ValueError(f"a fallback text must be at most {room} bytes, none of them 0")
+        b = np.zeros((len(texts), 8 * SLOT_WORDS), np.uint8)
+        b[:, 1:] = np.array(texts, dtype=f"S{room}")[:, None].view(np.uint8)
+        out[at] = b.view(np.uint64)

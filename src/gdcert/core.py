@@ -159,7 +159,7 @@ class Ball(FeasibleSet):
         n = math.sqrt(d.dot(d))  # np.linalg.norm's arithmetic on a real vector
         if n <= self.radius:
             # includes the degenerate center point: return it unchanged
-            return v.copy()
+            return v
         return self.center + d * (self.radius / n)
 
     @property

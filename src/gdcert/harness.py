@@ -419,11 +419,22 @@ class _Table:
     columns: list
     verdict: str | None = None
 
-    def layout(self, is_json: bool) -> tuple:
-        """Two row templates, for a false and a true verdict, with a 0 byte
-        in each cell's place; the columns that fill the cells; the verdict
-        of each row (None: the same template for all); and the rows per
-        chunk."""
+    def layout(self, is_json: bool, lead: str = "") -> tuple:
+        """How ``_table_rows`` lays out a row, after ``lead``, in 8-byte
+        words: the row's bytes for a false and a true verdict (uint8, shape
+        (2, width)), each cell's slot in place; the runs of slots that follow
+        each other with no word between them, as (first cell, cells, word
+        offset); the columns that fill the cells; the verdict of each row
+        (None: the same bytes for all); and the rows per chunk.
+
+        Of the text before a cell, the last byte is the slot's byte 0 and
+        the rest, where there is any, takes words of its own: a JSON key
+        (``{"t"``, ``,"f"``, ``,"x":``), a null or verdict column, a CSV
+        lead. So a vector's cells after its first, and a CSV row's cells,
+        follow slot after slot. The row's closing text takes the last
+        words."""
+        from gdcert._g17 import SLOT_WORDS
+
         parts, data = [], []
         for key, values in self.columns:
             if values is None or key == self.verdict:
@@ -435,41 +446,49 @@ class _Table:
                 data.append(values)
             parts.append(f"{json.dumps(key)}:{part}" if is_json else part)
         row = "{" + ",".join(parts) + "}" if is_json else ",".join(parts)
+        end = "," if is_json else "\n"
+        pieces = [(lead + row.replace("\1", v) + end).encode().split(b"\0")
+                  for v in ("false", "true")]
+        templates, words, runs = [b"", b""], 0, []
+        for cell, texts in enumerate(zip(pieces[0][:-1], pieces[1][:-1])):
+            # the last byte of the text before a cell is the same for both
+            # verdicts, whose text lies within
+            lit = math.ceil((max(map(len, texts)) - 1) / 8)
+            for k, text in enumerate(texts):
+                templates[k] += (text[:-1].ljust(8 * lit, b"\0")
+                                 + text[-1:].ljust(8 * SLOT_WORDS, b"\0"))
+            words += lit
+            if lit or not runs:
+                runs.append([cell, 0, words])
+            runs[-1][1] += 1
+            words += SLOT_WORDS
+        tail = [ps[-1].ljust(8 * math.ceil(max(len(ps[-1]) for ps in pieces) / 8), b"\0")
+                for ps in pieces]
+        row_bytes = np.frombuffer(b"".join(t + e for t, e in zip(templates, tail)),
+                                  np.uint8).reshape(2, -1)
         ok = dict(self.columns).get(self.verdict)
-        width = sum(math.prod(values.shape[1:]) for values in data)
-        return ([row.replace("\1", v) for v in ("false", "true")], data,
-                None if ok is None else ok.astype(np.intp),
-                max(1, _CHUNK // max(width, 1)))
+        return (row_bytes, runs, data, None if ok is None else ok.astype(np.intp),
+                max(1, _CHUNK // max(len(pieces[0]) - 1, 1)))
 
 
 def _table_rows(table: _Table, is_json: bool, lead: str = ""):
     """The rows of ``table`` a chunk at a time, as bytes: JSON objects joined
-    by commas, or CSV lines after ``lead``, each ended by a newline. A row is
-    laid out in 8-byte words from a byte template: per cell, words for the
-    text before it (a key, a bracket or a comma, null columns, the verdict)
-    and ``_g17`` slot words for its number, then the row's closing text.
-    Deleting the 0 bytes the template and the kernel leave gives the text.
-    A number is written as ``'%.17g' %`` gives it, but a CSV float as
-    ``repr`` does (the shortest round trip; nan and inf as such); a count,
-    below 2**53, is the same either way as ``%d``."""
+    by commas, or CSV lines after ``lead``, each ended by a newline. One
+    ``_g17`` call formats a chunk's cells into slots, which are laid, with
+    the last byte of the text before each cell (a comma, a colon, a bracket)
+    as the slot's byte 0, into the row templates of ``_Table.layout``;
+    deleting the 0 bytes gives the text. A number is written as ``'%.17g' %``
+    gives it, but a CSV float as ``repr`` does (the shortest round trip; nan
+    and inf as such); a count, below 2**53, is the same either way as
+    ``%d``."""
     # imported on the first table, so that a process that writes none
     # (library use) does not build the kernel's tables
     from gdcert import _g17
 
-    templates, data, held, rows = table.layout(is_json)
+    row_bytes, runs, data, held, rows = table.layout(is_json, lead)
     n = len(data[0]) if data else 0
     if n == 0:
         return
-    end = "," if is_json else "\n"
-    pieces = [(lead + row + end).encode().split(b"\0") for row in templates]
-    m = len(pieces[0]) - 1  # cells per row
-    lit = math.ceil(max((len(p) for ps in pieces for p in ps[:-1]), default=0) / 8)
-    slot = lit + _g17.SLOT_WORDS  # words a cell
-    tail = 8 * math.ceil(max(len(ps[-1]) for ps in pieces) / 8)
-    # by the verdict: each cell's text before it in its slot, then the tail
-    row_bytes = np.frombuffer(b"".join(
-        b"".join(p.ljust(8 * slot, b"\0") for p in ps[:-1]) + ps[-1].ljust(tail, b"\0")
-        for ps in pieces), np.uint8).reshape(2, -1)
     shortest = not is_json and np.repeat(
         [values.dtype.kind == "f" for values in data],
         [math.prod(values.shape[1:]) for values in data])
@@ -477,16 +496,25 @@ def _table_rows(table: _Table, is_json: bool, lead: str = ""):
     width = row_bytes.shape[1]
     buf = bytearray(min(rows, n) * width)  # every chunk's grid
     grid = np.frombuffer(buf, np.uint8).reshape(-1, width)
+    grid[:] = row_bytes[0]  # the text before each cell, for every chunk
+    cells = np.empty((len(grid), sum(count for _, count, _ in runs), _g17.SLOT_WORDS),
+                     np.uint64)
+    # each run's slots in the grid, its cells and its slots' template words
+    # (byte 0, the last byte of the text before the cell)
+    slot = row_bytes[0].view(np.uint64)
+    runs = [(grid.view(np.uint64)[:, at:at + count * _g17.SLOT_WORDS].reshape(
+                 len(grid), count, _g17.SLOT_WORDS),
+             cells[:, first:first + count],
+             slot[at:at + count * _g17.SLOT_WORDS].reshape(count, _g17.SLOT_WORDS))
+            for first, count, at in runs]
     for lo in range(0, n, rows):
         block = np.column_stack([values[lo:lo + rows] for values in data])
         r = len(block)
-        if held is None:
-            grid[:r] = row_bytes[0]
-        else:
+        if held is not None:
             np.take(row_bytes, held[lo:lo + r], axis=0, out=grid[:r], mode="clip")
-        cells = grid[:r].view(np.uint64)[:, :m * slot].reshape(r, m, slot)
-        _g17.format_floats(block.astype(float, copy=False), cells[..., lit:],
-                           fallback, shortest)
+        _g17.format_floats(block.astype(float, copy=False), cells[:r], fallback, shortest)
+        for dst, src, heads in runs:
+            np.bitwise_or(src[:r], heads, out=dst[:r])
         text = (buf if r == len(grid) else buf[:r * width]).translate(None, b"\0")
         if is_json and lo + r == n:
             del text[-1]  # the last row's comma
@@ -496,17 +524,17 @@ def _table_rows(table: _Table, is_json: bool, lead: str = ""):
 def _json_vector(v: np.ndarray):
     """The JSON numbers of the float64 vector ``v`` joined by commas, a
     chunk at a time, as bytes: ``_g17`` slots with a comma in each slot's
-    last byte, which the kernel leaves a hole."""
+    byte 0, which the kernel leaves a hole, but the first."""
     from gdcert import _g17
 
     out = np.empty((min(len(v), _CHUNK), _g17.SLOT_WORDS), np.uint64)
     for lo in range(0, len(v), _CHUNK):
         slots = out[:len(v) - lo]
         _g17.format_floats(v[lo:lo + _CHUNK], slots, _json_scalar)
-        slots.view(np.uint8)[:, -1] = ord(",")
+        slots.view(np.uint8)[:, 0] = ord(",")
         text = bytearray(slots).translate(None, b"\0")
-        if lo + _CHUNK >= len(v):
-            del text[-1]  # the last number's comma
+        if lo == 0:
+            del text[0]  # the first number's comma
         yield text
 
 

@@ -59,10 +59,10 @@ class EuclideanMap(MirrorMap):
         return 0.5 * float(np.dot(v, v))
 
     def grad_h(self, x) -> Vector:
-        return np.array(x, dtype=float)
+        return np.asarray(x, dtype=float)
 
     def grad_h_star(self, theta) -> Vector:
-        return np.array(theta, dtype=float)
+        return np.asarray(theta, dtype=float)
 
     def bregman(self, y, x) -> float:
         # x may be an (n, d) stack of points: one divergence per row

@@ -235,6 +235,12 @@ class FixedAdversary(OnlineAdversary):
         return self.problem.strong_convexity_alpha
 
 
+# ``ExpertsAdversary.cumulative``: the row length from which it adds the
+# played rows one at a time, and the loss entries a block gathers below it
+_LOOP_DIM = 128
+_BLOCK_CELLS = 16_384
+
+
 class ExpertsAdversary(OnlineAdversary):
     """Online linear optimization rounds f_t(x) = <ell_t, x>, entries in [0,1].
 
@@ -266,9 +272,25 @@ class ExpertsAdversary(OnlineAdversary):
         return max(norm_value(kind.dual, r) for r in self.rows)
 
     def cumulative(self, T: int) -> Vector:
-        """The summed losses of rounds 0..T-1, added in round order."""
-        # + 0.0 as a sum started from zeros has it: a column of -0.0 sums to 0.0
-        return np.cumsum(self.rows[np.arange(T) % len(self.rows)], axis=0)[-1] + 0.0
+        """The summed losses of rounds 0..T-1, added in round order onto
+        zeros: row by row where a row is long, else a bounded block of
+        rounds at a time behind the running total, through one sequential
+        ``np.add.accumulate`` (about 5 ns an entry, against about 0.6 us a
+        row for the loop)."""
+        n, d = self.rows.shape
+        if d >= _LOOP_DIM:
+            total = np.zeros(d)
+            for t in range(T):
+                total += self.rows[t % n]
+            return total
+        step = _BLOCK_CELLS // d
+        block = np.zeros((min(step, T) + 1, d))
+        for lo in range(0, T, step):
+            k = min(step, T - lo)
+            self.rows.take(np.arange(lo, lo + k) % n, axis=0, out=block[1:k + 1])
+            np.add.accumulate(block[:k + 1], axis=0, out=block[:k + 1])
+            block[0] = block[k]
+        return block[0].copy()
 
     def comparator_over(self, feasible: FeasibleSet, T: int) -> Vector:
         # rounds are linear, so the best fixed point is a linear minimizer

@@ -646,6 +646,78 @@ class TestValidatedWhereItEnters:
         assert sum(1 for d in calls if d) == 0
 
 
+# one step of each method's public kernels from x, its gradient g and the
+# earlier iterates y, z: every input read-only, so a kernel that writes into
+# an array it was given, or into one a set or map handed back unchanged,
+# raises
+STEP_KERNELS = {
+    "gd": lambda x, g, y, z: [descent.gd_step(x, g, 0.1),
+                              descent.projected_gd_step(Ball([0.0, 0.0], 2.0), x, g, 0.1)],
+    "sc-gd": lambda x, g, y, z: [descent.projected_gd_step(Unconstrained(2), x, g, 0.5)],
+    "smooth-gd": lambda x, g, y, z: [
+        smooth.smooth_gd_step(x, g, 4.0),
+        smooth.projected_smooth_step(Ball([0.0, 0.0], 2.0), x, g, 40.0)],
+    "frank-wolfe": lambda x, g, y, z: [smooth.frank_wolfe_step(s, x, g, 0.5) for s in
+                                       (Ball([0.0, 0.0], 2.0), core.Box([0.0, 0.0], [1.0, 1.0]),
+                                        Simplex(2))],
+    "wellcond-gd": lambda x, g, y, z: [smooth.smooth_gd_step(x, g, 4.0),
+                                       smooth.general_norm_smooth_step(core.Norm.L1, x, g, 4.0)],
+    "mirror-euclidean": lambda x, g, y, z: [
+        mirror.mirror_step(EuclideanMap(), s, x, g, eta)
+        for s in (Unconstrained(2), Ball([0.0, 0.0], 2.0), Simplex(2)) for eta in (0.01, 10.0)],
+    "mirror-negentropy": lambda x, g, y, z: [
+        mirror.mirror_step(NegEntropyMap(), s, x, g, 0.1) for s in (Unconstrained(2), Simplex(2))],
+    "agm2": lambda x, g, y, z: [
+        accel.agm2_step(accel.AccelState(x, y, z), g, 4.0, accel.AgmSchedule(kind, 5), 0.1)
+        for kind in accel.AgmSchedule.KINDS] + [
+        accel.constrained_agm_step(Ball([0.0, 0.0], 2.0), accel.AccelState(x, y, z), g, 4.0, 0.1)],
+    "agm1": lambda x, g, y, z: [accel.agm1_step(x, g, y, 1.0, 2.0, 4.0),
+                                accel.agm1_to_agm2_state(x, y, 2.0)],
+    "agm2-negentropy": lambda x, g, y, z: [
+        accel.general_norm_agm_step(m, Simplex(2), accel.AccelState(x, y, z), g, 4.0, 0.1)
+        for m in (EuclideanMap(), NegEntropyMap())],
+    "sc-agm": lambda x, g, y, z: [accel.sc_agm_step(x, g, y, 4.0, 4.0),
+                                  accel.sc_agm_z(x, y, 4.0)],
+    "restart-agm": lambda x, g, y, z: [
+        accel.agm2_step(accel.AccelState(x, y, z), g, 4.0, accel.AgmSchedule(), 0.1)],
+}
+
+
+def _read_only(*values) -> list:
+    arrays = [np.array(v, dtype=float) for v in values]
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class TestReadOnlyInputs:
+    """The step kernels and the sets' projections write into no array they
+    are given: a Euclidean mirror step and a projection onto a ball may hand
+    an input back without a copy."""
+
+    def test_every_method_has_its_kernels(self):
+        assert sorted(STEP_KERNELS) == sorted(METHODS)
+
+    @pytest.mark.parametrize("method", sorted(STEP_KERNELS))
+    def test_one_step_on_read_only_arrays(self, method):
+        x, g, y, z = _read_only([0.25, 0.75], [1.0, -0.5], [0.5, 0.5], [0.4, 0.6])
+        for out in STEP_KERNELS[method](x, g, y, z):
+            if isinstance(out, accel.AccelState):
+                out = (out.x, out.y, out.z)
+            assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize("point", [[0.25, 0.75], [3.0, -4.0], [0.0, 0.0]])
+    def test_every_set_projects_read_only_points(self, point):
+        (x,) = _read_only(point)
+        sets = [Unconstrained(2), Ball([0.0, 0.0], 2.0), Ball([0.25, 0.75], 1.0),
+                core.Box([0.0, 0.0], [1.0, 1.0]), Simplex(2)]
+        for s in sets:
+            p = s.project(x)
+            assert s.member(p)
+        # an interior point of the ball comes back as it was given
+        assert Ball([0.0, 0.0], 5.0).project(x) is x
+
+
 class _OracleCalls(list):
     """The name of every oracle call, in order; ``points`` counts the points
     each name evaluated, one per row of a stacked call."""

@@ -272,6 +272,21 @@ class TestExpertsAdversary:
         adv = make_experts_adversary(rows)
         assert adv.cumulative(T).tobytes() == cumulative_loop(rows, T).tobytes()
 
+    @pytest.mark.parametrize("d, T", [
+        (1000, 1_001),       # rows added one at a time; T past the 100 rows
+        (127, 2 * 129 + 5),  # blocks of 129 rounds, the last one partial
+        (3, 5_461 + 7),      # blocks of 5,461 rounds
+    ])
+    def test_cumulative_matches_round_loop_in_blocks(self, d, T):
+        # -0.0 rows and entries, and a row count that divides neither T nor
+        # the block: the sum is the loop's, bit for bit
+        rng = np.random.default_rng(d)
+        rows = rng.uniform(size=(100, d))
+        rows[rng.uniform(size=rows.shape) < 0.3] = -0.0
+        rows[[0, 7]] = -0.0
+        adv = make_experts_adversary(rows)
+        assert adv.cumulative(T).tobytes() == cumulative_loop(rows, T).tobytes()
+
     def test_grad_bounds(self):
         adv = make_alternating_experts(2)
         assert adv.grad_bound(Norm.EUCLIDEAN) == pytest.approx(1.0)

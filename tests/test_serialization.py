@@ -251,8 +251,8 @@ def g17_texts(values) -> list:
     out = np.zeros((v.size, _g17.SLOT_WORDS), np.uint64)
     _g17.format_floats(v, out, _json_scalar)
     slots = out.view(np.uint8).reshape(v.size, -1)
-    slots[:, -1] = ord(",")  # a slot's last byte is always a hole
-    return slots.tobytes().translate(None, b"\0").decode().split(",")[:-1]
+    slots[:, 0] = ord(",")  # the literal byte, which the kernel leaves a hole
+    return slots.tobytes().translate(None, b"\0").decode().split(",")[1:]
 
 
 def g17_reference(values) -> list:
@@ -313,8 +313,8 @@ def repr_texts(values) -> list:
     out = np.zeros((v.size, _g17.SLOT_WORDS), np.uint64)
     _g17.format_floats(v, out, repr, shortest=True)
     slots = out.view(np.uint8).reshape(v.size, -1)
-    slots[:, -1] = ord(",")
-    return slots.tobytes().translate(None, b"\0").decode().split(",")[:-1]
+    slots[:, 0] = ord(",")
+    return slots.tobytes().translate(None, b"\0").decode().split(",")[1:]
 
 
 def repr_mismatches(values) -> list:
@@ -390,6 +390,91 @@ def test_repr_rounds_ties_half_to_even():
     assert seen == [8 + 2.0**-16]
     assert repr_texts(v) == ["8.000015258789062", "31867706181171.188", "0.0", "-0.0"]
     assert repr_mismatches(v) == []
+
+
+# --- the slot: byte 0 a hole, each text byte nonzero -------------------------
+
+def slot_values() -> np.ndarray:
+    """A value of each digit count 1..17 at each X from -4 to 16, both
+    signs (fixed notation; the repr style's integers below 1e16), values on
+    both sides of that range and at the ends of the exponents (scientific),
+    zeros, and values that go to the fallback: nan, the infinities, a tie,
+    subnormals and powers of two."""
+    digits = "12345678912345678"
+    fixed = [float(f"{sign}{digits[:n]}e{x - n + 1}") for sign in "+-"
+             for x in range(-4, 17) for n in range(1, 18)]
+    scientific = [float(f"-{digits[:n]}e{x - n + 1}") for n in range(1, 18)
+                  for x in (-308, -300, -99, -5, 17, 99, 100, 308)]
+    other = [0.0, -0.0, math.nan, math.inf, -math.inf, 3 * 2.0**-24, 5e-324,
+             -2.2250738585072014e-308, 0.5, 1024.0, 2.0**60]
+    return np.array(fixed + scientific + other)
+
+
+@pytest.mark.parametrize("style", ["%.17g", "repr"])
+def test_every_slot_leaves_byte_0_a_hole_and_holds_its_text(style):
+    v = slot_values()
+    shortest = style == "repr"
+    expected = [repr(x) if shortest else t for x, t in
+                zip(v.tolist(), g17_reference(v.tolist()))]
+    fallback = []
+    # every byte starts nonzero: the kernel writes each one, its holes as 0
+    out = np.full((v.size, _g17.SLOT_WORDS), 2**64 - 1, np.uint64)
+    _g17.format_floats(v, out, lambda x: fallback.append(x) or
+                       (repr(x) if shortest else _json_scalar(x)), shortest)
+    slots = out.view(np.uint8).reshape(v.size, -1)
+    assert not slots[:, 0].any()
+    # the slot's nonzero bytes are the text, each text byte among them
+    assert [bytes(slot).replace(b"\0", b"").decode() for slot in slots] == expected
+    assert np.count_nonzero(slots, axis=1).tolist() == [len(t) for t in expected]
+    assert max(map(len, expected)) == 24 and len(fallback) >= 4
+
+
+def test_a_fallback_text_longer_than_the_slot_raises():
+    v = np.array([1.0, math.nan])
+    out = np.zeros((2, _g17.SLOT_WORDS), np.uint64)
+    room = 8 * _g17.SLOT_WORDS - 1
+    _g17.format_floats(v, out, lambda x: "n" * room)
+    assert bytes(out.view(np.uint8)[1]) == b"\0" + b"n" * room
+    for text in ("n" * (room + 1), "n\0n"):
+        with pytest.raises(ValueError, match="fallback text"):
+            _g17.format_floats(v, out, lambda x: text)
+
+
+def _table_values(rng, shape) -> np.ndarray:
+    """Floats over every magnitude with -0.0, nan, the infinities and a
+    subnormal among them."""
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    v.flat[::7] = rng.choice([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0, 0.1],
+                             v.flat[::7].shape)
+    return v
+
+
+@pytest.mark.parametrize("width", [1, 2, 31, 32, 33])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_mixed_table_matches_per_element_cells(width, fmt):
+    """Keyed and vector columns, a null column and a verdict, over row
+    counts at the chunk edges: each cell as '%.17g' % (JSON) or repr (CSV
+    floats) gives it, its separator from its slot's byte 0."""
+    is_json = fmt == "json"
+    cells = 2 * width + 3  # t, x, f, z, eta
+    rows = max(1, _CHUNK // cells)
+    rng = np.random.default_rng(width)
+    for n in (1, rows - 1, rows, rows + 1, 2 * rows + 1):
+        columns = [("t", np.arange(n) * 3), ("x", _table_values(rng, (n, width))),
+                   ("f", _table_values(rng, n)), ("gap", None),
+                   ("ok", rng.random(n) < 0.5), ("z", _table_values(rng, (n, width))),
+                   ("eta", _table_values(rng, n))]
+        text = b"".join(_table_rows(_Table(columns, verdict="ok"), is_json,
+                                    "" if is_json else "agm-smooth,")).decode()
+        records = [{k: None if v is None else v[i].tolist() for k, v in columns}
+                   for i in range(n)]
+        if is_json:
+            assert text == json_reference(records)[1:-1]
+        else:
+            assert text == "".join(
+                "agm-smooth," + ",".join(csv_reference(c) for v in r.values()
+                                         for c in (v if isinstance(v, list) else [v])) + "\n"
+                for r in records)
 
 
 # --- fast paths against per-element references ------------------------------
