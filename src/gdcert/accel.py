@@ -329,15 +329,18 @@ def restart_accelerated(problem: Problem, x0, epsilon: float,
     epoch_len = int(np.ceil(4.0 * np.sqrt(kappa)))
 
     x = as_vector(x0).copy()
-    # every epoch's step rows in turn; the final row holds the last restart
-    # point only
-    rows = {"x": [], "grad": [], "eta": []}
-    epochs = []
+    # every epoch's columns without their final row, end to end; the trace's
+    # final row holds the last restart point only
+    parts = {"x": [], "grad": [np.zeros((0, x.size))], "eta": [np.zeros(0)]}
+    steps, epochs = 0, []
     sched = AgmSchedule("agm-smooth")
 
+    def columns():
+        return {name: np.concatenate(arrays) for name, arrays in parts.items()}
+
     def check_earlier_rows():
-        if rows["x"]:  # an earlier epoch's row whose value fails comes first
-            Trace.from_rows(rows, problem)
+        if steps:  # an earlier epoch's row whose value fails comes first
+            Trace.from_rows(columns(), problem)
 
     for _ in range(max_epochs):
         try:
@@ -345,25 +348,26 @@ def restart_accelerated(problem: Problem, x0, epsilon: float,
                 gap = problem.value(x) - f_star
         except FloatingPointError:
             check_earlier_rows()
-            raise FloatingPointError(f"iterate diverged at step {len(rows['x'])}") from None
+            raise FloatingPointError(f"iterate diverged at step {steps}") from None
         if gap <= epsilon:
             break
         start_dist = float(np.linalg.norm(x - x_star))
         try:
             epoch, state = record(problem, AccelState.start(x), epoch_len,
                                   lambda t, state, g, eta: agm2_step(state, g, beta, sched, eta),
-                                  lambda t: sched.eta(t, beta), t0=len(rows["x"]))
+                                  lambda t: sched.eta(t, beta), t0=steps)
         except FloatingPointError:
             check_earlier_rows()
             raise
         for name, col in epoch.items():
-            rows.setdefault(name, []).extend(col)
+            parts.setdefault(name, []).append(col[:epoch_len])
+        steps += epoch_len
         x = state.y.copy()
         epochs.append({"steps": epoch_len,
                        "start_distance": start_dist,
                        "end_distance": float(np.linalg.norm(x - x_star))})
-    rows["x"].append(x)
-    trace = Trace.from_rows(rows, problem)
+    parts["x"].append(x[None])
+    trace = Trace.from_rows(columns(), problem)
     trace.meta["method"] = "restart-agm"
     trace.meta["epochs"] = epochs
     trace.meta["epoch_length"] = epoch_len

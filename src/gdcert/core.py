@@ -26,7 +26,8 @@ def as_vector(x) -> Vector:
     """Coerce ``x`` to a 1-D float64 array, rejecting NaN/Inf entries; a
     valid 1-D float64 ``ndarray`` is returned as it is, not copied. For data
     where it enters a run (x0, a constructor's vectors): what a step calls
-    trusts the points and gradients ``trace.record`` checked."""
+    takes its points and gradients as they are, and ``trace.record`` checks
+    them once the run ends."""
     if not (type(x) is np.ndarray and x.dtype == float and x.ndim == 1):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.ndim != 1:
@@ -114,7 +115,7 @@ class FeasibleSet:
     def _vector(self, x) -> Vector:
         """``x`` as a float array (a float64 ``ndarray`` as it is) of the
         set's dimension. Finiteness is the caller's: a run checks x0 once,
-        and ``trace.record`` every point it steps to."""
+        and ``trace.record`` every point it stepped to once the run ends."""
         x = np.asarray(x, dtype=float)
         if self.dim is not None and x.shape[0] != self.dim:
             raise ValueError(f"dimension mismatch: set dim {self.dim}, vector dim {x.shape[0]}")

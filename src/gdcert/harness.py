@@ -255,7 +255,7 @@ def _prepare(config: RunConfig) -> _Prepared:
     """What the run starts from (see ``_Prepared``). Raises ConfigError for a
     run its method cannot start: a set or a schedule it does not run on, a
     constant the objective does not declare, no comparator, an x0 it cannot
-    take, or a step size D/G or 1/G with D or G equal to 0."""
+    take, or a step size D/G or 1/G with D or G equal to 0 or not finite."""
     method, entry = config.method, METHODS[config.method]
     if config.schedule is not None and config.schedule not in entry.schedules:
         raise ConfigError(
@@ -297,21 +297,29 @@ def _prepare(config: RunConfig) -> _Prepared:
     if "D" in entry.needs:
         D = feasible.diameter
         if D is None:
-            D = float(np.linalg.norm(x0 - comparator))
+            with np.errstate(all="ignore"):  # an overflow is rejected below
+                D = float(np.linalg.norm(x0 - comparator))
         if D == 0.0:
             raise ConfigError(f"method {method!r} steps by D/(G sqrt T), and D is 0: "
                               "a one-point set, or x0 at the comparator")
+        if not math.isfinite(D):
+            raise ConfigError(f"method {method!r} steps by D/(G sqrt T), and D, "
+                              "the distance from x0 to the comparator, is not finite")
     if "G" in entry.needs:
         # mirror descent bounds the gradients in the map's dual norm
         kind = Norm.EUCLIDEAN if mp is None else mp.norm
         G = adversary.grad_bound(kind)
         if G is None:
-            G = dual_norm(kind, adversary.next_loss(0, x0).gradient(x0))
+            with np.errstate(all="ignore"):  # an overflow is rejected below
+                G = dual_norm(kind, adversary.next_loss(0, x0).gradient(x0))
             flags.append("trajectory-estimated-G")
         G = float(G)
         if G == 0.0:
             raise ConfigError(f"method {method!r} divides its step size by G, and G "
                               "is 0: no declared bound, and the gradient at x0 is 0")
+        if not math.isfinite(G):
+            raise ConfigError(f"method {method!r} divides its step size by G, and G, "
+                              "the gradient's norm at x0, is not finite")
     return _Prepared(adversary, problem, feasible, x0, config.steps, schedule, mp,
                      G, flags, comparator, D)
 
@@ -449,22 +457,23 @@ class _Table:
         end = "," if is_json else "\n"
         pieces = [(lead + row.replace("\1", v) + end).encode().split(b"\0")
                   for v in ("false", "true")]
-        templates, words, runs = [b"", b""], 0, []
+        templates, words, runs = ([], []), 0, []
         for cell, texts in enumerate(zip(pieces[0][:-1], pieces[1][:-1])):
             # the last byte of the text before a cell is the same for both
             # verdicts, whose text lies within
             lit = math.ceil((max(map(len, texts)) - 1) / 8)
-            for k, text in enumerate(texts):
-                templates[k] += (text[:-1].ljust(8 * lit, b"\0")
-                                 + text[-1:].ljust(8 * SLOT_WORDS, b"\0"))
+            for template, text in zip(templates, texts):
+                template += (text[:-1].ljust(8 * lit, b"\0"),
+                             text[-1:].ljust(8 * SLOT_WORDS, b"\0"))
             words += lit
             if lit or not runs:
                 runs.append([cell, 0, words])
             runs[-1][1] += 1
             words += SLOT_WORDS
-        tail = [ps[-1].ljust(8 * math.ceil(max(len(ps[-1]) for ps in pieces) / 8), b"\0")
-                for ps in pieces]
-        row_bytes = np.frombuffer(b"".join(t + e for t, e in zip(templates, tail)),
+        tail = 8 * math.ceil(max(len(ps[-1]) for ps in pieces) / 8)
+        for template, ps in zip(templates, pieces):
+            template.append(ps[-1].ljust(tail, b"\0"))
+        row_bytes = np.frombuffer(b"".join(map(b"".join, templates)),
                                   np.uint8).reshape(2, -1)
         ok = dict(self.columns).get(self.verdict)
         return (row_bytes, runs, data, None if ok is None else ok.astype(np.intp),

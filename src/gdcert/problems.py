@@ -41,9 +41,9 @@ class Problem:
         raise NotImplementedError
 
     def gradient(self, x) -> Vector:
-        """The gradient at one point. The step loop calls it once per step,
-        on a point it has already checked, so it does not scan x for
-        non-finite entries; ``trace.record`` checks the gradient too."""
+        """The gradient at one point. The step loop calls it once per step
+        and checks the points and gradients of the whole run once it ends,
+        so it does not scan x for non-finite entries."""
         raise NotImplementedError
 
     @property

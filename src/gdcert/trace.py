@@ -3,7 +3,6 @@ one step loop every method runs to produce it."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,23 +51,20 @@ class Trace:
     meta: dict = field(default_factory=dict)
 
     @classmethod
-    def from_rows(cls, rows: dict, objective, comparator: Vector | None = None,
+    def from_rows(cls, columns: dict, objective, comparator: Vector | None = None,
                   t0: int = 0) -> Trace:
-        """Stack each column's list of rows once into one array, then add the
-        values at the stacked points, one ``value`` call per column: ``f`` at
-        ``x`` and ``f_y`` at ``y`` (on an online objective, round t's loss at
-        the T step rows; on a fixed objective, the objective at every row),
-        and ``f_ref``, round t's loss at ``comparator``.
+        """The trace of ``columns``, the float64 arrays ``record`` stacked,
+        taken as they are (not copied), plus the values at their points, one
+        ``value`` call per column: ``f`` at ``x`` and ``f_y`` at ``y`` (on an
+        online objective, round t's loss at the T step rows; on a fixed
+        objective, the objective at every row), and ``f_ref``, round t's loss
+        at ``comparator``.
 
         A step row t whose value overflows, divides by zero or is invalid
         raises ``FloatingPointError("iterate diverged at step t0 + t")`` at
         the first such t, as inside the step loop; the final row is valued
         outside that errstate, as after the loop."""
-        dim = len(rows["x"][0])
-        cols = {name: _stack(col, dim) if name in _VECTORS
-                else np.array(col, dtype=float) for name, col in rows.items()}
-        cols.update(_values(objective, cols, comparator, t0))
-        return cls(**cols)
+        return cls(**columns, **_values(objective, columns, comparator, t0))
 
     @property
     def T(self) -> int:
@@ -154,8 +150,9 @@ def _first_failing_row(value, X) -> int:
 
 def record(objective, state, T: int, step, eta, comparator: Vector | None = None,
            t0: int = 0) -> tuple[dict, object]:
-    """Run T steps from ``state``; returns each column's T rows as a list,
-    and the final state.
+    """Run T steps from ``state``; returns each column as one float64 array,
+    and the final state. ``x`` (and ``y`` and ``z`` of a coupled state) has
+    T + 1 rows, the final state's included; ``grad`` and ``eta`` have T.
 
     Each step t takes the round loss (``objective`` itself for a fixed
     objective, ``objective.next_loss(t, x)`` for an online adversary),
@@ -167,62 +164,84 @@ def record(objective, state, T: int, step, eta, comparator: Vector | None = None
     after the loop. ``t0`` is the step number of the first step in the error
     message; ``step`` and ``eta`` see the local t.
 
-    Overflow, division by zero and invalid operations raise inside the loop,
-    and a non-finite gradient, step size or next point is rejected: either
-    ends the run with ``FloatingPointError("iterate diverged at step t")``,
-    unless the value of an earlier row (at x, at y, or at ``comparator``)
-    fails the same way, which names that row's step instead.
+    Overflow, division by zero and invalid operations raise inside the loop.
+    Finiteness is checked once, when the loop ends (normally or by any
+    exception): each column is stacked, and the first step t whose g_t,
+    eta_t or next point x_{t+1} is not finite ends the run with
+    ``FloatingPointError("iterate diverged at step t0 + t")``, as does a
+    ``FloatingPointError`` raised at step t with no such row before it;
+    either way the value of an earlier row (at x, at y, or at
+    ``comparator``) that fails first names its step instead. Any other
+    exception propagates unchanged when no non-finite row came before it.
+
+    So a step may be fed a non-finite row that did not raise (a schedule's
+    Python-float step size, a user oracle's gradient), and the loop goes on
+    to step T. That is bounded because no step kernel loops without bound on
+    its input (``Simplex.project`` loops over the dimension); keep it so.
     """
     if T < 1:
         raise ValueError("need at least one step")
     online = isinstance(objective, OnlineAdversary)
     coupled = not isinstance(state, np.ndarray)
     x = state.x if coupled else state
-    # finite entries times zeros sum to exactly 0, an inf or nan entry to nan:
-    # one BLAS call per check whatever the dimension
-    zero = np.zeros_like(x)
-    xs, grads, etas = [], [], []
+    xs, grads, etas = [x], [], []
     rows = {"x": xs, "grad": grads, "eta": etas}
     if coupled:
-        ys, zs = rows["y"], rows["z"] = [], []
+        ys, zs = rows["y"], rows["z"] = [state.y], [state.z]
+    failure = None
     try:
         with np.errstate(**_RAISE):
             for t in range(T):
                 loss = objective.next_loss(t, x) if online else objective
                 g = loss.gradient(x)
                 eta_t = eta(t)
-                if not math.isfinite(g.dot(zero) + eta_t):
-                    raise FloatingPointError
-                xs.append(x)
                 grads.append(g)
                 etas.append(eta_t)
+                state = step(t, state, g, eta_t)
+                x = state.x if coupled else state
+                xs.append(x)
                 if coupled:
                     ys.append(state.y)
                     zs.append(state.z)
-                state = step(t, state, g, eta_t)
-                x = state.x if coupled else state
-                if not math.isfinite(x.dot(zero)):
-                    raise FloatingPointError
-        return rows, state
-    except FloatingPointError:
-        pass
-    if t > 0:
-        # the values of the complete rows before t, which raises at the
-        # first one that fails
-        Trace.from_rows({name: col[:t] for name, col in rows.items()},
+    except Exception as exc:
+        failure = exc
+    try:
+        cols = {name: _stack(col, len(xs[0])) if name in _VECTORS
+                else np.array(col, dtype=float) for name, col in rows.items()}
+    except (TypeError, ValueError):
+        if failure is None:
+            raise
+        raise failure from None  # rows left ragged, which its error explains
+    first = _first_non_finite(cols)
+    if first is None:
+        if failure is None:
+            return cols, state
+        if not isinstance(failure, FloatingPointError):
+            raise failure
+        first = t
+    if first > 0:
+        # the values of the complete rows before that step, which raises at
+        # the first one that fails
+        Trace.from_rows({name: col[:first] for name, col in cols.items()},
                         objective, comparator, t0)
-    raise FloatingPointError(f"iterate diverged at step {t0 + t}")
+    raise FloatingPointError(f"iterate diverged at step {t0 + first}")
+
+
+def _first_non_finite(cols: dict) -> int | None:
+    """The first step t whose gradient, step size or next point (row t + 1
+    of ``x``) has a non-finite entry; None when every row is finite."""
+    first = None
+    for col in (cols["grad"], cols["eta"], cols["x"][1:]):
+        ok = np.isfinite(col)
+        if not ok.all():
+            t = int(ok.argmin()) // ok[0].size  # argmin: the first False
+            first = t if first is None else min(first, t)
+    return first
 
 
 def drive(objective, state, T: int, step, eta,
           comparator: Vector | None = None) -> Trace:
-    """``record`` T steps, add the final state's row (x, and y, z of a
-    coupled state), and stack the rows with their values
-    (``Trace.from_rows``)."""
-    rows, state = record(objective, state, T, step, eta, comparator)
-    coupled = "y" in rows
-    rows["x"].append(state.x if coupled else state)
-    if coupled:
-        rows["y"].append(state.y)
-        rows["z"].append(state.z)
-    return Trace.from_rows(rows, objective, comparator)
+    """``record`` T steps and add the values at its columns
+    (``Trace.from_rows``, which takes the arrays as they are)."""
+    cols, _ = record(objective, state, T, step, eta, comparator)
+    return Trace.from_rows(cols, objective, comparator)

@@ -274,6 +274,24 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("set_id, constant", [
+        # |x0 - x*| = 1e308, whose squared norm overflows
+        ("unconstrained", "D"),
+        # the box's diameter is finite; |grad f(x0)| = 1e200 squares to inf
+        ("box", "G"),
+    ])
+    def test_overflowing_step_size_constant_exit_two(self, tmp_path, capsys,
+                                                       set_id, constant):
+        x0 = "1e308" if constant == "D" else "1e200"
+        code = main(["run", "--problem", "p1", "--method", "gd", "--set", set_id,
+                     "--x0", x0, "--steps", "50", "--certify",
+                     "--out", str(tmp_path / "out.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"and {constant}, " in err and "is not finite" in err
+        assert not (tmp_path / "out.json").exists()
+
     def test_sc_gd_estimated_g_bounds_every_gradient(self, tmp_path):
         # p2 declares no G; at x0 the gradient norm is 4.12 but the run's
         # gradients reach 12, so G must come from the whole trajectory

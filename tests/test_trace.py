@@ -3,15 +3,19 @@ the one the step consumes, non-finite values end the run cleanly with the
 step number, and every method's columns have the row counts of the layout.
 The one-gradient-per-step count over every method is in test_harness.py."""
 
-from collections import namedtuple
+import dataclasses
+from collections import Counter, namedtuple
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdcert import accel, problems
 from gdcert.harness import METHODS, RunConfig, run_experiment
 from gdcert.problems import get_problem
-from gdcert.trace import drive, record
+from gdcert.trace import Trace, drive, record
 
 def test_step_receives_the_recorded_gradient():
     p2 = get_problem("p2")
@@ -141,6 +145,160 @@ def test_final_value_is_taken_outside_the_loop_errstate():
         trace = drive(get_problem("p1"), np.array([1e100]), 3, _times(1e20),
                       lambda t: 1.0)
     assert trace.f[-1] == np.inf and np.isfinite(trace.f[:-1]).all()
+
+
+class _Spoil:
+    """Puts ``bad`` into the gradient (its last entry), the step size or the
+    next point (its last entry) of the ``at``-th call, counted from 0, to
+    that one of the three; every other value passes as it is."""
+
+    def __init__(self, where, at, bad):
+        self.where, self.at, self.bad = where, at, bad
+        self.calls = Counter()
+
+    def __call__(self, name, value):
+        n = self.calls[name]
+        self.calls[name] += 1
+        if name != self.where or n != self.at:
+            return value
+        if name == "eta":
+            return self.bad
+        value = np.array(value, dtype=float)
+        value[-1] = self.bad
+        return value
+
+
+class _SpoiledP2(problems.DiagQuadratic):
+    """p2, f(x) = (x_1^2 + 4 x_2^2) / 2, whose gradients pass through a
+    ``_Spoil``."""
+
+    def __init__(self, spoil):
+        super().__init__((1.0, 4.0), np.zeros(2))
+        self.spoil = spoil
+
+    def gradient(self, x):
+        return self.spoil("grad", super().gradient(x))
+
+
+_SPOILS = dict(where=st.sampled_from(["grad", "eta", "x"]),
+               bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+def _spoiled_drive(spoil, T, t0=None):
+    # from [1, 1] at step size 0.1 every value is finite, so the first
+    # spoiled row names the step
+    problem = _SpoiledP2(spoil)
+    step = lambda t, x, g, eta: spoil("x", x - eta * g)  # noqa: E731
+    eta = lambda t: spoil("eta", 0.1)  # noqa: E731
+    if t0 is None:
+        return drive(problem, np.array([1.0, 1.0]), T, step, eta)
+    return record(problem, np.array([1.0, 1.0]), T, step, eta, t0=t0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(at=st.integers(0, 11), **_SPOILS)
+def test_drive_names_the_spoiled_step(where, at, bad):
+    with pytest.raises(FloatingPointError, match=f"^iterate diverged at step {at}$"):
+        _spoiled_drive(_Spoil(where, at, bad), 12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(at=st.integers(0, 11), t0=st.integers(0, 100), **_SPOILS)
+def test_record_names_the_spoiled_step_from_t0(where, at, t0, bad):
+    with pytest.raises(FloatingPointError,
+                       match=f"^iterate diverged at step {t0 + at}$"):
+        _spoiled_drive(_Spoil(where, at, bad), 12, t0=t0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(at=st.integers(0, 23), **_SPOILS)
+def test_restart_names_the_spoiled_step_across_epochs(where, at, bad):
+    # kappa = 4: three epochs of 8 steps, numbered on from one to the next;
+    # each step makes one gradient, one step size and one agm2_step call
+    spoil = _Spoil(where, at, bad)
+    agm2_step, eta = accel.agm2_step, accel.AgmSchedule.eta
+
+    def spoiled_step(*args):
+        state = agm2_step(*args)
+        return dataclasses.replace(state, x=spoil("x", state.x))
+
+    with mock.patch.object(accel, "agm2_step", spoiled_step), \
+            mock.patch.object(accel.AgmSchedule, "eta",
+                              lambda self, t, beta: spoil("eta", eta(self, t, beta))), \
+            pytest.raises(FloatingPointError, match=f"^iterate diverged at step {at}$"):
+        accel.restart_accelerated(_SpoiledP2(spoil), [1.0, 1.0], 1e-300, max_epochs=3)
+
+
+def test_spoiling_no_call_leaves_every_step_finite():
+    # the properties above count on one call of each kind per step
+    spoil = _Spoil("grad", -1, np.nan)
+    assert _spoiled_drive(spoil, 12).T == 12
+    assert spoil.calls == Counter(grad=12, eta=12, x=12)
+
+
+@pytest.mark.parametrize("where", ["eta", "x"])
+def test_a_run_that_turns_finite_again_still_fails_at_its_row(where):
+    # step 2's step size or next point is nan; every later step size is
+    # finite and every later step returns the finite point 0.5
+    def step(t, x, g, eta):
+        return np.array([np.nan]) if where == "x" and t == 2 else np.array([0.5])
+
+    eta = lambda t: np.nan if where == "eta" and t == 2 else 0.5  # noqa: E731
+    with pytest.raises(FloatingPointError, match="^iterate diverged at step 2$"):
+        drive(get_problem("p1"), np.array([1.0]), 10, step, eta)
+
+
+def test_a_kernel_fed_a_non_finite_row_reports_the_divergence():
+    def step(t, x, g, eta):
+        if not np.isfinite(g).all():
+            raise ValueError("step kernel fed a non-finite gradient")
+        return x - eta * g
+
+    with pytest.raises(FloatingPointError, match="^iterate diverged at step 3$"):
+        drive(_NanAfter(3), np.array([1.0]), 10, step, lambda t: 0.5)
+
+
+def test_a_kernel_error_on_finite_rows_propagates_unchanged():
+    error = ValueError("the kernel's own error")
+
+    def step(t, x, g, eta):
+        if t == 2:
+            raise error
+        return x - eta * g
+
+    with pytest.raises(ValueError) as info:
+        drive(get_problem("p1"), np.array([1.0]), 10, step, lambda t: 0.5)
+    assert info.value is error
+
+
+def test_a_kernel_error_on_ragged_rows_propagates_unchanged():
+    # a gradient of the wrong length, which the step rejects: the rows cannot
+    # be stacked, and the step's error is the one raised
+    class Ragged(problems.DiagQuadratic):
+        def gradient(self, x):
+            return np.append(super().gradient(x), 0.0)
+
+    def step(t, x, g, eta):
+        if g.shape != x.shape:
+            raise ValueError("gradient and point differ in length")
+        return x - eta * g
+
+    with pytest.raises(ValueError, match="differ in length"):
+        drive(Ragged((1.0,), np.zeros(1)), np.array([1.0]), 10, step, lambda t: 0.5)
+
+
+def test_from_rows_takes_the_recorded_arrays_as_they_are():
+    p2 = get_problem("p2")
+    start = _Coupled(np.array([1.0, 1.0]), np.array([2.0, 2.0]), np.array([3.0, 3.0]))
+    cols, final = record(p2, start, 5,
+                         lambda t, s, g, eta: _Coupled(s.x - eta * g, 0.5 * s.y, s.z),
+                         lambda t: 0.1)
+    assert {name: col.shape for name, col in cols.items()} == {
+        "x": (6, 2), "grad": (5, 2), "eta": (5,), "y": (6, 2), "z": (6, 2)}
+    assert cols["x"][-1].tobytes() == final.x.tobytes()
+    trace = Trace.from_rows(cols, p2)
+    for name, col in cols.items():
+        assert np.shares_memory(getattr(trace, name), col), name
 
 
 # one startable run per method, 12 steps unless given
