@@ -330,7 +330,8 @@ def restart_accelerated(problem: Problem, x0, epsilon: float,
 
     x = as_vector(x0).copy()
     # every epoch's columns without their final row, end to end; the trace's
-    # final row holds the last restart point only
+    # final row holds the last restart point only. The empty grad and eta
+    # arrays give those columns their shapes when no epoch runs
     parts = {"x": [], "grad": [np.zeros((0, x.size))], "eta": [np.zeros(0)]}
     steps, epochs = 0, []
     sched = AgmSchedule("agm-smooth")
