@@ -151,8 +151,9 @@ class Ball(FeasibleSet):
 
     def member(self, x, tol: float = MEMBER_TOL) -> bool:
         v = self._vector(x)
-        d = v - self.center
-        return math.sqrt(d.dot(d)) <= self.radius + tol
+        with np.errstate(over="ignore"):  # a distance that overflows is inf
+            d = v - self.center
+            return math.sqrt(d.dot(d)) <= self.radius + tol
 
     def project(self, x) -> Vector:
         v = self._vector(x)

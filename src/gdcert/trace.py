@@ -16,6 +16,14 @@ _VECTORS = ("x", "grad", "y", "z")
 # the errstate of the step loop, and of the values of the steps it recorded
 _RAISE = dict(over="raise", divide="raise", invalid="raise")
 
+# steps whose rows the loop keeps as Python objects (an ndarray per vector,
+# a float per step size) before copying them into the run's columns. A row
+# object costs about 100 B beside its data, 16 B at d = 2, so a run holds
+# its columns plus at most one block of them; at 1,024 steps that block is
+# under a megabyte, and its copy (one concatenate per column) costs
+# nothing next to the steps
+_BLOCK = 1024
+
 
 @dataclass
 class Trace:
@@ -93,11 +101,65 @@ class Trace:
 
 
 def _stack(rows: list, dim: int) -> np.ndarray:
-    # one concatenation copies the rows faster than np.array on the list:
-    # 0.10 against 0.24 us per row at d = 2
+    # a column's whole list of rows at once, for rows that did not stack
+    # block by block: a ragged list raises numpy's error for the whole list
     if not rows:
         return np.zeros((0, dim))
     return np.concatenate(rows, dtype=float).reshape(len(rows), dim)
+
+
+class _Blocks:
+    """The float64 columns of one run, allocated once, and the rows the
+    loop recorded since the last ``flush``: ``rows`` maps each column's
+    name to its list, which holds the state's row (``x``, ``y``, ``z``) or
+    nothing (``grad``, ``eta``) when the run starts, and gains one row per
+    step."""
+
+    def __init__(self, rows: dict, T: int, dim: int):
+        self.rows, self.dim = rows, dim
+        self.cols = {name: np.empty((T + len(col), dim) if name in _VECTORS
+                                    else T + len(col))
+                     for name, col in rows.items()}
+        self.filled = dict.fromkeys(rows, 0)
+        self.ragged = False
+
+    def flush(self) -> None:
+        """Copy each list's rows into the column after its filled rows and
+        clear the list. A block that does not stack as one ``_stack`` would
+        (ragged rows) ends the copying: its rows and every later one stay
+        in the lists, for ``columns`` to stack as a whole."""
+        if self.ragged:
+            return
+        for name, rows in self.rows.items():
+            if not rows:
+                continue
+            lo = self.filled[name]
+            hi = lo + len(rows)
+            col = self.cols[name][lo:hi]
+            try:
+                if name in _VECTORS:
+                    np.concatenate(rows, out=col.reshape(-1))
+                else:
+                    etas = np.array(rows, dtype=float)
+                    if etas.shape != col.shape:
+                        raise ValueError("step sizes are not scalars")
+                    col[:] = etas
+            except (TypeError, ValueError):
+                self.ragged = True
+                return
+            self.filled[name] = hi
+            rows.clear()
+
+    def columns(self) -> dict:
+        """Each column's filled rows, not copied. After a ragged block, each
+        column of all its rows, stacked at once as the loop's lists would
+        be, which raises the same ``TypeError`` or ``ValueError`` there."""
+        if not self.ragged:
+            return {name: col[:self.filled[name]] for name, col in self.cols.items()}
+        whole = {name: list(col[:self.filled[name]]) + self.rows[name]
+                 for name, col in self.cols.items()}
+        return {name: _stack(rows, self.dim) if name in _VECTORS
+                else np.array(rows, dtype=float) for name, rows in whole.items()}
 
 
 def _values(objective, cols: dict, comparator: Vector | None, t0: int) -> dict:
@@ -178,6 +240,12 @@ def record(objective, state, T: int, step, eta, comparator: Vector | None = None
     Python-float step size, a user oracle's gradient), and the loop goes on
     to step T. That is bounded because no step kernel loops without bound on
     its input (``Simplex.project`` loops over the dimension); keep it so.
+
+    Memory: the loop runs in blocks of ``_BLOCK`` steps. The columns are
+    allocated once, for T steps, and each block's rows are copied into
+    them when it ends (and when the loop ends), so a run holds its columns
+    plus at most one block of row objects. ``Trace.from_rows`` takes the
+    columns as they are: no column is copied twice.
     """
     if T < 1:
         raise ValueError("need at least one step")
@@ -188,26 +256,29 @@ def record(objective, state, T: int, step, eta, comparator: Vector | None = None
     rows = {"x": xs, "grad": grads, "eta": etas}
     if coupled:
         ys, zs = rows["y"], rows["z"] = [state.y], [state.z]
+    blocks = _Blocks(rows, T, len(x))
     failure = None
     try:
         with np.errstate(**_RAISE):
-            for t in range(T):
-                loss = objective.next_loss(t, x) if online else objective
-                g = loss.gradient(x)
-                eta_t = eta(t)
-                grads.append(g)
-                etas.append(eta_t)
-                state = step(t, state, g, eta_t)
-                x = state.x if coupled else state
-                xs.append(x)
-                if coupled:
-                    ys.append(state.y)
-                    zs.append(state.z)
+            for start in range(0, T, _BLOCK):
+                for t in range(start, min(start + _BLOCK, T)):
+                    loss = objective.next_loss(t, x) if online else objective
+                    g = loss.gradient(x)
+                    eta_t = eta(t)
+                    grads.append(g)
+                    etas.append(eta_t)
+                    state = step(t, state, g, eta_t)
+                    x = state.x if coupled else state
+                    xs.append(x)
+                    if coupled:
+                        ys.append(state.y)
+                        zs.append(state.z)
+                blocks.flush()
     except Exception as exc:
         failure = exc
+    blocks.flush()
     try:
-        cols = {name: _stack(col, len(xs[0])) if name in _VECTORS
-                else np.array(col, dtype=float) for name, col in rows.items()}
+        cols = blocks.columns()
     except (TypeError, ValueError):
         if failure is None:
             raise

@@ -207,6 +207,18 @@ class TestProjection:
         with pytest.raises(ValueError):
             Ball(np.zeros(2), 1.0).project([1.0, 2.0, 3.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("center, x", [
+        # the squared distance overflows
+        ([0.0, 0.0], [1e308, 1e308]),
+        ([0.0, 0.0], [1e200, 0.0]),
+        # so does the difference itself
+        ([1e308, 0.0], [-1e308, 1.0]),
+    ])
+    def test_ball_member_overflowing_distance_is_outside(self, center, x):
+        # the distance is inf, with no RuntimeWarning
+        assert not Ball(np.array(center), 1.0).member(np.array(x))
+
 
 class TestPythagorean:
     def test_member_gives_zero(self):

@@ -292,6 +292,17 @@ class TestCli:
         assert f"and {constant}, " in err and "is not finite" in err
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_ball_distance_exit_two(self, tmp_path, capsys):
+        # |x0 - center| squares to inf: x0 is not in the ball, which is a
+        # config error, with no overflow warning on the way
+        code = main(["run", "--problem", "p2", "--method", "mirror-euclidean",
+                     "--set", "ball", "--x0", "1e308,1e308", "--steps", "20",
+                     "--certify", "--out", str(tmp_path / "out.json")])
+        assert code == 2
+        assert "needs x0 in the ball set" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
     def test_sc_gd_estimated_g_bounds_every_gradient(self, tmp_path):
         # p2 declares no G; at x0 the gradient norm is 4.12 but the run's
         # gradients reach 12, so G must come from the whole trajectory

@@ -4,6 +4,7 @@ step number, and every method's columns have the row counts of the layout.
 The one-gradient-per-step count over every method is in test_harness.py."""
 
 import dataclasses
+import tracemalloc
 from collections import Counter, namedtuple
 from unittest import mock
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdcert import accel, problems
+from gdcert import accel, problems, trace
 from gdcert.harness import METHODS, RunConfig, run_experiment
 from gdcert.problems import get_problem
 from gdcert.trace import Trace, drive, record
@@ -195,24 +196,35 @@ def _spoiled_drive(spoil, T, t0=None):
     return record(problem, np.array([1.0, 1.0]), T, step, eta, t0=t0)
 
 
+# the loop's block size, drawn small so that the drawn steps fall on both
+# sides of a block edge
+_BLOCKS = st.integers(1, 4)
+
+
+def _blocks_of(block):
+    return mock.patch.object(trace, "_BLOCK", block)
+
+
 @settings(max_examples=60, deadline=None)
-@given(at=st.integers(0, 11), **_SPOILS)
-def test_drive_names_the_spoiled_step(where, at, bad):
-    with pytest.raises(FloatingPointError, match=f"^iterate diverged at step {at}$"):
+@given(at=st.integers(0, 11), block=_BLOCKS, **_SPOILS)
+def test_drive_names_the_spoiled_step(where, at, bad, block):
+    with _blocks_of(block), \
+            pytest.raises(FloatingPointError, match=f"^iterate diverged at step {at}$"):
         _spoiled_drive(_Spoil(where, at, bad), 12)
 
 
 @settings(max_examples=60, deadline=None)
-@given(at=st.integers(0, 11), t0=st.integers(0, 100), **_SPOILS)
-def test_record_names_the_spoiled_step_from_t0(where, at, t0, bad):
-    with pytest.raises(FloatingPointError,
-                       match=f"^iterate diverged at step {t0 + at}$"):
+@given(at=st.integers(0, 11), t0=st.integers(0, 100), block=_BLOCKS, **_SPOILS)
+def test_record_names_the_spoiled_step_from_t0(where, at, t0, bad, block):
+    with _blocks_of(block), \
+            pytest.raises(FloatingPointError,
+                          match=f"^iterate diverged at step {t0 + at}$"):
         _spoiled_drive(_Spoil(where, at, bad), 12, t0=t0)
 
 
 @settings(max_examples=60, deadline=None)
-@given(at=st.integers(0, 23), **_SPOILS)
-def test_restart_names_the_spoiled_step_across_epochs(where, at, bad):
+@given(at=st.integers(0, 23), block=_BLOCKS, **_SPOILS)
+def test_restart_names_the_spoiled_step_across_epochs(where, at, bad, block):
     # kappa = 4: three epochs of 8 steps, numbered on from one to the next;
     # each step makes one gradient, one step size and one agm2_step call
     spoil = _Spoil(where, at, bad)
@@ -222,11 +234,107 @@ def test_restart_names_the_spoiled_step_across_epochs(where, at, bad):
         state = agm2_step(*args)
         return dataclasses.replace(state, x=spoil("x", state.x))
 
-    with mock.patch.object(accel, "agm2_step", spoiled_step), \
+    with _blocks_of(block), mock.patch.object(accel, "agm2_step", spoiled_step), \
             mock.patch.object(accel.AgmSchedule, "eta",
                               lambda self, t, beta: spoil("eta", eta(self, t, beta))), \
             pytest.raises(FloatingPointError, match=f"^iterate diverged at step {at}$"):
         accel.restart_accelerated(_SpoiledP2(spoil), [1.0, 1.0], 1e-300, max_epochs=3)
+
+
+def _outcome(run, block):
+    """What ``run()`` gives with blocks of ``block`` steps: the shape and
+    bytes of each column it returns, or its exception's type and message."""
+    with _blocks_of(block):
+        try:
+            cols = run()
+        except Exception as exc:
+            return type(exc), str(exc)
+    return {name: (col.shape, col.tobytes()) for name, col in cols.items()}
+
+
+def _one_block(run):
+    return _outcome(run, 10**9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=_BLOCKS, t0=st.integers(0, 100))
+def test_blocks_record_the_columns_of_one_block(block, t0):
+    # a coupled run, whose x, y and z each carry the final row
+    start = _Coupled(np.array([1.0, 1.0]), np.array([2.0, 2.0]), np.array([3.0, 3.0]))
+
+    def run():
+        return record(get_problem("p2"), start, 12,
+                      lambda t, s, g, eta: _Coupled(s.x - eta * g, 0.5 * s.y, s.z + g),
+                      lambda t: 0.1 / (t + 1), t0=t0)[0]
+
+    cols = _outcome(run, block)
+    assert cols == _one_block(run)
+    assert {name: shape for name, (shape, _) in cols.items()} == {
+        "x": (13, 2), "grad": (12, 2), "eta": (12,), "y": (13, 2), "z": (13, 2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=_BLOCKS, at=st.one_of(st.none(), st.integers(0, 11)),
+       raise_at=st.integers(0, 11), **_SPOILS)
+def test_blocks_raise_a_kernel_error_as_one_block(block, at, raise_at, where, bad):
+    # the kernel raises its own error at step raise_at; a spoiled row at an
+    # earlier step (or at that step's gradient or step size) wins
+    error = ValueError("the kernel's own error")
+    spoil = _Spoil(where, -1 if at is None else at, bad)
+
+    def step(t, x, g, eta):
+        if t == raise_at:
+            raise error
+        return spoil("x", x - eta * g)
+
+    def run():
+        return record(_SpoiledP2(spoil), np.array([1.0, 1.0]), 12, step,
+                      lambda t: spoil("eta", 0.1))[0]
+
+    outcome = _outcome(run, block)
+    spoil.calls.clear()  # the one-block run counts its calls from 0 again
+    assert outcome == _one_block(run)
+    spoiled_first = at is not None and (at < raise_at or at == raise_at and where != "x")
+    assert outcome == ((FloatingPointError, f"iterate diverged at step {at}")
+                       if spoiled_first else (ValueError, "the kernel's own error"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=_BLOCKS, at=st.integers(0, 10), nets_zero=st.booleans(),
+       raise_at=st.one_of(st.none(), st.integers(0, 11)))
+def test_blocks_stack_ragged_rows_as_one_block(block, at, nets_zero, raise_at):
+    # the gradient of step `at` has an extra entry and, when the rows net to
+    # zero, that of the next step lacks one; the kernel reads two entries
+    # (np.resize repeats a short gradient) and may raise at step raise_at
+    class Ragged(problems.DiagQuadratic):
+        calls = 0
+
+        def gradient(self, x):
+            g = super().gradient(x)
+            n, self.calls = self.calls, self.calls + 1
+            if n == at:
+                return np.append(g, 0.0)
+            return g[:1] if nets_zero and n == at + 1 else g
+
+    def step(t, x, g, eta):
+        if t == raise_at:
+            raise RuntimeError("the kernel's own error")
+        return x - eta * np.resize(g, 2)
+
+    def run():
+        return record(Ragged((1.0, 4.0), np.zeros(2)), np.array([1.0, 1.0]), 12,
+                      step, lambda t: 0.1)[0]
+
+    outcome = _outcome(run, block)
+    assert outcome == _one_block(run)
+    if raise_at is not None:
+        # rows left ragged, or none, before the kernel's error: it is raised
+        assert outcome == (RuntimeError, "the kernel's own error")
+    elif nets_zero:
+        # 24 entries stack into 12 rows as they do in one block
+        assert outcome["grad"][0] == (12, 2)
+    else:
+        assert outcome == (ValueError, "cannot reshape array of size 25 into shape (12,2)")
 
 
 def test_spoiling_no_call_leaves_every_step_finite():
@@ -299,6 +407,30 @@ def test_from_rows_takes_the_recorded_arrays_as_they_are():
     trace = Trace.from_rows(cols, p2)
     for name, col in cols.items():
         assert np.shares_memory(getattr(trace, name), col), name
+
+
+def test_record_holds_its_columns_and_one_block():
+    # tracemalloc's peak while p3 agm2 records 20,000 steps: the columns it
+    # returns (x, y, z and grad at d = 2, and eta: 1.44 MB) plus one block
+    # of row objects, about 600 B a step. Keeping every row's objects to
+    # the end of the run would peak at about 9 times the columns
+    seen = {}
+
+    def measured(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cols, state = record(*args, **kwargs)
+            seen["peak"] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        seen["nbytes"] = sum(col.nbytes for col in cols.values())
+        return cols, state
+
+    with mock.patch.object(trace, "record", measured):
+        run_experiment(RunConfig(problem="p3", method="agm2", steps=20_000))
+    assert seen["nbytes"] == 8 * (3 * 20_001 * 2 + 20_000 * 2 + 20_000)
+    assert seen["peak"] <= 2 * seen["nbytes"]
 
 
 # one startable run per method, 12 steps unless given
