@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Write the seed-0 d = 1000 runs of the benchmark's high-dim workload, each
-as a JSON and as a CSV trace with its report, for pinning their bytes.
+"""Write the seed-0 runs of one of the benchmark's workloads, each as a JSON
+and as a CSV trace with its report, for pinning their bytes.
 
 The runs come from bench/workloads.py, which this script imports and does
-not change. Exit code mirrors the CLI convention: 0 when every certificate
-passes.
+not change. Two workloads are pinned: ``high-dim`` (the d = 1000 runs,
+``scripts/high_dim.sha256``) and ``long-horizon`` (the T = 2e4 runs at
+d <= 3, ``scripts/long_horizon.sha256``). Exit code mirrors the CLI
+convention: 0 when every certificate passes.
 
 Usage:
-    python scripts/high_dim.py [output_dir]
+    python scripts/workload_files.py WORKLOAD [output_dir]
     (cd output_dir && sha256sum -c ../scripts/high_dim.sha256)
 """
 
@@ -25,11 +27,16 @@ from gdcert.harness import run_experiment  # noqa: E402
 
 
 def main() -> int:
-    out_dir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "high-dim-out")
+    if len(sys.argv) < 2 or sys.argv[1] not in workloads.WORKLOADS:
+        print(f"usage: {sys.argv[0]} {{{','.join(workloads.WORKLOADS)}}} [output_dir]",
+              file=sys.stderr)
+        return 2
+    name = sys.argv[1]
+    out_dir = pathlib.Path(sys.argv[2] if len(sys.argv) > 2 else f"{name}-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     worst = 0
     try:
-        specs = workloads.make_workload("high-dim", 0)
+        specs = workloads.make_workload(name, 0)
         for i, spec in enumerate(specs):
             stem = f"{i:02d}-{spec.problem}-{spec.method}"
             for fmt in ("json", "csv"):

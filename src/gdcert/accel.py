@@ -15,14 +15,16 @@ from gdcert.core import (
     Unconstrained,
     Vector,
     as_vector,
+    check_same_dim,
 )
-from gdcert.mirror import MirrorMap, EuclideanMap, NegEntropyMap, mirror_step
+from gdcert.mirror import MirrorMap, EuclideanMap, NegEntropyMap, _mirror
+from gdcert.mirror import mirror_step  # noqa: F401 (the benchmark's tests read accel.mirror_step)
 from gdcert.problems import Problem
-from gdcert.smooth import _attach_reference, projected_smooth_step, smooth_gd_step
+from gdcert.smooth import _attach_reference, _smooth_gd
 from gdcert.trace import _RAISE, Trace, drive, record
 
 
-@dataclass
+@dataclass(slots=True)
 class AccelState:
     """Coupled iterates: x is played, y is the cautious sequence, z the
     aggressive one."""
@@ -62,6 +64,7 @@ class AgmSchedule:
       * "agm-smooth-full": eta_t = (t+1)/beta, same tau (alternative scaling
         used when projections are involved; certified empirically)
       * "agm-lambda":      eta_t = lambda_t/beta, tau_{t+1} = 1/lambda_{t+1}
+    ``tau_next`` and ``step_sizes`` are bound to the kind's formulas once.
     """
 
     KINDS = ("agm-smooth", "agm-smooth-full", "agm-lambda")
@@ -70,24 +73,30 @@ class AgmSchedule:
         if kind not in self.KINDS:
             raise KeyError(f"unknown acceleration schedule {kind!r}")
         self.kind = kind
-        self._lam = None
         if kind == "agm-lambda":
             if T is None:
                 raise ValueError("the weight-recurrence schedule needs a horizon")
-            self._lam = lambda_schedule(T + 1)
+            self._lam = lam = lambda_schedule(T + 1)
+            self.tau_next = lambda t: 1.0 / float(lam[t + 1])
+        else:
+            self.tau_next = _tau_next
+
+    def step_sizes(self, beta: float):
+        """t -> eta_t for smoothness constant ``beta``."""
+        if self.kind == "agm-lambda":
+            lam = self._lam
+            return lambda t: float(lam[t]) / beta
+        # 2 beta is exact, so (t+1)/(2 beta) rounds as it did per step
+        scale = 2.0 * beta if self.kind == "agm-smooth" else beta
+        return lambda t: (t + 1.0) / scale
 
     def eta(self, t: int, beta: float) -> float:
-        if self.kind == "agm-smooth":
-            return (t + 1.0) / (2.0 * beta)
-        if self.kind == "agm-smooth-full":
-            return (t + 1.0) / beta
-        return float(self._lam[t]) / beta
+        return self.step_sizes(beta)(t)
 
-    def tau_next(self, t: int) -> float:
-        """Mixing weight tau_{t+1} applied when forming x_{t+1}."""
-        if self.kind in ("agm-smooth", "agm-smooth-full"):
-            return 2.0 / (t + 3.0)
-        return 1.0 / float(self._lam[t + 1])
+
+def _tau_next(t: int) -> float:
+    """Mixing weight tau_{t+1} = 2/(t+3) applied when forming x_{t+1}."""
+    return 2.0 / (t + 3.0)
 
 
 def agm2_step(state: AccelState, g: Vector, beta: float,
@@ -95,24 +104,33 @@ def agm2_step(state: AccelState, g: Vector, beta: float,
     """One unconstrained coupled step with the gradient g at x: cautious
     y-update from x, aggressive z-update of size eta_t from z, then mix with
     the schedule's tau_{t+1}."""
-    t = state.t
-    y_next = state.x - g / beta
-    z_next = state.z - eta_t * g
-    tau = schedule.tau_next(t)
-    x_next = (1.0 - tau) * y_next + tau * z_next
-    return AccelState(x=x_next, y=y_next, z=z_next, t=t + 1)
+    return _agm2(beta, schedule.tau_next)(state.t, state, g, eta_t)
+
+
+def _agm2(beta: float, tau_next, project=None):
+    """The coupled step as the transition ``trace.record`` calls; with
+    ``project``, both sequence updates are projected and the mix stays
+    feasible by convexity."""
+    if project is None:
+        def step(t, state, g, eta):
+            y = state.x - g / beta
+            z = state.z - eta * g
+            tau = tau_next(t)
+            return AccelState((1.0 - tau) * y + tau * z, y, z, t + 1)
+    else:
+        def step(t, state, g, eta):
+            y = project(state.x - g / beta)
+            z = project(state.z - eta * g)
+            tau = tau_next(t)
+            return AccelState((1.0 - tau) * y + tau * z, y, z, t + 1)
+    return step
 
 
 def constrained_agm_step(feasible: FeasibleSet, state: AccelState, g: Vector,
                          beta: float, eta_t: float) -> AccelState:
     """Constrained coupled step with the gradient g at x: both sequence
     updates are projected; the mix stays feasible by convexity."""
-    t = state.t
-    y_next = feasible.project(state.x - g / beta)
-    z_next = feasible.project(state.z - eta_t * g)
-    tau = 2.0 / (t + 3.0)
-    x_next = (1.0 - tau) * y_next + tau * z_next
-    return AccelState(x=x_next, y=y_next, z=z_next, t=t + 1)
+    return _agm2(beta, _tau_next, feasible.project)(state.t, state, g, eta_t)
 
 
 def run_agm2(problem: Problem, x0, T: int, schedule: str = "agm-smooth",
@@ -128,14 +146,9 @@ def run_agm2(problem: Problem, x0, T: int, schedule: str = "agm-smooth",
         feasible = Unconstrained(problem.dim)
     if constrained and sched.kind == "agm-lambda":
         raise ValueError("the weight-recurrence schedule is unconstrained-only")
-    if constrained:
-        def step(t, state, g, eta):
-            return constrained_agm_step(feasible, state, g, beta, eta)
-    else:
-        def step(t, state, g, eta):
-            return agm2_step(state, g, beta, sched, eta)
+    step = _agm2(beta, sched.tau_next, feasible.project if constrained else None)
     trace = drive(problem, AccelState.start(feasible.project(x0)), T, step,
-                  lambda t: sched.eta(t, beta))
+                  sched.step_sizes(beta))
     trace.meta["method"] = "agm2"
     trace.meta["schedule"] = schedule
     trace.meta["constrained"] = constrained
@@ -153,6 +166,11 @@ def agm1_step(x, g: Vector, y_prev, lam_t: float, lam_next: float,
         raise ValueError("next momentum weight must be positive")
     x = np.asarray(x, dtype=float)
     y_prev = np.asarray(y_prev, dtype=float)
+    return _agm1_step(x, g, y_prev, lam_t, lam_next, beta)
+
+
+def _agm1_step(x, g, y_prev, lam_t, lam_next, beta):
+    # the loop's, with no checks: every lambda_{t+1} is at least 1
     y_next = x - g / beta
     c = (1.0 - lam_t) / lam_next
     x_next = (1.0 - c) * y_next + c * y_prev
@@ -176,8 +194,8 @@ def run_agm1(problem: Problem, x0, T: int) -> Trace:
 
     def step(t, state, g, eta):
         lam_next = float(lam[t + 1])
-        x, y = agm1_step(state.x, g, state.y, float(lam[t]), lam_next, beta)
-        return AccelState(x=x, y=y, z=agm1_to_agm2_state(x, y, lam_next), t=t + 1)
+        x, y = _agm1_step(state.x, g, state.y, float(lam[t]), lam_next, beta)
+        return AccelState(x, y, agm1_to_agm2_state(x, y, lam_next), t + 1)
 
     trace = drive(problem, AccelState.start(x0), T, step,
                   lambda t: float(lam[t]) / beta)
@@ -211,18 +229,36 @@ def general_norm_agm_step(mirror_map: MirrorMap, feasible: FeasibleSet,
     cautious update is the smooth step in the map's norm (solved on the set),
     the aggressive update is a mirror step of size eta_t, and the mix uses
     tau_{t+1} = 2/(t+3)."""
-    t = state.t
+    step = _general_norm_agm(mirror_map, feasible, beta)  # which checks the pair
+    g = np.asarray(g, dtype=float)
+    for v in (state.x, state.z):
+        check_same_dim(np.asarray(v, dtype=float), g)
+    if not (beta > 0 and eta_t > 0 and mirror_map.interior(state.z)):
+        raise ValueError("needs beta > 0, eta_t > 0 and z in the map's interior")
+    return step(state.t, state, g, eta_t)
+
+
+def _general_norm_agm(mirror_map: MirrorMap, feasible: FeasibleSet, beta: float):
+    # general_norm_agm_step's arithmetic as the loop's transition
     if isinstance(mirror_map, EuclideanMap):
-        y_next = projected_smooth_step(feasible, state.x, g, beta)
+        smooth_move = _smooth_gd(beta)
+
+        def cautious(x, g):
+            return feasible.project(smooth_move(0, x, g, None))
     elif isinstance(mirror_map, NegEntropyMap) and isinstance(feasible, Simplex):
-        y_next = _l1_prox_on_simplex(state.x, g, beta)
+        def cautious(x, g):
+            return _l1_prox_on_simplex(x, g, beta)
     else:
         raise ValueError(
             f"unsupported (map, set) pair: ({mirror_map.map_id}, {type(feasible).__name__})")
-    z_next = mirror_step(mirror_map, feasible, state.z, g, eta_t)
-    tau = 2.0 / (t + 3.0)
-    x_next = (1.0 - tau) * y_next + tau * z_next
-    return AccelState(x=x_next, y=y_next, z=z_next, t=t + 1)
+    aggressive = _mirror(mirror_map, feasible)
+
+    def step(t, state, g, eta):
+        y = cautious(state.x, g)
+        z = aggressive(t, state.z, g, eta)
+        tau = _tau_next(t)
+        return AccelState((1.0 - tau) * y + tau * z, y, z, t + 1)
+    return step
 
 
 def run_general_norm_agm(problem: Problem, mirror_map: MirrorMap,
@@ -230,14 +266,14 @@ def run_general_norm_agm(problem: Problem, mirror_map: MirrorMap,
     beta = problem.smoothness_beta
     if beta is None:
         raise ValueError("problem declares no smoothness constant")
+    if not beta > 0:
+        raise ValueError("smoothness constant must be positive")
     x0 = as_vector(x0)
     if not (feasible.member(x0) and mirror_map.interior(x0)):
         raise ValueError("starting point must be an interior member")
-    trace = drive(
-        problem, AccelState.start(x0), T,
-        lambda t, state, g, eta: general_norm_agm_step(mirror_map, feasible,
-                                                       state, g, beta, eta),
-        lambda t: (t + 1.0) * mirror_map.alpha_h / (2.0 * beta))
+    trace = drive(problem, AccelState.start(x0), T,
+                  _general_norm_agm(mirror_map, feasible, beta),
+                  lambda t: (t + 1.0) * mirror_map.alpha_h / (2.0 * beta))
     trace.meta["method"] = f"agm2-{mirror_map.map_id}"
     trace.meta["map"] = mirror_map.map_id
     trace.constants["beta"] = beta
@@ -256,6 +292,11 @@ def sc_agm_step(x, g: Vector, y_prev, kappa: float,
         raise ValueError("condition number 1 is solved by a single smooth step")
     x = np.asarray(x, dtype=float)
     y_prev = np.asarray(y_prev, dtype=float)
+    return _sc_agm_step(x, g, y_prev, kappa, beta)
+
+
+def _sc_agm_step(x, g, y_prev, kappa, beta):
+    # the loop's, with no checks: the run checks kappa once
     rk = math.sqrt(kappa)  # np.sqrt's correctly rounded root, as a float
     m = (rk - 1.0) / (rk + 1.0)
     y_next = x - g / beta
@@ -267,8 +308,10 @@ def sc_agm_z(x, y, kappa: float) -> Vector:
     """Implied aggressive-sequence point z = sqrt(kappa) (x - y) + x."""
     if kappa <= 1:
         raise ValueError("condition number must exceed 1")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    return _sc_agm_z(np.asarray(x, dtype=float), np.asarray(y, dtype=float), kappa)
+
+
+def _sc_agm_z(x, y, kappa):
     return math.sqrt(kappa) * (x - y) + x
 
 
@@ -292,18 +335,21 @@ def run_sc_agm(problem: Problem, x0, T: int) -> Trace:
     kappa = problem.kappa
     if not kappa:
         raise ValueError("problem must declare both curvature constants")
+    if kappa < 1:
+        raise ValueError("condition number must be at least 1")
     beta = problem.smoothness_beta
 
     if kappa == 1.0:
         T = 1
+        smooth_move = _smooth_gd(beta)
 
         def step(t, state, g, eta):
-            y = smooth_gd_step(state.x, g, beta)
-            return AccelState(x=y, y=y, z=y, t=1)
+            y = smooth_move(t, state.x, g, eta)
+            return AccelState(y, y, y, 1)
     else:
         def step(t, state, g, eta):
-            x, y = sc_agm_step(state.x, g, state.y, kappa, beta)
-            return AccelState(x=x, y=y, z=sc_agm_z(x, y, kappa), t=t + 1)
+            x, y = _sc_agm_step(state.x, g, state.y, kappa, beta)
+            return AccelState(x, y, _sc_agm_z(x, y, kappa), t + 1)
 
     trace = drive(problem, AccelState.start(x0), T, step, lambda t: 1.0 / beta)
     trace.meta["method"] = "sc-agm"
@@ -335,6 +381,7 @@ def restart_accelerated(problem: Problem, x0, epsilon: float,
     parts = {"x": [], "grad": [np.zeros((0, x.size))], "eta": [np.zeros(0)]}
     steps, epochs = 0, []
     sched = AgmSchedule("agm-smooth")
+    step, eta = _agm2(beta, sched.tau_next), sched.step_sizes(beta)
 
     def columns():
         return {name: np.concatenate(arrays) for name, arrays in parts.items()}
@@ -354,9 +401,8 @@ def restart_accelerated(problem: Problem, x0, epsilon: float,
             break
         start_dist = float(np.linalg.norm(x - x_star))
         try:
-            epoch, state = record(problem, AccelState.start(x), epoch_len,
-                                  lambda t, state, g, eta: agm2_step(state, g, beta, sched, eta),
-                                  lambda t: sched.eta(t, beta), t0=steps)
+            epoch, state = record(problem, AccelState.start(x), epoch_len, step, eta,
+                                  t0=steps)
         except FloatingPointError:
             check_earlier_rows()
             raise

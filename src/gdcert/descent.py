@@ -71,6 +71,11 @@ def gd_step(x, g, eta: float) -> Vector:
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
     check_same_dim(x, g)
+    return _gd(0, x, g, eta)
+
+
+def _gd(t, x, g, eta):
+    # gd_step's arithmetic as the transition ``trace.record`` calls
     return x - eta * g
 
 
@@ -92,11 +97,10 @@ def run_online_gd(adversary: OnlineAdversary, feasible: FeasibleSet, x0,
         comparator = adversary.comparator_over(feasible, T)
     comparator = as_vector(comparator)
     if isinstance(feasible, Unconstrained):
-        def step(t, x, g, eta):
-            return x - eta * g
+        step = _gd
     else:
         def step(t, x, g, eta):
-            return feasible.project(x - eta * g)
+            return feasible.project(_gd(t, x, g, eta))
     trace = drive(adversary, x, T, step, schedule.eta, comparator=comparator)
     trace.constants["x_star"] = comparator
     trace.meta["method"] = "gd"

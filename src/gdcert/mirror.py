@@ -159,20 +159,29 @@ def mirror_step(mirror_map: MirrorMap, feasible: FeasibleSet, x, g,
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
     check_same_dim(x, g)
-    multiplicative = isinstance(mirror_map, NegEntropyMap) and isinstance(feasible, Simplex)
-    # the entropy interior x > 0 (which a nan entry fails), with the ufunc
-    # reductions that .min(), .max() and .sum() wrap: the same bits on a
-    # vector, without the method call's Python layer
-    if not (np.minimum.reduce(x) > 0.0 if multiplicative else mirror_map.interior(x)):
+    if not mirror_map.interior(x):
         raise ValueError("iterate left the mirror map's interior")
-    if multiplicative:
-        # multiplicative update in log space; subtracting the max exponent
-        # is absorbed by the rescaling projection and avoids overflow
-        logits = np.log(x) - eta * g
-        w = np.exp(logits - np.maximum.reduce(logits))
-        return w / float(np.add.reduce(w))
-    theta = mirror_map.grad_h(x) - eta * g
-    return bregman_project(mirror_map, feasible, mirror_map.grad_h_star(theta))
+    return _mirror(mirror_map, feasible)(0, x, g, eta)
+
+
+def _mirror(mirror_map: MirrorMap, feasible: FeasibleSet):
+    """mirror_step's arithmetic as the transition ``trace.record`` calls: a
+    run checks x0 and eta once. A weight that underflows to 0 fails at the
+    next step's ``np.log(0)``, which the loop's errstate raises."""
+    if isinstance(mirror_map, NegEntropyMap) and isinstance(feasible, Simplex):
+        def step(t, x, g, eta):
+            # multiplicative update in log space; subtracting the max
+            # exponent is absorbed by the rescaling projection and avoids
+            # overflow. The ufunc reductions that .max() and .sum() wrap:
+            # the same bits, without the method call's Python layer
+            logits = np.log(x) - eta * g
+            w = np.exp(logits - np.maximum.reduce(logits))
+            return w / float(np.add.reduce(w))
+    else:
+        def step(t, x, g, eta):
+            theta = mirror_map.grad_h(x) - eta * g
+            return bregman_project(mirror_map, feasible, mirror_map.grad_h_star(theta))
+    return step
 
 
 def run_mirror_descent(adversary: OnlineAdversary, mirror_map: MirrorMap,
@@ -183,12 +192,13 @@ def run_mirror_descent(adversary: OnlineAdversary, mirror_map: MirrorMap,
     x = as_vector(x0)
     if not (feasible.member(x) and mirror_map.interior(x)):
         raise ValueError("starting point must be an interior member")
+    if not eta > 0:
+        raise ValueError("step size must be positive")
     if comparator is None:
         comparator = adversary.comparator_over(feasible, T)
     comparator = as_vector(comparator)
-    trace = drive(adversary, x, T,
-                  lambda t, x, g, eta: mirror_step(mirror_map, feasible, x, g, eta),
-                  lambda t: eta, comparator=comparator)
+    trace = drive(adversary, x, T, _mirror(mirror_map, feasible), lambda t: eta,
+                  comparator=comparator)
     trace.meta["method"] = f"mirror-{mirror_map.map_id}"
     trace.constants["eta"] = eta
     trace.constants["alpha_h"] = mirror_map.alpha_h

@@ -174,13 +174,16 @@ class LinearLoss(Problem):
         self.ell = as_vector(ell)
         self.dim = self.ell.shape[0]
         self.name = "linear"
+        # the gradient: a read-only view of the row, not a copy per call
+        self._grad = self.ell.view()
+        self._grad.flags.writeable = False
 
     def value(self, x):
         v = np.vecdot(as_points(x), self.ell)
         return float(v) if v.ndim == 0 else v
 
     def gradient(self, x) -> Vector:
-        return self.ell.copy()
+        return self._grad
 
     def minimizer_over(self, feasible: FeasibleSet) -> Vector:
         return feasible.lmo(self.ell)

@@ -26,7 +26,15 @@ def smooth_gd_step(x, g, beta: float) -> Vector:
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
     check_same_dim(x, g)
-    return x - g / beta
+    return _smooth_gd(beta)(0, x, g, None)
+
+
+def _smooth_gd(beta: float):
+    # smooth_gd_step's arithmetic as the loop's transition; it reads beta,
+    # not the recorded step size 1/beta
+    def step(t, x, g, eta):
+        return x - g / beta
+    return step
 
 
 def projected_smooth_step(feasible: FeasibleSet, x, g, beta: float) -> Vector:
@@ -42,7 +50,15 @@ def frank_wolfe_step(feasible: FeasibleSet, x, g, eta_t: float) -> Vector:
         raise ValueError("Frank-Wolfe step size must lie in [0, 1]")
     if not feasible.member(x):  # which checks x's dimension
         raise ValueError("current point must be feasible")
-    return (1.0 - eta_t) * np.asarray(x, dtype=float) + eta_t * feasible.lmo(g)
+    return _frank_wolfe(feasible)(0, np.asarray(x, dtype=float), g, eta_t)
+
+
+def _frank_wolfe(feasible: FeasibleSet):
+    # frank_wolfe_step's arithmetic as the loop's transition: a run checks
+    # that x0 is feasible, and its schedule keeps eta in [0, 1]
+    def step(t, x, g, eta):
+        return (1.0 - eta) * x + eta * feasible.lmo(g)
+    return step
 
 
 FW_STEP_SIZES = {  # by schedule id, the default first
@@ -64,13 +80,14 @@ def run_smooth_gd(problem: Problem, x0, T: int,
     x0 = as_vector(x0)
     if feasible is None:
         feasible = Unconstrained(problem.dim)
+    move = _smooth_gd(beta)
     if isinstance(feasible, Unconstrained):
-        def step(t, x, g, eta):
-            return x - g / beta
+        step = move
     else:
         def step(t, x, g, eta):
-            return feasible.project(x - g / beta)
-    trace = drive(problem, feasible.project(x0), T, step, lambda t: 1.0 / beta)
+            return feasible.project(move(t, x, g, eta))
+    eta = 1.0 / beta
+    trace = drive(problem, feasible.project(x0), T, step, lambda t: eta)
     trace.meta["method"] = "smooth-gd"
     trace.constants["beta"] = beta
     _attach_reference(trace, problem, feasible)
@@ -93,9 +110,7 @@ def run_frank_wolfe(problem: Problem, feasible: FeasibleSet, x0, T: int,
     x = as_vector(x0)
     if not feasible.member(x):
         raise ValueError("starting point must be feasible")
-    trace = drive(problem, x, T,
-                  lambda t, x, g, eta: frank_wolfe_step(feasible, x, g, eta),
-                  FW_STEP_SIZES[schedule])
+    trace = drive(problem, x, T, _frank_wolfe(feasible), FW_STEP_SIZES[schedule])
     trace.meta["method"] = "frank-wolfe"
     trace.meta["schedule"] = schedule
     trace.constants["beta"] = beta

@@ -100,14 +100,6 @@ class Trace:
             self.meta.setdefault("flags", []).append(flag)
 
 
-def _stack(rows: list, dim: int) -> np.ndarray:
-    # a column's whole list of rows at once, for rows that did not stack
-    # block by block: a ragged list raises numpy's error for the whole list
-    if not rows:
-        return np.zeros((0, dim))
-    return np.concatenate(rows, dtype=float).reshape(len(rows), dim)
-
-
 class _Blocks:
     """The float64 columns of one run, allocated once, and the rows the
     loop recorded since the last ``flush``: ``rows`` maps each column's
@@ -116,50 +108,50 @@ class _Blocks:
     step."""
 
     def __init__(self, rows: dict, T: int, dim: int):
-        self.rows, self.dim = rows, dim
+        self.rows = rows
         self.cols = {name: np.empty((T + len(col), dim) if name in _VECTORS
                                     else T + len(col))
                      for name, col in rows.items()}
+        self.start = {name: len(col) for name, col in rows.items()}  # rows before step 0
         self.filled = dict.fromkeys(rows, 0)
-        self.ragged = False
 
-    def flush(self) -> None:
+    def flush(self) -> int | None:
         """Copy each list's rows into the column after its filled rows and
-        clear the list. A block that does not stack as one ``_stack`` would
-        (ragged rows) ends the copying: its rows and every later one stay
-        in the lists, for ``columns`` to stack as a whole."""
-        if self.ragged:
-            return
+        clear the list; returns None. Where a row does not have its column's
+        row shape, the first step that recorded one is returned instead, and
+        only the rows of the steps before it are copied."""
+        bad = []
         for name, rows in self.rows.items():
             if not rows:
                 continue
             lo = self.filled[name]
-            hi = lo + len(rows)
-            col = self.cols[name][lo:hi]
+            col = self.cols[name][lo:lo + len(rows)]
             try:
                 if name in _VECTORS:
+                    # 1-D rows whose sizes sum to the block's, all of one size
                     np.concatenate(rows, out=col.reshape(-1))
+                    ok = len(set(map(len, rows))) == 1
                 else:
-                    etas = np.array(rows, dtype=float)
-                    if etas.shape != col.shape:
-                        raise ValueError("step sizes are not scalars")
-                    col[:] = etas
+                    col[:] = etas = np.array(rows, dtype=float)
+                    ok = etas.shape == col.shape
             except (TypeError, ValueError):
-                self.ragged = True
-                return
-            self.filled[name] = hi
+                ok = False
+            if not ok:
+                i = next((i for i, row in enumerate(rows) if np.shape(row) != col.shape[1:]), 0)
+                bad.append(lo + i - self.start[name])
+        if bad:
+            for name, rows in self.rows.items():
+                del rows[max(0, min(bad) + self.start[name] - self.filled[name]):]
+            self.flush()
+            return min(bad)
+        for name, rows in self.rows.items():
+            self.filled[name] += len(rows)
             rows.clear()
+        return None
 
     def columns(self) -> dict:
-        """Each column's filled rows, not copied. After a ragged block, each
-        column of all its rows, stacked at once as the loop's lists would
-        be, which raises the same ``TypeError`` or ``ValueError`` there."""
-        if not self.ragged:
-            return {name: col[:self.filled[name]] for name, col in self.cols.items()}
-        whole = {name: list(col[:self.filled[name]]) + self.rows[name]
-                 for name, col in self.cols.items()}
-        return {name: _stack(rows, self.dim) if name in _VECTORS
-                else np.array(rows, dtype=float) for name, rows in whole.items()}
+        """Each column's filled rows, not copied."""
+        return {name: col[:self.filled[name]] for name, col in self.cols.items()}
 
 
 def _values(objective, cols: dict, comparator: Vector | None, t0: int) -> dict:
@@ -235,6 +227,10 @@ def record(objective, state, T: int, step, eta, comparator: Vector | None = None
     either way the value of an earlier row (at x, at y, or at
     ``comparator``) that fails first names its step instead. Any other
     exception propagates unchanged when no non-finite row came before it.
+    Shapes are checked once per block: the first step t that recorded a row
+    not of its column's row shape ends the run at its block with
+    ``ValueError("step t0 + t recorded a row of the wrong shape")``, or with
+    the loop's own error raised at that step.
 
     So a step may be fed a non-finite row that did not raise (a schedule's
     Python-float step size, a user oracle's gradient), and the loop goes on
@@ -257,7 +253,7 @@ def record(objective, state, T: int, step, eta, comparator: Vector | None = None
     if coupled:
         ys, zs = rows["y"], rows["z"] = [state.y], [state.z]
     blocks = _Blocks(rows, T, len(x))
-    failure = None
+    failure = ragged = None
     try:
         with np.errstate(**_RAISE):
             for start in range(0, T, _BLOCK):
@@ -273,16 +269,18 @@ def record(objective, state, T: int, step, eta, comparator: Vector | None = None
                     if coupled:
                         ys.append(state.y)
                         zs.append(state.z)
-                blocks.flush()
+                ragged = blocks.flush()
+                if ragged is not None:
+                    break
     except Exception as exc:
         failure = exc
-    blocks.flush()
-    try:
-        cols = blocks.columns()
-    except (TypeError, ValueError):
-        if failure is None:
-            raise
-        raise failure from None  # rows left ragged, which its error explains
+        ragged = blocks.flush()
+    if ragged is not None and (failure is None or ragged < t):
+        # a row that is not its column's shape ends the run at its step,
+        # unless the loop raised at that step (a kernel rejecting it)
+        failure, t = ValueError(f"step {t0 + max(ragged, 0)} recorded a row of the "
+                                "wrong shape"), ragged
+    cols = blocks.columns()
     first = _first_non_finite(cols)
     if first is None:
         if failure is None:

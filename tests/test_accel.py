@@ -87,6 +87,23 @@ class TestAgm2Step:
         with pytest.raises(KeyError):
             AgmSchedule("agm-warp")
 
+    @pytest.mark.parametrize("beta", [1.0, 3.0, 0.1, 1e-300])
+    def test_schedules_round_as_their_formulas(self, beta):
+        """Each kind's step sizes and mixing weights, bound once, are the
+        docstring's formulas bit for bit."""
+        lam = lambda_schedule(41)
+        formulas = {
+            "agm-smooth": (lambda t: (t + 1.0) / (2.0 * beta), lambda t: 2.0 / (t + 3.0)),
+            "agm-smooth-full": (lambda t: (t + 1.0) / beta, lambda t: 2.0 / (t + 3.0)),
+            "agm-lambda": (lambda t: float(lam[t]) / beta, lambda t: 1.0 / float(lam[t + 1])),
+        }
+        for kind, (eta, tau) in formulas.items():
+            sched = AgmSchedule(kind, T=40)
+            step_sizes = sched.step_sizes(beta)
+            for t in range(40):
+                assert step_sizes(t) == sched.eta(t, beta) == eta(t), (kind, t)
+                assert sched.tau_next(t) == tau(t), (kind, t)
+
     @pytest.mark.parametrize("schedule", AgmSchedule.KINDS)
     def test_step_with_recorded_eta_is_bit_identical(self, schedule):
         """The run records the schedule's eta_t, the step size the step once

@@ -806,6 +806,59 @@ class TestGradientCallsPerRun:
         assert calls.count("value") <= 3
 
 
+class TestChecksPerRun:
+    """The checks a step kernel makes for a direct caller (the entropy
+    interior, set membership, matching dimensions) run once per run, where
+    it starts: the step loop's transitions make none, so a run makes as
+    many at T = 800 as at T = 80."""
+
+    CHECKS = [(mirror.NegEntropyMap, "interior"), (Simplex, "member"),
+              (core.Box, "member")]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for cls, name in self.CHECKS:
+            monkeypatch.setattr(cls, name, counted(vars(cls)[name], f"{cls.__name__}.{name}"))
+        # wherever a module imported it by name
+        original = core.check_same_dim
+        for module in [m for name, m in sys.modules.items()
+                       if name == "gdcert" or name.startswith("gdcert.")]:
+            for name, value in vars(module).items():
+                if value is original:
+                    monkeypatch.setattr(module, name, counted(original, "check_same_dim"))
+        return calls
+
+    # restart-agm reaches its tolerance on p3 within 80 steps whatever the
+    # horizon, so its horizon does not set its step count
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "restart-agm"])
+    def test_checks_do_not_grow_with_the_horizon(self, method, calls):
+        cfg = GRADIENT_COUNT_RUNS[method]
+        made = []
+        for steps in (80, 800):
+            calls.clear()
+            result = run_experiment(RunConfig(method=method, **{**cfg, "steps": steps}))
+            assert result.error is None and result.trace.T == steps
+            made.append(dict(calls))
+        assert made[0] == made[1]
+
+    @pytest.mark.parametrize("cfg", [
+        dict(problem="experts-alt", method="mirror-negentropy", feasible_set="simplex"),
+        dict(problem="p2", method="frank-wolfe", feasible_set="simplex", x0=[0.5, 0.5]),
+        dict(problem="p2", method="frank-wolfe", feasible_set="box"),
+    ])
+    def test_a_run_checks_its_start(self, cfg, calls):
+        run_experiment(RunConfig(steps=50, **cfg))
+        assert calls  # the counters see the checks made at the start
+
+
 class TestComparatorSolvesPerRun:
     """An online run solves for its comparator once: the start checks' D
     and the run share it."""

@@ -200,6 +200,20 @@ class TestMirrorDescentRuns:
         with pytest.raises(ValueError):
             run_mirror_descent(adv, ENT, Simplex(2), [1.0, 0.0], 0.1, 5)
 
+    @pytest.mark.parametrize("eta", [0.0, -0.1, np.nan])
+    def test_positive_step_size_required(self, eta):
+        adv = make_alternating_experts(2)
+        with pytest.raises(ValueError, match="step size must be positive"):
+            run_mirror_descent(adv, ENT, Simplex(2), [0.5, 0.5], eta, 5)
+
+    def test_a_weight_that_underflows_ends_the_run_as_a_divergence(self):
+        # step 0 moves the first weight to exp(-1000), which is 0 in float64;
+        # step 1's log(0) raises under the loop's errstate
+        adv = make_experts_adversary([[1.0, 0.0]])
+        with pytest.raises(FloatingPointError, match="^iterate diverged at step 1$"):
+            run_mirror_descent(adv, ENT, Simplex(2), [0.5, 0.5], 1000.0, 5,
+                               comparator=[0.0, 1.0])
+
 
 class TestHedge:
     def test_zero_gradients_return_start(self):

@@ -90,6 +90,15 @@ class TestBatchedValues:
         X = _rows(rng, 300, d, -8.0, 150.0)
         assert loss.value(X).tobytes() == np.array([loss.value(x) for x in X]).tobytes()
 
+    def test_linear_gradient_is_its_row_read_only(self):
+        ell = np.array([0.5, 1.0])
+        loss = LinearLoss(ell)
+        g = loss.gradient([1.0, -2.0])
+        assert g.tobytes() == ell.tobytes() and not g.flags.writeable
+        assert ell.flags.writeable  # the caller's array stays as it was
+        with pytest.raises(ValueError):
+            g[0] = 2.0
+
     def test_single_point_is_a_float(self):
         for p in (get_problem("p2"), LogSumExp(2), LinearLoss([0.5, 1.0])):
             assert type(p.value([1.0, -2.0])) is float

@@ -226,17 +226,24 @@ def test_record_names_the_spoiled_step_from_t0(where, at, t0, bad, block):
 @given(at=st.integers(0, 23), block=_BLOCKS, **_SPOILS)
 def test_restart_names_the_spoiled_step_across_epochs(where, at, bad, block):
     # kappa = 4: three epochs of 8 steps, numbered on from one to the next;
-    # each step makes one gradient, one step size and one agm2_step call
+    # each step makes one gradient, one step size and one agm2 transition call
     spoil = _Spoil(where, at, bad)
-    agm2_step, eta = accel.agm2_step, accel.AgmSchedule.eta
+    agm2, step_sizes = accel._agm2, accel.AgmSchedule.step_sizes
 
-    def spoiled_step(*args):
-        state = agm2_step(*args)
-        return dataclasses.replace(state, x=spoil("x", state.x))
+    def spoiled_agm2(*args):
+        step = agm2(*args)
 
-    with _blocks_of(block), mock.patch.object(accel, "agm2_step", spoiled_step), \
-            mock.patch.object(accel.AgmSchedule, "eta",
-                              lambda self, t, beta: spoil("eta", eta(self, t, beta))), \
+        def spoiled_step(*args):
+            state = step(*args)
+            return dataclasses.replace(state, x=spoil("x", state.x))
+        return spoiled_step
+
+    def spoiled_step_sizes(self, beta):
+        eta = step_sizes(self, beta)
+        return lambda t: spoil("eta", eta(t))
+
+    with _blocks_of(block), mock.patch.object(accel, "_agm2", spoiled_agm2), \
+            mock.patch.object(accel.AgmSchedule, "step_sizes", spoiled_step_sizes), \
             pytest.raises(FloatingPointError, match=f"^iterate diverged at step {at}$"):
         accel.restart_accelerated(_SpoiledP2(spoil), [1.0, 1.0], 1e-300, max_epochs=3)
 
@@ -324,11 +331,52 @@ def test_blocks_stack_ragged_rows_as_one_block(block, at, raise_at):
 
     outcome = _outcome(run, block)
     assert outcome == _one_block(run)
-    if raise_at is not None:
-        # rows left ragged, or none, before the kernel's error: it is raised
+    if raise_at is not None and raise_at <= at:
+        # the kernel raised before the ragged row, or at its step: its error
         assert outcome == (RuntimeError, "the kernel's own error")
     else:
-        assert outcome == (ValueError, "cannot reshape array of size 25 into shape (12,2)")
+        # the ragged row ends the run, at its block or when the loop ends
+        assert outcome == (ValueError, f"step {at} recorded a row of the wrong shape")
+
+
+@pytest.mark.parametrize("block", [1, 2, 4, 5, 10**9])
+def test_ragged_rows_whose_sizes_net_to_zero_end_the_run(block):
+    # step 3's gradient has an extra entry and step 4's one too few: the
+    # block's total size is right, each row's shape is not
+    class Ragged(problems.DiagQuadratic):
+        calls = 0
+
+        def gradient(self, x):
+            g = super().gradient(x)
+            n, self.calls = self.calls, self.calls + 1
+            return {3: np.append(g, 7.0), 4: g[:1]}.get(n, g)
+
+    def run():
+        return record(Ragged((1.0, 4.0), np.zeros(2)), np.array([1.0, 1.0]), 12,
+                      lambda t, x, g, eta: x - eta * g[0], lambda t: 0.1)[0]
+
+    assert _outcome(run, block) == (ValueError, "step 3 recorded a row of the wrong shape")
+
+
+@pytest.mark.parametrize("where", ["grad", "x"])
+def test_a_row_of_the_wrong_shape_is_caught_though_it_broadcasts(where):
+    # a (1,)-shaped gradient, or next point, broadcasts in x - eta * g
+    # without error; its block's shape check ends the run at its step
+    class Short(problems.DiagQuadratic):
+        calls = 0
+
+        def gradient(self, x):
+            g = super().gradient(x)
+            n, self.calls = self.calls, self.calls + 1
+            return g[:1] if where == "grad" and n == 5 else g
+
+    def step(t, x, g, eta):
+        x = x - eta * g
+        return x[:1] if where == "x" and t == 5 else x
+
+    with pytest.raises(ValueError, match="^step 5 recorded a row of the wrong shape$"):
+        drive(Short((1.0, 4.0), np.zeros(2)), np.array([1.0, 1.0]), 12, step,
+              lambda t: 0.1)
 
 
 def test_spoiling_no_call_leaves_every_step_finite():
