@@ -16,6 +16,7 @@ from gdcert.core import (
     Vector,
     as_vector,
     check_same_dim,
+    frozen_scalar,
 )
 from gdcert.mirror import MirrorMap, EuclideanMap, NegEntropyMap, _mirror
 from gdcert.mirror import mirror_step  # noqa: F401 (the benchmark's tests read accel.mirror_step)
@@ -110,7 +111,8 @@ def agm2_step(state: AccelState, g: Vector, beta: float,
 def _agm2(beta: float, tau_next, project=None):
     """The coupled step as the transition ``trace.record`` calls; with
     ``project``, both sequence updates are projected and the mix stays
-    feasible by convexity."""
+    feasible by convexity. beta goes in as a 0-d array."""
+    beta = frozen_scalar(beta)
     if project is None:
         def step(t, state, g, eta):
             y = state.x - g / beta
@@ -170,7 +172,8 @@ def agm1_step(x, g: Vector, y_prev, lam_t: float, lam_next: float,
 
 
 def _agm1_step(x, g, y_prev, lam_t, lam_next, beta):
-    # the loop's, with no checks: every lambda_{t+1} is at least 1
+    # the loop's, with no checks: every lambda_{t+1} is at least 1. The
+    # loop passes beta as a 0-d array
     y_next = x - g / beta
     c = (1.0 - lam_t) / lam_next
     x_next = (1.0 - c) * y_next + c * y_prev
@@ -191,10 +194,11 @@ def run_agm1(problem: Problem, x0, T: int) -> Trace:
     if beta is None:
         raise ValueError("problem declares no smoothness constant")
     lam = lambda_schedule(T + 1)
+    beta_0d = frozen_scalar(beta)
 
     def step(t, state, g, eta):
         lam_next = float(lam[t + 1])
-        x, y = _agm1_step(state.x, g, state.y, float(lam[t]), lam_next, beta)
+        x, y = _agm1_step(state.x, g, state.y, float(lam[t]), lam_next, beta_0d)
         return AccelState(x, y, agm1_to_agm2_state(x, y, lam_next), t + 1)
 
     trace = drive(problem, AccelState.start(x0), T, step,
@@ -211,11 +215,17 @@ def _l1_prox_on_simplex(x, g, beta: float) -> Vector:
     <g, y-x> + 2 beta m^2: a convex piecewise quadratic in m whose slope
     while coordinate i gives is g_j - g_i + 4 beta m. Each coordinate gives
     until that slope reaches zero or it is empty."""
+    return _l1_prox(x, g, frozen_scalar(4.0 * beta))
+
+
+def _l1_prox(x, g, four_beta):
+    # _l1_prox_on_simplex with the run's 4 beta as a 0-d array; g_j is a
+    # 0-d view, not a numpy scalar
     order = np.argsort(-g)
     j = order[-1]
     xs = x[order]
     moved_before = np.cumsum(xs) - xs
-    give = np.clip((g[order] - g[j]) / (4.0 * beta) - moved_before, 0.0, xs)
+    give = np.clip((g[order] - g[j, ...]) / four_beta - moved_before, 0.0, xs)
     y = x.copy()
     y[order] -= give
     y[j] += give.sum()
@@ -246,8 +256,10 @@ def _general_norm_agm(mirror_map: MirrorMap, feasible: FeasibleSet, beta: float)
         def cautious(x, g):
             return feasible.project(smooth_move(0, x, g, None))
     elif isinstance(mirror_map, NegEntropyMap) and isinstance(feasible, Simplex):
+        four_beta = frozen_scalar(4.0 * beta)
+
         def cautious(x, g):
-            return _l1_prox_on_simplex(x, g, beta)
+            return _l1_prox(x, g, four_beta)
     else:
         raise ValueError(
             f"unsupported (map, set) pair: ({mirror_map.map_id}, {type(feasible).__name__})")
@@ -292,27 +304,36 @@ def sc_agm_step(x, g: Vector, y_prev, kappa: float,
         raise ValueError("condition number 1 is solved by a single smooth step")
     x = np.asarray(x, dtype=float)
     y_prev = np.asarray(y_prev, dtype=float)
-    return _sc_agm_step(x, g, y_prev, kappa, beta)
-
-
-def _sc_agm_step(x, g, y_prev, kappa, beta):
-    # the loop's, with no checks: the run checks kappa once
-    rk = math.sqrt(kappa)  # np.sqrt's correctly rounded root, as a float
-    m = (rk - 1.0) / (rk + 1.0)
-    y_next = x - g / beta
-    x_next = (1.0 + m) * y_next - m * y_prev
-    return x_next, y_next
+    state = _sc_agm(kappa, beta)(0, AccelState(x, y_prev, y_prev), g, None)
+    return state.x, state.y
 
 
 def sc_agm_z(x, y, kappa: float) -> Vector:
     """Implied aggressive-sequence point z = sqrt(kappa) (x - y) + x."""
     if kappa <= 1:
         raise ValueError("condition number must exceed 1")
-    return _sc_agm_z(np.asarray(x, dtype=float), np.asarray(y, dtype=float), kappa)
+    return _sc_agm_z(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
+                     math.sqrt(kappa))
 
 
-def _sc_agm_z(x, y, kappa):
-    return math.sqrt(kappa) * (x - y) + x
+def _sc_agm_z(x, y, rk):
+    return rk * (x - y) + x
+
+
+def _sc_agm(kappa: float, beta: float):
+    """The strongly convex step and its z map as the transition
+    ``trace.record`` calls, with no checks (a run checks kappa once). Its
+    constants m, 1 + m, beta and sqrt(kappa) are built once, as 0-d
+    arrays."""
+    rk = math.sqrt(kappa)  # np.sqrt's correctly rounded root, as a float
+    m = (rk - 1.0) / (rk + 1.0)
+    m, one_plus_m, beta, rk = map(frozen_scalar, (m, 1.0 + m, beta, rk))
+
+    def step(t, state, g, eta):
+        y = state.x - g / beta
+        x = one_plus_m * y - m * state.y
+        return AccelState(x, y, _sc_agm_z(x, y, rk), t + 1)
+    return step
 
 
 def sc_agm_recursion_residual(grad, x, z, z_next, alpha: float, kappa: float):
@@ -347,9 +368,7 @@ def run_sc_agm(problem: Problem, x0, T: int) -> Trace:
             y = smooth_move(t, state.x, g, eta)
             return AccelState(y, y, y, 1)
     else:
-        def step(t, state, g, eta):
-            x, y = _sc_agm_step(state.x, g, state.y, kappa, beta)
-            return AccelState(x, y, _sc_agm_z(x, y, kappa), t + 1)
+        step = _sc_agm(kappa, beta)
 
     trace = drive(problem, AccelState.start(x0), T, step, lambda t: 1.0 / beta)
     trace.meta["method"] = "sc-agm"

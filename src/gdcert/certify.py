@@ -80,7 +80,15 @@ def _regret(trace: Trace) -> float:
 
 
 def _growth(gamma: float, t):
+    """(1 + gamma)^t: inf once t log1p(gamma) exceeds 709.78, 0 once it is
+    below -745.13."""
     return np.exp(t * np.log1p(gamma))
+
+
+def _expand(c: dict, t, psi):
+    """Phi_t = (1 + gamma)^t psi_t as a double: where the factor overflows,
+    +-inf, or psi_t itself where psi_t is zero (not inf * 0 = nan)."""
+    return np.where(psi == 0, psi, _growth(c["gamma"], t) * psi)[()]
 
 
 def _dist2(c: dict, point):
@@ -109,9 +117,16 @@ class _Shape:
     distance term, and the allowance B_t on its step-t change. Phi_t is
     a_t * gap plus a non-negative distance term, so a_t * gap is Phi_t at
     distance 0. Every callable works elementwise, on one point or on a
-    column of them."""
+    column of them.
 
-    phi: Callable                     # (c, t, gap, dist) -> Phi_t
+    A contracting potential is Phi_t = (1 + gamma)^t psi_t, whose factor
+    overflows once t > 709.78 / log1p(gamma), long after a converged run's
+    gap reaches 0. Its ``phi`` gives the bracket psi_t, and every check
+    reads psi_t: Phi_{t+1} - Phi_t <= B_t + slack_t is the same inequality
+    as (1 + gamma) psi_{t+1} - psi_t <= (B_t + slack_t) / (1 + gamma)^t,
+    neither looser nor tighter, and finite at every t."""
+
+    phi: Callable                     # (c, t, gap, dist) -> Phi_t, or psi_t
     needs: tuple                      # constants Phi_t reads
     # (c, trace, t) -> B_t at every step t; monotone potentials may not increase
     allowance: Callable = lambda c, trace, t: 0.0
@@ -121,6 +136,7 @@ class _Shape:
     # (f_t(x_t) - f_t(x*)) + dPhi <= B_t
     amortized: bool = False
     coupled: bool = False             # reads f(y) and z, not f(x) and x
+    contracting: bool = False         # phi is psi_t = Phi_t / (1 + gamma)^t
 
 
 POTENTIALS = {
@@ -143,7 +159,7 @@ POTENTIALS = {
         lambda c, t, gap, d: t * gap + 0.5 * c["beta"] * d, ("beta",),
         _value_distance_allowance, distance=_dist2),
     PotentialKind.EXP_VALUE: _Shape(
-        lambda c, t, gap, d: _growth(c["gamma"], t) * gap, ("gamma",)),
+        lambda c, t, gap, d: gap, ("gamma",), contracting=True),
     PotentialKind.BREGMAN: _Shape(
         lambda c, t, gap, d: d / c["eta"], ("eta", "map"),
         _bregman_allowance, ("alpha_h",), distance=_bregman, amortized=True),
@@ -154,8 +170,8 @@ POTENTIALS = {
         lambda c, t, gap, d: t * (t + 1.0) * gap + 4.0 * c["beta"] / c["alpha_h"] * d,
         ("beta", "alpha_h", "map"), distance=_bregman, coupled=True),
     PotentialKind.AGM_SC: _Shape(
-        lambda c, t, gap, d: _growth(c["gamma"], t) * (gap + 0.5 * c["alpha"] * d),
-        ("gamma", "alpha"), distance=_dist2, coupled=True),
+        lambda c, t, gap, d: gap + 0.5 * c["alpha"] * d,
+        ("gamma", "alpha"), distance=_dist2, coupled=True, contracting=True),
     # the broken argument's distance coefficient: a = 4 beta
     PotentialKind.FAILED: _Shape(
         lambda c, t, gap, d: t * (t + 1.0) * gap + 2.0 * c["beta"] * d, ("beta",),
@@ -163,11 +179,13 @@ POTENTIALS = {
 }
 
 
-def potential(kind: PotentialKind, c: dict, state, t):
+def potential(kind: PotentialKind, c: dict, state, t, normalized: bool = False):
     """Evaluate Phi_t of ``kind`` at the constants ``c``, which hold the
     reference x* and f*, on a state carrying x and f (z and f_y when
     coupled): one point at one t, or a trace's columns at every t = 0..T,
-    one value per row.
+    one value per row. ``normalized`` gives psi_t = Phi_t / (1 + gamma)^t
+    for a contracting kind (Phi_t for the others); past the overflow of
+    (1 + gamma)^t, Phi_t is +-inf, or 0 where psi_t is 0.
 
     Non-negative whenever the reference value is the true optimum.
     """
@@ -180,7 +198,8 @@ def potential(kind: PotentialKind, c: dict, state, t):
             raise ValueError(f"potential {kind.value!r} needs an objective value and f*")
         gap = value - c["f_star"]
     dist = shape.distance(c, point) if shape.distance else None
-    return shape.phi(c, t, gap, dist)
+    psi = shape.phi(c, t, gap, dist)
+    return _expand(c, t, psi) if shape.contracting and not normalized else psi
 
 
 @dataclass(slots=True)
@@ -291,9 +310,10 @@ def _defined(shape: _Shape, c: dict, trace: Trace) -> np.ndarray:
 
 
 def _step_checks(shape: _Shape, c: dict, trace: Trace, phi: np.ndarray,
-                 steps: np.ndarray, tol: float) -> dict:
+                 psi: np.ndarray, steps: np.ndarray, tol: float) -> dict:
     """The bounds of the given steps t, each from Phi on both sides of it, as
-    the columns of ``CertReport.steps``."""
+    the columns of ``CertReport.steps``; a contracting potential's verdicts
+    are psi's."""
     t = np.arange(trace.T)
     dphi = phi[1:] - phi[:-1]
     allowed = np.broadcast_to(shape.allowance(c, trace, t), dphi.shape)
@@ -304,8 +324,14 @@ def _step_checks(shape: _Shape, c: dict, trace: Trace, phi: np.ndarray,
             raise ValueError("trace has no comparator values")
         checked = (trace.f[:trace.T] - trace.f_ref) + dphi
         amortized = {"amortized": checked}
+    if shape.contracting:
+        # (B_t + slack_t) / (1 + gamma)^t, with slack_t = tol (1 + |Phi_t|)
+        bound = (allowed + tol) * _growth(c["gamma"], -t) + tol * np.abs(psi[:-1])
+        ok = (1.0 + c["gamma"]) * psi[1:] - psi[:-1] <= bound
+    else:
+        ok = checked <= allowed + slack
     columns = dict(t=t, phi=phi[:-1], dphi=dphi, allowed=allowed,
-                   ok=checked <= allowed + slack, slack=slack, **amortized)
+                   ok=ok, slack=slack, **amortized)
     if steps.size < dphi.size:
         columns = {name: col[steps] for name, col in columns.items()}
     return columns
@@ -642,7 +668,9 @@ def _replay(report: CertReport, kind: PotentialKind, c: dict, trace: Trace,
         _at_every_point(trace, "z" if shape.coupled else "x")
         if not shape.amortized:
             _at_every_point(trace, "f_y" if shape.coupled else "f")
-        phi = potential(kind, c, trace, np.arange(trace.T + 1))
+        t = np.arange(trace.T + 1)
+        psi = potential(kind, c, trace, t, normalized=True)
+        phi = _expand(c, t, psi) if shape.contracting else psi
         defined = _defined(shape, c, trace)
     except ValueError:
         # no f* for a value potential, or no point or value of the kind it
@@ -650,23 +678,42 @@ def _replay(report: CertReport, kind: PotentialKind, c: dict, trace: Trace,
         return None
     steps = np.flatnonzero(defined[:-1] & defined[1:])
     if steps.size:
-        report.steps = _step_checks(shape, c, trace, phi, steps, tol)
+        report.steps = _step_checks(shape, c, trace, phi, psi, steps, tol)
     known = np.flatnonzero(defined)
     if known.size >= 2:
         first, last = phi[known[0]].item(), phi[known[-1]].item()
         total = sum(report.steps["dphi"].tolist()) if report.steps else 0
         report.telescoping_residual = abs((last - first) - total)
-        report.telescoping_ok = report.telescoping_residual <= tol * (
-            1.0 + abs(first) + abs(last))
+        report.telescoping_ok = (_telescopes(c, psi, tol) if shape.contracting else
+                                 report.telescoping_residual <= tol * (
+                                     1.0 + abs(first) + abs(last)))
     # monotone-potential consistency: Phi_T still dominates its value term
-    # a_T (f_T - f*) when the reference is the true optimum
+    # a_T (f_T - f*) when the reference is the true optimum; for a
+    # contracting potential, psi_T dominates f_T - f*
     if (not shape.amortized and defined[-1] and c.get("f_star") is not None
             and "comparator-reference" not in report.flags):
-        last = phi[-1].item()
+        last = psi[-1].item()
         gap = (trace.f_y if shape.coupled else trace.f)[-1].item()
         value_term = shape.phi(c, trace.T, gap - c["f_star"], 0.0)
-        report.consistency_ok = bool(last >= value_term - tol * (1.0 + abs(last)))
+        scale = _growth(c["gamma"], -trace.T) if shape.contracting else 1.0
+        report.consistency_ok = bool(last >= value_term - tol * (scale + abs(last)))
+    if shape.contracting and not np.isfinite(phi).all():
+        report.flags.append("potential-overflow")
     return phi[0].item() if defined[0] else None
+
+
+def _telescopes(c: dict, psi: np.ndarray, tol: float) -> bool:
+    """Whether Phi_T - Phi_0 equals the sum of Phi's steps, up to
+    tol (1 + |Phi_0| + |Phi_T|), with both sides divided by (1 + gamma)^T:
+    step t's change (1 + gamma) psi_{t+1} - psi_t weighs (1 + gamma)^(t-T),
+    and no weight overflows. Every row of psi is defined."""
+    T = len(psi) - 1
+    w = _growth(c["gamma"], np.arange(-T, 1))  # (1 + gamma)^(t - T), t = 0..T
+    steps = (1.0 + c["gamma"]) * psi[1:] - psi[:-1]
+    total = sum((w[:-1] * steps).tolist())
+    first, last = psi[0].item(), psi[-1].item()
+    residual = abs((last - w[0] * first) - total)
+    return bool(residual <= tol * (w[0] + w[0] * abs(first) + abs(last)))
 
 
 def certify_trace(theorem_id: str, trace: Trace, problem: Problem | None = None,

@@ -14,9 +14,13 @@ from gdcert.core import (
     as_points,
     as_vector,
     check_same_dim,
+    frozen_scalar,
 )
 from gdcert.problems import OnlineAdversary
 from gdcert.trace import Trace, drive
+
+# the entropy map's shift, 1 + ln x and its inverse exp(theta - 1)
+_ONE = frozen_scalar(1.0)
 
 
 class MirrorMap:
@@ -165,18 +169,35 @@ def mirror_step(mirror_map: MirrorMap, feasible: FeasibleSet, x, g,
 
 
 def _mirror(mirror_map: MirrorMap, feasible: FeasibleSet):
-    """mirror_step's arithmetic as the transition ``trace.record`` calls: a
-    run checks x0 and eta once. A weight that underflows to 0 fails at the
-    next step's ``np.log(0)``, which the loop's errstate raises."""
-    if isinstance(mirror_map, NegEntropyMap) and isinstance(feasible, Simplex):
+    """mirror_step's arithmetic as the transition ``trace.record`` calls,
+    bound to the (map, set) pair once: a run checks x0 and eta once. A
+    weight that underflows to 0 fails at the next step's ``np.log(0)``,
+    which the loop's errstate raises."""
+    entropy = isinstance(mirror_map, NegEntropyMap)
+    if entropy and isinstance(feasible, Simplex):
+        top, total = np.empty(()), np.empty(())
+
         def step(t, x, g, eta):
             # multiplicative update in log space; subtracting the max
             # exponent is absorbed by the rescaling projection and avoids
-            # overflow. The ufunc reductions that .max() and .sum() wrap:
-            # the same bits, without the method call's Python layer
+            # overflow. The max and the sum go into the run's 0-d arrays,
+            # which the next ufunc takes on its array path
             logits = np.log(x) - eta * g
-            w = np.exp(logits - np.maximum.reduce(logits))
-            return w / float(np.add.reduce(w))
+            w = np.exp(logits - np.maximum.reduce(logits, out=top))
+            return w / np.add.reduce(w, out=total)
+    elif entropy and isinstance(feasible, Unconstrained):
+        def step(t, x, g, eta):
+            # grad_h_star(grad_h(x) - eta g); the projection is the identity
+            return np.exp(_ONE + np.log(x) - eta * g - _ONE)
+    elif isinstance(mirror_map, EuclideanMap):
+        # grad_h and grad_h_star are the identity, the Bregman projection
+        # the Euclidean one
+        if isinstance(feasible, Unconstrained):
+            def step(t, x, g, eta):
+                return x - eta * g
+        else:
+            def step(t, x, g, eta):
+                return feasible.project(x - eta * g)
     else:
         def step(t, x, g, eta):
             theta = mirror_map.grad_h(x) - eta * g

@@ -99,6 +99,10 @@ class DiagQuadratic(Problem):
         self.smoothness_beta = float(np.max(self.diag))
         self.name = name
         self._minimizers: dict[str, Vector] = {}
+        # x - (+0.0) is x for every double, -0.0 included, so a shift of
+        # +0.0 entries is not subtracted; a -0.0 entry is, since
+        # -0.0 - (-0.0) is +0.0
+        self._centered = not (self.shift.any() or np.signbit(self.shift).any())
 
     def value(self, x):
         d = as_points(x) - self.shift
@@ -106,6 +110,8 @@ class DiagQuadratic(Problem):
         return float(v) if d.ndim == 1 else v
 
     def gradient(self, x) -> Vector:
+        if self._centered:
+            return self.diag * x
         return self.diag * (x - self.shift)
 
     def minimizer_over(self, feasible: FeasibleSet) -> Vector:
@@ -148,9 +154,11 @@ class LogSumExp(Problem):
         return float(lse) if v.ndim == 1 else lse
 
     def gradient(self, x) -> Vector:
+        # the max and the sum into 0-d arrays, not numpy scalars, which
+        # numpy's next ufunc call would take on its slower scalar path
         v = np.asarray(x, dtype=float)
-        e = np.exp(v - v.max())
-        return e / e.sum()
+        e = np.exp(v - np.maximum.reduce(v, out=np.empty(())))
+        return e / np.add.reduce(e, out=np.empty(()))
 
     def minimizer_over(self, feasible: FeasibleSet) -> Vector:
         if isinstance(feasible, Simplex):

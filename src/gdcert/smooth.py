@@ -13,6 +13,7 @@ from gdcert.core import (
     Vector,
     as_vector,
     check_same_dim,
+    frozen_scalar,
 )
 from gdcert.problems import Problem
 from gdcert.trace import Trace, drive
@@ -31,7 +32,9 @@ def smooth_gd_step(x, g, beta: float) -> Vector:
 
 def _smooth_gd(beta: float):
     # smooth_gd_step's arithmetic as the loop's transition; it reads beta,
-    # not the recorded step size 1/beta
+    # not the recorded step size 1/beta, as a 0-d array
+    beta = frozen_scalar(beta)
+
     def step(t, x, g, eta):
         return x - g / beta
     return step

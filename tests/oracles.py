@@ -272,6 +272,8 @@ COUPLED = {"agm", "agm-bregman", "agm-sc"}
 SQUARED_DISTANCE = {"distance", "sc-distance", "value-distance", "agm", "agm-sc",
                     "failed"}
 DIVERGENCE = {"bregman", "agm-bregman"}
+# Phi_t = (1 + gamma)^t psi_t, checked on psi_t
+CONTRACTING = {"exp-value", "agm-sc"}
 
 
 def _sq(d) -> float:
@@ -298,7 +300,16 @@ def _growth(gamma: float, t: int) -> float:
     return float(np.exp(t * np.log1p(gamma)))
 
 
+def _psi(kind: str, c: dict, gap, dist) -> float:
+    """The bracket psi_t of a contracting potential."""
+    return gap if kind == "exp-value" else gap + 0.5 * c["alpha"] * dist
+
+
 def _phi(kind: str, c: dict, t: int, gap, dist) -> float:
+    if kind in CONTRACTING:
+        # psi_t's zero where it is zero, also past the overflow of the factor
+        psi = _psi(kind, c, gap, dist)
+        return psi if psi == 0 else _growth(c["gamma"], t) * psi
     if kind == "distance":
         return dist / (2.0 * c["eta"])
     if kind == "sc-distance":
@@ -309,16 +320,12 @@ def _phi(kind: str, c: dict, t: int, gap, dist) -> float:
         return t * (t + 1.0) * gap
     if kind == "value-distance":
         return t * gap + 0.5 * c["beta"] * dist
-    if kind == "exp-value":
-        return _growth(c["gamma"], t) * gap
     if kind == "bregman":
         return dist / c["eta"]
     if kind in ("agm", "failed"):
         return t * (t + 1.0) * gap + 2.0 * c["beta"] * dist
     if kind == "agm-bregman":
         return t * (t + 1.0) * gap + 4.0 * c["beta"] / c["alpha_h"] * dist
-    if kind == "agm-sc":
-        return _growth(c["gamma"], t) * (gap + 0.5 * c["alpha"] * dist)
     raise KeyError(kind)
 
 
@@ -386,12 +393,13 @@ def replay_certificate(theorem_id: str, kind: str | None, trace, problem=None,
     points = list(trace.z) if coupled else xs
     # the final point's value where the run records one
     values = trace.f_y.tolist() if coupled else fs + [None] * (T + 1 - len(fs))
-    phis = []
+    phis, psis = [], []
     for t in range(T + 1):
         if kind is None:
             break
         if kind not in AMORTIZED and (values[t] is None or f_star is None):
             phis.append(None)
+            psis.append(None)
             continue
         gap = None if kind in AMORTIZED else values[t] - f_star
         dist = None
@@ -401,8 +409,10 @@ def replay_certificate(theorem_id: str, kind: str | None, trace, problem=None,
             dist = _divergence(map_id, x_star, points[t])
             if dist is None:
                 phis.append(None)
+                psis.append(None)
                 continue
         phis.append(_phi(kind, c, t, gap, dist))
+        psis.append(_psi(kind, c, gap, dist) if kind in CONTRACTING else None)
 
     checks = []
     for t in range(T if phis else 0):
@@ -416,6 +426,10 @@ def replay_certificate(theorem_id: str, kind: str | None, trace, problem=None,
             f_ref = f_refs[t] if f_refs is not None else f_star
             amortized = (fs[t] - f_ref) + dphi
         ok = (dphi if amortized is None else amortized) <= allowed + slack
+        if kind in CONTRACTING:
+            # the same inequality divided by (1 + gamma)^t
+            bound = (allowed + tol) * _growth(c["gamma"], -t) + tol * abs(psis[t])
+            ok = (1.0 + c["gamma"]) * psis[t + 1] - psis[t] <= bound
         checks.append((t, phis[t], dphi, allowed, ok, slack, amortized))
     known = [p for p in phis if p is not None]
     residual = None
@@ -475,3 +489,81 @@ def replay_certificate(theorem_id: str, kind: str | None, trace, problem=None,
     else:
         raise KeyError(theorem_id)
     return {"steps": checks, "telescoping_residual": residual, "end_checks": end}
+
+
+# --- the step kernels with scalar operands ------------------------------------
+#
+# The loop's transitions and oracles take each scalar operand as a 0-d array
+# (README, bit-identity rule 5). These are the same operations in the same
+# order with the operands as Python floats or numpy scalars, as the kernels
+# were written before; each must give the same bits.
+
+def smooth_step_scalar(x, g, beta: float):
+    return x - g / beta
+
+
+def agm2_step_scalar(x, z, g, beta: float, eta: float, tau: float, project=None):
+    """The coupled step's (x, y, z); ``project`` applies to both updates."""
+    project = project or (lambda v: v)
+    y = project(x - g / beta)
+    z = project(z - eta * g)
+    return (1.0 - tau) * y + tau * z, y, z
+
+
+def agm1_step_scalar(x, g, y_prev, lam_t: float, lam_next: float, beta: float):
+    y_next = x - g / beta
+    c = (1.0 - lam_t) / lam_next
+    return (1.0 - c) * y_next + c * y_prev, y_next
+
+
+def sc_agm_step_scalar(x, g, y_prev, kappa: float, beta: float):
+    """The strongly convex step's (x, y) and the implied z."""
+    rk = math.sqrt(kappa)
+    m = (rk - 1.0) / (rk + 1.0)
+    y_next = x - g / beta
+    x_next = (1.0 + m) * y_next - m * y_prev
+    return x_next, y_next, math.sqrt(kappa) * (x_next - y_next) + x_next
+
+
+def l1_prox_scalar(x, g, beta: float):
+    order = np.argsort(-g)
+    j = order[-1]
+    xs = x[order]
+    moved_before = np.cumsum(xs) - xs
+    give = np.clip((g[order] - g[j]) / (4.0 * beta) - moved_before, 0.0, xs)
+    y = x.copy()
+    y[order] -= give
+    y[j] += give.sum()
+    return y
+
+
+def entropy_simplex_step_scalar(x, g, eta: float):
+    logits = np.log(x) - eta * g
+    w = np.exp(logits - np.maximum.reduce(logits))
+    return w / float(np.add.reduce(w))
+
+
+def entropy_step_scalar(x, g, eta: float):
+    """The negative-entropy step on the whole space: exp(1 + ln x - eta g - 1)."""
+    return np.exp(1.0 + np.log(x) - eta * g - 1.0)
+
+
+def lse_gradient_scalar(x):
+    e = np.exp(x - x.max())
+    return e / e.sum()
+
+
+def simplex_projection_scalar(v):
+    """Sort-then-threshold with numpy-scalar arithmetic in the search."""
+    s = np.sort(v)[::-1]
+    css = np.cumsum(s)
+    rho = 1
+    for j in range(len(v)):
+        if s[j] + (1.0 - css[j]) / (j + 1) >= 0.0:
+            rho = j + 1
+    theta = (css[rho - 1] - 1.0) / rho
+    return np.maximum(v - theta, 0.0)
+
+
+def quadratic_gradient_scalar(diag, shift, x):
+    return diag * (x - shift)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -226,9 +227,9 @@ def test_potential_evaluated_once_per_point(theorem_id, monkeypatch):
     calls = []
     evaluate = gdcert.certify.potential
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args[-1])
-        return evaluate(*args)
+        return evaluate(*args, **kwargs)
 
     monkeypatch.setattr(gdcert.certify, "potential", counted)
     report = certify_trace(theorem_id, trace, problem=problem)
@@ -409,10 +410,62 @@ class TestCertifyRun:
         assert envelope[finite].tolist() == (5.0 / growth[finite]).tolist()
         assert (~finite).sum() == 976
         assert envelope[~finite].tolist() == [0.0] * 976
-        # the end check now gives a verdict; the step checks' false FAILs
-        # past the overflow are another matter
+        # the end check gives a verdict, and so do the step checks, which
+        # read psi_t = Phi_t / (1 + gamma)^t
         report = certify_trace("agm-sc", trace, problem=p2)
         assert {e.label: e.ok for e in report.end_checks}["anytime-gap"]
+        assert report.passed
+
+
+class TestContractingPotentials:
+    """well-conditioned and agm-sc: Phi_t = (1 + gamma)^t psi_t, whose factor
+    overflows once t > 709.78 / log1p(gamma), after the gap reaches 0."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("problem, method, theorem, T", [
+        ("p2", "sc-agm", "agm-sc", 2000),              # overflow from t = 1025
+        ("p2", "wellcond-gd", "well-conditioned", 3000),  # from t = 2468
+        ("p3", "sc-agm", "agm-sc", 10_000),            # from t = 6737
+    ])
+    def test_converged_run_passes_past_the_overflow(self, problem, method, theorem, T):
+        result = run_experiment(RunConfig(problem=problem, method=method, steps=T,
+                                          certify=True, theorems=[theorem]))
+        (report,) = result.reports
+        assert report.passed and report.step_failures == 0
+        assert report.telescoping_ok and report.consistency_ok
+        # Phi_t as before wherever (1 + gamma)^t is finite, and past it
+        # psi_t's zero (not inf * 0 = nan), since the run has converged
+        trace, c = result.trace, report.constants
+        t = np.arange(T + 1)
+        with np.errstate(over="ignore"):
+            growth = np.exp(t * np.log1p(c["gamma"]))
+        gap = (trace.f_y if trace.f_y is not None else trace.f) - c["f_star"]
+        if trace.z is not None:
+            d = trace.z - np.asarray(c["x_star"])
+            psi = gap + 0.5 * c["alpha"] * np.vecdot(d, d)
+        else:
+            psi = gap
+        finite = np.isfinite(growth)
+        assert not finite.all()
+        phi = np.append(report.steps["phi"], np.nan)  # the table stops at T - 1
+        assert phi[finite].tolist() == (growth[finite] * psi[finite]).tolist()
+        assert not psi[~finite].any() and not phi[~finite][:-1].any()
+        assert "potential-overflow" not in report.flags
+
+    @pytest.mark.filterwarnings("error")
+    def test_gap_that_stops_contracting_still_fails(self):
+        p2 = get_problem("p2")
+        trace = run_sc_agm(p2, [1.0, 1.0], 2000)
+        f_y = trace.f_y.copy()
+        assert f_y[1500] == 0.0 < f_y[500]
+        f_y[1500] = f_y[500]  # step 500's gap, long after the overflow at t = 1025
+        report = certify_trace("agm-sc", dataclasses.replace(trace, f_y=f_y), problem=p2)
+        assert not report.passed
+        steps = report.steps
+        assert steps["t"][~steps["ok"]].tolist() == [1499]
+        # Phi_1500 exceeds every double; the report says its checks read psi
+        assert steps["phi"][1500] == np.inf
+        assert "potential-overflow" in report.flags
 
 
 def test_every_theorem_has_a_claim():
