@@ -208,19 +208,14 @@ def run_agm1(problem: Problem, x0, T: int) -> Trace:
     return trace
 
 
-def _l1_prox_on_simplex(x, g, beta: float) -> Vector:
+def _l1_prox(x, g, four_beta) -> Vector:
     """argmin over the simplex of <g, y-x> + (beta/2) ||y - x||_1^2, exactly
-    (Nesterov 2005, sec. 3). Moving mass m to j = argmin g, taken from the
-    highest-g coordinates first, each giving at most x_i, costs
-    <g, y-x> + 2 beta m^2: a convex piecewise quadratic in m whose slope
-    while coordinate i gives is g_j - g_i + 4 beta m. Each coordinate gives
-    until that slope reaches zero or it is empty."""
-    return _l1_prox(x, g, frozen_scalar(4.0 * beta))
-
-
-def _l1_prox(x, g, four_beta):
-    # _l1_prox_on_simplex with the run's 4 beta as a 0-d array; g_j is a
-    # 0-d view, not a numpy scalar
+    (Nesterov 2005, sec. 3), with the run's 4 beta as a 0-d array. Moving
+    mass m to j = argmin g, taken from the highest-g coordinates first, each
+    giving at most x_i, costs <g, y-x> + 2 beta m^2: a convex piecewise
+    quadratic in m whose slope while coordinate i gives is
+    g_j - g_i + 4 beta m. Each coordinate gives until that slope reaches
+    zero or it is empty. g_j is a 0-d view, not a numpy scalar."""
     order = np.argsort(-g)
     j = order[-1]
     xs = x[order]

@@ -179,16 +179,21 @@ POTENTIALS = {
 }
 
 
-def potential(kind: PotentialKind, c: dict, state, t, normalized: bool = False):
+def potential(kind: PotentialKind, c: dict, state, t):
     """Evaluate Phi_t of ``kind`` at the constants ``c``, which hold the
     reference x* and f*, on a state carrying x and f (z and f_y when
     coupled): one point at one t, or a trace's columns at every t = 0..T,
-    one value per row. ``normalized`` gives psi_t = Phi_t / (1 + gamma)^t
-    for a contracting kind (Phi_t for the others); past the overflow of
-    (1 + gamma)^t, Phi_t is +-inf, or 0 where psi_t is 0.
+    one value per row. For a contracting kind, Phi_t = (1 + gamma)^t psi_t
+    is +-inf past the overflow of the factor, or 0 where psi_t is 0.
 
     Non-negative whenever the reference value is the true optimum.
     """
+    psi = _bracket(kind, c, state, t)
+    return _expand(c, t, psi) if POTENTIALS[kind].contracting else psi
+
+
+def _bracket(kind: PotentialKind, c: dict, state, t):
+    # Phi_t, or for a contracting kind psi_t = Phi_t / (1 + gamma)^t
     shape = POTENTIALS[kind]
     _require(kind, c, shape.needs)
     point, value = (state.z, state.f_y) if shape.coupled else (state.x, state.f)
@@ -198,8 +203,7 @@ def potential(kind: PotentialKind, c: dict, state, t, normalized: bool = False):
             raise ValueError(f"potential {kind.value!r} needs an objective value and f*")
         gap = value - c["f_star"]
     dist = shape.distance(c, point) if shape.distance else None
-    psi = shape.phi(c, t, gap, dist)
-    return _expand(c, t, psi) if shape.contracting and not normalized else psi
+    return shape.phi(c, t, gap, dist)
 
 
 @dataclass(slots=True)
@@ -669,7 +673,7 @@ def _replay(report: CertReport, kind: PotentialKind, c: dict, trace: Trace,
         if not shape.amortized:
             _at_every_point(trace, "f_y" if shape.coupled else "f")
         t = np.arange(trace.T + 1)
-        psi = potential(kind, c, trace, t, normalized=True)
+        psi = _bracket(kind, c, trace, t)
         phi = _expand(c, t, psi) if shape.contracting else psi
         defined = _defined(shape, c, trace)
     except ValueError:

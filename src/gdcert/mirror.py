@@ -170,9 +170,10 @@ def mirror_step(mirror_map: MirrorMap, feasible: FeasibleSet, x, g,
 
 def _mirror(mirror_map: MirrorMap, feasible: FeasibleSet):
     """mirror_step's arithmetic as the transition ``trace.record`` calls,
-    bound to the (map, set) pair once: a run checks x0 and eta once. A
-    weight that underflows to 0 fails at the next step's ``np.log(0)``,
-    which the loop's errstate raises."""
+    bound to the (map, set) pair once: a run checks x0 and eta once, and a
+    pair ``bregman_project`` does not support raises here. A weight that
+    underflows to 0 fails at the next step's ``np.log(0)``, which the
+    loop's errstate raises."""
     entropy = isinstance(mirror_map, NegEntropyMap)
     if entropy and isinstance(feasible, Simplex):
         top, total = np.empty(()), np.empty(())
@@ -199,9 +200,8 @@ def _mirror(mirror_map: MirrorMap, feasible: FeasibleSet):
             def step(t, x, g, eta):
                 return feasible.project(x - eta * g)
     else:
-        def step(t, x, g, eta):
-            theta = mirror_map.grad_h(x) - eta * g
-            return bregman_project(mirror_map, feasible, mirror_map.grad_h_star(theta))
+        raise ValueError(
+            f"unsupported (map, set) pair: ({mirror_map.map_id}, {type(feasible).__name__})")
     return step
 
 

@@ -4,7 +4,7 @@ import pytest
 from gdcert.accel import (
     AccelState,
     AgmSchedule,
-    _l1_prox_on_simplex,
+    _l1_prox,
     agm1_step,
     agm1_to_agm2_state,
     agm2_step,
@@ -21,7 +21,7 @@ from gdcert.accel import (
     sc_agm_z,
 )
 from gdcert.certify import certify_trace
-from gdcert.core import Ball, Simplex, Unconstrained
+from gdcert.core import Ball, Simplex, Unconstrained, frozen_scalar
 from gdcert.mirror import EuclideanMap, NegEntropyMap
 from gdcert.problems import LogSumExp, get_problem, make_diag_quadratic
 from oracles import grid_refine_simplex, l1_prox_is_optimal
@@ -305,7 +305,7 @@ class TestL1Prox:
     def test_optimal_at_any_dimension(self, dim):
         rng = np.random.default_rng(dim)
         for x, g, beta in l1_prox_instances(rng, dim, 200):
-            y = _l1_prox_on_simplex(x, g, beta)
+            y = _l1_prox(x, g, frozen_scalar(4.0 * beta))
             assert np.all(y >= 0.0) and abs(y.sum() - x.sum()) <= 1e-12
             assert l1_prox_is_optimal(y, x, g, beta)
 
@@ -313,13 +313,13 @@ class TestL1Prox:
         x = np.array([0.5, 0.3, 0.2])
         g = np.array([1.0, 0.0, 0.5])
         assert not l1_prox_is_optimal(x, x, g, 1.0)
-        assert l1_prox_is_optimal(_l1_prox_on_simplex(x, g, 1.0), x, g, 1.0)
+        assert l1_prox_is_optimal(_l1_prox(x, g, frozen_scalar(4.0)), x, g, 1.0)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_no_worse_than_grid_refinement(self, dim):
         rng = np.random.default_rng(40 + dim)
         for x, g, beta in l1_prox_instances(rng, dim, 60):
-            y = _l1_prox_on_simplex(x, g, beta)
+            y = _l1_prox(x, g, frozen_scalar(4.0 * beta))
             ref = grid_refine_simplex(lambda pts: self.objective(pts, x, g, beta), dim)
             scale = 1.0 + np.abs(g).max() + beta
             assert self.objective(y, x, g, beta) <= \

@@ -225,13 +225,13 @@ def test_potential_evaluated_once_per_point(theorem_id, monkeypatch):
     trace = run_experiment(cfg).trace
     problem = get_problem(cfg.problem) if cfg.problem in PROBLEMS else None
     calls = []
-    evaluate = gdcert.certify.potential
+    evaluate = gdcert.certify._bracket
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args[-1])
-        return evaluate(*args, **kwargs)
+        return evaluate(*args)
 
-    monkeypatch.setattr(gdcert.certify, "potential", counted)
+    monkeypatch.setattr(gdcert.certify, "_bracket", counted)
     report = certify_trace(theorem_id, trace, problem=problem)
     assert report.error is None
     assert len(report.step_checks) == T

@@ -141,6 +141,12 @@ class TestMirrorStep:
         with pytest.raises(ValueError):
             mirror_step(ENT, Simplex(2), [1.0, 0.0], [0.1, 0.0], 0.5)
 
+    @pytest.mark.parametrize("feasible", [Ball(np.zeros(2), 1.0),
+                                          Box(np.zeros(2), np.ones(2))])
+    def test_unsupported_pair_rejected(self, feasible):
+        with pytest.raises(ValueError, match="unsupported"):
+            mirror_step(ENT, feasible, [0.5, 0.5], [0.1, 0.0], 0.5)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_agrees_with_proximal_form(self, n):
         # independent route: minimize eta <g, x> + D_h(x || x_t) on the
