@@ -28,16 +28,13 @@ from gdcert.problems import Problem
 from gdcert.trace import Trace
 
 DEFAULT_TOL = 1e-9
-# beyond this horizon, accumulated round-off needs a looser slack
-LONG_RUN_STEPS = 10 ** 5
-LONG_RUN_TOL = 1e-8
 
 
 class PotentialKind(str, enum.Enum):
     """Shapes of the certified potentials.
 
-    All are instances of a_t * (value gap) + b_t * (distance to reference);
-    each kind fixes its own coefficients and distance.
+    All are instances of s_t (a_t * (value gap) + b_t * (distance to
+    reference)); each kind declares its own coefficients and distance.
     """
 
     DISTANCE = "distance"                  # ||x - x*||^2 / (2 eta)
@@ -81,14 +78,16 @@ def _regret(trace: Trace) -> float:
 
 def _growth(gamma: float, t):
     """(1 + gamma)^t: inf once t log1p(gamma) exceeds 709.78, 0 once it is
-    below -745.13."""
-    return np.exp(t * np.log1p(gamma))
+    below -745.13, the scalar 1.0 when gamma is 0."""
+    return np.exp(t * np.log1p(gamma)) if gamma else 1.0
 
 
-def _expand(c: dict, t, psi):
-    """Phi_t = (1 + gamma)^t psi_t as a double: where the factor overflows,
-    +-inf, or psi_t itself where psi_t is zero (not inf * 0 = nan)."""
-    return np.where(psi == 0, psi, _growth(c["gamma"], t) * psi)[()]
+def _expand(gamma: float, t, psi):
+    """Phi_t = (1 + gamma)^t psi_t as a double (psi itself at gamma = 0):
+    where the factor overflows, +-inf, or psi_t's zero (not inf * 0 = nan)."""
+    if not gamma:
+        return psi
+    return np.where(psi == 0, psi, _growth(gamma, t) * psi)[()]
 
 
 def _dist2(c: dict, point):
@@ -98,6 +97,10 @@ def _dist2(c: dict, point):
 
 def _bregman(c: dict, point):
     return c["map"].bregman(c["x_star"], point)
+
+
+# the value gap's weights a_t
+_T, _T2, _ONE = (lambda t: t), (lambda t: t * (t + 1.0)), (lambda t: 1.0)
 
 
 def _value_distance_allowance(c: dict, trace: Trace, t):
@@ -113,69 +116,58 @@ def _bregman_allowance(c: dict, trace: Trace, t):
 
 @dataclass(frozen=True)
 class _Shape:
-    """One potential kind: Phi_t from the constants, t, the value gap and the
-    distance term, and the allowance B_t on its step-t change. Phi_t is
-    a_t * gap plus a non-negative distance term, so a_t * gap is Phi_t at
-    distance 0. Every callable works elementwise, on one point or on a
-    column of them.
+    """One potential kind by its parts: Phi_t = s_t psi_t with the bracket
+    psi_t = a_t * gap + b_t * dist, and the allowance B_t on its step-t
+    change. A distance-only kind has no a_t and is charged the round's loss.
+    s_t = (1 + gamma)^t when the potential needs gamma, else 1 (gamma = 0);
+    the checks read psi_t, finite where s_t overflows. Every callable works
+    elementwise, on one point or on a column of them."""
 
-    A contracting potential is Phi_t = (1 + gamma)^t psi_t, whose factor
-    overflows once t > 709.78 / log1p(gamma), long after a converged run's
-    gap reaches 0. Its ``phi`` gives the bracket psi_t, and every check
-    reads psi_t: Phi_{t+1} - Phi_t <= B_t + slack_t is the same inequality
-    as (1 + gamma) psi_{t+1} - psi_t <= (B_t + slack_t) / (1 + gamma)^t,
-    neither looser nor tighter, and finite at every t."""
-
-    phi: Callable                     # (c, t, gap, dist) -> Phi_t, or psi_t
-    needs: tuple                      # constants Phi_t reads
+    needs: tuple                      # constants psi_t reads
+    weight: Callable | None = None    # t -> a_t
+    term: Callable | None = None      # (c, t, point or rows) -> b_t dist
     # (c, trace, t) -> B_t at every step t; monotone potentials may not increase
     allowance: Callable = lambda c, trace, t: 0.0
     bound_needs: tuple = ()           # constants B_t reads beyond those
-    distance: Callable | None = None  # (c, point or rows) -> distance term
-    # distance-only potentials are charged the round's loss: the check is
-    # (f_t(x_t) - f_t(x*)) + dPhi <= B_t
-    amortized: bool = False
     coupled: bool = False             # reads f(y) and z, not f(x) and x
-    contracting: bool = False         # phi is psi_t = Phi_t / (1 + gamma)^t
+
+    def rate(self, c: dict) -> float:
+        """gamma of the scale (1 + gamma)^t: 0 unless the potential needs it."""
+        return c["gamma"] if "gamma" in self.needs else 0.0
 
 
 POTENTIALS = {
     PotentialKind.DISTANCE: _Shape(
-        lambda c, t, gap, d: d / (2.0 * c["eta"]), ("eta",),
-        lambda c, trace, t: 0.5 * c["eta"] * c["G"] ** 2, ("G",),
-        distance=_dist2, amortized=True),
+        ("eta",), None, lambda c, t, p: _dist2(c, p) / (2.0 * c["eta"]),
+        lambda c, trace, t: 0.5 * c["eta"] * c["G"] ** 2, ("G",)),
     PotentialKind.SC_DISTANCE: _Shape(
-        lambda c, t, gap, d: 0.5 * t * c["alpha"] * d, ("alpha",),
-        lambda c, trace, t: 0.5 * trace.eta * c["G"] ** 2, ("G",),
-        distance=_dist2, amortized=True),
+        ("alpha",), None, lambda c, t, p: 0.5 * t * c["alpha"] * _dist2(c, p),
+        lambda c, trace, t: 0.5 * trace.eta * c["G"] ** 2, ("G",)),
     PotentialKind.VALUE: _Shape(
-        lambda c, t, gap, d: t * gap, (),
-        lambda c, trace, t: c["beta"] * c["D"] ** 2 / (2.0 * (t + 1.0)), ("beta", "D")),
+        (), _T, None, lambda c, trace, t: c["beta"] * c["D"] ** 2 / (2.0 * (t + 1.0)),
+        ("beta", "D")),
     PotentialKind.VALUE_SCALED: _Shape(
-        lambda c, t, gap, d: t * (t + 1.0) * gap, (),
+        (), _T2, None,
         lambda c, trace, t: 2.0 * c["beta"] * c["D"] ** 2 * (t + 1.0) / (t + 2.0),
         ("beta", "D")),
     PotentialKind.VALUE_DISTANCE: _Shape(
-        lambda c, t, gap, d: t * gap + 0.5 * c["beta"] * d, ("beta",),
-        _value_distance_allowance, distance=_dist2),
-    PotentialKind.EXP_VALUE: _Shape(
-        lambda c, t, gap, d: gap, ("gamma",), contracting=True),
+        ("beta",), _T, lambda c, t, p: 0.5 * c["beta"] * _dist2(c, p),
+        _value_distance_allowance),
+    PotentialKind.EXP_VALUE: _Shape(("gamma",), _ONE),
     PotentialKind.BREGMAN: _Shape(
-        lambda c, t, gap, d: d / c["eta"], ("eta", "map"),
-        _bregman_allowance, ("alpha_h",), distance=_bregman, amortized=True),
+        ("eta", "map"), None, lambda c, t, p: _bregman(c, p) / c["eta"],
+        _bregman_allowance, ("alpha_h",)),
     PotentialKind.AGM: _Shape(
-        lambda c, t, gap, d: t * (t + 1.0) * gap + 2.0 * c["beta"] * d, ("beta",),
-        distance=_dist2, coupled=True),
+        ("beta",), _T2, lambda c, t, p: 2.0 * c["beta"] * _dist2(c, p), coupled=True),
     PotentialKind.AGM_BREGMAN: _Shape(
-        lambda c, t, gap, d: t * (t + 1.0) * gap + 4.0 * c["beta"] / c["alpha_h"] * d,
-        ("beta", "alpha_h", "map"), distance=_bregman, coupled=True),
+        ("beta", "alpha_h", "map"), _T2,
+        lambda c, t, p: 4.0 * c["beta"] / c["alpha_h"] * _bregman(c, p), coupled=True),
     PotentialKind.AGM_SC: _Shape(
-        lambda c, t, gap, d: gap + 0.5 * c["alpha"] * d,
-        ("gamma", "alpha"), distance=_dist2, coupled=True, contracting=True),
+        ("gamma", "alpha"), _ONE, lambda c, t, p: 0.5 * c["alpha"] * _dist2(c, p),
+        coupled=True),
     # the broken argument's distance coefficient: a = 4 beta
     PotentialKind.FAILED: _Shape(
-        lambda c, t, gap, d: t * (t + 1.0) * gap + 2.0 * c["beta"] * d, ("beta",),
-        distance=_dist2),
+        ("beta",), _T2, lambda c, t, p: 2.0 * c["beta"] * _dist2(c, p)),
 }
 
 
@@ -189,21 +181,23 @@ def potential(kind: PotentialKind, c: dict, state, t):
     Non-negative whenever the reference value is the true optimum.
     """
     psi = _bracket(kind, c, state, t)
-    return _expand(c, t, psi) if POTENTIALS[kind].contracting else psi
+    return _expand(POTENTIALS[kind].rate(c), t, psi)
 
 
 def _bracket(kind: PotentialKind, c: dict, state, t):
-    # Phi_t, or for a contracting kind psi_t = Phi_t / (1 + gamma)^t
+    # psi_t = a_t gap + b_t dist, which is Phi_t / (1 + gamma)^t
     shape = POTENTIALS[kind]
     _require(kind, c, shape.needs)
     point, value = (state.z, state.f_y) if shape.coupled else (state.x, state.f)
-    gap = None
-    if not shape.amortized:
+    psi = None
+    if shape.weight:
         if value is None or c.get("f_star") is None:
             raise ValueError(f"potential {kind.value!r} needs an objective value and f*")
-        gap = value - c["f_star"]
-    dist = shape.distance(c, point) if shape.distance else None
-    return shape.phi(c, t, gap, dist)
+        psi = shape.weight(t) * (value - c["f_star"])
+    if shape.term:
+        term = shape.term(c, t, point)
+        psi = term if psi is None else psi + term
+    return psi
 
 
 @dataclass(slots=True)
@@ -308,34 +302,43 @@ def _defined(shape: _Shape, c: dict, trace: Trace) -> np.ndarray:
     """The rows where Phi_t is defined: every row, unless the potential
     reads a divergence, whose point must lie in the mirror map's domain."""
     rows = np.ones(trace.T + 1, dtype=bool)
-    if shape.distance is _bregman:
+    if "map" in shape.needs:
         rows &= c["map"].interior(trace.z if shape.coupled else trace.x)
     return rows
 
 
+def _phi_steps(gamma: float, phi: np.ndarray, change: np.ndarray,
+               margin: np.ndarray, tol: float) -> tuple:
+    """Phi's change over each step and slack_t = tol (1 + |Phi_t|): psi's
+    ``change`` and ``margin`` themselves when gamma is 0, where psi is Phi."""
+    if not gamma:
+        return change, margin
+    return phi[1:] - phi[:-1], tol * (1.0 + np.abs(phi[:-1]))
+
+
 def _step_checks(shape: _Shape, c: dict, trace: Trace, phi: np.ndarray,
                  psi: np.ndarray, steps: np.ndarray, tol: float) -> dict:
-    """The bounds of the given steps t, each from Phi on both sides of it, as
-    the columns of ``CertReport.steps``; a contracting potential's verdicts
-    are psi's."""
+    """The given steps' columns of ``CertReport.steps``, with Phi's change
+    and slack. The verdict, Phi_{t+1} - Phi_t <= B_t + tol (1 + |Phi_t|)
+    times w_t = (1 + gamma)^-t, reads psi: (1 + gamma) psi_{t+1} - psi_t
+    <= B_t w_t + tol (w_t + |psi_t|)."""
     t = np.arange(trace.T)
-    dphi = phi[1:] - phi[:-1]
-    allowed = np.broadcast_to(shape.allowance(c, trace, t), dphi.shape)
-    slack = tol * (1.0 + np.abs(phi[:-1]))
-    checked, amortized = dphi, {}
-    if shape.amortized:
+    gamma = shape.rate(c)
+    w = _growth(gamma, -t)
+    change = (1.0 + gamma) * psi[1:] - psi[:-1]
+    margin = tol * (w + np.abs(psi[:-1]))
+    dphi, slack = _phi_steps(gamma, phi, change, margin, tol)
+    bound = shape.allowance(c, trace, t)
+    checked, amortized = change, {}
+    if shape.weight is None:
         if trace.f_ref is None:
             raise ValueError("trace has no comparator values")
-        checked = (trace.f[:trace.T] - trace.f_ref) + dphi
+        # (f_t(x_t) - f_t(x*)) + dPhi <= B_t
+        checked = (trace.f[:trace.T] - trace.f_ref) * w + change
         amortized = {"amortized": checked}
-    if shape.contracting:
-        # (B_t + slack_t) / (1 + gamma)^t, with slack_t = tol (1 + |Phi_t|)
-        bound = (allowed + tol) * _growth(c["gamma"], -t) + tol * np.abs(psi[:-1])
-        ok = (1.0 + c["gamma"]) * psi[1:] - psi[:-1] <= bound
-    else:
-        ok = checked <= allowed + slack
-    columns = dict(t=t, phi=phi[:-1], dphi=dphi, allowed=allowed,
-                   ok=ok, slack=slack, **amortized)
+    columns = dict(t=t, phi=phi[:-1], dphi=dphi,
+                   allowed=np.broadcast_to(bound, dphi.shape),
+                   ok=checked <= bound * w + margin, slack=slack, **amortized)
     if steps.size < dphi.size:
         columns = {name: col[steps] for name, col in columns.items()}
     return columns
@@ -670,54 +673,53 @@ def _replay(report: CertReport, kind: PotentialKind, c: dict, trace: Trace,
     _require(kind, c, shape.needs + shape.bound_needs)
     try:
         _at_every_point(trace, "z" if shape.coupled else "x")
-        if not shape.amortized:
+        if shape.weight:
             _at_every_point(trace, "f_y" if shape.coupled else "f")
         t = np.arange(trace.T + 1)
         psi = _bracket(kind, c, trace, t)
-        phi = _expand(c, t, psi) if shape.contracting else psi
         defined = _defined(shape, c, trace)
     except ValueError:
         # no f* for a value potential, or no point or value of the kind it
         # reads at every t: Phi_t is undefined at every t
         return None
+    gamma = shape.rate(c)
+    phi = _expand(gamma, t, psi)
     steps = np.flatnonzero(defined[:-1] & defined[1:])
     if steps.size:
         report.steps = _step_checks(shape, c, trace, phi, psi, steps, tol)
     known = np.flatnonzero(defined)
     if known.size >= 2:
-        first, last = phi[known[0]].item(), phi[known[-1]].item()
+        first, last = known[0], known[-1]
         total = sum(report.steps["dphi"].tolist()) if report.steps else 0
-        report.telescoping_residual = abs((last - first) - total)
-        report.telescoping_ok = (_telescopes(c, psi, tol) if shape.contracting else
-                                 report.telescoping_residual <= tol * (
-                                     1.0 + abs(first) + abs(last)))
-    # monotone-potential consistency: Phi_T still dominates its value term
-    # a_T (f_T - f*) when the reference is the true optimum; for a
-    # contracting potential, psi_T dominates f_T - f*
-    if (not shape.amortized and defined[-1] and c.get("f_star") is not None
+        report.telescoping_residual = abs((phi[last].item() - phi[first].item()) - total)
+        report.telescoping_ok = _telescopes(gamma, psi, steps, first, last, total, tol)
+    # monotone-potential consistency: psi_T still dominates its value term
+    # a_T (f_T - f*) when the reference is the true optimum
+    if (shape.weight and defined[-1] and c.get("f_star") is not None
             and "comparator-reference" not in report.flags):
         last = psi[-1].item()
-        gap = (trace.f_y if shape.coupled else trace.f)[-1].item()
-        value_term = shape.phi(c, trace.T, gap - c["f_star"], 0.0)
-        scale = _growth(c["gamma"], -trace.T) if shape.contracting else 1.0
-        report.consistency_ok = bool(last >= value_term - tol * (scale + abs(last)))
-    if shape.contracting and not np.isfinite(phi).all():
+        gap = (trace.f_y if shape.coupled else trace.f)[-1].item() - c["f_star"]
+        value_term = shape.weight(trace.T) * gap
+        report.consistency_ok = bool(
+            last >= value_term - tol * (_growth(gamma, -trace.T) + abs(last)))
+    if gamma and not np.isfinite(phi).all():
         report.flags.append("potential-overflow")
     return phi[0].item() if defined[0] else None
 
 
-def _telescopes(c: dict, psi: np.ndarray, tol: float) -> bool:
-    """Whether Phi_T - Phi_0 equals the sum of Phi's steps, up to
-    tol (1 + |Phi_0| + |Phi_T|), with both sides divided by (1 + gamma)^T:
-    step t's change (1 + gamma) psi_{t+1} - psi_t weighs (1 + gamma)^(t-T),
-    and no weight overflows. Every row of psi is defined."""
-    T = len(psi) - 1
-    w = _growth(c["gamma"], np.arange(-T, 1))  # (1 + gamma)^(t - T), t = 0..T
-    steps = (1.0 + c["gamma"]) * psi[1:] - psi[:-1]
-    total = sum((w[:-1] * steps).tolist())
-    first, last = psi[0].item(), psi[-1].item()
-    residual = abs((last - w[0] * first) - total)
-    return bool(residual <= tol * (w[0] + w[0] * abs(first) + abs(last)))
+def _telescopes(gamma: float, psi: np.ndarray, steps: np.ndarray, first: int,
+                last: int, total: float, tol: float) -> bool:
+    """Whether Phi_L - Phi_F, over the defined rows F..L, equals the sum of
+    the checked ``steps`` up to tol (1 + |Phi_F| + |Phi_L|), both sides
+    divided by (1 + gamma)^L: step t's change (1 + gamma) psi_{t+1} - psi_t
+    weighs (1 + gamma)^(t-L) <= 1. At gamma = 0 that sum is Phi's ``total``."""
+    w = _growth(gamma, first - last)
+    if gamma:
+        change = (1.0 + gamma) * psi[steps + 1] - psi[steps]
+        total = sum((_growth(gamma, steps - last) * change).tolist())
+    psi_f, psi_l = psi[first].item(), psi[last].item()
+    residual = abs((psi_l - w * psi_f) - total)
+    return bool(residual <= tol * (w + w * abs(psi_f) + abs(psi_l)))
 
 
 def certify_trace(theorem_id: str, trace: Trace, problem: Problem | None = None,
@@ -732,8 +734,6 @@ def certify_trace(theorem_id: str, trace: Trace, problem: Problem | None = None,
     if theorem_id not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
     spec = THEOREMS[theorem_id]
-    if trace.T > LONG_RUN_STEPS:
-        tol = max(tol, LONG_RUN_TOL)
 
     consts, flags = _gather_constants(trace, spec)
     report = CertReport(theorem=theorem_id, claim=spec.claim,

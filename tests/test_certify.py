@@ -1,6 +1,8 @@
+import ast
 import copy
 import dataclasses
 import itertools
+import pathlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import gdcert.certify
 from gdcert.certify import (
+    DEFAULT_TOL,
     PotentialKind,
     THEOREMS,
     certify_trace,
@@ -19,6 +22,7 @@ from gdcert.certify import (
 )
 from gdcert.core import Unconstrained
 from gdcert.descent import run_online_gd, run_strongly_convex_gd
+from gdcert.mirror import get_map
 from gdcert.harness import (
     RunConfig,
     json_dumps,
@@ -29,6 +33,7 @@ from gdcert.problems import PROBLEMS, FixedAdversary, get_problem
 from gdcert.smooth import run_smooth_gd, run_well_conditioned
 from gdcert.accel import restart_accelerated, run_agm2, run_sc_agm
 from gdcert.trace import Trace
+import oracles
 from oracles import Constant, replay_certificate
 
 
@@ -546,3 +551,68 @@ def test_columns_match_scalar_replay(name, data):
     assert _bits(report.telescoping_residual) == _bits(ref["telescoping_residual"])
     ends = [(e.label, e.lhs, e.rhs, e.ok, e.note) for e in report.end_checks]
     assert _bits(ends) == _bits(ref["end_checks"])
+
+
+# the constants every potential may read, drawn over several decades
+POSITIVE = st.floats(1e-3, 1e3)
+
+
+@pytest.mark.parametrize("kind", list(PotentialKind))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_potential_matches_scalar_phi(kind, data):
+    """``potential`` at one point equals the oracle's Phi_t bit for bit, the
+    distance computed by the oracle, at t past the overflow of
+    (1 + gamma)^t too, where Phi_t is +-inf or psi_t's zero."""
+    draw = data.draw
+    dim = draw(st.integers(1, 3))
+    entropy = kind.value in oracles.DIVERGENCE and draw(st.booleans())
+    coord = st.floats(0.01, 10.0) if entropy else st.floats(-10.0, 10.0)
+    x_star = np.array(draw(st.lists(coord, min_size=dim, max_size=dim)))
+    at_reference = draw(st.booleans())  # psi_t = 0 where the gap is 0 too
+    point = x_star if at_reference else np.array(
+        draw(st.lists(coord, min_size=dim, max_size=dim)))
+    f_star = draw(st.floats(-10.0, 10.0))
+    value = f_star if at_reference else draw(st.floats(-10.0, 10.0))
+    c = {"x_star": x_star, "f_star": f_star, "eta": draw(POSITIVE),
+         "alpha": draw(POSITIVE), "beta": draw(POSITIVE), "alpha_h": draw(POSITIVE),
+         "gamma": draw(st.floats(1e-3, 10.0))}
+    t = draw(st.one_of(st.integers(0, 100), st.integers(0, 10 ** 6)))
+    map_id = "negentropy" if entropy else "euclidean"
+    c["map"] = get_map(map_id)
+
+    gap = None if kind.value in oracles.AMORTIZED else value - f_star
+    dist = None
+    if kind.value in oracles.SQUARED_DISTANCE:
+        dist = oracles._sq(point - x_star)
+    elif kind.value in oracles.DIVERGENCE:
+        dist = oracles._divergence(map_id, x_star, point)
+    # both take (1 + gamma)^t past its overflow, and potential meets inf * 0
+    # where psi_t is 0 before it keeps the zero
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = oracles._phi(kind.value, c, t, gap, dist)
+        got = potential(kind, c, view(point, f=value, z=point, f_y=value), t)
+    assert _bits(float(got)) == _bits(float(expected))
+
+
+def test_oracles_import_nothing_from_gdcert():
+    """The reference implementations share no code with what they check:
+    ``tests/oracles.py`` imports no gdcert module, at its top or inside a
+    function."""
+    tree = ast.parse(pathlib.Path(oracles.__file__).read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert modules and not [m for m in modules if m.split(".")[0] == "gdcert"]
+
+
+def test_caller_tol_kept_past_1e5_steps():
+    """The caller's tol holds at every horizon: a p2 smooth-gd trace of
+    100,001 steps is certified at the default 1e-9, and passes."""
+    result = run_experiment(RunConfig(problem="p2", method="smooth-gd", steps=100_001))
+    p2 = get_problem("p2")
+    for theorem_id in ("smooth-value-log", "smooth-value-scaled", "smooth-value-distance"):
+        report = certify_trace(theorem_id, result.trace, problem=p2)
+        assert report.tol == DEFAULT_TOL == 1e-9
+        assert report.passed, theorem_id
