@@ -6,16 +6,20 @@ seeded inputs: the %.17g style with ``'%.17g' %`` and the repr style with
 ``repr``. Each batch mixes random 64-bit patterns (every exponent,
 subnormals, nan and the infinities included), values rounded to 1..17
 significant digits over many magnitudes, integers below 2**53, and the
-neighbours of powers of ten and of two. Each slot must leave its byte 0
-a hole and hold its text in exactly as many nonzero bytes, so that no text
-byte is 0. The cells the kernel leaves to its fallback are counted; the
-fallback is the reference itself. Exit code 1 on the first mismatch.
+neighbours of powers of ten and of two. Each batch is formatted in
+slices of ``gdcert.harness._CHUNK`` cells through one workspace, reused by
+every call as the step-table writer reuses it. Each slot must leave its
+byte 0 a hole and hold its text in exactly as many nonzero bytes, so that
+no text byte is 0. The cells the kernel leaves to its fallback are counted,
+and so are the minor page faults of its calls; the fallback is the
+reference itself. Exit code 1 on the first mismatch.
 
 Usage:
     python scripts/check_kernel.py [count] [seed]    (default 10000000 0)
 """
 
 import pathlib
+import resource
 import sys
 
 import numpy as np
@@ -24,6 +28,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from gdcert import _g17  # noqa: E402
+from gdcert.harness import _CHUNK  # noqa: E402
 
 BATCH = 1 << 16
 
@@ -47,33 +52,45 @@ def batch(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.concatenate([bits, rounded, ints, edges])
 
 
-def texts(v: np.ndarray, shortest: bool, fallback) -> tuple:
-    calls = []
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def texts(v: np.ndarray, shortest: bool, fallback, work: _g17.Workspace) -> tuple:
+    calls, faults = [], 0
 
     def counted(x):
         calls.append(x)
         return fallback(x)
 
-    out = np.zeros((v.size, _g17.SLOT_WORDS), np.uint64)
-    _g17.format_floats(v, out, counted, shortest)
+    # every byte starts nonzero, so the kernel writes each one, its holes as
+    # 0; and every page is touched before the kernel's faults are counted
+    out = np.full((v.size, _g17.SLOT_WORDS), 2**64 - 1, np.uint64)
+    for lo in range(0, v.size, _CHUNK):
+        before = minor_faults()
+        _g17.format_floats(v[lo:lo + _CHUNK], out[lo:lo + _CHUNK], counted, shortest, work)
+        faults += minor_faults() - before
     slots = out.view(np.uint8).reshape(v.size, -1)
     holes = not slots[:, 0].any()
     sizes = np.count_nonzero(slots, axis=1).tolist()
     slots[:, 0] = ord(",")  # the literal byte, which the kernel leaves a hole
     text = slots.tobytes().translate(None, b"\0").decode().split(",")[1:]
-    return text, sizes, holes, len(calls)
+    return text, sizes, holes, len(calls), faults
 
 
 def main() -> int:
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 10_000_000
     rng = np.random.default_rng(int(sys.argv[2]) if len(sys.argv) > 2 else 0)
-    done, slow = 0, {False: 0, True: 0}
+    done, slow, faults, kernel_calls = 0, {False: 0, True: 0}, 0, 0
+    work = _g17.Workspace(_CHUNK)
     while done < count:
         v = batch(rng, min(BATCH, count - done))
         values = v.tolist()
         for shortest, reference in ((False, g17), (True, repr)):
-            got, sizes, holes, calls = texts(v, shortest, reference)
+            got, sizes, holes, calls, batch_faults = texts(v, shortest, reference, work)
             slow[shortest] += calls
+            faults += batch_faults
+            kernel_calls += -(-v.size // _CHUNK)
             style = "repr" if shortest else "%.17g"
             if not holes:
                 print(f"SLOT ({style}): a slot's byte 0 is not a hole")
@@ -87,7 +104,8 @@ def main() -> int:
         done += v.size
     print(f"{done} values, both styles exact; fallback share "
           f"%.17g {slow[False] / done:.4%}, repr {slow[True] / done:.4%} "
-          f"(nan and the infinities included)")
+          f"(nan and the infinities included); {faults / kernel_calls:.2f} minor "
+          f"faults a kernel call of up to {_CHUNK} cells")
     return 0
 
 

@@ -172,7 +172,17 @@ class _Tables:
 _T = _Tables()
 
 
-def _shortest(hi, d17, lo, slow17, mant) -> tuple:
+class Workspace:
+    """The intermediates of ``format_floats`` calls of up to ``cells``
+    values: ten rows of 8-byte words and nine of bools, 89 bytes a cell. A
+    call writes every row it reads, so it carries nothing to the next; a
+    workspace serves one call at a time."""
+
+    def __init__(self, cells: int):
+        self.cells, self.words, self.flags = cells, np.empty(10 * cells), np.empty(9 * cells, bool)
+
+
+def _shortest(hi, d17, lo, slow17, mant, rows, flags) -> tuple:
     """The digits of ``repr`` as a 17-digit integer with trailing zeros, and
     where they are unsure, for V = d17 + lo (|lo| <= 1/2), the value v scaled
     by 10^(16 - X), from hi, its nearest double; ``mant`` is v's significand
@@ -188,112 +198,180 @@ def _shortest(hi, d17, lo, slow17, mant) -> tuple:
     give n. So only c_16 and c_15 are tested, as offsets from the multiple
     of 100 below d17. A cell is unsure where a distance lies within _TOL of
     h, where c_16 is chosen within _TOL of a tie, or where c_17 = d17 is
-    chosen and ``slow17``, the %.17g style's unsure cells, holds it."""
-    h = hi / (mant * 2.0**54)
-    base = d17 // 100
+    chosen and ``slow17``, the %.17g style's unsure cells, holds it.
+
+    Four free float64 ``rows``, four free bool ``flags`` and the rows of hi,
+    lo and mant hold the intermediates; the digits come back in mant's row."""
+    (h, x, off, tmp), (unsure, inside, near, outside) = rows, flags
+    np.multiply(mant, 2.0**54, out=h)
+    np.divide(hi, h, out=h)
+    base, k, c, dist = mant.view(np.int64), x.view(np.int64), hi, lo
+    np.floor_divide(d17, 100, out=base)
     base *= 100
-    r17 = (d17 - base).astype(float)  # exact
-    x = r17 + lo  # V - base
-    c16 = np.rint(x * 0.1)
-    c16 *= 10.0
-    dist = np.abs(x - c16)
-    inside = dist < h
-    unsure = np.abs(dist - h) < _TOL
-    unsure |= np.where(inside, np.abs(dist - 5.0) < _TOL, slow17)
-    off = np.where(inside, c16, r17)
-    c15 = np.rint(x * 0.01)
-    c15 *= 100.0
-    dist = np.abs(x - c15)
-    inside = dist < h
-    unsure |= np.abs(dist - h) < _TOL
-    np.copyto(off, c15, where=inside)
-    base += off.astype(np.int64)
+    np.subtract(d17, base, out=k)
+    np.copyto(off, k)  # r17, exact
+    np.add(off, lo, out=x)  # V - base
+    np.copyto(unsure, False)
+    for unit in (10.0, 100.0):  # c16, then c15, each into off where inside
+        np.multiply(x, 1 / unit, out=c)
+        np.rint(c, out=c)
+        c *= unit
+        np.subtract(x, c, out=dist)
+        np.abs(dist, out=dist)
+        np.less(dist, h, out=inside)
+        np.subtract(dist, h, out=tmp)
+        np.abs(tmp, out=tmp)
+        np.less(tmp, _TOL, out=near)
+        unsure |= near
+        if unit == 10.0:  # c16 within _TOL of a tie, or c17 where slow17
+            np.subtract(dist, 5.0, out=tmp)
+            np.abs(tmp, out=tmp)
+            np.less(tmp, _TOL, out=near)
+            np.invert(inside, out=outside)
+            np.copyto(near, slow17, where=outside)
+            unsure |= near
+        np.copyto(off, c, where=inside)
+    np.copyto(k, off, casting="unsafe")
+    base += k
     return base, unsure
 
 
-def format_floats(v: np.ndarray, out: np.ndarray, fallback, shortest=False) -> None:
+def format_floats(v: np.ndarray, out: np.ndarray, fallback, shortest=False,
+                  work: Workspace | None = None) -> None:
     """Write the text of each x in the float64 array ``v`` into ``out``,
     uint64 of shape ``v.shape + (SLOT_WORDS,)`` (a view will do), with 0
     bytes in the unused places: ``'%.17g' % x``, or ``repr(x)`` where
     ``shortest``, a bool or a bool array that broadcasts against ``v``, is
     true. ``fallback(x)``, a str of at most 31 ASCII characters other than
     NUL (ValueError otherwise), is written for each x off the vectorized
-    path. Byte 0 of every slot is left 0."""
-    t = _T
-    a = np.abs(v)
-    finite = a < np.inf
-    zero = a == 0.0
-    a = np.where(finite & ~zero, a, 1.0)
+    path. Byte 0 of every slot is left 0. Every intermediate goes into
+    ``work``, a ``Workspace`` of at least ``v.size`` cells (a new one if None)."""
+    t, shape, flat = _T, v.shape, v.reshape(-1)
+    work = Workspace(flat.size) if work is None else work
+    if flat.size > work.cells:
+        raise ValueError(f"a workspace of {work.cells} cells cannot hold {flat.size}")
+    # 8-byte rows (float64, int64, uint64) and bool rows, each run contiguous
+    f = work.words[:10 * flat.size].reshape(10, -1)
+    i, u, b = f.view(np.int64), f.view(np.uint64), work.flags[:9 * flat.size].reshape(9, -1)
+    finite, zero, m, odd, slow = b[:5]
+    a, g, ix, q = f[0], f[2], i[3], i[4]
+    np.abs(flat, out=a)
+    np.less(a, np.inf, out=finite)
+    np.equal(a, 0.0, out=zero)
+    np.copyto(a, 1.0, where=zero)
+    np.copyto(a, 1.0, where=np.invert(finite, out=m))
     if shortest is not False:
-        mant, e = np.frexp(a)
-        odd = mant == 0.5  # a power of two: its interval is asymmetric
-        odd |= e < -1021  # subnormal
-    ix = (np.floor(np.log10(a)) - _K0).astype(np.intp)  # X - _K0
-    ix += a >= t.least.take(ix + 1)
-    ix -= a < t.least.take(ix)
+        mant, e = f[1], i[2].view(np.int32)[:flat.size]  # g's row, free till then
+        np.frexp(a, out=(mant, e))
+        np.equal(mant, 0.5, out=odd)  # a power of two: its interval is asymmetric
+        np.less(e, -1021, out=m)  # subnormal
+        odd |= m
+    np.log10(a, out=g)
+    np.floor(g, out=g)
+    np.subtract(g, _K0, out=g)
+    np.copyto(ix, g, casting="unsafe")  # X - _K0
+    np.add(ix, 1, out=q)
+    t.least.take(q, out=g, mode="clip")  # in range; "raise" would buffer out
+    np.greater_equal(a, g, out=m)
+    np.add(ix, 1, out=ix, where=m)
+    t.least.take(ix, out=g, mode="clip")
+    np.less(a, g, out=m)
+    np.subtract(ix, 1, out=ix, where=m)
 
-    q = (16 - 2 * _K0) - ix  # 16 - X - _K0
-    a *= t.scale.take(q)
-    c = a * _SPLIT
-    ah = c - (c - a)
-    al = a - ah
-    hi = a * t.hi.take(q)
-    hh, hl, pl = t.hi_hi.take(q), t.hi_lo.take(q), t.lo.take(q)
-    lo = ((ah * hh - hi) + ah * hl + al * hh) + al * hl + a * pl
-    r = np.rint(lo)
-    slow = np.abs(lo - r) > 0.5 - _TOL  # near a tie
-    slow &= pl != 0.0
-    d = hi.astype(np.int64)
-    d += r.astype(np.int64)
+    np.subtract(16 - 2 * _K0, ix, out=q)  # 16 - X - _K0
+    t.scale.take(q, out=g, mode="clip")
+    a *= g
+    c, al, ah, hi, hh, hl, pl, lo = g, g, f[5], f[6], f[7], f[8], f[9], f[4]
+    np.multiply(a, _SPLIT, out=c)
+    np.subtract(c, a, out=ah)
+    np.subtract(c, ah, out=ah)
+    np.subtract(a, ah, out=al)
+    t.hi.take(q, out=hi, mode="clip")
+    np.multiply(a, hi, out=hi)
+    for table, row in ((t.hi_hi, hh), (t.hi_lo, hl), (t.lo, pl)):
+        table.take(q, out=row, mode="clip")
+    # lo = ((ah hh - hi) + ah hl + al hh) + al hl + a pl in q's row, each
+    # product in the row of an operand that is not read again
+    np.multiply(ah, hh, out=lo)
+    lo -= hi
+    for x, y, product in ((ah, hl, ah), (al, hh, hh), (al, hl, hl), (a, pl, a)):
+        np.multiply(x, y, out=product)
+        lo += product
+    r, lr, tmp, d, k = f[0], f[2], f[5], i[7], i[8]
+    np.rint(lo, out=r)
+    np.subtract(lo, r, out=lr)
+    np.abs(lr, out=tmp)
+    np.greater(tmp, 0.5 - _TOL, out=slow)  # near a tie
+    np.not_equal(pl, 0.0, out=m)
+    slow &= m
+    np.copyto(d, hi, casting="unsafe")
+    np.copyto(k, r, casting="unsafe")
+    d += k
     if shortest is not False:
-        ds, unsure = _shortest(hi, d, lo - r, slow, mant)
+        ds, unsure = _shortest(hi, d, lr, slow, mant, (f[0], f[4], f[5], f[8]), b[5:9])
         unsure |= odd
-        d = np.where(shortest, ds, d)
-        slow = np.where(shortest, unsure, slow)
-        slow &= ~zero  # whose stand-in 1.0 is a power of two
+        np.copyto(d.reshape(shape), ds.reshape(shape), where=shortest)
+        np.copyto(slow.reshape(shape), unsure.reshape(shape), where=shortest)
+        np.invert(zero, out=m)
+        slow &= m  # whose stand-in 1.0 is a power of two
         # the repr style's half of the layout and exponent tables
-        ix += np.multiply(shortest, len(t.least), dtype=np.intp)
-    d[zero] = 0
-    carry = d == 10 ** 17
-    if carry.any():
-        d[carry] = 10 ** 16
-        ix += carry
+        np.add(ix.reshape(shape), len(t.least), out=ix.reshape(shape), where=shortest)
+    np.copyto(d, 0, where=zero)
+    np.equal(d, 10 ** 17, out=m)  # a carry
+    if m.any():
+        np.copyto(d, 10 ** 16, where=m)
+        np.add(ix, 1, out=ix, where=m)
 
-    # D's digits in groups, one to a leading row: a1 = d0-d3 and b1 =
-    # d7-d10 in ``fours``, a2 = d4-d6 and b2 = d11-d13 in ``threes``, and
+    # D's digits in groups, one to a row: a1 = d0-d3 and b1 = d7-d10 in
+    # ``fours``, a2 = d4-d6 and b2 = d11-d13 in ``threes`` (ab's rows) and
     # c = d14-d16
-    ab = np.empty((2,) + v.shape, np.int64)
+    ab, fours, k, c, threes, layout = i[8:10], i[4:6], i[0], d, i[8:10], i[6]
     np.floor_divide(d, 10 ** 10, out=ab[0])
-    c = d - ab[0] * 10 ** 10
+    np.multiply(ab[0], 10 ** 10, out=k)
+    np.subtract(d, k, out=c)
     np.floor_divide(c, 1000, out=ab[1])
-    c -= ab[1] * 1000
-    fours = ab // 1000
-    threes = ab - fours * 1000
-    n = t.count[0].take(fours[0])
+    np.multiply(ab[1], 1000, out=k)
+    c -= k
+    np.floor_divide(ab, 1000, out=fours)
+    np.multiply(fours, 1000, out=i[0:2])
+    threes -= i[0:2]
+    n, group_n = b[5].view(np.uint8), b[6].view(np.uint8)
+    t.count[0].take(fours[0], out=n, mode="clip")
     for table, group in zip(t.count[1:], (threes[0], fours[1], threes[1], c)):
-        np.maximum(n, table.take(group), out=n)
-    layout = t.layout.take(ix)
-    layout += n
+        table.take(group, out=group_n, mode="clip")
+        np.maximum(n, group_n, out=n)
+    t.layout.take(ix, out=layout, mode="clip")
+    np.copyto(k, n)
+    layout += k
 
-    # the digit words, one to a leading row, then the point's shift
-    words = np.empty((3,) + v.shape, np.uint64)
-    words[:2] = t.quad.take(fours)
-    words[:2] |= t.tri_high.take(threes)
-    words[2] = t.tri.take(c)
-    moved = t.high.take(layout, axis=1)
+    # the digit words, one to a row, then the point's shift
+    words, moved, w = u[0:3], u[7:10], u[4]
+    t.quad.take(fours, out=words[:2], mode="clip")
+    t.tri_high.take(threes, out=u[4:6], mode="clip")  # fours' rows, free now
+    words[:2] |= u[4:6]
+    t.tri.take(c, out=words[2], mode="clip")
+    t.high.take(layout, axis=1, out=moved, mode="clip")
     moved &= words
     moved <<= np.uint64(8)
-    words &= t.low.take(layout, axis=1)
+    for word, low in zip(words, t.low):
+        low.take(layout, out=w, mode="clip")
+        word &= w
     words |= moved
-    put = t.put.take(layout, axis=1)
-    put[2] |= t.exp.take(ix)
-    np.bitwise_or(words, put, out=np.moveaxis(out[..., 1:], -1, 0))
-    np.bitwise_or(t.head.take(layout), np.signbit(v) * np.uint64(ord("-") << 8),
-                  out=out[..., 0])
+    put = moved
+    t.put.take(layout, axis=1, out=put, mode="clip")
+    t.exp.take(ix, out=w, mode="clip")
+    put[2] |= w
+    for at, (word, bits) in enumerate(zip(words, put), 1):
+        np.bitwise_or(word.reshape(shape), bits.reshape(shape), out=out[..., at])
+    t.head.take(layout, out=w, mode="clip")
+    np.signbit(flat, out=m)
+    np.bitwise_or(w, np.uint64(ord("-") << 8), out=w, where=m)
+    np.copyto(out[..., 0], w.reshape(shape))
 
-    slow |= ~finite
+    np.invert(finite, out=m)
+    slow |= m
     if slow.any():
-        at = np.nonzero(slow)
+        at = np.nonzero(slow.reshape(shape))
         texts = [fallback(f).encode("ascii") for f in v[at].tolist()]
         room = 8 * SLOT_WORDS - 1
         if max(map(len, texts)) > room or any(b"\0" in text for text in texts):

@@ -181,7 +181,9 @@ def potential(kind: PotentialKind, c: dict, state, t):
     Non-negative whenever the reference value is the true optimum.
     """
     psi = _bracket(kind, c, state, t)
-    return _expand(POTENTIALS[kind].rate(c), t, psi)
+    # the factor overflows and meets psi_t's zero as the replay's do: quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _expand(POTENTIALS[kind].rate(c), t, psi)
 
 
 def _bracket(kind: PotentialKind, c: dict, state, t):

@@ -405,10 +405,11 @@ def _json_scalar(x) -> str:
     return format(f, ".17g")
 
 
-# cells per chunk of a step table (one row where a row is wider): the
-# kernel's temporaries, four 8-byte words a cell at most, stay within glibc's
-# 128 KiB mmap threshold
-_CHUNK = 4096
+# cells per chunk of a step table (one row where a row is wider) and of a
+# vector, one kernel call each: its fixed cost, about 95 numpy calls, spread
+# over two d = 1000 coupled rows or eight plain ones. From 12,288 cells the
+# sweep's T = 1e4 runs fault on every table's new buffers (glibc unmaps them)
+_CHUNK = 8192
 
 # the length from which a float64 vector goes through the kernel in one
 # call: a shorter one costs less element by element (about 2 us an element,
@@ -506,8 +507,11 @@ def _table_rows(table: _Table, is_json: bool, lead: str = ""):
     buf = bytearray(min(rows, n) * width)  # every chunk's grid
     grid = np.frombuffer(buf, np.uint8).reshape(-1, width)
     grid[:] = row_bytes[0]  # the text before each cell, for every chunk
-    cells = np.empty((len(grid), sum(count for _, count, _ in runs), _g17.SLOT_WORDS),
-                     np.uint64)
+    # every chunk's values, cells and kernel intermediates
+    block = np.empty((len(grid), sum(count for _, count, _ in runs)))
+    cells = np.empty(block.shape + (_g17.SLOT_WORDS,), np.uint64)
+    work = _g17.Workspace(block.size)
+    columns = [values[:, None] if values.ndim == 1 else values for values in data]
     # each run's slots in the grid, its cells and its slots' template words
     # (byte 0, the last byte of the text before the cell)
     slot = row_bytes[0].view(np.uint64)
@@ -517,11 +521,11 @@ def _table_rows(table: _Table, is_json: bool, lead: str = ""):
              slot[at:at + count * _g17.SLOT_WORDS].reshape(count, _g17.SLOT_WORDS))
             for first, count, at in runs]
     for lo in range(0, n, rows):
-        block = np.column_stack([values[lo:lo + rows] for values in data])
-        r = len(block)
+        r = min(rows, n - lo)
+        np.concatenate([values[lo:lo + r] for values in columns], axis=1, out=block[:r])
         if held is not None:
             np.take(row_bytes, held[lo:lo + r], axis=0, out=grid[:r], mode="clip")
-        _g17.format_floats(block.astype(float, copy=False), cells[:r], fallback, shortest)
+        _g17.format_floats(block[:r], cells[:r], fallback, shortest, work)
         for dst, src, heads in runs:
             np.bitwise_or(src[:r], heads, out=dst[:r])
         text = (buf if r == len(grid) else buf[:r * width]).translate(None, b"\0")
@@ -537,9 +541,10 @@ def _json_vector(v: np.ndarray):
     from gdcert import _g17
 
     out = np.empty((min(len(v), _CHUNK), _g17.SLOT_WORDS), np.uint64)
+    work = _g17.Workspace(len(out))
     for lo in range(0, len(v), _CHUNK):
         slots = out[:len(v) - lo]
-        _g17.format_floats(v[lo:lo + _CHUNK], slots, _json_scalar)
+        _g17.format_floats(v[lo:lo + _CHUNK], slots, _json_scalar, work=work)
         slots.view(np.uint8)[:, 0] = ord(",")
         text = bytearray(slots).translate(None, b"\0")
         if lo == 0:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gdcert.certify
@@ -557,41 +557,55 @@ def test_columns_match_scalar_replay(name, data):
 POSITIVE = st.floats(1e-3, 1e3)
 
 
-@pytest.mark.parametrize("kind", list(PotentialKind))
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_potential_matches_scalar_phi(kind, data):
-    """``potential`` at one point equals the oracle's Phi_t bit for bit, the
-    distance computed by the oracle, at t past the overflow of
-    (1 + gamma)^t too, where Phi_t is +-inf or psi_t's zero."""
-    draw = data.draw
+@st.composite
+def potential_cases(draw):
+    """One point at one t for any kind: whether the coordinates are positive
+    (the entropy map's domain, used by the Bregman kinds), x*, the point, the
+    value at it, the constants and t. At the reference, the point is x* and
+    the value f*, so psi_t is 0."""
     dim = draw(st.integers(1, 3))
-    entropy = kind.value in oracles.DIVERGENCE and draw(st.booleans())
+    entropy = draw(st.booleans())
     coord = st.floats(0.01, 10.0) if entropy else st.floats(-10.0, 10.0)
-    x_star = np.array(draw(st.lists(coord, min_size=dim, max_size=dim)))
-    at_reference = draw(st.booleans())  # psi_t = 0 where the gap is 0 too
-    point = x_star if at_reference else np.array(
-        draw(st.lists(coord, min_size=dim, max_size=dim)))
+    x_star = draw(st.lists(coord, min_size=dim, max_size=dim))
+    at_reference = draw(st.booleans())
+    point = x_star if at_reference else draw(st.lists(coord, min_size=dim, max_size=dim))
     f_star = draw(st.floats(-10.0, 10.0))
     value = f_star if at_reference else draw(st.floats(-10.0, 10.0))
-    c = {"x_star": x_star, "f_star": f_star, "eta": draw(POSITIVE),
-         "alpha": draw(POSITIVE), "beta": draw(POSITIVE), "alpha_h": draw(POSITIVE),
-         "gamma": draw(st.floats(1e-3, 10.0))}
+    constants = {"f_star": f_star, "eta": draw(POSITIVE), "alpha": draw(POSITIVE),
+                 "beta": draw(POSITIVE), "alpha_h": draw(POSITIVE),
+                 "gamma": draw(st.floats(1e-3, 10.0))}
     t = draw(st.one_of(st.integers(0, 100), st.integers(0, 10 ** 6)))
-    map_id = "negentropy" if entropy else "euclidean"
-    c["map"] = get_map(map_id)
+    return entropy, x_star, point, value, constants, t
 
-    gap = None if kind.value in oracles.AMORTIZED else value - f_star
+
+@pytest.mark.parametrize("kind", list(PotentialKind))
+@settings(max_examples=80, deadline=None)
+@given(case=potential_cases())
+# (1 + gamma)^t overflows at a zero gap: Phi_t is 0, with no warning
+@example(case=(False, [1.0], [1.0], 0.0, {"f_star": 0.0, "eta": 1.0, "alpha": 1.0,
+                                          "beta": 1.0, "alpha_h": 1.0, "gamma": 1.0}, 1025))
+def test_potential_matches_scalar_phi(kind, case):
+    """``potential`` at one point equals the oracle's Phi_t bit for bit, the
+    distance computed by the oracle, at t past the overflow of
+    (1 + gamma)^t too, where Phi_t is +-inf or psi_t's zero; ``potential``
+    raises no floating-point warning on the way."""
+    entropy, x_star, point, value, constants, t = case
+    entropy = entropy and kind.value in oracles.DIVERGENCE
+    map_id = "negentropy" if entropy else "euclidean"
+    x_star, point = np.array(x_star), np.array(point)
+    c = {**constants, "x_star": x_star, "map": get_map(map_id)}
+
+    gap = None if kind.value in oracles.AMORTIZED else value - c["f_star"]
     dist = None
     if kind.value in oracles.SQUARED_DISTANCE:
         dist = oracles._sq(point - x_star)
     elif kind.value in oracles.DIVERGENCE:
         dist = oracles._divergence(map_id, x_star, point)
-    # both take (1 + gamma)^t past its overflow, and potential meets inf * 0
+    got = potential(kind, c, view(point, f=value, z=point, f_y=value), t)
+    # the oracle takes (1 + gamma)^t past its overflow and meets inf * 0
     # where psi_t is 0 before it keeps the zero
     with np.errstate(over="ignore", invalid="ignore"):
         expected = oracles._phi(kind.value, c, t, gap, dist)
-        got = potential(kind, c, view(point, f=value, z=point, f_y=value), t)
     assert _bits(float(got)) == _bits(float(expected))
 
 

@@ -5,6 +5,7 @@ formatting paths checked against per-element references."""
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -440,6 +441,62 @@ def test_a_fallback_text_longer_than_the_slot_raises():
             _g17.format_floats(v, out, lambda x: text)
 
 
+def _off_the_fallback(v: np.ndarray, shortest: bool) -> np.ndarray:
+    """``v`` with each cell that the kernel leaves to its fallback set to 1.5."""
+    seen = []
+    _g17.format_floats(v, np.empty(v.shape + (_g17.SLOT_WORDS,), np.uint64),
+                       lambda x: seen.append(x) or repr(x), shortest)
+    v = v.copy()
+    v[np.isin(v, seen)] = 1.5
+    return v
+
+
+@pytest.mark.parametrize("shortest", [False, True], ids=["%.17g", "repr"])
+def test_a_call_through_a_workspace_allocates_nothing(shortest):
+    """On a chunk of finite cells off the fallback, a call that reuses its
+    workspace allocates none of its intermediates."""
+    rng = np.random.default_rng(5)
+    v = _off_the_fallback(rng.standard_normal(_CHUNK) * 10.0 ** rng.integers(-300, 300, _CHUNK),
+                          shortest)
+    out = np.empty((_CHUNK, _g17.SLOT_WORDS), np.uint64)
+    work = _g17.Workspace(_CHUNK)
+    fallback = []
+    _g17.format_floats(v, out, fallback.append, shortest, work)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _g17.format_floats(v, out, fallback.append, shortest, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fallback == []
+    assert peak - start < 64 * 1024
+
+
+def test_a_workspace_carries_nothing_between_calls():
+    """A's slots are the same through a workspace that B, longer and in the
+    other style with fallback cells, used in between, and the same as
+    through a new one; a workspace too small for a call is refused."""
+    rng = np.random.default_rng(6)
+    a = _table_values(rng, 1_000)
+    b = _table_values(rng, (3, 1_001))
+    b[0, :3] = [math.nan, 5e-324, -2.0**-1070]
+    work = _g17.Workspace(b.size)
+
+    def slots(v, shortest, work):
+        out = np.zeros(v.shape + (_g17.SLOT_WORDS,), np.uint64)
+        _g17.format_floats(v, out, _json_scalar if shortest is False else repr, shortest, work)
+        return out
+
+    first = slots(a, False, work)
+    shortest = np.arange(b.shape[1]) % 2 == 0
+    np.testing.assert_array_equal(slots(b, shortest, work), slots(b, shortest, None))
+    np.testing.assert_array_equal(slots(a, False, work), first)
+    np.testing.assert_array_equal(slots(a, False, None), first)
+    with pytest.raises(ValueError, match="workspace"):
+        slots(a, False, _g17.Workspace(a.size - 1))
+
+
 def _table_values(rng, shape) -> np.ndarray:
     """Floats over every magnitude with -0.0, nan, the infinities and a
     subnormal among them."""
@@ -475,6 +532,21 @@ def test_mixed_table_matches_per_element_cells(width, fmt):
                 "agm-smooth," + ",".join(csv_reference(c) for v in r.values()
                                          for c in (v if isinstance(v, list) else [v])) + "\n"
                 for r in records)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_one_cell_rows_match_per_element_cells_at_the_chunk_edges(fmt):
+    """A table of one float column, a chunk of _CHUNK rows: a cell short of
+    a chunk, one chunk, a cell over, and two chunks and a short one."""
+    is_json = fmt == "json"
+    rng = np.random.default_rng(12)
+    for n in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 5):
+        f = _table_values(rng, n)
+        text = b"".join(_table_rows(_Table([("f", f)]), is_json)).decode()
+        if is_json:
+            assert text == json_reference([{"f": x} for x in f.tolist()])[1:-1]
+        else:
+            assert text == "".join(csv_reference(x) + "\n" for x in f.tolist())
 
 
 # --- fast paths against per-element references ------------------------------
@@ -532,11 +604,12 @@ def test_array_with_non_finite_matches_per_element_json(a):
 
 
 def test_long_vectors_match_per_element_json():
-    # past a chunk, at the kernel's least length, and empty
+    # two chunks and a short one, at a chunk's edges, at the kernel's least
+    # length, and empty
     rng = np.random.default_rng(7)
     v = rng.standard_normal(2 * _CHUNK + 5) * 10.0 ** rng.integers(-300, 300, 2 * _CHUNK + 5)
     v[[3, _CHUNK, 2 * _CHUNK]] = [math.nan, -math.inf, -0.0]
-    for w in (v, v[:harness._VECTOR_CELLS], v[:0]):
+    for w in (v, v[:_CHUNK - 1], v[:_CHUNK], v[:_CHUNK + 1], v[:harness._VECTOR_CELLS], v[:0]):
         assert json_dumps(w) == "[" + ",".join(_json_scalar(x) for x in w.tolist()) + "]"
 
 
@@ -624,14 +697,15 @@ def _column(rng, draw, shape, specials):
 def step_traces(draw):
     """Traces whose step tables take every cell format: d from 1 to 1000,
     with or without y/z, a comparator, f* or neither (a null gap), and T at
-    the chunk edges: a row short of a chunk, one chunk, a row over."""
+    the chunk edges: a row short of a chunk, one chunk, a row over, two
+    chunks and a row."""
     d = draw(st.sampled_from([1, 2, 3, 1000]))
     coupled = draw(st.booleans())
     gap = draw(st.sampled_from(["f_ref", "f_star", "none"]))
     # t, x, f, gap, the two gradient norms and eta; y, f_y and z
     cells = (3 * d + 7 if coupled else d + 6) - (gap == "none")
     rows = max(1, _CHUNK // cells)
-    T = draw(st.sampled_from([0, 1, rows - 1, rows, rows + 1]))
+    T = draw(st.sampled_from([0, 1, rows - 1, rows, rows + 1, 2 * rows + 1]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     specials = draw(st.booleans())
     return _trace(rng, T, d, coupled, gap, lambda *shape: _column(rng, draw, shape, specials),
@@ -699,16 +773,18 @@ def test_trace_table_matches_per_element_csv(trace):
 
 
 def test_row_wider_than_a_chunk_matches_per_element_json_and_csv(monkeypatch):
-    # rows of 3,007 cells at d = 1000, each a chunk of its own
-    monkeypatch.setattr(harness, "_CHUNK", 2_048)
+    # three rows of 3,007 cells at d = 1000: each a chunk of its own, two
+    # chunks of two rows and one, one chunk, and at the default chunk
     rng = np.random.default_rng(11)
     trace = _trace(rng, 3, 1000, True, "f_ref",
                    lambda *shape: rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 9, shape))
     rows = trace_rows(trace)
-    assert json_dumps(trace_to_dict(trace)["steps"]) == json_reference(rows)
-    lines = trace_to_csv(trace).splitlines()[1:]
-    assert [line.split(",")[1:1001] for line in lines] == [
-        [csv_reference(v) for v in row["x"]] for row in rows]
+    for chunk in (2_048, 2 * 3_007, 3 * 3_007, _CHUNK):
+        monkeypatch.setattr(harness, "_CHUNK", chunk)
+        assert json_dumps(trace_to_dict(trace)["steps"]) == json_reference(rows)
+        lines = trace_to_csv(trace).splitlines()[1:]
+        assert [line.split(",")[1:1001] for line in lines] == [
+            [csv_reference(v) for v in row["x"]] for row in rows]
 
 
 @st.composite
