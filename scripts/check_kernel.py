@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Check the vectorized float formatter against Python, value by value.
 
-Both styles of ``gdcert._g17.format_floats`` are compared with Python on
-seeded inputs: the %.17g style with ``'%.17g' %`` and the repr style with
-``repr``. Each batch mixes random 64-bit patterns (every exponent,
-subnormals, nan and the infinities included), values rounded to 1..17
-significant digits over many magnitudes, integers below 2**53, and the
-neighbours of powers of ten and of two. Each batch is formatted in
-slices of ``gdcert.harness._CHUNK`` cells through one workspace, reused by
-every call as the step-table writer reuses it. Each slot must leave its
-byte 0 a hole and hold its text in exactly as many nonzero bytes, so that
-no text byte is 0. The cells the kernel leaves to its fallback are counted,
-and so are the minor page faults of its calls; the fallback is the
-reference itself. Exit code 1 on the first mismatch.
+``gdcert._g17.format_floats`` is compared with ``'%.17g' %``, the text of
+every finite number in JSON and of every float in CSV, on seeded inputs.
+Each batch mixes random 64-bit patterns (every exponent, subnormals, nan
+and the infinities included), values rounded to 1..17 significant digits
+over many magnitudes, integers below 2**53, and the neighbours of powers
+of ten and of two. Each batch is formatted in slices of
+``gdcert.harness._CHUNK`` cells through one workspace, reused by every call
+as the step-table writer reuses it. Each slot must leave its byte 0 a hole
+and hold its text in exactly as many nonzero bytes, so that no text byte is
+0. The cells the kernel leaves to its fallback are counted, and so are the
+minor page faults of its calls; the fallback is the reference itself. Exit
+code 1 on the first mismatch.
 
 Usage:
     python scripts/check_kernel.py [count] [seed]    (default 10000000 0)
@@ -56,7 +56,7 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def texts(v: np.ndarray, shortest: bool, fallback, work: _g17.Workspace) -> tuple:
+def texts(v: np.ndarray, fallback, work: _g17.Workspace) -> tuple:
     calls, faults = [], 0
 
     def counted(x):
@@ -68,7 +68,7 @@ def texts(v: np.ndarray, shortest: bool, fallback, work: _g17.Workspace) -> tupl
     out = np.full((v.size, _g17.SLOT_WORDS), 2**64 - 1, np.uint64)
     for lo in range(0, v.size, _CHUNK):
         before = minor_faults()
-        _g17.format_floats(v[lo:lo + _CHUNK], out[lo:lo + _CHUNK], counted, shortest, work)
+        _g17.format_floats(v[lo:lo + _CHUNK], out[lo:lo + _CHUNK], counted, work)
         faults += minor_faults() - before
     slots = out.view(np.uint8).reshape(v.size, -1)
     holes = not slots[:, 0].any()
@@ -81,31 +81,27 @@ def texts(v: np.ndarray, shortest: bool, fallback, work: _g17.Workspace) -> tupl
 def main() -> int:
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 10_000_000
     rng = np.random.default_rng(int(sys.argv[2]) if len(sys.argv) > 2 else 0)
-    done, slow, faults, kernel_calls = 0, {False: 0, True: 0}, 0, 0
+    done, slow, faults, kernel_calls = 0, 0, 0, 0
     work = _g17.Workspace(_CHUNK)
     while done < count:
         v = batch(rng, min(BATCH, count - done))
-        values = v.tolist()
-        for shortest, reference in ((False, g17), (True, repr)):
-            got, sizes, holes, calls, batch_faults = texts(v, shortest, reference, work)
-            slow[shortest] += calls
-            faults += batch_faults
-            kernel_calls += -(-v.size // _CHUNK)
-            style = "repr" if shortest else "%.17g"
-            if not holes:
-                print(f"SLOT ({style}): a slot's byte 0 is not a hole")
+        got, sizes, holes, calls, batch_faults = texts(v, g17, work)
+        slow += calls
+        faults += batch_faults
+        kernel_calls += -(-v.size // _CHUNK)
+        if not holes:
+            print("SLOT: a slot's byte 0 is not a hole")
+            return 1
+        for x, text, size in zip(v.tolist(), got, sizes):
+            expected = g17(x)
+            if text != expected or size != len(expected):
+                print(f"MISMATCH: {x!r} -> {text!r} in {size} nonzero bytes, "
+                      f"expected {expected!r}")
                 return 1
-            for x, text, size in zip(values, got, sizes):
-                expected = reference(x)
-                if text != expected or size != len(expected):
-                    print(f"MISMATCH ({style}): {x!r} -> {text!r} in {size} "
-                          f"nonzero bytes, expected {expected!r}")
-                    return 1
         done += v.size
-    print(f"{done} values, both styles exact; fallback share "
-          f"%.17g {slow[False] / done:.4%}, repr {slow[True] / done:.4%} "
-          f"(nan and the infinities included); {faults / kernel_calls:.2f} minor "
-          f"faults a kernel call of up to {_CHUNK} cells")
+    print(f"{done} values exact; fallback share {slow / done:.4%} (nan and the "
+          f"infinities included); {faults / kernel_calls:.2f} minor faults a "
+          f"kernel call of up to {_CHUNK} cells")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Exact ``'%.17g' % v`` and ``repr(v)`` for a whole float64 array at once.
+"""Exact ``'%.17g' % v`` for a whole float64 array at once.
 
 ``format_floats`` writes each value's text into a slot of ``SLOT_WORDS``
 8-byte words whose unused bytes are 0 (holes), so that deleting every 0
@@ -14,19 +14,14 @@ these steps:
   first scaled by 2^600 or 2^-600 and the table entry by the inverse, so
   that no partial product leaves the normal range;
 - the 17 digits D = hi + rint(lo), which rounds half to even as ``dtoa``
-  does (hi >= 1e16 is even); for ``repr``, the shortest digits that round
-  to v instead (``_shortest``); a carry to 10^17 moves X up by one;
-- the layout: fixed notation for -4 <= X < 17 (``%g``) or X < 16
-  (``repr``, which adds ".0" to an integer), scientific otherwise,
+  does (hi >= 1e16 is even); a carry to 10^17 moves X up by one;
+- the layout: fixed notation for -4 <= X < 17, scientific otherwise,
   trailing zeros and a bare point dropped, an exponent of two digits at
   least.
 
-Zero is written as "0" and "-0", or "0.0" and "-0.0". Every other value
-goes to ``fallback``: nan and infinities, and a value whose rounding the
-error of V or of the interval could decide: for ``%.17g`` a lo within
-1e-6 of a half with an inexact power of ten; for ``repr`` a candidate
-within 1e-6 of a tie or of the edge of v's rounding interval, and the
-powers of two and subnormals.
+Zero is written as "0" and "-0". Every other value goes to ``fallback``:
+nan and infinities, and a value whose rounding the error of V could
+decide, a lo within 1e-6 of a half with an inexact power of ten.
 
 A slot is four 8-byte words, byte by byte: byte 0, always a hole, for
 the caller's separator; the sign at byte 1; the "0.000" prefix of
@@ -117,12 +112,11 @@ class _Tables:
             sig = width - (h % 10 == 0) - (h % 100 == 0) - (width == 4) * (h % 1000 == 0)
             self.count.append(np.where(h > 0, first + sig, int(first == 0)).astype(np.uint8))
 
-        # by X - _K0, then once more for the repr style: the exponent in the
-        # last word, empty for fixed notation, and the layout (below)
-        x = np.tile(np.arange(_K0, _K1 + 1), 2)
-        short = np.arange(len(x)) >= len(x) // 2
+        # by X - _K0: the exponent in the last word, empty for fixed
+        # notation, and the layout (below)
+        x = np.arange(_K0, _K1 + 1)
         ax, wide = np.abs(x), np.abs(x) >= 100
-        fixed = (x >= -4) & (x < 17 - short)
+        fixed = (x >= -4) & (x < 17)
         b = np.zeros((len(x), 8), np.uint8)
         b[:, 3] = ord("e")
         b[:, 4] = np.where(x < 0, ord("-"), ord("+"))
@@ -131,26 +125,22 @@ class _Tables:
         b[:, 7] = np.where(wide, ax % 10 + 48, 0)
         b[fixed] = 0
         self.exp = _words(b)[:, 0]
-        self.layout = 18 * np.where(fixed, np.where(x >= 0, x + 22 * short, 17 - x), 17)
+        self.layout = 18 * np.where(fixed, np.where(x >= 0, x, 17 - x), 17)
 
         # by layout * 18 + digit count n, where layout is X for 0 <= X <= 16
-        # (integer digits through X, point after digit X), 22 + X for the
-        # repr style's 0 <= X <= 15 (the same, with ".0" for an integer),
-        # 17 for scientific (point after the first digit) and 17 - X for
-        # -4 <= X <= -1 (prefix "0." and -X - 1 zeros, no point)
-        head = np.zeros((38 * 18, 8), np.uint8)
-        low = np.zeros((38 * 18, 3, 8), np.uint8)
-        high = np.zeros((38 * 18, 3, 8), np.uint8)
-        put = np.zeros((38 * 18, 3, 8), np.uint8)
-        for layout in range(38):
+        # (integer digits through X, point after digit X), 17 for scientific
+        # (point after the first digit) and 17 - X for -4 <= X <= -1 (prefix
+        # "0." and -X - 1 zeros, no point)
+        head = np.zeros((22 * 18, 8), np.uint8)
+        low = np.zeros((22 * 18, 3, 8), np.uint8)
+        high = np.zeros((22 * 18, 3, 8), np.uint8)
+        put = np.zeros((22 * 18, 3, 8), np.uint8)
+        for layout in range(22):
             for n in range(1, 18):
                 row, shown, point = layout * 18 + n, n, None
                 if layout <= 16:
                     shown = max(n, layout + 1)
                     point = layout if n > layout + 1 else None
-                elif layout >= 22:
-                    # digit X + 1 of an integer is the 0 after the point
-                    shown, point = max(n, layout - 20), layout - 22
                 elif layout == 17:
                     point = 0 if n > 1 else None
                 else:
@@ -174,98 +164,37 @@ _T = _Tables()
 
 class Workspace:
     """The intermediates of ``format_floats`` calls of up to ``cells``
-    values: ten rows of 8-byte words and nine of bools, 89 bytes a cell. A
+    values: ten rows of 8-byte words and six of bools, 86 bytes a cell. A
     call writes every row it reads, so it carries nothing to the next; a
     workspace serves one call at a time."""
 
     def __init__(self, cells: int):
-        self.cells, self.words, self.flags = cells, np.empty(10 * cells), np.empty(9 * cells, bool)
+        self.cells, self.words, self.flags = cells, np.empty(10 * cells), np.empty(6 * cells, bool)
 
 
-def _shortest(hi, d17, lo, slow17, mant, rows, flags) -> tuple:
-    """The digits of ``repr`` as a 17-digit integer with trailing zeros, and
-    where they are unsure, for V = d17 + lo (|lo| <= 1/2), the value v scaled
-    by 10^(16 - X), from hi, its nearest double; ``mant`` is v's significand
-    in [1/2, 1), 2^-53 times the integer one.
-
-    The n-digit candidate c_n is V rounded to a multiple of 10^(17 - n), and
-    n is the least for which c_n rounds to v: |c_n - V| < h = V / (2^54
-    mant), half an ulp of v at V's scale (v is not a power of two, whose
-    interval is asymmetric; the caller leaves those to the fallback). Once
-    c_n is outside, so is every shorter candidate, which is no nearer. As
-    h < 12, two multiples of 100 are never both inside: if c_15 is inside,
-    every shorter candidate inside is c_15 itself, and its trailing zeros
-    give n. So only c_16 and c_15 are tested, as offsets from the multiple
-    of 100 below d17. A cell is unsure where a distance lies within _TOL of
-    h, where c_16 is chosen within _TOL of a tie, or where c_17 = d17 is
-    chosen and ``slow17``, the %.17g style's unsure cells, holds it.
-
-    Four free float64 ``rows``, four free bool ``flags`` and the rows of hi,
-    lo and mant hold the intermediates; the digits come back in mant's row."""
-    (h, x, off, tmp), (unsure, inside, near, outside) = rows, flags
-    np.multiply(mant, 2.0**54, out=h)
-    np.divide(hi, h, out=h)
-    base, k, c, dist = mant.view(np.int64), x.view(np.int64), hi, lo
-    np.floor_divide(d17, 100, out=base)
-    base *= 100
-    np.subtract(d17, base, out=k)
-    np.copyto(off, k)  # r17, exact
-    np.add(off, lo, out=x)  # V - base
-    np.copyto(unsure, False)
-    for unit in (10.0, 100.0):  # c16, then c15, each into off where inside
-        np.multiply(x, 1 / unit, out=c)
-        np.rint(c, out=c)
-        c *= unit
-        np.subtract(x, c, out=dist)
-        np.abs(dist, out=dist)
-        np.less(dist, h, out=inside)
-        np.subtract(dist, h, out=tmp)
-        np.abs(tmp, out=tmp)
-        np.less(tmp, _TOL, out=near)
-        unsure |= near
-        if unit == 10.0:  # c16 within _TOL of a tie, or c17 where slow17
-            np.subtract(dist, 5.0, out=tmp)
-            np.abs(tmp, out=tmp)
-            np.less(tmp, _TOL, out=near)
-            np.invert(inside, out=outside)
-            np.copyto(near, slow17, where=outside)
-            unsure |= near
-        np.copyto(off, c, where=inside)
-    np.copyto(k, off, casting="unsafe")
-    base += k
-    return base, unsure
-
-
-def format_floats(v: np.ndarray, out: np.ndarray, fallback, shortest=False,
+def format_floats(v: np.ndarray, out: np.ndarray, fallback,
                   work: Workspace | None = None) -> None:
-    """Write the text of each x in the float64 array ``v`` into ``out``,
-    uint64 of shape ``v.shape + (SLOT_WORDS,)`` (a view will do), with 0
-    bytes in the unused places: ``'%.17g' % x``, or ``repr(x)`` where
-    ``shortest``, a bool or a bool array that broadcasts against ``v``, is
-    true. ``fallback(x)``, a str of at most 31 ASCII characters other than
-    NUL (ValueError otherwise), is written for each x off the vectorized
-    path. Byte 0 of every slot is left 0. Every intermediate goes into
-    ``work``, a ``Workspace`` of at least ``v.size`` cells (a new one if None)."""
+    """Write ``'%.17g' % x`` for each x in the float64 array ``v`` into
+    ``out``, uint64 of shape ``v.shape + (SLOT_WORDS,)`` (a view will do),
+    with 0 bytes in the unused places. ``fallback(x)``, a str of at most 31
+    ASCII characters other than NUL (ValueError otherwise), is written for
+    each x off the vectorized path. Byte 0 of every slot is left 0. Every
+    intermediate goes into ``work``, a ``Workspace`` of at least ``v.size``
+    cells (a new one if None)."""
     t, shape, flat = _T, v.shape, v.reshape(-1)
     work = Workspace(flat.size) if work is None else work
     if flat.size > work.cells:
         raise ValueError(f"a workspace of {work.cells} cells cannot hold {flat.size}")
     # 8-byte rows (float64, int64, uint64) and bool rows, each run contiguous
     f = work.words[:10 * flat.size].reshape(10, -1)
-    i, u, b = f.view(np.int64), f.view(np.uint64), work.flags[:9 * flat.size].reshape(9, -1)
-    finite, zero, m, odd, slow = b[:5]
+    i, u, b = f.view(np.int64), f.view(np.uint64), work.flags[:6 * flat.size].reshape(6, -1)
+    finite, zero, m, slow = b[:4]
     a, g, ix, q = f[0], f[2], i[3], i[4]
     np.abs(flat, out=a)
     np.less(a, np.inf, out=finite)
     np.equal(a, 0.0, out=zero)
     np.copyto(a, 1.0, where=zero)
     np.copyto(a, 1.0, where=np.invert(finite, out=m))
-    if shortest is not False:
-        mant, e = f[1], i[2].view(np.int32)[:flat.size]  # g's row, free till then
-        np.frexp(a, out=(mant, e))
-        np.equal(mant, 0.5, out=odd)  # a power of two: its interval is asymmetric
-        np.less(e, -1021, out=m)  # subnormal
-        odd |= m
     np.log10(a, out=g)
     np.floor(g, out=g)
     np.subtract(g, _K0, out=g)
@@ -297,25 +226,16 @@ def format_floats(v: np.ndarray, out: np.ndarray, fallback, shortest=False,
     for x, y, product in ((ah, hl, ah), (al, hh, hh), (al, hl, hl), (a, pl, a)):
         np.multiply(x, y, out=product)
         lo += product
-    r, lr, tmp, d, k = f[0], f[2], f[5], i[7], i[8]
+    r, tmp, d, k = f[0], f[5], i[7], i[8]
     np.rint(lo, out=r)
-    np.subtract(lo, r, out=lr)
-    np.abs(lr, out=tmp)
+    np.subtract(lo, r, out=tmp)
+    np.abs(tmp, out=tmp)
     np.greater(tmp, 0.5 - _TOL, out=slow)  # near a tie
     np.not_equal(pl, 0.0, out=m)
     slow &= m
     np.copyto(d, hi, casting="unsafe")
     np.copyto(k, r, casting="unsafe")
     d += k
-    if shortest is not False:
-        ds, unsure = _shortest(hi, d, lr, slow, mant, (f[0], f[4], f[5], f[8]), b[5:9])
-        unsure |= odd
-        np.copyto(d.reshape(shape), ds.reshape(shape), where=shortest)
-        np.copyto(slow.reshape(shape), unsure.reshape(shape), where=shortest)
-        np.invert(zero, out=m)
-        slow &= m  # whose stand-in 1.0 is a power of two
-        # the repr style's half of the layout and exponent tables
-        np.add(ix.reshape(shape), len(t.least), out=ix.reshape(shape), where=shortest)
     np.copyto(d, 0, where=zero)
     np.equal(d, 10 ** 17, out=m)  # a carry
     if m.any():
@@ -335,7 +255,7 @@ def format_floats(v: np.ndarray, out: np.ndarray, fallback, shortest=False,
     np.floor_divide(ab, 1000, out=fours)
     np.multiply(fours, 1000, out=i[0:2])
     threes -= i[0:2]
-    n, group_n = b[5].view(np.uint8), b[6].view(np.uint8)
+    n, group_n = b[4].view(np.uint8), b[5].view(np.uint8)
     t.count[0].take(fours[0], out=n, mode="clip")
     for table, group in zip(t.count[1:], (threes[0], fours[1], threes[1], c)):
         table.take(group, out=group_n, mode="clip")

@@ -31,8 +31,11 @@ from gdcert.harness import (
 def _parse_x0(text: str):
     if text == "default":
         return "default"
+    fields = text.split(",")
+    if any(v.strip() == "" for v in fields):
+        raise ConfigError(f"x0 {text!r} has an empty coordinate")
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        return [float(v) for v in fields]
     except ValueError as exc:
         raise ConfigError(f"cannot parse x0 {text!r}: {exc}") from exc
 
@@ -71,15 +74,36 @@ def _config_from_args(args) -> RunConfig:
     return _config_from_dict(raw)
 
 
-def _config_from_dict(raw: dict) -> RunConfig:
-    known = {"problem", "method", "steps", "set", "schedule", "x0", "certify",
-             "theorems", "out", "format"}
-    unknown = set(raw) - known
+def _string(v) -> bool:
+    return isinstance(v, str)
+
+
+# the JSON type of each key but steps and x0, which validate_config checks
+_KINDS = {
+    "problem": (_string, "a string"),
+    "method": (_string, "a string"),
+    "set": (_string, "a string"),
+    "schedule": (lambda v: v is None or _string(v), "a string or null"),
+    "certify": (lambda v: isinstance(v, bool), "true or false"),
+    "theorems": (lambda v: isinstance(v, list) and all(map(_string, v)),
+                 "a list of strings"),
+    "out": (lambda v: v is None or _string(v), "a string or null"),
+    "format": (_string, "a string"),
+}
+
+
+def _config_from_dict(raw) -> RunConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a run configuration must be a JSON object, got {raw!r}")
+    unknown = set(raw) - set(_KINDS) - {"steps", "x0"}
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     for key in ("problem", "method", "steps"):
         if key not in raw:
             raise ConfigError(f"configuration is missing {key!r}")
+    for key, (ok, kind) in _KINDS.items():
+        if key in raw and not ok(raw[key]):
+            raise ConfigError(f"{key!r} must be {kind}, got {raw[key]!r}")
     theorems = raw.get("theorems", [])
     x0 = raw.get("x0", "default")
     return RunConfig(
@@ -89,7 +113,7 @@ def _config_from_dict(raw: dict) -> RunConfig:
         feasible_set=raw.get("set", "unconstrained"),
         schedule=raw.get("schedule"),
         x0=_parse_x0(x0) if isinstance(x0, str) else x0,
-        certify=bool(raw.get("certify", False)) or bool(theorems),
+        certify=raw.get("certify", False) or bool(theorems),
         theorems=list(theorems),
         out=raw.get("out"),
         fmt=raw.get("format", "json"),

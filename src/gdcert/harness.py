@@ -487,10 +487,10 @@ def _table_rows(table: _Table, is_json: bool, lead: str = ""):
     ``_g17`` call formats a chunk's cells into slots, which are laid, with
     the last byte of the text before each cell (a comma, a colon, a bracket)
     as the slot's byte 0, into the row templates of ``_Table.layout``;
-    deleting the 0 bytes gives the text. A number is written as ``'%.17g' %``
-    gives it, but a CSV float as ``repr`` does (the shortest round trip; nan
-    and inf as such); a count, below 2**53, is the same either way as
-    ``%d``."""
+    deleting the 0 bytes gives the text. Every number is written as
+    ``'%.17g' %`` gives it, in CSV and JSON alike, so a count below 2**53
+    reads as ``%d``; JSON quotes nan and the infinities as ``_json_scalar``
+    does, CSV leaves them bare."""
     # imported on the first table, so that a process that writes none
     # (library use) does not build the kernel's tables
     from gdcert import _g17
@@ -499,10 +499,7 @@ def _table_rows(table: _Table, is_json: bool, lead: str = ""):
     n = len(data[0]) if data else 0
     if n == 0:
         return
-    shortest = not is_json and np.repeat(
-        [values.dtype.kind == "f" for values in data],
-        [math.prod(values.shape[1:]) for values in data])
-    fallback = _json_scalar if is_json else repr
+    fallback = _json_scalar if is_json else "%.17g".__mod__
     width = row_bytes.shape[1]
     buf = bytearray(min(rows, n) * width)  # every chunk's grid
     grid = np.frombuffer(buf, np.uint8).reshape(-1, width)
@@ -525,7 +522,7 @@ def _table_rows(table: _Table, is_json: bool, lead: str = ""):
         np.concatenate([values[lo:lo + r] for values in columns], axis=1, out=block[:r])
         if held is not None:
             np.take(row_bytes, held[lo:lo + r], axis=0, out=grid[:r], mode="clip")
-        _g17.format_floats(block[:r], cells[:r], fallback, shortest, work)
+        _g17.format_floats(block[:r], cells[:r], fallback, work)
         for dst, src, heads in runs:
             np.bitwise_or(src[:r], heads, out=dst[:r])
         text = (buf if r == len(grid) else buf[:r * width]).translate(None, b"\0")

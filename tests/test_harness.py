@@ -394,18 +394,54 @@ class TestCli:
         {"method": "frank-wolfe", "set": "simplex", "x0": [0.7, 0.7]},
         {"method": "agm2", "schedule": "agm-lambda", "set": "ball"},
         {"method": "agm1", "certify": True},
+        # a value of the wrong JSON type, or an entry that is no object
+        {"out": 1},
+        {"out": ["t.json"]},
+        {"certify": "false"},
+        {"certify": 1},
+        {"problem": ["p1"]},
+        {"method": None},
+        {"set": {"ball": 1}},
+        {"format": ["json"]},
+        {"schedule": 2},
+        {"theorems": [["smooth-value-log"]]},
+        {"theorems": "smooth-value-log"},
+        1,
+        ["p2", "smooth-gd", 5],
     ], ids=["steps-text", "steps-fraction", "x0-text-coordinate",
             "x0-infinite", "x0-text-unparsable", "format-yaml", "format-upper",
             "no-curvature-constants", "fw-x0-outside", "agm-lambda-ball",
-            "agm1-no-theorem"])
+            "agm1-no-theorem", "out-int", "out-list", "certify-text", "certify-int",
+            "problem-list", "method-null", "set-object", "format-list",
+            "schedule-int", "theorems-nested", "theorems-text", "entry-int",
+            "entry-list"])
     def test_suite_bad_entry_exit_two_writes_nothing(self, tmp_path, capsys, bad):
+        """No file is written, and the error names the entry's bad key."""
         good = {"problem": "p2", "method": "smooth-gd", "steps": 5,
                 "out": str(tmp_path / "first.json")}
+        entry = bad
+        if isinstance(bad, dict):
+            entry = {**good, "out": str(tmp_path / "bad.json"), **bad}
         cfg = tmp_path / "suite.json"
-        cfg.write_text(json.dumps([good, {**good, "out": str(tmp_path / "bad.json"),
-                                          **bad}]))
+        cfg.write_text(json.dumps([good, entry]))
         assert main(["suite", "--config", str(cfg)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "Traceback" not in err
+        assert any(key in err for key in bad) if isinstance(bad, dict) else (
+            "JSON object" in err)
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("x0", ["1,,2", "1,2,", ",1,2", "1, ,2", ""])
+    def test_empty_x0_coordinate_exit_two(self, tmp_path, capsys, x0):
+        out = tmp_path / "out.json"
+        assert main(["run", "--problem", "p2", "--method", "smooth-gd", "--x0", x0,
+                     "--steps", "3", "--out", str(out)]) == 2
+        assert "empty coordinate" in capsys.readouterr().err
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps([{"problem": "p2", "method": "smooth-gd", "steps": 3,
+                                    "x0": x0, "out": str(out)}]))
+        assert main(["suite", "--config", str(cfg)]) == 2
+        assert "empty coordinate" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_run_arguments_equal_suite_entry(self):

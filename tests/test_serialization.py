@@ -1,6 +1,6 @@
 """Serialization contract: pinned bytes of trace and report files, the
-kernel's two styles checked against '%.17g' % and repr, and the fast
-formatting paths checked against per-element references."""
+float kernel checked against '%.17g' %, and the fast formatting paths
+checked against per-element references."""
 
 import hashlib
 import json
@@ -112,114 +112,117 @@ GOLDEN_RUNS = {
 # key with it), and each report's "gamma" and estimated "G" moved after
 # "eta", where the certifier now adds them; "well-conditioned-distance",
 # which reads no rate, lost its "gamma". No step table moved.
+# When CSV floats went from repr to '%.17g' %, the text JSON uses, the 18
+# CSV pairs were derived from the previous files by rewriting each cell
+# that float() parses as '%.17g' % float(cell); no JSON pin moved.
 GOLDEN = {
     ("agm2-negentropy-lse3", "json"): (
         "5c40f3e8657e8d06716eab6511e8344fe3b0d4f82101377a42c4915d9fcd955c",
         "af52730efef415a414a999c3d9fa4d9d32591ee1c3d76f6bcc15bd3a0326ef9e"),
     ("agm2-negentropy-lse3", "csv"): (
-        "f14522ea7290827a633593e79f986176104bb3dd0aab7975abf77de6f87f5ebb",
-        "164589f1a14354684b5b51dd142a190a7deb1803ae7174d70c4318b3779aa6ec"),
+        "86cd2edf4bd2dde49ac082de4c29b052280c5aec90f9b7674cb51f0cbab8d062",
+        "ea50e1d956b08b9f0c560e0677c7685a65614f9cd0e3bdc6c78d6a26d998a1f0"),
     ("agm2-p2", "json"): (
         "b9c5bcbd7851bac8a0657928cd73581f32a46e54685df6cd2bdc2d04795d2c48",
         "6ac0af10c0c9d4aa119fef525ffcf3c68e9da481df2e93b998bfed7f8dab6690"),
     ("agm2-p2", "csv"): (
-        "b460e7cc5eed0cf5ee8c02853d02de75b5891179eb170a7865562d9422a202c3",
-        "e34381ff7f0b7d2b0847d19cd9eaec26e0d2e4985471f6ed40e514eb0e2e360e"),
+        "4f1399fd103b391f6a39efed05a535aae9fb4a7e2a506e5b3e21e0c13f7611ae",
+        "6bd4e80a3c7e323f3badf4cddd5ba50721eb71ad5d8634a2c45e0d7e938d2e04"),
     ("failed-potential-p3", "json"): (
         "c4ba14fe86ab941039072aea038bd93e9d53d5e932effd47fcdc01d94520b0b4",
         "40fc4306109271c63471dd3f7d831424562baffc4ff57f4624c17e1970bede82"),
     ("failed-potential-p3", "csv"): (
-        "c7bf116fc220ba563ffe6e2fb8c02f5931f19aecd9c0864e44c2e65d5b68154d",
-        "d9a79d0d0f705b140d6b3d8ebec7335ad3c0ca666f2ec9e337367765c2ccfc4e"),
+        "0b15005c2c6915bbc32613030bb3e86b22ce5aac76351afd448bf4842a212624",
+        "e31fc4c06e751ff2d0598f97f36093bb8cf91c0abd32be678eb97afb2f0da32f"),
     ("frank-wolfe-log-p2-box", "json"): (
         "936f11a48e749ca748082a273e0a1ab26f703bd1a343ef8503320f264a354649",
         "2b9d12a046d15570c82271971b4979a43917d91831d751c9234a492df4077c84"),
     ("frank-wolfe-log-p2-box", "csv"): (
-        "83f80a33f12d7dfa040bebcfe6a6301405d4dedb2b85c190d88c5ce186c2e9e6",
-        "862023871c2e4cf5fcaa76e0cfd7d265c5760012ced876c12b0aa0577e1f6175"),
+        "b78214cbd94067a2f0fd36d22e42a6d24009f20e20762767e882ac4cca2e28f2",
+        "39b917217eeef78d1434ac72ceeb838b562333c53b62c80e2b546cb1a464a87d"),
     ("frank-wolfe-p2-simplex", "json"): (
         "d7b8da1d84fa69c589f438b9b2ae6757a45533e9ce6e17e5b9c1b33d5658cdba",
         "f65e557f09e7569bafa79dc2a1b05f1d2cefe68d74e67dfc999358dbd4e0fa89"),
     ("frank-wolfe-p2-simplex", "csv"): (
-        "e4812f17df81a57f719a5831102515a4232c65e8b0d2fe42240babeaed2c736b",
-        "418c2915c2fd21a9fcee9a1b41c67a52a6107ebd6e05a34c69dc6db1594d2059"),
+        "df506b3c4a5e5215e6dddec08a591d4b70bb8b5800e53e63f6827a7abdc32985",
+        "0fc0d65822eeb2d5ae1d419106312cba800eee38145323b4504a4d17e65bf2ba"),
     ("gd-experts-ball", "json"): (
         "93a9514fde676fb18c6a37bf260e35141e1d2aadefd2bc848194b61f7d5179fd",
         "65d32fb445357bccc542b8504e9b7fd8bd07a2847088984a343861db68c4387f"),
     ("gd-experts-ball", "csv"): (
-        "2b3fe9e75d6feaaf11660342e1f5d645ecd402fd329f6216b289c7cc2c3cb244",
-        "508f6b501165eb735cc1af6e7223cc04a6c5889b6773fa7bb0069861cbf8df2e"),
+        "34269f4128089c41c07d9103852dc9bcf9261314bb078fa1be32ae7e4eb70594",
+        "6a1238593fbff9c3a05a92a2bc18bcea5c72f78a563295964ce8542825bfe82f"),
     ("mirror-negentropy-experts", "json"): (
         "20f21d1fdca9f9853928302bebc4ad326e08c6c23a0d0cfa2aa91eebb1cd1e29",
         "0245cdd694ad7165e6c598e1df9f661f3c164135b45837ffdd1134f0c38e2d0d"),
     ("mirror-negentropy-experts", "csv"): (
-        "b8385ca8a9abec35807e64cf4c740b81ad355479ed0844e912043839badfc84a",
-        "6e90bfc1168d7b7a782697b6d5b14605ccf5dbb5e92a5bd6ea7289758c2e8833"),
+        "d235535632e4ced8b1a973ed2cd39a412b433a48a19ca922799e2932ef711393",
+        "c5c269c8c07dadaf558df2e98d804cb58060d38cc07e280def71eedf83188108"),
     ("sc-agm-p3", "json"): (
         "64e6cd88e031c13a8149ab30161bfe5276551339e38524835bc2c5a6110776aa",
         "db51e02012c6fcb0fdd52fb97e05f70acc8f14bd3d81ab807afb67cbbfd2d854"),
     ("sc-agm-p3", "csv"): (
-        "ef0622af219b644e98cfa3decbbba59e92c69f94216fef98f3de2931b48ee29a",
-        "db349b30f12cced7439c9363671b993d3242869e634060f68d929b8612f85fee"),
+        "ff5dd9fda342a6208302baecc757322b17627ecab26f208761064b64c638f3e3",
+        "d59655974aadcce3502e3632775392e40c4abd35f1cf5a630a875a224e452e93"),
     ("sc-gd-p1", "json"): (
         "337ffc80b6d23f9e354509a39302ecb81b1a26bfa080f12151f1cd2de719e074",
         "483073476b7f00f2a562c9f79be6d6c16a98b5a2ebb2040a75bcf56a79bb259a"),
     ("sc-gd-p1", "csv"): (
-        "4ef7aa37df031d0c6cd964d269e84f965a442600b6deb8e575d30d31f4abe969",
-        "8e296f552626b54082e0887296bab851628729edb429b4e18672b1bd6e93b32f"),
+        "76dd37ad1a722eb7309b7107574fd616a425971baca0ace48e75cd9313128176",
+        "e41d7768de230e4b4464f77f090b7e54d239b2d39cacddb77b01323e6197ef74"),
     ("smooth-gd-p2", "json"): (
         "46d0db899ce828add073d6ab65d0b5a5a36010bbe194a4c4d624dd1427586d61",
         "55cb7586e5f1cd1a157a60d7d335893e2022407eb745a9132a52e888ecbcd8ca"),
     ("smooth-gd-p2", "csv"): (
-        "8f9ae7aefe9fddd4d04172b9f5d685ce8c856bf6599447a80850d4aff805e653",
-        "d1192756e7c27912c9ee2840199f39e73fab3e56692da1aabc99070061905661"),
+        "38b032c757375b37d78537498052e8956747c65bca8b83dad580924ee41f9863",
+        "b0e7e95cd8151761ebf91d27a4a6aac5c7ebfef9cd2c088911e284dc1ca66c8f"),
     ("smooth-gd-p2-ball", "json"): (
         "90336ca97e6a58e8b53954963fe4f6c0248cd05610e513cc8baf44117fe73862",
         "0861bf59df73c9ef3406c1a65fd007acbc38b3b9c20234f26df85a4d4df0bed8"),
     ("smooth-gd-p2-ball", "csv"): (
-        "fd5091ccf7f60510bec06c7e693fb791e57da9a6e7dc1660d4066c85f3ff3962",
-        "b31dea6c3082a6aefa9b90edf920b7a1bf9215097ccad2c71c1148eedd797ec2"),
+        "97b142ce0600d23ec886a5962f6ec9c4ff08e6ac40a3a237e7d778a00aa9a8b0",
+        "5daccbc443d1f920d5347d6fb73b9f28eee529de01aad34c2daec13015a0c901"),
     ("uncertified-gd-p1", "json"): (
         "9558774876c1c2b32e2962dd39110a45e02d2b22e39372e13e2c71a3d6b0c2f8",
         None),
     ("uncertified-gd-p1", "csv"): (
-        "0e9606d896023f89f5d94cd006f338d74e23d4ae802c9ac572cd11b1e3f7b29d",
+        "d03271fb481ab6e2c1b61d566af17690af930593b5a3b282b8c73658ce3bf4aa",
         None),
     ("wellcond-gd-p3", "json"): (
         "06e8852d7eeb84e5426b52841f99f8ac007c889fd6c5e32f7e4a6b3bfb72060f",
         "b661f6478d37229aafa14a44b19cc7a94b08fe8b0fce4862bc3d5654d62e93a6"),
     ("wellcond-gd-p3", "csv"): (
-        "8418a19d23b4d22d82e120a1a01301db0f1ac705c2f330bde5b01670468711a8",
-        "c6c246c8639d2b09411148fbe0bb38c58d27e1fe4e01bb7f1655ca98b19766e6"),
+        "9390c81c7426f41de66e8b9f0c404f9d8e03fa330e8e7145bafe865b6c50378d",
+        "c3d9cb3a28531d89610654203129f3daa68737e02c801dac2779c0732d53e182"),
     ("agm1-p3", "json"): (
         "eccd33d5fd9c80cb70dfd9476cf1b0b6ffbc959077ae21af287dbc4ebaeb0451",
         None),
     ("agm1-p3", "csv"): (
-        "688866724e700b25c4ce96a2c10a807b79e7d9fb5c64b15bef702a7afad91e86",
+        "9d689f766bb0d7a9071b83771b902f91252f65530fb1f2f15b6b08e106901c89",
         None),
     ("agm2-lambda-p2", "json"): (
         "3b0593af7f27c03e7de314bdc91da50ebec44445c86c589d0f532b879f3931bd",
         None),
     ("agm2-lambda-p2", "csv"): (
-        "7b87ab9a5b92e3e25b5ed561e2465cf3a6b833dda669a2781c53fb57553a02f0",
+        "9e82996f58466ef34e1e8c9c95134cfe68d986fd8411ade5a16f178888923025",
         None),
     ("agm2-p2-simplex", "json"): (
         "0092080c824cb2f7d2fa45475113465cf7de65a3d00ce478c3a561a352cf9089",
         "3cbcd246c6ccdb6a48b7523ffc057093918f6e46cdcf4f9e19d58e57a8e26e5f"),
     ("agm2-p2-simplex", "csv"): (
-        "affbf02eb91ea08c37fadb76fcefd9a5c06a2a1b21708473fb675fac1444284e",
-        "d4262dc7dbcc84a1dae05546c19eb8c483ac94f2c3e2a364ba5351dacdeb38f8"),
+        "366cf57892a7106d5179d5870e426b1b0caf259861ac1ee9ddd2ceffb012d277",
+        "0f9a7e56dd32b6eceb2d5c336734889f0808bc077e98ec336a2c0adaef3ef832"),
     ("mirror-euclidean-experts-ball", "json"): (
         "d08f59d36e02f5c4aa014f7b400408fd7b053d3686c87b237499eb020d177b1f",
         "4f9c517e0029da458ce342b2b5036e5384d1fe01b38049a01e80208a4a615351"),
     ("mirror-euclidean-experts-ball", "csv"): (
-        "b57039b406f33b69609249d3ee93829ad992eb5362d8f815a416f6be96b3b07a",
-        "a219e2efd5b8d98383472d5c9caee6ff4fab7352e0fd084a6848e1d30f013df7"),
+        "20f4f3296d4be708d580a16c686c7ad7deb66faa76caeb8ff923ab8e2b6c42ca",
+        "2a2f4f2a58435cd0f305e60acc871de6fed5d1da8ee983da1275cf615c676672"),
     ("restart-agm-p3", "json"): (
         "899993096f1c876a24630361387aeb9a8a19cd728779a1e308f967e2249685d8",
         None),
     ("restart-agm-p3", "csv"): (
-        "e82b7b82b5645471b757dda66f6beee193bd70a654ef4927e4865d4b424ee6dc",
+        "4eefae34b5b39f97f64e22863650925bd8b64f9b39465151a77ac6ce41070aac",
         None),
 }
 
@@ -305,102 +308,14 @@ def test_g17_carries_into_the_next_power():
     assert g17_texts(v) == g17_reference(v)
 
 
-# --- the repr style against repr --------------------------------------------
-
-def repr_texts(values) -> list:
-    """The kernel's shortest-digits text of each value, with ``repr`` for
-    the cells it leaves to the fallback."""
-    v = np.asarray(values, dtype=float)
-    out = np.zeros((v.size, _g17.SLOT_WORDS), np.uint64)
-    _g17.format_floats(v, out, repr, shortest=True)
-    slots = out.view(np.uint8).reshape(v.size, -1)
-    slots[:, 0] = ord(",")
-    return slots.tobytes().translate(None, b"\0").decode().split(",")[1:]
-
-
-def repr_mismatches(values) -> list:
-    """(value, kernel text, repr) for each value the kernel writes otherwise
-    than ``repr``: a short list to report when the check fails."""
-    values = np.asarray(values, dtype=float).tolist()
-    return [(x, text, repr(x)) for x, text in zip(values, repr_texts(values))
-            if text != repr(x)]
-
-
-def test_repr_matches_on_random_bit_patterns():
-    # every exponent: subnormals, nan and the infinities included
-    bits = np.random.default_rng(18).integers(0, 2**64, 200_000, dtype=np.uint64)
-    assert repr_mismatches(bits.view(np.float64)) == []
-
-
-def test_repr_matches_at_powers_of_ten_and_their_neighbours():
-    p = np.array([float(f"1e{k}") for k in range(-323, 309)])
-    v = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
-    assert repr_mismatches(np.concatenate([v, -v])) == []
-
-
-def test_repr_matches_at_powers_of_two_and_their_neighbours():
-    # 2^e has a rounding interval half as wide below as above
-    p = np.ldexp(1.0, np.arange(-1074, 1024))
-    assert repr_mismatches(np.concatenate([p, np.nextafter(p, 0.0),
-                                           np.nextafter(p, np.inf)])) == []
-    assert repr_texts([0.5, 1024.0, 2.0**-20]) == ["0.5", "1024.0", "9.5367431640625e-07"]
-
-
-def test_repr_matches_on_values_rounded_to_each_digit_count():
-    # 1 to 17 significant digits over many magnitudes: every shortest count,
-    # the ones below 15 included
-    rng = np.random.default_rng(15)
-    x = rng.standard_normal(6_000) * 10.0 ** rng.integers(-30, 30, 6_000)
-    assert repr_mismatches([float("%.*g" % (k, y)) for y in x.tolist()
-                            for k in range(1, 18)]) == []
-
-
-def test_repr_writes_integral_floats_with_a_point_zero():
-    ints = np.random.default_rng(53).integers(0, 2**53, 20_000).astype(float)
-    assert repr_mismatches(np.concatenate(
-        [ints, [1.0, 9.0, 10.0, 100.0, 123.0, 2.0**53 - 1, 2.0**53]])) == []
-    assert repr_texts([100.0, -7.0, 1e15]) == ["100.0", "-7.0", "1000000000000000.0"]
-
-
-def test_repr_switches_layout_at_1e16_and_1e_minus_4():
-    v = [1e16, 9999999999999998.0, 1.5e16, 1e-4, 1.5e-4, 9.9e-5, 1e-5, 0.00012345]
-    assert repr_texts(v) == ["1e+16", "9999999999999998.0", "1.5e+16", "0.0001",
-                             "0.00015", "9.9e-05", "1e-05", "0.00012345"]
-    assert repr_mismatches(v) == []
-
-
-def test_repr_zeros_subnormals_and_non_finite():
-    sub = np.ldexp(np.random.default_rng(1074).integers(1, 2**52, 2_000).astype(float), -1074)
-    v = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
-                         math.nan, math.inf, -math.inf], sub])
-    assert repr_texts(v)[:8] == ["0.0", "-0.0", "5e-324", "-5e-324",
-                                 "2.225073858507201e-308", "nan", "inf", "-inf"]
-    assert repr_mismatches(v) == []
-
-
-def test_repr_rounds_ties_half_to_even():
-    # 8 + 2^-16 = 8.0000152587890625 lies halfway between two 16-digit
-    # candidates, both inside its interval: the fallback decides. The other
-    # needs 17 digits and is an exact tie at an exact power of ten, which
-    # rint rounds to even as the %.17g style does. Zeros stay on the
-    # vectorized path
-    seen = []
-    v = np.array([8 + 2.0**-16, 31867706181171.1875, 0.0, -0.0])
-    out = np.zeros((4, _g17.SLOT_WORDS), np.uint64)
-    _g17.format_floats(v, out, lambda x: seen.append(x) or repr(x), shortest=True)
-    assert seen == [8 + 2.0**-16]
-    assert repr_texts(v) == ["8.000015258789062", "31867706181171.188", "0.0", "-0.0"]
-    assert repr_mismatches(v) == []
-
-
 # --- the slot: byte 0 a hole, each text byte nonzero -------------------------
 
 def slot_values() -> np.ndarray:
     """A value of each digit count 1..17 at each X from -4 to 16, both
-    signs (fixed notation; the repr style's integers below 1e16), values on
-    both sides of that range and at the ends of the exponents (scientific),
-    zeros, and values that go to the fallback: nan, the infinities, a tie,
-    subnormals and powers of two."""
+    signs (fixed notation), values on both sides of that range and at the
+    ends of the exponents (scientific), zeros, and values that go to the
+    fallback or lie near it: nan, the infinities, a tie, subnormals and
+    powers of two."""
     digits = "12345678912345678"
     fixed = [float(f"{sign}{digits[:n]}e{x - n + 1}") for sign in "+-"
              for x in range(-4, 17) for n in range(1, 18)]
@@ -411,17 +326,19 @@ def slot_values() -> np.ndarray:
     return np.array(fixed + scientific + other)
 
 
-@pytest.mark.parametrize("style", ["%.17g", "repr"])
+# the two writers' fallbacks: CSV's is '%.17g' % itself, JSON's quotes nan
+# and the infinities
+FALLBACKS = {"%.17g": "%.17g".__mod__, "json": _json_scalar}
+
+
+@pytest.mark.parametrize("style", sorted(FALLBACKS))
 def test_every_slot_leaves_byte_0_a_hole_and_holds_its_text(style):
     v = slot_values()
-    shortest = style == "repr"
-    expected = [repr(x) if shortest else t for x, t in
-                zip(v.tolist(), g17_reference(v.tolist()))]
+    expected = [FALLBACKS[style](x) for x in v.tolist()]
     fallback = []
     # every byte starts nonzero: the kernel writes each one, its holes as 0
     out = np.full((v.size, _g17.SLOT_WORDS), 2**64 - 1, np.uint64)
-    _g17.format_floats(v, out, lambda x: fallback.append(x) or
-                       (repr(x) if shortest else _json_scalar(x)), shortest)
+    _g17.format_floats(v, out, lambda x: fallback.append(x) or FALLBACKS[style](x))
     slots = out.view(np.uint8).reshape(v.size, -1)
     assert not slots[:, 0].any()
     # the slot's nonzero bytes are the text, each text byte among them
@@ -441,31 +358,29 @@ def test_a_fallback_text_longer_than_the_slot_raises():
             _g17.format_floats(v, out, lambda x: text)
 
 
-def _off_the_fallback(v: np.ndarray, shortest: bool) -> np.ndarray:
+def _off_the_fallback(v: np.ndarray) -> np.ndarray:
     """``v`` with each cell that the kernel leaves to its fallback set to 1.5."""
     seen = []
     _g17.format_floats(v, np.empty(v.shape + (_g17.SLOT_WORDS,), np.uint64),
-                       lambda x: seen.append(x) or repr(x), shortest)
+                       lambda x: seen.append(x) or repr(x))
     v = v.copy()
     v[np.isin(v, seen)] = 1.5
     return v
 
 
-@pytest.mark.parametrize("shortest", [False, True], ids=["%.17g", "repr"])
-def test_a_call_through_a_workspace_allocates_nothing(shortest):
+def test_a_call_through_a_workspace_allocates_nothing():
     """On a chunk of finite cells off the fallback, a call that reuses its
     workspace allocates none of its intermediates."""
     rng = np.random.default_rng(5)
-    v = _off_the_fallback(rng.standard_normal(_CHUNK) * 10.0 ** rng.integers(-300, 300, _CHUNK),
-                          shortest)
+    v = _off_the_fallback(rng.standard_normal(_CHUNK) * 10.0 ** rng.integers(-300, 300, _CHUNK))
     out = np.empty((_CHUNK, _g17.SLOT_WORDS), np.uint64)
     work = _g17.Workspace(_CHUNK)
     fallback = []
-    _g17.format_floats(v, out, fallback.append, shortest, work)
+    _g17.format_floats(v, out, fallback.append, work)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        _g17.format_floats(v, out, fallback.append, shortest, work)
+        _g17.format_floats(v, out, fallback.append, work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -474,27 +389,26 @@ def test_a_call_through_a_workspace_allocates_nothing(shortest):
 
 
 def test_a_workspace_carries_nothing_between_calls():
-    """A's slots are the same through a workspace that B, longer and in the
-    other style with fallback cells, used in between, and the same as
-    through a new one; a workspace too small for a call is refused."""
+    """A's slots are the same through a workspace that B, longer and with
+    fallback cells, used in between, and the same as through a new one; a
+    workspace too small for a call is refused."""
     rng = np.random.default_rng(6)
     a = _table_values(rng, 1_000)
     b = _table_values(rng, (3, 1_001))
     b[0, :3] = [math.nan, 5e-324, -2.0**-1070]
     work = _g17.Workspace(b.size)
 
-    def slots(v, shortest, work):
+    def slots(v, work):
         out = np.zeros(v.shape + (_g17.SLOT_WORDS,), np.uint64)
-        _g17.format_floats(v, out, _json_scalar if shortest is False else repr, shortest, work)
+        _g17.format_floats(v, out, _json_scalar, work)
         return out
 
-    first = slots(a, False, work)
-    shortest = np.arange(b.shape[1]) % 2 == 0
-    np.testing.assert_array_equal(slots(b, shortest, work), slots(b, shortest, None))
-    np.testing.assert_array_equal(slots(a, False, work), first)
-    np.testing.assert_array_equal(slots(a, False, None), first)
+    first = slots(a, work)
+    np.testing.assert_array_equal(slots(b, work), slots(b, None))
+    np.testing.assert_array_equal(slots(a, work), first)
+    np.testing.assert_array_equal(slots(a, None), first)
     with pytest.raises(ValueError, match="workspace"):
-        slots(a, False, _g17.Workspace(a.size - 1))
+        slots(a, _g17.Workspace(a.size - 1))
 
 
 def _table_values(rng, shape) -> np.ndarray:
@@ -510,8 +424,8 @@ def _table_values(rng, shape) -> np.ndarray:
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_mixed_table_matches_per_element_cells(width, fmt):
     """Keyed and vector columns, a null column and a verdict, over row
-    counts at the chunk edges: each cell as '%.17g' % (JSON) or repr (CSV
-    floats) gives it, its separator from its slot's byte 0."""
+    counts at the chunk edges: each cell as '%.17g' % gives it (JSON quoting
+    nan and the infinities), its separator from its slot's byte 0."""
     is_json = fmt == "json"
     cells = 2 * width + 3  # t, x, f, z, eta
     rows = max(1, _CHUNK // cells)
@@ -580,15 +494,15 @@ def json_reference(obj) -> str:
 
 
 def csv_reference(x) -> str:
-    """One CSV cell formatted on its own; floats take their shortest
-    round-trip repr."""
+    """One CSV cell formatted on its own: a float as '%.17g' %, nan and the
+    infinities as such."""
     if x is None:
         return ""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return repr(float(x))
+    return "%.17g" % float(x)
 
 
 @settings(deadline=None, max_examples=60)
@@ -839,3 +753,65 @@ def test_report_table_matches_per_element_csv(reports):
         "t", "phi", "dphi", "allowed", "amortized", "ok", "slack")])
         for r in reports for row in report_rows(r)]
     assert report_to_csv(reports).splitlines()[1:] == expected
+
+
+# --- CSV cells: exact round trip, and the text of the JSON cell --------------
+
+def _json_cells(text: str):
+    """The JSON text of a step table as rows of cells, each number as the
+    ("num", token) it was written as, a quoted string as the str."""
+    token = lambda s: ("num", s)  # noqa: E731
+    return json.loads(text, parse_float=token, parse_int=token)
+
+
+def _cells(row: dict, keys) -> list:
+    return [c for k in keys for c in (row[k] if isinstance(row.get(k), list) else [row.get(k)])]
+
+
+def assert_csv_cells_round_trip(lines, json_rows, rows, keys, lead=None):
+    """Each CSV cell against the JSON cell and the value of the same place:
+    empty for null, true or false for a verdict, and a number's text the
+    JSON token, unquoted where JSON quotes a non-finite value; float() of
+    it gives back the value's bits (a nan: a nan)."""
+    assert len(lines) == len(json_rows) == len(rows)
+    for line, json_row, row in zip(lines, json_rows, rows):
+        cells = line.split(",")
+        if lead is not None:
+            assert cells.pop(0) == lead
+        expected = list(zip(_cells(json_row, keys), _cells(row, keys), strict=True))
+        for cell, (token, x) in zip(cells, expected, strict=True):
+            if x is None or isinstance(x, bool):
+                assert cell == ("" if x is None else json.dumps(x)) and token == x
+                continue
+            back = float(cell)
+            assert (math.isnan(back) and math.isnan(x)
+                    or np.float64(back).tobytes() == np.float64(x).tobytes()), (cell, x)
+            if isinstance(token, str):
+                assert cell == token and not math.isfinite(x)
+            else:
+                assert cell == token[1]
+
+
+@settings(deadline=None, max_examples=25)
+@given(step_traces())
+def test_trace_csv_cells_round_trip_and_match_json(trace):
+    with np.errstate(invalid="ignore", over="ignore"):
+        lines = trace_to_csv(trace).splitlines()[1:]
+        json_rows = _json_cells(json_dumps(trace_to_dict(trace)["steps"]))
+        rows = trace_rows(trace)
+    keys = ["t", "x"] + (["y", "z", "f_y"] if trace.y is not None else [])
+    keys += ["f", "gap", "grad_norm", "grad_dual_norm", "eta"]
+    assert_csv_cells_round_trip(lines, json_rows, rows, keys)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(step_reports(), min_size=1, max_size=2))
+def test_report_csv_cells_round_trip_and_match_json(reports):
+    lines = report_to_csv(reports).splitlines()[1:]
+    keys = ("t", "phi", "dphi", "allowed", "amortized", "ok", "slack")
+    for r in reports:
+        rows = report_rows(r)
+        json_rows = _json_cells(json_dumps(_Table(list(r.steps.items()), "ok")))
+        assert_csv_cells_round_trip(lines[:len(rows)], json_rows, rows, keys, r.theorem)
+        lines = lines[len(rows):]
+    assert lines == []
